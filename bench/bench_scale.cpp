@@ -9,12 +9,11 @@
 /// Measures how every pipeline phase scales with program size, using the
 /// workload synthesizer (workload/Synthesizer.h) as the size dial: four
 /// shape specs spanning roughly 1k to well past 100k VFG nodes, each run
-/// through four analysis configurations:
+/// through three analysis configurations:
 ///
 ///   andersen-global     the reference pipeline (serial),
 ///   andersen-global-j2  the same pipeline on a 2-worker pool,
-///   unify-global        the near-linear unification solver rung,
-///   andersen-summary    the bottom-up summary engine.
+///   unify-global        the near-linear unification solver rung.
 ///
 /// Per size and configuration the JSON (schema usher-bench-scale-v1,
 /// validated by tools/check_bench_json.py) records wall time for parse,
@@ -24,9 +23,8 @@
 ///
 /// Because every configuration analyzes the *same* program, the harness
 /// cross-checks answers, not just times: the serial and --jobs=2 runs
-/// must produce identical fingerprints (plan counts + VFG shape), the
-/// summary engine must match the global engine exactly, and the unify
-/// rung — a sound over-approximation — must report the same runtime
+/// must produce identical fingerprints (plan counts + VFG shape), and the
+/// unify rung — a sound over-approximation — must report the same runtime
 /// warnings with at least as many planned checks. Any mismatch aborts:
 /// a curve bought with a different answer is a bug, not a result.
 ///
@@ -146,18 +144,13 @@ struct SizeRow {
 struct Config {
   const char *Name;
   analysis::SolverKind Solver;
-  core::EngineKind Engine;
   unsigned Jobs;
 };
 
 constexpr Config Configs[] = {
-    {"andersen-global", analysis::SolverKind::Optimized,
-     core::EngineKind::Global, 1},
-    {"andersen-global-j2", analysis::SolverKind::Optimized,
-     core::EngineKind::Global, 2},
-    {"unify-global", analysis::SolverKind::Unify, core::EngineKind::Global, 1},
-    {"andersen-summary", analysis::SolverKind::Optimized,
-     core::EngineKind::Summary, 1},
+    {"andersen-global", analysis::SolverKind::Optimized, 1},
+    {"andersen-global-j2", analysis::SolverKind::Optimized, 2},
+    {"unify-global", analysis::SolverKind::Unify, 1},
 };
 
 double phaseMs(const core::UsherResult &UR, const char *Key) {
@@ -192,7 +185,6 @@ ConfigRow runConfig(const std::string &Source, const Config &C,
     core::UsherOptions Opts;
     Opts.Variant = core::ToolVariant::UsherFull;
     Opts.Pta.Solver = C.Solver;
-    Opts.Engine = C.Engine;
     Opts.Jobs = C.Jobs;
     T0 = Clock::now();
     core::UsherResult UR = core::runUsher(*PR.M, Opts);
@@ -315,12 +307,6 @@ int main(int argc, char **argv) {
     const Fingerprint &Ref = Row.Configs[0].FP;
     if (!(Row.Configs[1].FP == Ref)) {
       std::fprintf(stderr, "FATAL: %s: --jobs=2 diverged from serial\n",
-                   S.Name);
-      std::abort();
-    }
-    if (!(Row.Configs[3].FP == Ref)) {
-      std::fprintf(stderr,
-                   "FATAL: %s: --engine=summary diverged from global\n",
                    S.Name);
       std::abort();
     }

@@ -485,31 +485,6 @@ void StaticDiagnosis::printText(raw_ostream &OS) const {
   }
 }
 
-static void jsonEscape(raw_ostream &OS, std::string_view S) {
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      OS << "\\\"";
-      break;
-    case '\\':
-      OS << "\\\\";
-      break;
-    case '\n':
-      OS << "\\n";
-      break;
-    case '\t':
-      OS << "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        OS.printf("\\u%04x",
-                  static_cast<unsigned>(static_cast<unsigned char>(C)));
-      else
-        OS << C;
-    }
-  }
-}
-
 void StaticDiagnosis::printJson(raw_ostream &OS) const {
   OS << "{\n  \"schema\": \"usher-diagnosis-v1\",\n";
   OS << "  \"summary\": {\"critical_uses\": " << G.criticalUses().size()

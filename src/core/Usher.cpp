@@ -15,10 +15,6 @@ using namespace usher;
 using namespace usher::core;
 using namespace usher::ir;
 
-const char *core::engineKindName(EngineKind E) {
-  return E == EngineKind::Summary ? "summary" : "global";
-}
-
 const char *core::toolVariantName(ToolVariant V) {
   switch (V) {
   case ToolVariant::MSanFull:
@@ -202,54 +198,8 @@ UsherResult core::runUsher(Module &M, const UsherOptions &Opts) {
   DefOpts.ContextK = Opts.ContextK;
   DefOpts.AddressTakenAware = Opts.Variant != ToolVariant::UsherTL;
 
-  // Resolves Gamma with the selected engine. The summary engine returns
-  // an empty result when it cannot answer exactly (k >= 2, context-set
-  // saturation); the \p RearmOnDelegate phase then re-arms the budget so
-  // the global fallback runs under the same conditions an --engine=global
-  // run would (the summary attempt's charges are not held against it).
-  // At the Opt II re-resolution no re-arm is possible — the phase budget
-  // also covers the planning that already ran — so the fallback spends
-  // what remains; a pessimized outcome there just discards the redirects,
-  // which is the documented sound landing.
-  auto AddSummaryStats = [&](const analysis::SummaryEngineStats &S) {
-    auto &T = Stats.Summary;
-    T.NumFunctions = S.NumFunctions;
-    T.NumSCCs += S.NumSCCs;
-    T.SummariesComputed += S.SummariesComputed;
-    T.SummariesReused += S.SummariesReused;
-    T.ExpansionsComputed += S.ExpansionsComputed;
-    T.ExpansionsReused += S.ExpansionsReused;
-    T.PrunedTransfers += S.PrunedTransfers;
-    T.PrunedCalleeEntries += S.PrunedCalleeEntries;
-    T.MergedContexts += S.MergedContexts;
-    T.RealizedBoundaryFacts += S.RealizedBoundaryFacts;
-    T.DelegatedToGlobal |= S.DelegatedToGlobal;
-    T.SaturationBail |= S.SaturationBail;
-    T.Pessimized |= S.Pessimized;
-  };
-  auto ResolveGamma =
-      [&](const std::unordered_map<uint32_t, std::vector<vfg::Edge>> *Redirects,
-          std::optional<BudgetPhase> RearmOnDelegate)
-      -> std::unique_ptr<Definedness> {
-    if (Opts.Engine == EngineKind::Summary) {
-      analysis::SummaryEngineOptions SOpts;
-      SOpts.ContextK = DefOpts.ContextK;
-      SOpts.AddressTakenAware = DefOpts.AddressTakenAware;
-      analysis::SummaryEngine SE(*G, SOpts, Redirects, Opts.SummaryCache,
-                                 Pool.get(), &B);
-      analysis::SummaryRunResult R = SE.run();
-      AddSummaryStats(SE.stats());
-      if (R.Bottom)
-        return std::make_unique<Definedness>(std::move(*R.Bottom),
-                                             R.Pessimized);
-      if (RearmOnDelegate)
-        B.beginPhase(*RearmOnDelegate);
-    }
-    return std::make_unique<Definedness>(*G, DefOpts, Redirects, &B);
-  };
-
   B.beginPhase(BudgetPhase::Definedness);
-  auto Gamma = ResolveGamma(nullptr, BudgetPhase::Definedness);
+  auto Gamma = std::make_unique<Definedness>(*G, DefOpts, nullptr, &B);
   if (Gamma->wasPessimized()) {
     // The pessimistically completed Gamma is sound but too coarse to
     // justify Opt I/II decisions profitably; land on the plain guided
@@ -280,7 +230,8 @@ UsherResult core::runUsher(Module &M, const UsherOptions &Opts) {
     } else {
       Stats.NumRedirectedNodes = Opt2.NumRedirectedNodes;
       if (!Opt2.Redirects.empty()) {
-        auto G2 = ResolveGamma(&Opt2.Redirects, std::nullopt);
+        auto G2 =
+            std::make_unique<Definedness>(*G, DefOpts, &Opt2.Redirects, &B);
         if (G2->wasPessimized()) {
           // The re-resolution ran out of the same Opt II budget; the base
           // Gamma is still intact, so discard the redirects instead of

@@ -47,34 +47,9 @@ OracleOptions onlyOracle(OracleKind K, const OracleOptions &Base) {
   Only.CheckDiagnosis = K == OracleKind::DiagnosisSoundness;
   Only.CheckDegradation = K == OracleKind::DegradationSoundness;
   Only.CheckServe = K == OracleKind::ServeEquivalence;
-  Only.CheckSummary = K == OracleKind::SummaryEquivalence;
   Only.CheckQuery = K == OracleKind::QueryEquivalence;
   Only.CheckClients = K == OracleKind::ClientConsistency;
   return Only;
-}
-
-void jsonEscape(raw_ostream &OS, const std::string &S) {
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      OS << "\\\"";
-      break;
-    case '\\':
-      OS << "\\\\";
-      break;
-    case '\n':
-      OS << "\\n";
-      break;
-    case '\t':
-      OS << "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        OS.printf("\\u%04x", static_cast<unsigned>(C));
-      else
-        OS << C;
-    }
-  }
 }
 
 /// How one campaign round obtained its input.

@@ -10,7 +10,6 @@
 #include "analysis/CallGraph.h"
 #include "analysis/DemandVFA.h"
 #include "analysis/PointerAnalysis.h"
-#include "analysis/SummaryEngine.h"
 #include "core/ContextStack.h"
 #include "core/StaticDiagnosis.h"
 #include "core/Usher.h"
@@ -48,8 +47,6 @@ const char *fuzz::oracleKindName(OracleKind K) {
     return "degradation-soundness";
   case OracleKind::ServeEquivalence:
     return "serve-equivalence";
-  case OracleKind::SummaryEquivalence:
-    return "summary-equivalence";
   case OracleKind::QueryEquivalence:
     return "query-equivalence";
   case OracleKind::ClientConsistency:
@@ -477,87 +474,7 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
     }
   }
 
-  // -- Oracle 6: summary-engine equivalence ------------------------------
-  if (Opts.CheckSummary) {
-    Out.Checked[static_cast<unsigned>(OracleKind::SummaryEquivalence)] = true;
-    // One cache shared across all configs and reused within each config's
-    // summary run: the second half of the matrix therefore replays
-    // content-hashed summaries, so a cached summary must be exactly as
-    // good as a fresh one. Keys are salted with (ContextK,
-    // AddressTakenAware), which keeps the sharing sound.
-    analysis::SummaryCache Cache;
-    struct SummaryConfig {
-      ToolVariant V;
-      unsigned ContextK;
-      const char *Name;
-    };
-    const SummaryConfig Configs[] = {
-        {ToolVariant::UsherTL, 1, "USHER-TL"},
-        {ToolVariant::UsherTLAT, 1, "USHER-TL+AT"},
-        {ToolVariant::UsherOptI, 1, "USHER-OPTI"},
-        {ToolVariant::UsherFull, 1, "USHER"},
-        {ToolVariant::UsherFull, 0, "USHER/K=0"},
-    };
-    struct EngineSnapshot {
-      bool Finished = false;
-      std::string Bottom;
-      std::set<uint32_t> Warns;
-      uint64_t Checks = 0;
-      ToolVariant Rung;
-      bool Degraded = false;
-    };
-    for (const SummaryConfig &C : Configs) {
-      auto RunEngine = [&](core::EngineKind E,
-                           analysis::SummaryCache *SC) -> EngineSnapshot {
-        EngineSnapshot S;
-        auto M = parseFresh(Source);
-        core::UsherOptions UOpts;
-        UOpts.Variant = C.V;
-        UOpts.ContextK = C.ContextK;
-        UOpts.Engine = E;
-        UOpts.SummaryCache = SC;
-        core::UsherResult R = core::runUsher(*M, UOpts);
-        S.Rung = R.Degradation.Rung;
-        S.Degraded = R.Degradation.Degraded;
-        S.Checks = R.Plan.countChecks();
-        if (R.G && R.Gamma)
-          for (uint32_t N = 0; N != R.G->numNodes(); ++N)
-            if (R.Gamma->mayBeUndefined(N))
-              S.Bottom += std::to_string(N) + " ";
-        ExecutionReport Rep =
-            Interpreter(*M, &R.Plan, runtime::CostModel(), ToolLimits).run();
-        S.Finished = Rep.Reason == ExitReason::Finished;
-        if (S.Finished)
-          S.Warns = warnIds(Rep.ToolWarnings);
-        return S;
-      };
-      EngineSnapshot G = RunEngine(core::EngineKind::Global, nullptr);
-      EngineSnapshot S = RunEngine(core::EngineKind::Summary, &Cache);
-      std::string Tag = C.Name;
-      if (G.Finished != S.Finished) {
-        Diverge(OracleKind::SummaryEquivalence,
-                Tag + ": engines disagree on run termination");
-        continue;
-      }
-      if (S.Bottom != G.Bottom)
-        Diverge(OracleKind::SummaryEquivalence,
-                Tag + ": bottom sets differ");
-      if (S.Checks != G.Checks)
-        Diverge(OracleKind::SummaryEquivalence,
-                Tag + ": plan check totals differ: summary " +
-                    std::to_string(S.Checks) + " vs global " +
-                    std::to_string(G.Checks));
-      if (S.Rung != G.Rung || S.Degraded != G.Degraded)
-        Diverge(OracleKind::SummaryEquivalence,
-                Tag + ": landed on " + core::toolVariantName(S.Rung) +
-                    ", global landed on " + core::toolVariantName(G.Rung));
-      if (G.Finished && S.Warns != G.Warns)
-        Diverge(OracleKind::SummaryEquivalence,
-                Tag + ": " + describeSetDiff(S.Warns, G.Warns));
-    }
-  }
-
-  // -- Oracle 7: demand query vs whole-program VFG reachability ----------
+  // -- Oracle 6: demand query vs whole-program VFG reachability ----------
   if (Opts.CheckQuery) {
     Out.Checked[static_cast<unsigned>(OracleKind::QueryEquivalence)] = true;
     auto M = parseFresh(Source);
@@ -666,7 +583,7 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
     }
   }
 
-  // -- Oracle 8: sanitizer-client consistency ----------------------------
+  // -- Oracle 7: sanitizer-client consistency ----------------------------
   if (Opts.CheckClients) {
     Out.Checked[static_cast<unsigned>(OracleKind::ClientConsistency)] = true;
     // A plan covers a warning when the warned instruction carries one of

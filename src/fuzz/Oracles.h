@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The eight differential oracles the fuzzer evaluates on every valid
+/// The seven differential oracles the fuzzer evaluates on every valid
 /// input, each reusing an existing piece of the project's verification
 /// infrastructure:
 ///
@@ -31,20 +31,13 @@
 ///     Session backed by an in-memory snapshot store, twice. The cold
 ///     reply's check totals must match a direct runUsher, and the warm
 ///     (snapshot-assembled) reply must be byte-identical to the cold one.
-///  6. SummaryEquivalence — the bottom-up summary engine must reproduce
-///     the global fixpoint's answer: at every degradation rung that runs
-///     definedness, and at context depth 0 and 1, --engine=summary must
-///     yield the same bottom set, the same instrumentation plan totals,
-///     the same landing rung, and the same runtime warning set as
-///     --engine=global, both fresh and when replayed through a shared
-///     content-hashed summary cache.
-///  7. QueryEquivalence — the demand-driven CFL-reachability engine must
+///  6. QueryEquivalence — the demand-driven CFL-reachability engine must
 ///     agree with whole-program VFG reachability on sampled (src, sink)
 ///     pairs: each cflReachable verdict is checked against an independent
 ///     exhaustive state-space traversal, every positive verdict's witness
 ///     must replay as a realizable VFG path, and a repeated query must be
 ///     answered from the memo table with the same verdict.
-///  8. ClientConsistency — every sanitizer client's guided plan must
+///  7. ClientConsistency — every sanitizer client's guided plan must
 ///     report exactly the warnings its own full (analysis-free)
 ///     instrumentation reports, each warning must sit at an instruction
 ///     the client's static plan instruments with a check, and a
@@ -77,12 +70,11 @@ enum class OracleKind : uint8_t {
   DiagnosisSoundness,
   DegradationSoundness,
   ServeEquivalence,
-  SummaryEquivalence,
   QueryEquivalence,
   ClientConsistency,
 };
 
-constexpr unsigned NumOracleKinds = 8;
+constexpr unsigned NumOracleKinds = 7;
 
 /// Stable lower-case name used in reports and JSON
 /// ("variant-equivalence", "solver-equivalence", ...).
@@ -102,7 +94,6 @@ struct OracleOptions {
   bool CheckDiagnosis = true;
   bool CheckDegradation = true;
   bool CheckServe = true;
-  bool CheckSummary = true;
   bool CheckQuery = true;
   bool CheckClients = true;
   /// Applied to every interpreter run. Mutants can manufacture infinite

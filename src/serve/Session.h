@@ -38,7 +38,6 @@
 #ifndef USHER_SERVE_SESSION_H
 #define USHER_SERVE_SESSION_H
 
-#include "analysis/SummaryEngine.h"
 #include "core/Usher.h"
 #include "serve/Protocol.h"
 #include "serve/SnapshotStore.h"
@@ -59,12 +58,6 @@ struct SessionOptions {
   /// Worker threads for one request's pipeline phases. The daemon runs
   /// requests concurrently, so per-request parallelism defaults to off.
   unsigned Jobs = 1;
-  /// Definedness engine for analysis requests. Summary turns edits into
-  /// incremental work: the per-function summary cache below persists
-  /// through the snapshot store, so a changed module re-analyzes only the
-  /// dirty functions plus the callers their summary-value deltas escape
-  /// into, even though the whole-reply snapshot misses.
-  core::EngineKind Engine = core::EngineKind::Global;
 };
 
 /// Daemon-side counters injected into the status JSON. A standalone
@@ -98,9 +91,6 @@ public:
     return ServedWarm.load(std::memory_order_relaxed);
   }
 
-  /// The per-function summary cache (live under EngineKind::Summary).
-  const analysis::SummaryCache &summaryCache() const { return SummaryCache; }
-
 private:
   Reply handleAnalysis(const Request &Rq);
   /// Op::Query: demand CFL-reachability over the request source's VFG,
@@ -111,7 +101,6 @@ private:
 
   SessionOptions Opts;
   SnapshotStore Store;
-  analysis::SummaryCache SummaryCache;
 
   std::atomic<uint64_t> Requests{0};
   std::atomic<uint64_t> OpCount[NumOps]{};

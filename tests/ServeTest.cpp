@@ -45,6 +45,45 @@ const char *UndefProgram = "func main() {\n"
                            "  ret x;\n"
                            "}\n";
 
+// A three-function module (g -> f -> main, which branches on the result)
+// and a one-function edit of it that makes g add an uninitialized stack
+// cell, so the edited reply plans checks the base reply does not.
+const char *EditBase = "func g(a, b) {\n"
+                       "  t = a + b;\n"
+                       "  ret t;\n"
+                       "}\n"
+                       "func f(x) {\n"
+                       "  r = g(x, x);\n"
+                       "  ret r;\n"
+                       "}\n"
+                       "func main() {\n"
+                       "  w = 1;\n"
+                       "  v = f(w);\n"
+                       "  if v goto t;\n"
+                       "  ret 0;\n"
+                       "t:\n"
+                       "  ret v;\n"
+                       "}\n";
+
+const char *EditedProgram = "func g(a, b) {\n"
+                            "  p = alloc stack 1 uninit;\n"
+                            "  u = *p;\n"
+                            "  t = a + u;\n"
+                            "  ret t;\n"
+                            "}\n"
+                            "func f(x) {\n"
+                            "  r = g(x, x);\n"
+                            "  ret r;\n"
+                            "}\n"
+                            "func main() {\n"
+                            "  w = 1;\n"
+                            "  v = f(w);\n"
+                            "  if v goto t;\n"
+                            "  ret 0;\n"
+                            "t:\n"
+                            "  ret v;\n"
+                            "}\n";
+
 /// A scratch directory wiped per test, plus guaranteed fault disarm (the
 /// I/O fault plane is process-global and gtest shares one process).
 class ServeTest : public ::testing::Test {
@@ -300,6 +339,41 @@ TEST_F(ServeTest, SessionWarmEqualsColdByteForByte) {
   ASSERT_EQ(Warm.Status, ReplyStatus::Ok);
   EXPECT_EQ(Warm.Payload, Cold.Payload);
   EXPECT_EQ(Sess.servedWarm(), 1u);
+}
+
+TEST_F(ServeTest, SessionEditReplyEqualsFreshSession) {
+  SessionOptions SO;
+  SO.SnapshotDir = Dir.string();
+  Session Warm(SO);
+
+  Reply Base = Warm.handle(analyzeReq(EditBase, 1));
+  ASSERT_EQ(Base.Status, ReplyStatus::Ok) << Base.Payload;
+  const SnapshotStore::Stats Primed = Warm.store().stats();
+  ASSERT_EQ(Primed.WriteFailures, 0u);
+
+  // The edited module misses the store the base request filled and is
+  // recomputed; its reply must be what a fresh session computes.
+  Reply Edited = Warm.handle(analyzeReq(EditedProgram, 2));
+  ASSERT_EQ(Edited.Status, ReplyStatus::Ok) << Edited.Payload;
+  EXPECT_EQ(Warm.servedWarm(), 0u);
+  EXPECT_GT(Warm.store().stats().Misses, Primed.Misses);
+  EXPECT_EQ(Warm.store().stats().CorruptDiscarded, 0u);
+
+  Session Fresh(SessionOptions{});
+  Reply FreshEdited = Fresh.handle(analyzeReq(EditedProgram, 3));
+  ASSERT_EQ(FreshEdited.Status, ReplyStatus::Ok);
+  EXPECT_EQ(Edited.Payload, FreshEdited.Payload);
+  EXPECT_NE(Edited.Payload, Base.Payload);
+
+  // The on-disk store now carries both versions: each is served warm, a
+  // later session over the same directory included, byte for byte.
+  Reply BaseAgain = Warm.handle(analyzeReq(EditBase, 4));
+  EXPECT_EQ(BaseAgain.Payload, Base.Payload);
+  EXPECT_EQ(Warm.servedWarm(), 1u);
+  Session Reopened(SO);
+  Reply EditedAgain = Reopened.handle(analyzeReq(EditedProgram, 5));
+  EXPECT_EQ(EditedAgain.Payload, Edited.Payload);
+  EXPECT_EQ(Reopened.servedWarm(), 1u);
 }
 
 TEST_F(ServeTest, SessionRecomputesAfterSnapshotCorruption) {

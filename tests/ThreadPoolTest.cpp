@@ -10,13 +10,12 @@
 /// parallel engine rests on: work stealing under skewed task sizes,
 /// exception propagation to the submitter, clean shutdown with tasks
 /// still queued, and parallelMapOrdered's index-order guarantee under a
-/// hostile (sleep-jittered) scheduler. Also the 8-thread Budget and
-/// Statistic charging regressions the satellite tasks ask for.
+/// hostile (sleep-jittered) scheduler. Also the 8-thread Budget charging
+/// regression.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "support/Budget.h"
-#include "support/Statistic.h"
 #include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
@@ -243,41 +242,6 @@ TEST(ThreadPool, FaultFiresExactlyOnceUnderContention) {
   B.beginPhase(BudgetPhase::OptII);
   ChargeFromThreads();
   EXPECT_EQ(B.exhaustKind(), ExhaustKind::Steps);
-}
-
-//===----------------------------------------------------------------------===//
-// Thread-safe Statistic counters (satellite regression)
-//===----------------------------------------------------------------------===//
-
-TEST(ThreadPool, StatisticShardsFoldToSerialTotals) {
-  // Per-worker shards folded after the join must equal direct serial
-  // counting, whatever the partition.
-  StatisticRegistry Reg;
-  ThreadPool Pool(8);
-  std::vector<StatisticShard> Shards(16);
-  parallelForOrdered(&Pool, Shards.size(), [&](size_t I) {
-    for (int N = 0; N != 1'000; ++N)
-      Shards[I].add("pipeline.items");
-    Shards[I].add("pipeline.chunks");
-  });
-  for (const StatisticShard &S : Shards)
-    Reg.fold(S);
-  EXPECT_EQ(Reg.get("pipeline.items"), 16'000u);
-  EXPECT_EQ(Reg.get("pipeline.chunks"), 16u);
-}
-
-TEST(ThreadPool, StatisticRegistryIsThreadSafe) {
-  // Direct concurrent add() is the cold path but must still be exact.
-  StatisticRegistry Reg;
-  std::vector<std::thread> Threads;
-  for (int T = 0; T != 8; ++T)
-    Threads.emplace_back([&Reg] {
-      for (int I = 0; I != 2'000; ++I)
-        Reg.add("shared.counter");
-    });
-  for (std::thread &T : Threads)
-    T.join();
-  EXPECT_EQ(Reg.get("shared.counter"), 16'000u);
 }
 
 } // namespace

@@ -4,7 +4,6 @@
 Dispatches on the report's "schema" tag:
   usher-bench-solver-v1    bench_solver's BENCH_solver.json
   usher-bench-parallel-v1  bench_parallel's BENCH_parallel.json
-  usher-bench-summary-v1   bench_summary's BENCH_summary.json
   usher-bench-scale-v1     bench_scale's BENCH_scale.json
 
 Usage:
@@ -193,9 +192,6 @@ def check_parallel_report(report, path):
             "serial_ms",
             "parallel_ms",
             "speedup",
-            "summary_serial_ms",
-            "summary_parallel_ms",
-            "summary_speedup",
         )
         for field in timing_fields:
             value = bench.get(field)
@@ -209,96 +205,18 @@ def check_parallel_report(report, path):
                 fail(f"benchmark {name!r}: bad {field!r}: {value!r}")
         # Loose tolerance: both timings and the speedup are independently
         # rounded to 4 decimals, which compounds for sub-millisecond runs.
-        for num, den, ratio_field in (
-            ("serial_ms", "parallel_ms", "speedup"),
-            ("summary_serial_ms", "summary_parallel_ms", "summary_speedup"),
-        ):
-            ratio = bench[num] / bench[den]
-            if abs(ratio - bench[ratio_field]) > max(0.01, 0.01 * ratio):
-                fail(
-                    f"benchmark {name!r}: {ratio_field} inconsistent "
-                    "with timings"
-                )
+        ratio = bench["serial_ms"] / bench["parallel_ms"]
+        if abs(ratio - bench["speedup"]) > max(0.01, 0.01 * ratio):
+            fail(f"benchmark {name!r}: speedup inconsistent with timings")
 
     check_summary(report)
-    sg = report["summary"].get("summary_geomean_speedup")
-    if not isinstance(sg, (int, float)) or sg <= 0:
-        fail(f"summary: bad 'summary_geomean_speedup': {sg!r}")
     print(f"check_bench_json: OK: {path} ({len(benchmarks)} benchmarks)")
-
-
-def check_summary_report(report, path):
-    check_common_header(report)
-    workloads = report.get("workloads")
-    if not isinstance(workloads, list) or not workloads:
-        fail("'workloads' missing or empty")
-    names = set()
-    total_pruned = 0
-    for workload in workloads:
-        name = workload.get("name")
-        if not isinstance(name, str) or not name:
-            fail("workload with missing name")
-        if name in names:
-            fail(f"duplicate workload name {name!r}")
-        names.add(name)
-        for field in ("cold_ms", "warm_ms", "speedup"):
-            value = workload.get(field)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                fail(f"workload {name!r}: bad {field!r}: {value!r}")
-            if value <= 0:
-                fail(f"workload {name!r}: non-positive {field!r}: {value!r}")
-        counters = (
-            "functions",
-            "summaries_total",
-            "warm_recomputed",
-            "warm_reused",
-            "pruned_transfers",
-            "merged_contexts",
-            "pruned_callee_entries",
-        )
-        for field in counters:
-            value = workload.get(field)
-            if not isinstance(value, int) or value < 0:
-                fail(f"workload {name!r}: bad {field!r}: {value!r}")
-        # The warm run's accounting must close: every summary is either
-        # reused or recomputed, and an edit that invalidates nothing (or
-        # everything) means the content-hash invalidation is broken.
-        total = workload["summaries_total"]
-        if workload["warm_recomputed"] + workload["warm_reused"] != total:
-            fail(f"workload {name!r}: warm recomputed+reused != total")
-        if not 0 < workload["warm_recomputed"] < total:
-            fail(
-                f"workload {name!r}: single-function edit recomputed "
-                f"{workload['warm_recomputed']} of {total} summaries"
-            )
-        hit_rate = workload.get("cache_hit_rate")
-        if not isinstance(hit_rate, (int, float)) or not 0 <= hit_rate <= 1:
-            fail(f"workload {name!r}: bad cache_hit_rate: {hit_rate!r}")
-        if abs(hit_rate - workload["warm_reused"] / total) > 0.001:
-            fail(f"workload {name!r}: cache_hit_rate inconsistent with counts")
-        ratio = workload["cold_ms"] / workload["warm_ms"]
-        if abs(ratio - workload["speedup"]) > max(0.01, 0.01 * ratio):
-            fail(f"workload {name!r}: speedup inconsistent with timings")
-        total_pruned += (
-            workload["pruned_transfers"]
-            + workload["merged_contexts"]
-            + workload["pruned_callee_entries"]
-        )
-
-    check_summary(report)
-    summary = report["summary"]
-    if summary.get("total_pruned") != total_pruned:
-        fail(f"summary: total_pruned disagrees with per-workload counters")
-    if total_pruned == 0:
-        fail("no workload exercised redundant-summary elimination")
-    print(f"check_bench_json: OK: {path} ({len(workloads)} workloads)")
 
 
 SCALE_CONFIGS = [
     "andersen-global",
     "andersen-global-j2",
     "unify-global",
-    "andersen-summary",
 ]
 
 SCALE_PHASES = [
@@ -376,16 +294,16 @@ def check_scale_report(report, path):
                 fail(f"{cname}: bad 'warning_sites': {ws!r}")
 
         ref = by_name["andersen-global"]
-        # Exact-equivalence configurations must report the identical
-        # analysis; the unify rung may only over-approximate.
-        for other in ("andersen-global-j2", "andersen-summary"):
-            for field in ("vfg_nodes", "vfg_edges", "checks", "shadow_ops",
-                          "warning_sites"):
-                if by_name[other][field] != ref[field]:
-                    fail(
-                        f"size {name!r}: {other} disagrees with "
-                        f"andersen-global on {field!r}"
-                    )
+        # The --jobs=2 configuration must report the identical analysis;
+        # the unify rung may only over-approximate.
+        other = by_name["andersen-global-j2"]
+        for field in ("vfg_nodes", "vfg_edges", "checks", "shadow_ops",
+                      "warning_sites"):
+            if other[field] != ref[field]:
+                fail(
+                    f"size {name!r}: andersen-global-j2 disagrees with "
+                    f"andersen-global on {field!r}"
+                )
         unify = by_name["unify-global"]
         if unify["checks"] < ref["checks"]:
             fail(
@@ -436,8 +354,6 @@ def check_report(path):
         check_solver_report(report, path)
     elif schema == "usher-bench-parallel-v1":
         check_parallel_report(report, path)
-    elif schema == "usher-bench-summary-v1":
-        check_summary_report(report, path)
     elif schema == "usher-bench-scale-v1":
         check_scale_report(report, path)
     else:

@@ -1,13 +1,11 @@
 #!/usr/bin/env python3
-"""End-to-end scale check: synthesize one program, analyze it four ways.
+"""End-to-end scale check: synthesize one program, analyze it two ways.
 
 Drives `usher-gen` to emit a synthesized program of the requested size,
-runs it through `usher-cli` under the four engine/solver configurations
+runs it through `usher-cli` under the two solver configurations
 
-    --engine=global                  (Andersen, reference)
-    --engine=summary                 (Andersen, bottom-up summaries)
-    --engine=global  --solver=unify  (near-linear unification rung)
-    --engine=summary --solver=unify
+    (default)        (Andersen, reference)
+    --solver=unify   (near-linear unification rung)
 
 and asserts the *answers* agree: identical interpreter result and an
 identical runtime warning set for every configuration (the unify rung may
@@ -46,10 +44,8 @@ def run(cmd, ok_codes=(0,)):
 
 
 CONFIGS = [
-    ("global-andersen", ["--engine=global"]),
-    ("summary-andersen", ["--engine=summary"]),
-    ("global-unify", ["--engine=global", "--solver=unify"]),
-    ("summary-unify", ["--engine=summary", "--solver=unify"]),
+    ("andersen", []),
+    ("unify", ["--solver=unify"]),
 ]
 
 RESULT_RE = re.compile(r"result (-?\d+),.*shadow ops (\d+), checks (\d+)")
@@ -100,7 +96,7 @@ def main(argv):
             out = run([cli_bin, source] + flags, ok_codes=(0, 3))
             runs[name] = parse_run(name, out)
 
-        ref_result, ref_checks, ref_warnings = runs["global-andersen"]
+        ref_result, ref_checks, ref_warnings = runs["andersen"]
         if not ref_warnings:
             fail(
                 "reference run reported no warnings — the synthesized "

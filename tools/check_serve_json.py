@@ -65,7 +65,6 @@ STATUS_SHAPE = {
                  "shutdown"],
     "replies": ["ok", "degraded", "error", "served_warm"],
     "snapshot": ["hits", "misses", "corrupt_discarded", "write_failures"],
-    "summary": ["hits", "misses", "stale_discarded"],
     "daemon": ["queue_depth", "queue_limit", "shed", "dropped_replies",
                "protocol_errors", "workers"],
 }
@@ -100,8 +99,6 @@ def check_status(doc, source="status"):
             check_count(f"{source}.{block}", sub, field)
     if not isinstance(doc["snapshot"].get("in_memory"), bool):
         fail(f"{source}: snapshot.in_memory missing or not a bool")
-    if doc["summary"].get("engine") not in ("global", "summary"):
-        fail(f"{source}: summary.engine missing or not an engine name")
     reqs = doc["requests"]
     per_op = sum(reqs[f] for f in STATUS_SHAPE["requests"][1:])
     if per_op != reqs["total"]:

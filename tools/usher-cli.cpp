@@ -106,7 +106,6 @@ struct CliOptions {
   /// --solver=/--naive-solver was given explicitly; --query defaults to
   /// the unification engine otherwise.
   bool SolverGiven = false;
-  core::EngineKind Engine = core::EngineKind::Global;
   BudgetLimits Limits;
   std::optional<FaultPlan> Fault;
   uint64_t Jobs = 1;
@@ -123,7 +122,7 @@ int usage(const char *Argv0) {
             "[--no-run] [--solver=andersen|naive|unify] [--budget-ms=<N>] "
             "[--budget-steps=<N>] [--inject-fault=<phase>@<step>[:once|:<n>]] "
             "[--diagnose] [--diag-json=<file>] [--jobs=<N>] "
-            "[--engine=global|summary] [--query <srcId> <sinkId>] "
+            "[--query <srcId> <sinkId>] "
             "[--client=<c>[,<c>...]] [--bounds-budget=<pct>]\n"
             "\n"
             "  --client=<c>[,<c>...]\n"
@@ -141,11 +140,6 @@ int usage(const char *Argv0) {
             "                      phases (default 1 = serial; 0 = all\n"
             "                      cores). Output is byte-identical for\n"
             "                      every value of N.\n"
-            "  --engine=global|summary\n"
-            "                      definedness engine: the whole-program\n"
-            "                      fixpoint (default) or the bottom-up\n"
-            "                      per-function summary engine (same\n"
-            "                      warnings; SCC-parallel and cacheable).\n"
             "\n"
             "  --diagnose          classify every critical operation as\n"
             "                      CLEAN, MAY-UUV or DEFINITE-UUV and print\n"
@@ -273,14 +267,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
         Opts.Preset = transforms::OptPreset::O1;
       else if (P == "O2")
         Opts.Preset = transforms::OptPreset::O2;
-      else
-        return false;
-    } else if (Arg.rfind("--engine=", 0) == 0) {
-      std::string_view E = Arg.substr(9);
-      if (E == "global")
-        Opts.Engine = core::EngineKind::Global;
-      else if (E == "summary")
-        Opts.Engine = core::EngineKind::Summary;
       else
         return false;
     } else if (Arg.rfind("--jobs=", 0) == 0) {
@@ -515,7 +501,6 @@ int main(int Argc, char **Argv) {
     core::UsherOptions UO;
     UO.Variant = V;
     UO.Pta.Solver = Opts.Solver;
-    UO.Engine = Opts.Engine;
     UO.Limits = Opts.Limits;
     UO.Fault = Opts.Fault;
     UO.Jobs = Jobs;
@@ -548,15 +533,6 @@ int main(int Argc, char **Argv) {
          << "solver collapses:     " << S.Solver.NumCollapses << " ("
          << S.Solver.NumCollapsedNodes << " nodes)\n"
          << "unified cells:        " << S.Solver.NumUnifiedCells << '\n';
-      if (Opts.Engine == core::EngineKind::Summary)
-        OS << "engine:               summary (" << S.Summary.NumFunctions
-           << " functions, " << S.Summary.NumSCCs << " SCCs)\n"
-           << "summaries computed:   " << S.Summary.SummariesComputed << '\n'
-           << "summaries pruned:     " << S.Summary.PrunedTransfers
-           << " transfers, " << S.Summary.MergedContexts << " merged, "
-           << S.Summary.PrunedCalleeEntries << " callee entries\n"
-           << "realized boundary facts: " << S.Summary.RealizedBoundaryFacts
-           << '\n';
       OS << "analysis time:        " << S.AnalysisSeconds * 1000 << " ms\n";
       for (const core::ClientPlanInfo &CP : R.ClientPlans) {
         OS << "client " << core::clientName(CP.Kind) << ":       sinks "

@@ -59,7 +59,6 @@ struct ServeOptions {
   uint64_t Workers = 2;
   uint64_t QueueLimit = 8;
   uint64_t RetryAfterMs = 50;
-  core::EngineKind Engine = core::EngineKind::Global;
   // Client-side.
   std::string OpName = "ping";
   std::string InputPath;
@@ -81,7 +80,6 @@ int usage(const char *Argv0) {
   errs() << "usage: " << Argv0
          << " --socket=<path> [--snapshot-dir=<dir>] [--workers=<N>]\n"
             "         [--queue-limit=<N>] [--retry-after-ms=<N>]\n"
-            "         [--engine=global|summary]\n"
             "       " << Argv0
          << " --client --socket=<path> --op=<op> [<program.tc>]\n"
             "         [--deadline-ms=<N>] [--budget-steps=<N>]\n"
@@ -99,11 +97,6 @@ int usage(const char *Argv0) {
             "\n"
             "--client-list=uuv,addrleak,bounds asks analyze to plan the\n"
             "named sanitizer clients over one shared VFG (default: uuv)\n"
-            "\n"
-            "--engine=summary keys per-function summaries by content hash\n"
-            "and persists them in the snapshot store, so an edited module\n"
-            "re-analyzes only the dirty functions plus the callers their\n"
-            "summary-value deltas escape into\n"
             "\n"
             "daemon exit codes: 0 clean shutdown, 1 socket/loop failure,\n"
             "2 usage error\n"
@@ -145,14 +138,6 @@ bool parseArgs(int Argc, char **Argv, ServeOptions &Opts) {
         return false;
     } else if (Arg.rfind("--retry-after-ms=", 0) == 0) {
       if (!parseUInt(Arg.substr(17), Opts.RetryAfterMs))
-        return false;
-    } else if (Arg.rfind("--engine=", 0) == 0) {
-      std::string_view E = Arg.substr(9);
-      if (E == "global")
-        Opts.Engine = core::EngineKind::Global;
-      else if (E == "summary")
-        Opts.Engine = core::EngineKind::Summary;
-      else
         return false;
     } else if (Arg.rfind("--op=", 0) == 0) {
       Opts.OpName = std::string(Arg.substr(5));
@@ -230,7 +215,6 @@ int runDaemon(const ServeOptions &Opts) {
   DO.Workers = static_cast<unsigned>(Opts.Workers);
   DO.QueueLimit = Opts.QueueLimit;
   DO.RetryAfterMs = static_cast<uint32_t>(Opts.RetryAfterMs);
-  DO.Engine = Opts.Engine;
 
   Daemon D(DO);
   if (!D.listen())
