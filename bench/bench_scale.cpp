@@ -9,10 +9,9 @@
 /// Measures how every pipeline phase scales with program size, using the
 /// workload synthesizer (workload/Synthesizer.h) as the size dial: four
 /// shape specs spanning roughly 1k to well past 100k VFG nodes, each run
-/// through three analysis configurations:
+/// through two analysis configurations:
 ///
-///   andersen-global     the reference pipeline (serial),
-///   andersen-global-j2  the same pipeline on a 2-worker pool,
+///   andersen-global     the reference pipeline,
 ///   unify-global        the near-linear unification solver rung.
 ///
 /// Per size and configuration the JSON (schema usher-bench-scale-v1,
@@ -21,12 +20,13 @@
 /// memory SSA, VFG, definedness, Opt II), plus peak RSS — the raw data
 /// behind the scaling-curve analysis in EXPERIMENTS.md.
 ///
-/// Because every configuration analyzes the *same* program, the harness
-/// cross-checks answers, not just times: the serial and --jobs=2 runs
-/// must produce identical fingerprints (plan counts + VFG shape), and the
-/// unify rung — a sound over-approximation — must report the same runtime
-/// warnings with at least as many planned checks. Any mismatch aborts:
-/// a curve bought with a different answer is a bug, not a result.
+/// Because both configurations analyze the *same* program, the harness
+/// cross-checks answers, not just times: each configuration must
+/// reproduce its fingerprint (plan counts + VFG shape) on every
+/// iteration, and the unify rung — a sound over-approximation — must
+/// report the same runtime warnings with at least as many planned checks.
+/// Any mismatch aborts: a curve bought with a different answer is a bug,
+/// not a result.
 ///
 /// Usage: bench_scale [--smoke] [--out=FILE]
 ///   --smoke     two smallest sizes, single iteration; used by the
@@ -38,7 +38,6 @@
 #include "core/Usher.h"
 #include "parser/Parser.h"
 #include "runtime/Interpreter.h"
-#include "support/ThreadPool.h"
 #include "transforms/Transforms.h"
 #include "workload/Synthesizer.h"
 
@@ -46,8 +45,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace usher;
@@ -101,9 +100,9 @@ std::vector<SizeSpec> sizeLadder() {
 }
 
 /// Everything the analysis decided plus everything the instrumented run
-/// observed. Configurations that must agree compare the whole struct;
-/// the unify rung compares only the Run* members (its plan is allowed to
-/// be coarser, its answers are not).
+/// observed. Repeated iterations of one configuration compare the whole
+/// struct; the unify rung compares only the Run* members against the
+/// reference (its plan is allowed to be coarser, its answers are not).
 struct Fingerprint {
   uint64_t Checks = 0;
   uint64_t ShadowOps = 0;
@@ -144,13 +143,11 @@ struct SizeRow {
 struct Config {
   const char *Name;
   analysis::SolverKind Solver;
-  unsigned Jobs;
 };
 
 constexpr Config Configs[] = {
-    {"andersen-global", analysis::SolverKind::Optimized, 1},
-    {"andersen-global-j2", analysis::SolverKind::Optimized, 2},
-    {"unify-global", analysis::SolverKind::Unify, 1},
+    {"andersen-global", analysis::SolverKind::Optimized},
+    {"unify-global", analysis::SolverKind::Unify},
 };
 
 double phaseMs(const core::UsherResult &UR, const char *Key) {
@@ -175,17 +172,13 @@ ConfigRow runConfig(const std::string &Source, const Config &C,
       std::abort();
     }
 
-    std::unique_ptr<ThreadPool> Pool;
-    if (C.Jobs > 1)
-      Pool = std::make_unique<ThreadPool>(C.Jobs);
     T0 = Clock::now();
-    transforms::runPreset(*PR.M, transforms::OptPreset::O1, Pool.get());
+    transforms::runPreset(*PR.M, transforms::OptPreset::O1);
     double Mem2RegMs = msSince(T0);
 
     core::UsherOptions Opts;
     Opts.Variant = core::ToolVariant::UsherFull;
     Opts.Pta.Solver = C.Solver;
-    Opts.Jobs = C.Jobs;
     T0 = Clock::now();
     core::UsherResult UR = core::runUsher(*PR.M, Opts);
     double AnalyzeMs = msSince(T0);
@@ -303,14 +296,9 @@ int main(int argc, char **argv) {
     for (const Config &C : Configs)
       Row.Configs.push_back(runConfig(Source, C, Iters));
 
-    // Answer cross-checks. Index 0 is the reference configuration.
+    // Answer cross-check. Index 0 is the reference configuration.
     const Fingerprint &Ref = Row.Configs[0].FP;
-    if (!(Row.Configs[1].FP == Ref)) {
-      std::fprintf(stderr, "FATAL: %s: --jobs=2 diverged from serial\n",
-                   S.Name);
-      std::abort();
-    }
-    const Fingerprint &Unify = Row.Configs[2].FP;
+    const Fingerprint &Unify = Row.Configs[1].FP;
     if (!Unify.sameRun(Ref) || Unify.Checks < Ref.Checks) {
       std::fprintf(stderr,
                    "FATAL: %s: unify rung changed the answer "
@@ -346,7 +334,7 @@ int main(int argc, char **argv) {
   std::fprintf(F, "  \"smoke\": %s,\n", Smoke ? "true" : "false");
   std::fprintf(F, "  \"iterations\": %u,\n", Iters);
   std::fprintf(F, "  \"hardware_concurrency\": %u,\n",
-               ThreadPool::defaultJobs());
+               std::max(1u, std::thread::hardware_concurrency()));
   std::fprintf(F, "  \"sizes\": [\n");
   for (size_t I = 0; I != Rows.size(); ++I) {
     const SizeRow &Row = Rows[I];

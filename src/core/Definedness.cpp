@@ -270,8 +270,7 @@ Definedness::Definedness(
   }
 }
 
-BitSet core::computeCheckReaching(const VFG &G, const Definedness &Gamma,
-                                  ThreadPool *Pool) {
+BitSet core::computeCheckReaching(const VFG &G, const Definedness &Gamma) {
   BitSet Reaching(G.numNodes());
   BitSet Frontier(G.numNodes());
   BitSet Fresh(G.numNodes());
@@ -284,55 +283,15 @@ BitSet core::computeCheckReaching(const VFG &G, const Definedness &Gamma,
   // into the next frontier. The set-bit iterator skips zero words, so the
   // typically-sparse frontiers cost one load per word plus one ctz per
   // member.
-  //
-  // Levels big enough to be worth it expand partition-parallel: workers
-  // fill private frontier bitsets from disjoint slices of the level, and
-  // the slices are unioned after the join. Union is commutative and
-  // Reaching is frozen during the expansion, so each round's frontier —
-  // and therefore the fixpoint — is byte-identical to the serial sweep.
-  constexpr size_t MinParallelLevel = 128;
-  std::vector<uint32_t> Level;
   while (true) {
     Fresh.clearAll();
     if (!Reaching.orWithMissingInto(Frontier, Fresh))
       break;
     Frontier.clearAll();
-    if (!Pool || Pool->numThreads() <= 1) {
-      for (size_t Node : Fresh)
-        for (const Edge &E : G.deps(static_cast<uint32_t>(Node)))
-          if (!G.isRoot(E.Node) && !Reaching.test(E.Node))
-            Frontier.set(E.Node);
-      continue;
-    }
-    Level.clear();
-    Fresh.forEach([&](size_t Node) {
-      Level.push_back(static_cast<uint32_t>(Node));
-    });
-    if (Level.size() < MinParallelLevel) {
-      for (uint32_t Node : Level)
-        for (const Edge &E : G.deps(Node))
-          if (!G.isRoot(E.Node) && !Reaching.test(E.Node))
-            Frontier.set(E.Node);
-      continue;
-    }
-    size_t NumChunks =
-        std::min<size_t>(Pool->numThreads() * 4,
-                         (Level.size() + MinParallelLevel - 1) /
-                             MinParallelLevel);
-    size_t ChunkSize = (Level.size() + NumChunks - 1) / NumChunks;
-    std::vector<BitSet> Parts = parallelMapOrdered(
-        Pool, NumChunks, [&](size_t C) {
-          BitSet Part(G.numNodes());
-          size_t Begin = C * ChunkSize;
-          size_t End = std::min(Begin + ChunkSize, Level.size());
-          for (size_t I = Begin; I != End; ++I)
-            for (const Edge &E : G.deps(Level[I]))
-              if (!G.isRoot(E.Node) && !Reaching.test(E.Node))
-                Part.set(E.Node);
-          return Part;
-        });
-    for (const BitSet &Part : Parts)
-      Frontier.unionWith(Part);
+    for (size_t Node : Fresh)
+      for (const Edge &E : G.deps(static_cast<uint32_t>(Node)))
+        if (!G.isRoot(E.Node) && !Reaching.test(E.Node))
+          Frontier.set(E.Node);
   }
   return Reaching;
 }

@@ -19,7 +19,6 @@
 #define USHER_CORE_DEFINEDNESS_H
 
 #include "support/BitSet.h"
-#include "support/ThreadPool.h"
 #include "vfg/VFG.h"
 
 namespace usher {
@@ -88,13 +87,7 @@ private:
 /// reachable along dependency edges — the paper's Table 1 "%B" column
 /// ("VFG nodes reaching at least one critical statement where a runtime
 /// check is needed"). \p Gamma decides which checks are needed.
-///
-/// With a non-null \p Pool, each BFS level's expansion is partitioned
-/// across workers into private frontier bitsets that are then unioned.
-/// Set union is commutative and the level barrier is exact, so the
-/// resulting set is byte-identical to the serial sweep.
-BitSet computeCheckReaching(const vfg::VFG &G, const Definedness &Gamma,
-                            ThreadPool *Pool = nullptr);
+BitSet computeCheckReaching(const vfg::VFG &G, const Definedness &Gamma);
 
 } // namespace core
 } // namespace usher

@@ -56,18 +56,17 @@ const Instruction *definingStatement(const VFG &G, const ssa::MemorySSA &SSA,
 
 namespace {
 
-/// Stage-1 output for one critical use: the must-flow-from closure plus
-/// the dominated outside users whose edges into it will be redirected.
-/// Pure function of the immutable analyses, so it can run on any worker.
+/// The plan for one critical use: the must-flow-from closure plus the
+/// dominated outside users whose edges into it will be redirected.
 struct UsePlan {
   bool Redirecting = false;
   std::unordered_set<uint32_t> Closure;
   std::vector<uint32_t> Redirectees;
 };
 
-/// Computes the plan for \p Use, charging \p B exactly as the serial
-/// algorithm does: one step per use, one per closure worklist pop, one
-/// per candidate examined. Returns false on budget exhaustion.
+/// Computes the plan for \p Use, charging \p B one step per use, one per
+/// closure worklist pop and one per candidate examined. Returns false on
+/// budget exhaustion.
 bool planUse(const VFG::CriticalUse &Use, const ssa::MemorySSA &SSA,
              const analysis::PointerAnalysis &PA,
              const analysis::CallGraph &CG, const VFG &G,
@@ -146,39 +145,23 @@ bool planUse(const VFG::CriticalUse &Use, const ssa::MemorySSA &SSA,
 OptIIResult core::runRedundantCheckElimination(
     const Module &M, const ssa::MemorySSA &SSA,
     const analysis::PointerAnalysis &PA, const analysis::CallGraph &CG,
-    const VFG &G, const Definedness &BaseGamma, Budget *B, ThreadPool *Pool) {
+    const VFG &G, const Definedness &BaseGamma, Budget *B, ThreadPool *) {
   (void)M;
   OptIIResult Result;
+  OptIIResult Exhausted;
+  Exhausted.Exhausted = true;
 
-  if (B && !B->step()) {
-    Result.Exhausted = true;
-    return Result;
-  }
+  if (B && !B->step())
+    return Exhausted;
 
-  // Stage 1 — per-use closure + dominance filtering. Reads only the
-  // immutable analyses and charges the budget with the same multiset of
-  // steps as the serial loop, so whether the phase exhausts does not
-  // depend on scheduling (Exhausted results are discarded wholesale by
-  // the caller either way).
-  const std::vector<VFG::CriticalUse> &Uses = G.criticalUses();
-  std::vector<UsePlan> Plans(Uses.size());
-  std::atomic<bool> Exhausted{false};
-  parallelForOrdered(Pool, Uses.size(), [&](size_t I) {
-    if (Exhausted.load(std::memory_order_relaxed))
-      return;
-    if (!planUse(Uses[I], SSA, PA, CG, G, BaseGamma, B, Plans[I]))
-      Exhausted.store(true, std::memory_order_relaxed);
-  });
-  if (Exhausted.load(std::memory_order_relaxed)) {
-    Result.Exhausted = true;
-    return Result;
-  }
-
-  // Stage 2 — serial ordered merge in critical-use order. Within one use
-  // the redirectee order only decides which of its own edges get rewritten
-  // first (the rewrites commute); across uses later plans read the
-  // redirect lists earlier ones installed, exactly as the serial loop did.
-  for (const UsePlan &Plan : Plans) {
+  // Plans are applied in critical-use order: later plans read the redirect
+  // lists earlier ones installed. Within one use the redirectee order only
+  // decides which of its own edges get rewritten first (the rewrites
+  // commute).
+  for (const VFG::CriticalUse &Use : G.criticalUses()) {
+    UsePlan Plan;
+    if (!planUse(Use, SSA, PA, CG, G, BaseGamma, B, Plan))
+      return Exhausted;
     if (!Plan.Redirecting)
       continue;
     for (uint32_t R : Plan.Redirectees) {

@@ -21,7 +21,6 @@
 #define USHER_CORE_OPTII_H
 
 #include "core/Definedness.h"
-#include "support/ThreadPool.h"
 #include "vfg/VFG.h"
 
 #include <unordered_map>
@@ -29,6 +28,7 @@
 
 namespace usher {
 class Budget;
+class ThreadPool;
 
 namespace ir {
 class Module;
@@ -63,18 +63,12 @@ struct OptIIResult {
 /// checks that are actually emitted). When \p B is armed
 /// (BudgetPhase::OptII) the closure expansions check it per node and the
 /// function returns early with Exhausted set.
-///
-/// With a non-null \p Pool the per-use work (closure expansion plus
-/// dominance filtering — pure reads of the immutable analyses) fans out
-/// across workers; redirect lists are then merged serially in critical-use
-/// order, so Redirects and NumRedirectedNodes are byte-identical to a
-/// serial run. Budget charging is the same multiset of steps either way,
-/// so whether the phase exhausts is schedule-independent too.
+// The unused ThreadPool * keeps the mangled name perfbench link-wraps.
 OptIIResult runRedundantCheckElimination(
     const ir::Module &M, const ssa::MemorySSA &SSA,
     const analysis::PointerAnalysis &PA, const analysis::CallGraph &CG,
     const vfg::VFG &G, const Definedness &BaseGamma, Budget *B = nullptr,
-    ThreadPool *Pool = nullptr);
+    ThreadPool * = nullptr);
 
 } // namespace core
 } // namespace usher

@@ -116,14 +116,6 @@ UsherResult core::runUsher(Module &M, const UsherOptions &Opts) {
   if (Opts.Variant == ToolVariant::MSanFull)
     return FinishMSan();
 
-  // One pool for all parallel phases; null means "run inline". The phases
-  // joined on it merge their results in item order, so the pool's
-  // existence is invisible in every output byte.
-  unsigned Jobs = Opts.Jobs == 0 ? ThreadPool::defaultJobs() : Opts.Jobs;
-  std::unique_ptr<ThreadPool> Pool;
-  if (Jobs > 1)
-    Pool = std::make_unique<ThreadPool>(Jobs);
-
   Budget B(Opts.Limits, Opts.Fault);
   auto Fail = [&](BudgetPhase P, std::string Action) {
     DR.Degraded = true;
@@ -188,7 +180,7 @@ UsherResult core::runUsher(Module &M, const UsherOptions &Opts) {
   Record("1.pointer-analysis");
 
   auto MR = std::make_unique<analysis::ModRefAnalysis>(M, *CG, *PA);
-  auto SSA = std::make_unique<ssa::MemorySSA>(M, *PA, *MR, Pool.get());
+  auto SSA = std::make_unique<ssa::MemorySSA>(M, *PA, *MR);
   Record("2.memory-ssa");
   auto G = std::make_unique<vfg::VFG>(
       vfg::VFGBuilder(M, *SSA, *PA, *CG, Opts.Vfg).build());
@@ -220,8 +212,7 @@ UsherResult core::runUsher(Module &M, const UsherOptions &Opts) {
       DR.Rung == ToolVariant::UsherFull && !Gamma->wasPessimized()) {
     B.beginPhase(BudgetPhase::OptII);
     OptIIResult Opt2 =
-        runRedundantCheckElimination(M, *SSA, *PA, *CG, *G, *Gamma, &B,
-                                     Pool.get());
+        runRedundantCheckElimination(M, *SSA, *PA, *CG, *G, *Gamma, &B);
     if (Opt2.Exhausted) {
       // Partial redirect sets are not individually sound (each redirect
       // assumes its whole closure stays checked): drop them all.
@@ -298,7 +289,7 @@ UsherResult core::runUsher(Module &M, const UsherOptions &Opts) {
     Cuts += Count;
   Stats.SemiStrongCutsPerHeapSite =
       HeapSites ? static_cast<double>(Cuts) / HeapSites : 0.0;
-  BitSet Reaching = computeCheckReaching(*G, *Gamma, Pool.get());
+  BitSet Reaching = computeCheckReaching(*G, *Gamma);
   Stats.PercentReachingCheck =
       G->numNodes() ? 100.0 * Reaching.count() / G->numNodes() : 0.0;
   Stats.StaticPropagations = Result.Plan.countPropagationReads();
@@ -354,7 +345,7 @@ QueryOutcome core::runUsherQuery(Module &M, const UsherOptions &Opts,
   }
 
   analysis::ModRefAnalysis MR(M, CG, PA);
-  ssa::MemorySSA SSA(M, PA, MR, nullptr);
+  ssa::MemorySSA SSA(M, PA, MR);
   vfg::VFG G = vfg::VFGBuilder(M, SSA, PA, CG, Opts.Vfg).build();
   Out.NumNodes = G.numNodes();
   if (Src >= G.numNodes() || Sink >= G.numNodes()) {

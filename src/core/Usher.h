@@ -65,11 +65,6 @@ struct UsherOptions {
   BudgetLimits Limits;
   /// Deterministic exhaustion injection for tests and --inject-fault.
   std::optional<FaultPlan> Fault;
-  /// Worker threads for the parallel phases (memory-SSA construction,
-  /// check-reachability, Opt II). 1 (the default) runs everything inline;
-  /// 0 resolves to the hardware concurrency. Every value produces
-  /// byte-identical results — parallel phases merge by ordered reduction.
-  unsigned Jobs = 1;
   /// Additional sanitizer clients to plan over the same VFG, in request
   /// order (--client=). ClientKind::UUV entries are ignored here: the UUV
   /// plan is UsherResult::Plan itself. Empty (the default) runs the

@@ -9,7 +9,6 @@
 
 #include "ir/IR.h"
 #include "support/RawStream.h"
-#include "support/ThreadPool.h"
 
 #include <cstdlib>
 #include <unordered_map>
@@ -21,8 +20,8 @@ using namespace usher::ir;
 namespace {
 
 /// Checks one function. Self-contained — its sets and error list are
-/// local, so distinct functions can be checked on distinct pool workers;
-/// the caller concatenates the error lists in module function order.
+/// local; the caller concatenates the error lists in module function
+/// order.
 class FunctionChecker {
 public:
   explicit FunctionChecker(const Function &F) : F(F) {}
@@ -128,8 +127,7 @@ void FunctionChecker::checkInstruction(const BasicBlock &BB,
   }
 }
 
-bool ir::verifyModule(const Module &M, std::vector<std::string> &Errors,
-                      ThreadPool *Pool) {
+bool ir::verifyModule(const Module &M, std::vector<std::string> &Errors) {
   const Function *Main = M.findFunction("main");
   if (!Main)
     Errors.push_back("module has no 'main' function");
@@ -157,22 +155,15 @@ bool ir::verifyModule(const Module &M, std::vector<std::string> &Errors,
     }
   }
 
-  std::vector<const Function *> Funcs;
   for (const auto &F : M.functions())
-    Funcs.push_back(F.get());
-  std::vector<std::vector<std::string>> PerFunc =
-      parallelMapOrdered(Pool, Funcs.size(), [&](size_t I) {
-        return FunctionChecker(*Funcs[I]).run();
-      });
-  for (std::vector<std::string> &FE : PerFunc)
-    for (std::string &E : FE)
+    for (std::string &E : FunctionChecker(*F).run())
       Errors.push_back(std::move(E));
   return Errors.empty();
 }
 
-void ir::verifyModuleOrAbort(const Module &M, ThreadPool *Pool) {
+void ir::verifyModuleOrAbort(const Module &M) {
   std::vector<std::string> Errors;
-  if (verifyModule(M, Errors, Pool))
+  if (verifyModule(M, Errors))
     return;
   for (const std::string &E : Errors)
     errs() << "verifier: " << E << '\n';

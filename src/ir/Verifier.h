@@ -18,8 +18,6 @@
 #include <vector>
 
 namespace usher {
-class ThreadPool;
-
 namespace ir {
 
 class Module;
@@ -36,17 +34,11 @@ class Module;
 ///  - a `main` function with no parameters exists;
 ///  - non-global objects have exactly one allocation site, globals none;
 ///  - value-producing instructions have a def, stores/branches do not.
-///
-/// With a non-null \p Pool, functions are checked on pool workers (each
-/// check reads only its own function) and their error lists are appended
-/// in module function order, so the messages are identical to a serial
-/// verification.
-bool verifyModule(const Module &M, std::vector<std::string> &Errors,
-                  ThreadPool *Pool = nullptr);
+bool verifyModule(const Module &M, std::vector<std::string> &Errors);
 
 /// Convenience wrapper: verifies and aborts with the error list on failure.
 /// Intended for tests and tools, not library code.
-void verifyModuleOrAbort(const Module &M, ThreadPool *Pool = nullptr);
+void verifyModuleOrAbort(const Module &M);
 
 } // namespace ir
 } // namespace usher

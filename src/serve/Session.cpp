@@ -208,7 +208,6 @@ Reply Session::handleAnalysis(const Request &Rq) {
   }
 
   core::UsherOptions UO;
-  UO.Jobs = Opts.Jobs;
   UO.Clients = Clients;
   UO.Limits.PhaseDeadlineMs = Rq.DeadlineMs;
   UO.Limits.MaxStepsPerPhase = Rq.BudgetSteps;

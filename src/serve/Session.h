@@ -55,9 +55,6 @@ namespace serve {
 struct SessionOptions {
   /// Snapshot directory; empty = in-memory store (tests, fuzz oracle).
   std::string SnapshotDir;
-  /// Worker threads for one request's pipeline phases. The daemon runs
-  /// requests concurrently, so per-request parallelism defaults to off.
-  unsigned Jobs = 1;
 };
 
 /// Daemon-side counters injected into the status JSON. A standalone

@@ -320,18 +320,7 @@ FunctionSSA::FunctionSSA(const Function &F, const PointerAnalysis &PA,
 }
 
 MemorySSA::MemorySSA(const Module &M, const PointerAnalysis &PA,
-                     const ModRefAnalysis &MR, ThreadPool *Pool) {
-  // Each FunctionSSA (CFG, dominator tree, frontiers, mu/chi/phi overlay)
-  // depends only on its own function plus the immutable PA/MR results, so
-  // the builds are embarrassingly parallel; slots are merged in module
-  // function order.
-  std::vector<const Function *> Order;
+                     const ModRefAnalysis &MR, ThreadPool *) {
   for (const auto &F : M.functions())
-    Order.push_back(F.get());
-  std::vector<std::unique_ptr<FunctionSSA>> Built =
-      parallelMapOrdered(Pool, Order.size(), [&](size_t I) {
-        return std::make_unique<FunctionSSA>(*Order[I], PA, MR);
-      });
-  for (size_t I = 0; I != Order.size(); ++I)
-    Funcs[Order[I]] = std::move(Built[I]);
+    Funcs[F.get()] = std::make_unique<FunctionSSA>(*F, PA, MR);
 }

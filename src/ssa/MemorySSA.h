@@ -33,7 +33,6 @@
 
 #include "analysis/CFG.h"
 #include "analysis/Dominators.h"
-#include "support/ThreadPool.h"
 
 #include <cstdint>
 #include <memory>
@@ -41,6 +40,8 @@
 #include <vector>
 
 namespace usher {
+class ThreadPool;
+
 namespace ir {
 class Function;
 class Instruction;
@@ -191,13 +192,10 @@ private:
 /// Memory SSA for every function in a module.
 class MemorySSA {
 public:
-  /// Builds per-function SSA overlays. With a non-null \p Pool the
-  /// functions are built in parallel — each FunctionSSA reads only the
-  /// immutable module/PA/MR and writes only its own overlay, and the
-  /// overlays are deposited in module function order, so the result is
-  /// identical to a serial build.
+  /// Builds per-function SSA overlays.
+  // The unused ThreadPool * keeps the mangled name perfbench link-wraps.
   MemorySSA(const ir::Module &M, const analysis::PointerAnalysis &PA,
-            const analysis::ModRefAnalysis &MR, ThreadPool *Pool = nullptr);
+            const analysis::ModRefAnalysis &MR, ThreadPool * = nullptr);
 
   const FunctionSSA &get(const ir::Function *F) const {
     return *Funcs.at(F);

@@ -18,9 +18,9 @@
 /// cached flag. Wall-clock and memory probes are rate-limited so an armed
 /// budget stays cheap too.
 ///
-/// step() may be called concurrently from pool workers (parallel Opt II
-/// charges from every worker). Charging uses a relaxed atomic counter, and
-/// exhaustion is attributed deterministically: thresholds fire on the
+/// step() may be called concurrently (concurrent DemandVFA queries charge
+/// one token). Charging uses a relaxed atomic counter, and exhaustion is
+/// attributed deterministically: thresholds fire on the
 /// unique step() call whose charged interval contains the crossing value
 /// (limit + 1), and when several thresholds are crossed the one with the
 /// lowest crossing step wins — exactly the serial attribution, regardless

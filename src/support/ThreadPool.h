@@ -6,21 +6,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A fixed-size work-stealing thread pool plus the ordered-reduce helpers
-/// every parallel phase of the pipeline is built on.
+/// A fixed-size work-stealing thread pool plus ordered-reduce helpers. Its
+/// users are the usher-fuzz campaign (speculative evaluation of a window
+/// of candidates, `--jobs`) and the usher-serve daemon's request workers;
+/// the static analysis pipeline itself runs serially.
 ///
-/// The determinism contract of the whole tree rests on two rules:
+/// The fuzz campaign's determinism rests on two rules:
 ///
 ///  1. Work items handed to the pool are independent: an item may read
-///     shared immutable state (the module, the VFG, points-to sets) and
-///     write only its own slot of a pre-sized result vector.
+///     shared immutable state and write only its own slot of a pre-sized
+///     result vector.
 ///  2. All merging of per-item results happens *after* the parallel
 ///     region, in item-index order ("ordered reduce") — never in
 ///     completion order. parallelMapOrdered() packages this pattern.
 ///
-/// Under these rules a phase run with N workers produces byte-identical
-/// results to the same phase run inline, which is what `--jobs` promises
-/// and what ParallelDeterminismTest pins.
+/// Under these rules a region run with N workers produces byte-identical
+/// results to the same region run inline, which is what usher-fuzz
+/// `--jobs` promises and what FuzzTest's FuzzParallelDeterminism pins.
 ///
 /// Scheduling within the pool is deliberately *not* deterministic: tasks
 /// are distributed round-robin across per-worker deques, owners pop from
@@ -145,7 +147,12 @@ void parallelForOrdered(ThreadPool *Pool, size_t N, Fn &&F) {
       });
     }
   }
-  for (const std::exception_ptr &E : S->Errors)
+  // A worker may still hold S and destroy the region state after this
+  // returns. Take the errors out first so the exception objects are
+  // released on this thread: their reference counts live in the C++
+  // runtime, where ThreadSanitizer cannot see the synchronization.
+  std::vector<std::exception_ptr> Errors = std::move(S->Errors);
+  for (const std::exception_ptr &E : Errors)
     if (E)
       std::rethrow_exception(E);
 }

@@ -189,8 +189,8 @@ const char *transforms::optPresetName(OptPreset P) {
   return "?";
 }
 
-void transforms::runPreset(Module &M, OptPreset P, ThreadPool *Pool) {
-  promoteMemoryToRegisters(M, Pool);
+void transforms::runPreset(Module &M, OptPreset P) {
+  promoteMemoryToRegisters(M);
   if (P != OptPreset::O0IM) {
     bool Changed = true;
     unsigned Rounds = P == OptPreset::O2 ? 4 : 2;
@@ -202,12 +202,12 @@ void transforms::runPreset(Module &M, OptPreset P, ThreadPool *Pool) {
     }
     if (P == OptPreset::O2) {
       inlineSmallFunctions(M);
-      promoteMemoryToRegisters(M, Pool);
+      promoteMemoryToRegisters(M);
       propagateAndFold(M);
       eliminateDeadCode(M);
       simplifyCFG(M);
     }
   }
   M.renumber();
-  verifyModuleOrAbort(M, Pool);
+  verifyModuleOrAbort(M);
 }

@@ -8,7 +8,6 @@
 #include "transforms/Transforms.h"
 
 #include "ir/IR.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <unordered_map>
@@ -129,9 +128,8 @@ static std::vector<Candidate> findCandidates(Function &F) {
 }
 
 /// Promotes within one function; only this function's blocks, variables
-/// and instructions are touched, so distinct functions can run on
-/// distinct workers. Returns the objects promoted here (the caller folds
-/// them into the module-level purge in function order).
+/// and instructions are touched. Returns the objects promoted here (the
+/// caller folds them into the module-level purge).
 static std::vector<const MemObject *> promoteInFunction(Function *F) {
   std::vector<const MemObject *> PromotedHere;
   {
@@ -233,18 +231,12 @@ static std::vector<const MemObject *> promoteInFunction(Function *F) {
   return PromotedHere;
 }
 
-bool transforms::promoteMemoryToRegisters(Module &M, ThreadPool *Pool) {
-  std::vector<Function *> Funcs;
-  for (const auto &F : M.functions())
-    Funcs.push_back(F.get());
-  // Per-function promotion is independent; the promoted-object sets are
-  // merged in module function order before the serial purge + renumber.
-  std::vector<std::vector<const MemObject *>> PerFunc = parallelMapOrdered(
-      Pool, Funcs.size(), [&](size_t I) { return promoteInFunction(Funcs[I]); });
-
+bool transforms::promoteMemoryToRegisters(Module &M) {
   std::unordered_set<const MemObject *> Promoted;
-  for (const std::vector<const MemObject *> &Objs : PerFunc)
+  for (const auto &F : M.functions()) {
+    std::vector<const MemObject *> Objs = promoteInFunction(F.get());
     Promoted.insert(Objs.begin(), Objs.end());
+  }
   if (Promoted.empty())
     return false;
   M.purgeObjects([&](const MemObject *Obj) { return Promoted.count(Obj); });

@@ -27,8 +27,6 @@
 #define USHER_TRANSFORMS_TRANSFORMS_H
 
 namespace usher {
-class ThreadPool;
-
 namespace ir {
 class Module;
 }
@@ -36,11 +34,8 @@ class Module;
 namespace transforms {
 
 /// Promotes non-escaping, non-array stack objects to top-level variables
-/// (one per field). Returns true if anything was promoted. With a
-/// non-null \p Pool the per-function rewriting runs in parallel (each
-/// function only touches its own blocks and variables); the module-level
-/// object purge and renumbering stay serial, so results are identical.
-bool promoteMemoryToRegisters(ir::Module &M, ThreadPool *Pool = nullptr);
+/// (one per field). Returns true if anything was promoted.
+bool promoteMemoryToRegisters(ir::Module &M);
 
 /// Inlines direct calls to non-recursive callees with at most
 /// \p MaxCalleeInsts instructions. Returns true on change.
@@ -70,9 +65,8 @@ enum class OptPreset { O0IM, O1, O2 };
 /// Returns "O0+IM" / "O1" / "O2".
 const char *optPresetName(OptPreset P);
 
-/// Applies \p P to \p M (verifies and renumbers afterwards). \p Pool, if
-/// non-null, parallelizes the per-function passes (mem2reg, verification).
-void runPreset(ir::Module &M, OptPreset P, ThreadPool *Pool = nullptr);
+/// Applies \p P to \p M (verifies and renumbers afterwards).
+void runPreset(ir::Module &M, OptPreset P);
 
 } // namespace transforms
 } // namespace usher

@@ -22,8 +22,7 @@
 // static size even though the DAG has Fanout^Depth paths.
 //
 // Every function body is rendered by a PRNG seeded from (Spec.Seed,
-// function index) alone, so bodies can be generated on a thread pool and
-// concatenated in index order — byte-identical output for every Jobs.
+// function index) alone, so no body depends on the ones emitted before it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,7 +32,6 @@
 #include "parser/Parser.h"
 #include "support/RNG.h"
 #include "support/RawStream.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cassert>
@@ -457,25 +455,12 @@ std::string workload::synthesizeProgram(const ShapeSpec &Spec) {
   Out += "global gdone[" + std::to_string(P.NumTree) + "] init array;\n";
   Out += "global gres[" + std::to_string(P.NumTree) + "] init array;\n\n";
 
-  unsigned NumBodies = P.NumTree + P.NumRing;
-  auto RenderOne = [&](size_t I) -> std::string {
-    unsigned Idx = static_cast<unsigned>(I);
-    if (Idx < P.NumTree)
-      return emitTreeFunction(Spec, P, Idx / P.W, Idx % P.W);
-    unsigned RI = Idx - P.NumTree;
-    return emitRingFunction(Spec, P, RI / P.RingSize, RI % P.RingSize);
-  };
-
-  // Bodies are pure functions of (Spec, index): render them on the pool
-  // and merge in index order, byte-identical for every Jobs.
-  unsigned Jobs = Spec.Jobs == 0 ? ThreadPool::defaultJobs() : Spec.Jobs;
-  std::unique_ptr<ThreadPool> Pool;
-  if (Jobs > 1 && NumBodies > 1)
-    Pool = std::make_unique<ThreadPool>(Jobs);
-  std::vector<std::string> Bodies =
-      parallelMapOrdered(Pool.get(), NumBodies, RenderOne);
-  for (const std::string &B : Bodies) {
-    Out += B;
+  for (unsigned I = 0; I != P.NumTree + P.NumRing; ++I) {
+    if (I < P.NumTree)
+      Out += emitTreeFunction(Spec, P, I / P.W, I % P.W);
+    else
+      Out += emitRingFunction(Spec, P, (I - P.NumTree) / P.RingSize,
+                              (I - P.NumTree) % P.RingSize);
     Out += "\n";
   }
   Out += emitMain(Spec, P);

@@ -24,9 +24,8 @@
 ///    paths reach a function (a global memo array guards each body), so
 ///    dynamic cost stays linear in program size even though the static
 ///    call graph is a dense layered DAG;
-///  - is byte-identical for a fixed spec across ShapeSpec::Jobs values
-///    (function bodies are pure functions of (spec, function index) and
-///    are merged in index order).
+///  - is byte-identical for a fixed spec (function bodies are pure
+///    functions of (spec, function index)).
 ///
 /// Undefined values enter through uninitialized allocations whose cells
 /// are loaded and then branched on (the branch is the critical use the
@@ -82,9 +81,6 @@ struct ShapeSpec {
   /// Initialize every allocation and emit no branch on a possibly-
   /// undefined value: the program is warning-free by construction.
   bool DefineAll = false;
-  /// Worker threads for body generation (0 = all cores). The output is
-  /// byte-identical for every value.
-  unsigned Jobs = 1;
 };
 
 /// Synthesizes one TinyC program from \p Spec. Deterministic; the text

@@ -524,48 +524,6 @@ TEST(DegradationLadder, EnvFaultSpecDrivesUnifyRung) {
   EXPECT_EQ(R.Stats.Solver.Engine, analysis::SolverKind::Unify);
 }
 
-TEST(DegradationLadder, UnifyRungScheduleIndependentUnderJobs) {
-  // The pointer-analysis phase (and so the unify retry's exhaustion
-  // boundary) must not depend on the worker count used downstream: the
-  // same fault lands the same rung with identical solver accounting, and
-  // the resulting plans report identical warnings.
-  struct Observed {
-    ToolVariant Rung;
-    size_t Steps;
-    uint64_t BudgetSteps;
-    uint64_t UnifiedCells;
-    uint64_t Checks;
-    size_t Warnings;
-  };
-  std::vector<Observed> Runs;
-  for (unsigned Jobs : {1u, 4u}) {
-    auto M = workload::generateProgram(12);
-    core::UsherOptions Opts;
-    Opts.Variant = ToolVariant::UsherFull;
-    Opts.Jobs = Jobs;
-    FaultPlan F;
-    F.Phase = BudgetPhase::PointerAnalysis;
-    F.AtStep = 0;
-    F.MaxFires = 2;
-    Opts.Fault = F;
-    core::UsherResult R = core::runUsher(*M, Opts);
-    runtime::ExecutionReport Rep = runtime::Interpreter(*M, &R.Plan).run();
-    EXPECT_EQ(Rep.Reason, runtime::ExitReason::Finished) << "jobs " << Jobs;
-    Runs.push_back({R.Degradation.Rung, R.Degradation.Steps.size(),
-                    R.Stats.Solver.NumBudgetSteps,
-                    R.Stats.Solver.NumUnifiedCells, R.Plan.countChecks(),
-                    Rep.ToolWarnings.size()});
-  }
-  ASSERT_EQ(Runs.size(), 2u);
-  EXPECT_EQ(Runs[0].Rung, ToolVariant::UsherTLAT);
-  EXPECT_EQ(Runs[0].Rung, Runs[1].Rung);
-  EXPECT_EQ(Runs[0].Steps, Runs[1].Steps);
-  EXPECT_EQ(Runs[0].BudgetSteps, Runs[1].BudgetSteps);
-  EXPECT_EQ(Runs[0].UnifiedCells, Runs[1].UnifiedCells);
-  EXPECT_EQ(Runs[0].Checks, Runs[1].Checks);
-  EXPECT_EQ(Runs[0].Warnings, Runs[1].Warnings);
-}
-
 TEST(DegradationLadder, GenerousBudgetStaysOnRequestedRung) {
   // The acceptance criterion's happy path: real limits that are generous
   // enough must leave the pipeline undegraded.

@@ -16,11 +16,6 @@
 /// same way. Checked across the 15-benchmark suite, every .tc corpus
 /// input, and 100 generator seeds.
 ///
-/// A Jobs=0 run of the multi-client pipeline must also be byte-identical
-/// to Jobs=1 — the multi-client planning phase sits downstream of the
-/// parallel phases and must not perturb their ordered reductions. That
-/// test doubles as the TSan tier's multi-client entry.
-///
 //===----------------------------------------------------------------------===//
 
 #include "core/StaticDiagnosis.h"
@@ -239,43 +234,5 @@ TEST_P(ClientRefactorSeeds, UuvOutputByteIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(Shards, ClientRefactorSeeds,
                          ::testing::Range<uint64_t>(0, 4));
-
-//===----------------------------------------------------------------------===//
-// Multi-client parallel determinism (the TSan tier's multi-client entry)
-//===----------------------------------------------------------------------===//
-
-TEST(MultiClientParallel, ByteIdenticalAcrossJobs) {
-  for (uint64_t Seed : {3u, 11u}) {
-    std::string Texts[2];
-    for (unsigned Cfg = 0; Cfg != 2; ++Cfg) {
-      auto M = workload::generateProgram(Seed);
-      core::UsherOptions Opts;
-      Opts.Clients = {core::ClientKind::UUV, core::ClientKind::AddrLeak,
-                      core::ClientKind::Bounds};
-      Opts.Jobs = Cfg == 0 ? 1 : 0; // serial, then all cores
-      core::UsherResult R = core::runUsher(*M, Opts);
-      ASSERT_EQ(R.ClientPlans.size(), 2u);
-      std::vector<runtime::PlanExec> Plans{{&R.Plan, core::ShadowSemantics()}};
-      for (const core::ClientPlanInfo &CP : R.ClientPlans)
-        Plans.push_back({&CP.Plan, core::clientShadowSemantics(CP.Kind)});
-      ExecutionReport Rep = Interpreter(*M, Plans).run();
-      ASSERT_EQ(Rep.Reason, ExitReason::Finished);
-      std::string Text;
-      raw_string_ostream OS(Text);
-      OS << "uuv checks=" << R.Plan.countChecks();
-      for (const core::ClientPlanInfo &CP : R.ClientPlans)
-        OS << ' ' << core::clientName(CP.Kind)
-           << " checks=" << CP.Plan.countChecks()
-           << " unsafe=" << CP.UnsafeSinks;
-      for (size_t P = 0; P != Plans.size(); ++P) {
-        OS << " plan" << P << ':';
-        for (const runtime::Warning &W : Rep.PlanResults[P].ToolWarnings)
-          OS << ' ' << W.At->getId() << 'x' << W.Occurrences;
-      }
-      Texts[Cfg] = Text;
-    }
-    EXPECT_EQ(Texts[0], Texts[1]) << "seed " << Seed;
-  }
-}
 
 } // namespace

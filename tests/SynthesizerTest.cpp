@@ -7,8 +7,8 @@
 ///
 /// \file
 /// Property tests for the whole-program synthesizer and the program
-/// linker (workload/Synthesizer.h): determinism across worker counts,
-/// the parse/verify/terminate contract, the DefineAll warning-freedom
+/// linker (workload/Synthesizer.h): same-seed determinism, the
+/// parse/verify/terminate contract, the DefineAll warning-freedom
 /// guarantee, shape-spec fidelity, the calibrated size dial, and linker
 /// composition semantics.
 ///
@@ -51,17 +51,6 @@ ExecutionReport runNative(const std::string &Source) {
   if (!PR.succeeded())
     return {};
   return Interpreter(*PR.M, nullptr).run();
-}
-
-TEST(Synthesizer, ByteIdenticalAcrossJobs) {
-  ShapeSpec Spec = smallSpec(7);
-  Spec.Jobs = 1;
-  std::string Serial = workload::synthesizeProgram(Spec);
-  for (unsigned Jobs : {2u, 4u, 0u}) {
-    Spec.Jobs = Jobs;
-    EXPECT_EQ(workload::synthesizeProgram(Spec), Serial)
-        << "jobs=" << Jobs << " changed the generated bytes";
-  }
 }
 
 TEST(Synthesizer, SeedsProduceDistinctPrograms) {

@@ -3,7 +3,6 @@
 
 Dispatches on the report's "schema" tag:
   usher-bench-solver-v1    bench_solver's BENCH_solver.json
-  usher-bench-parallel-v1  bench_parallel's BENCH_parallel.json
   usher-bench-scale-v1     bench_scale's BENCH_scale.json
 
 Usage:
@@ -14,9 +13,8 @@ Usage:
 The bench-smoke ctests use --run-smoke so the benchmark harnesses and
 their machine-readable output stay covered without burning tier-1 time on
 the full workload sizes. Speedup thresholds are deliberately NOT enforced
-(tiny smoke sizes measure nothing, and bench_parallel's ratio depends on
-the host's core count); the summary must merely be well-formed —
-EXPERIMENTS.md records and interprets the measured numbers.
+(tiny smoke sizes measure nothing); the summary must merely be
+well-formed — EXPERIMENTS.md records and interprets the measured numbers.
 """
 
 import json
@@ -167,55 +165,8 @@ def check_solver_report(report, path):
     print(f"check_bench_json: OK: {path} ({len(workloads)} workloads)")
 
 
-def check_parallel_report(report, path):
-    check_common_header(report)
-    for field in ("jobs", "hardware_concurrency", "cores_available"):
-        if not isinstance(report.get(field), int) or report[field] < 1:
-            fail(f"missing positive integer {field!r}")
-    if report["jobs"] < 2:
-        fail("parallel configuration must use at least 2 workers")
-
-    benchmarks = report.get("benchmarks")
-    if not isinstance(benchmarks, list) or not benchmarks:
-        fail("'benchmarks' missing or empty")
-    if not report["smoke"] and len(benchmarks) != 15:
-        fail(f"full run must cover the 15-program suite, got {len(benchmarks)}")
-    names = set()
-    for bench in benchmarks:
-        name = bench.get("name")
-        if not isinstance(name, str) or not name:
-            fail("benchmark with missing name")
-        if name in names:
-            fail(f"duplicate benchmark name {name!r}")
-        names.add(name)
-        timing_fields = (
-            "serial_ms",
-            "parallel_ms",
-            "speedup",
-        )
-        for field in timing_fields:
-            value = bench.get(field)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                fail(f"benchmark {name!r}: bad {field!r}: {value!r}")
-            if value <= 0:
-                fail(f"benchmark {name!r}: non-positive {field!r}: {value!r}")
-        for field in ("vfg_nodes", "vfg_edges", "checks"):
-            value = bench.get(field)
-            if not isinstance(value, int) or value < 0:
-                fail(f"benchmark {name!r}: bad {field!r}: {value!r}")
-        # Loose tolerance: both timings and the speedup are independently
-        # rounded to 4 decimals, which compounds for sub-millisecond runs.
-        ratio = bench["serial_ms"] / bench["parallel_ms"]
-        if abs(ratio - bench["speedup"]) > max(0.01, 0.01 * ratio):
-            fail(f"benchmark {name!r}: speedup inconsistent with timings")
-
-    check_summary(report)
-    print(f"check_bench_json: OK: {path} ({len(benchmarks)} benchmarks)")
-
-
 SCALE_CONFIGS = [
     "andersen-global",
-    "andersen-global-j2",
     "unify-global",
 ]
 
@@ -294,16 +245,7 @@ def check_scale_report(report, path):
                 fail(f"{cname}: bad 'warning_sites': {ws!r}")
 
         ref = by_name["andersen-global"]
-        # The --jobs=2 configuration must report the identical analysis;
-        # the unify rung may only over-approximate.
-        other = by_name["andersen-global-j2"]
-        for field in ("vfg_nodes", "vfg_edges", "checks", "shadow_ops",
-                      "warning_sites"):
-            if other[field] != ref[field]:
-                fail(
-                    f"size {name!r}: andersen-global-j2 disagrees with "
-                    f"andersen-global on {field!r}"
-                )
+        # The unify rung may only over-approximate.
         unify = by_name["unify-global"]
         if unify["checks"] < ref["checks"]:
             fail(
@@ -352,8 +294,6 @@ def check_report(path):
     schema = report.get("schema")
     if schema == "usher-bench-solver-v1":
         check_solver_report(report, path)
-    elif schema == "usher-bench-parallel-v1":
-        check_parallel_report(report, path)
     elif schema == "usher-bench-scale-v1":
         check_scale_report(report, path)
     else:

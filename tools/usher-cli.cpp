@@ -32,9 +32,6 @@
 ///                                     VFG node 3 flow to node 17? Runs the
 ///                                     unification fast lane by default (no
 ///                                     whole-program Andersen resolution)
-///   usher-cli prog.tc --jobs=8        run the parallel analysis phases on
-///                                     8 workers (output byte-identical to
-///                                     --jobs=1)
 ///   usher-cli prog.tc --client=uuv,addrleak,bounds
 ///                                     sanitizer clients to plan and run in
 ///                                     a single pass over one VFG (default:
@@ -56,7 +53,6 @@
 #include "runtime/Interpreter.h"
 #include "support/FaultInjection.h"
 #include "support/RawStream.h"
-#include "support/ThreadPool.h"
 #include "transforms/Transforms.h"
 
 #include <atomic>
@@ -108,7 +104,6 @@ struct CliOptions {
   bool SolverGiven = false;
   BudgetLimits Limits;
   std::optional<FaultPlan> Fault;
-  uint64_t Jobs = 1;
   /// --client= selections, in the order given; empty = UUV only (the
   /// legacy single-client pipeline, output byte-identical).
   std::vector<core::ClientKind> Clients;
@@ -121,7 +116,7 @@ int usage(const char *Argv0) {
             "[--opt=O0|O1|O2] [--compare] [--stats] [--print-ir] [--dot] "
             "[--no-run] [--solver=andersen|naive|unify] [--budget-ms=<N>] "
             "[--budget-steps=<N>] [--inject-fault=<phase>@<step>[:once|:<n>]] "
-            "[--diagnose] [--diag-json=<file>] [--jobs=<N>] "
+            "[--diagnose] [--diag-json=<file>] "
             "[--query <srcId> <sinkId>] "
             "[--client=<c>[,<c>...]] [--bounds-budget=<pct>]\n"
             "\n"
@@ -135,11 +130,6 @@ int usage(const char *Argv0) {
             "                      bounds client: budgeted check placement,\n"
             "                      capping modeled slowdown at <pct>% of\n"
             "                      native cost (default 0 = unlimited)\n"
-            "\n"
-            "  --jobs=<N>          worker threads for the parallel analysis\n"
-            "                      phases (default 1 = serial; 0 = all\n"
-            "                      cores). Output is byte-identical for\n"
-            "                      every value of N.\n"
             "\n"
             "  --diagnose          classify every critical operation as\n"
             "                      CLEAN, MAY-UUV or DEFINITE-UUV and print\n"
@@ -268,9 +258,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       else if (P == "O2")
         Opts.Preset = transforms::OptPreset::O2;
       else
-        return false;
-    } else if (Arg.rfind("--jobs=", 0) == 0) {
-      if (!parseUInt(Arg.substr(7), Opts.Jobs) || Opts.Jobs > 64)
         return false;
     } else if (Arg.rfind("--client=", 0) == 0) {
       std::string_view List = Arg.substr(9);
@@ -430,12 +417,7 @@ int main(int Argc, char **Argv) {
     return ExitInputError;
   }
   ir::Module &M = *Parsed.M;
-  unsigned Jobs = Opts.Jobs == 0 ? ThreadPool::defaultJobs()
-                                 : static_cast<unsigned>(Opts.Jobs);
-  std::unique_ptr<ThreadPool> Pool;
-  if (Jobs > 1)
-    Pool = std::make_unique<ThreadPool>(Jobs);
-  transforms::runPreset(M, Opts.Preset, Pool.get());
+  transforms::runPreset(M, Opts.Preset);
 
   raw_ostream &OS = outs();
   if (Opts.PrintIR)
@@ -503,7 +485,6 @@ int main(int Argc, char **Argv) {
     UO.Pta.Solver = Opts.Solver;
     UO.Limits = Opts.Limits;
     UO.Fault = Opts.Fault;
-    UO.Jobs = Jobs;
     UO.Clients = Opts.Clients;
     UO.BoundsBudgetPercent = Opts.BoundsBudgetPercent;
     core::UsherResult R = core::runUsher(M, UO);

@@ -14,8 +14,7 @@
 ///   usher-gen --link-suite --out=suite.tc
 ///   usher-gen --nodes=10000 --measure
 ///
-/// The output is a pure function of the flags: same spec, same bytes,
-/// for every --jobs value.
+/// The output is a pure function of the flags: same spec, same bytes.
 ///
 /// Exit codes: 0 = ok, 1 = internal failure (synthesized program did not
 /// parse/verify, or the suite failed to link), 2 = usage error.
@@ -55,8 +54,6 @@ void printUsage(raw_ostream &OS) {
      << "  --uninit=P       %% of allocations left uninitialized (default 40)\n"
      << "  --define-all     initialize everything: warning-free program\n"
      << "  --seed=N         generation seed (default 1)\n"
-     << "  --jobs=N         generation threads (0 = all cores; output is\n"
-     << "                   byte-identical for every value)\n"
      << "  --out=PATH       write the program here (- or absent = stdout)\n"
      << "  --link-suite     emit the 15 SPEC-like suite programs linked\n"
      << "                   into one module instead of synthesizing\n"
@@ -114,10 +111,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Cli) {
       if (!parseUInt(Arg.substr(7), N))
         return false;
       Cli.Spec.Seed = N;
-    } else if (Arg.rfind("--jobs=", 0) == 0) {
-      if (!parseUInt(Arg.substr(7), N) || N > 64)
-        return false;
-      Cli.Spec.Jobs = static_cast<unsigned>(N);
     } else if (Arg.rfind("--out=", 0) == 0) {
       Cli.OutPath = Arg.substr(6);
     } else if (Arg == "--link-suite") {
