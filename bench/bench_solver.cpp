@@ -154,9 +154,10 @@ std::string makeDerefStorm(unsigned Readers, unsigned Pointees,
 
 /// Deref mesh: \p Hubs independent deref storms (each with its own cell,
 /// \p Pointees stores and \p Readers loads) whose readers all drain into
-/// one shared sink. The Andersen engines pay Θ(Hubs·Readers·Pointees);
-/// the unification solver pays Θ(Hubs·(Readers+Pointees)) and its
-/// interned harvest shares one materialized vector per hub's readers.
+/// one shared sink. The Andersen engines move Θ(Hubs·Readers·Pointees)
+/// bits, 64 per word operation; the unification solver pays
+/// Θ(Hubs·(Readers+Pointees)). Every engine's interned harvest shares one
+/// materialized vector per hub's readers.
 std::string makeDerefMesh(unsigned Hubs, unsigned Readers, unsigned Pointees,
                           unsigned Pad) {
   std::string Src = "func main() {\n  s = 0;\n";

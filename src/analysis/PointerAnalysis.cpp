@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <map>
 #include <unordered_set>
 
 using namespace usher;
@@ -45,11 +44,14 @@ void PointerAnalysis::numberLocations() {
   ObjLocBase.clear();
   Locations.clear();
   Collapsed.clear();
+  GlobalPts.assign(M.objects().size(), {});
   for (const auto &Obj : M.objects()) {
     unsigned Tracked = 1;
     if (Opts.FieldSensitive && !Obj->isArray())
       Tracked = std::min(Obj->getNumFields(), Opts.MaxFieldsTracked);
     assert(Obj->getId() == ObjLocBase.size() && "object ids not dense");
+    if (Obj->isGlobal())
+      GlobalPts[Obj->getId()] = {static_cast<uint32_t>(Locations.size())};
     ObjLocBase.push_back({static_cast<unsigned>(Locations.size()), Tracked});
     for (unsigned F = 0; F != Tracked; ++F) {
       Locations.push_back({Obj.get(), F});
@@ -247,9 +249,9 @@ PointerAnalysis::cloneOrigins(const Function *F) const {
 //  - the optimized engine (the default): a union-find representative layer
 //    with online lazy cycle detection — copy cycles collapse into a single
 //    representative instead of ping-ponging the worklist — plus difference
-//    propagation: each representative keeps a Delta set of points-to bits
-//    not yet pushed to its successors, and successors receive only the
-//    delta through the word-sparse BitSet API;
+//    propagation: each representative keeps a Delta list of the points-to
+//    words not yet pushed to its successors, and successors receive only
+//    the delta, 64 bits per word operation;
 //  - the naive reference engine: the classic full-set worklist fixpoint,
 //    retained as an oracle for the equivalence property tests and as the
 //    bench_solver baseline.
@@ -335,6 +337,8 @@ private:
     }
     return N;
   }
+  void appendDelta(uint32_t R, uint32_t Word, uint64_t Fresh);
+  bool orWordInto(uint32_t T, uint32_t Word, uint64_t Mask);
   void seedOpt(uint32_t Node, uint32_t LocId);
   void addCopyEdge(uint32_t Src, uint32_t Dst);
   void flowIntoOpt(const ValueRef &V, uint32_t Dst);
@@ -345,6 +349,9 @@ private:
   void collapseScc(const std::vector<uint32_t> &Members);
   bool drainPendingLcd();
   void solveOptimized();
+
+  template <typename KeyT, typename RepFn, typename KeyFn, typename MatFn>
+  void harvest(RepFn RepOf, KeyFn KeyOf, MatFn Materialize);
 
   PointerAnalysis &PA;
   Module &M;
@@ -366,13 +373,20 @@ private:
   // the union-find representative; merged members' entries are drained
   // into their representative and freed.
   std::vector<BitSet> Pts;
-  // Difference-propagation state: per-representative list of loc ids that
-  // entered Pts but have not been pushed to successors yet. Exact and
-  // duplicate-free by construction — an id is appended only when
-  // Pts[R].set() reports it fresh, and Pts only grows. A vector (rather
-  // than a second BitSet) makes taking and clearing a delta O(|delta|)
-  // instead of O(universe) per pop.
-  std::vector<std::vector<uint32_t>> Delta;
+  // Difference-propagation state: per representative, the bits that
+  // entered Pts but have not been pushed to successors yet, as {word
+  // index, fresh mask} pairs. Exact and duplicate-free by construction —
+  // a mask holds only bits Pts[R] lacked when they arrived, and Pts only
+  // grows. A list (rather than a second BitSet) makes taking and clearing
+  // a delta O(|delta words|) instead of O(universe) per pop. Iterating the
+  // pairs in order, each mask low bit first, visits the bits in the order
+  // they arrived; appendDelta keeps that true, so the worklist order and
+  // every counter are the ones per-bit deltas would give.
+  struct DeltaWord {
+    uint32_t Word;
+    uint64_t Mask;
+  };
+  std::vector<std::vector<DeltaWord>> Delta;
   // Copy successors, kept sorted for binary-search dedup. Entries may go
   // stale when a successor is merged; each pop compacts its list
   // rep-aware (map through findRep, re-sort, unique, drop self-loops).
@@ -632,19 +646,39 @@ void PointerAnalysis::Solver::solveNaive() {
 // Optimized engine: SCC collapsing + difference propagation
 //===----------------------------------------------------------------------===//
 
+/// Records bits \p Fresh of word \p Word as pending in Delta[\p R]. They
+/// join the last pair only if they all sort after its bits, so the delta
+/// still iterates in arrival order.
+void PointerAnalysis::Solver::appendDelta(uint32_t R, uint32_t Word,
+                                          uint64_t Fresh) {
+  auto &D = Delta[R];
+  if (!D.empty() && D.back().Word == Word && D.back().Mask < (Fresh & -Fresh))
+    D.back().Mask |= Fresh;
+  else
+    D.push_back({Word, Fresh});
+}
+
+/// Pts[T] |= \p Mask at word \p Word, recording the fresh bits in
+/// Delta[T]; returns true if any bit was fresh.
+bool PointerAnalysis::Solver::orWordInto(uint32_t T, uint32_t Word,
+                                         uint64_t Mask) {
+  uint64_t Fresh = Mask & ~Pts[T].word(Word);
+  if (!Fresh)
+    return false;
+  Pts[T].orWord(Word, Fresh);
+  appendDelta(T, Word, Fresh);
+  return true;
+}
+
 void PointerAnalysis::Solver::seedOpt(uint32_t Node, uint32_t LocId) {
   uint32_t R = findRep(Node);
-  if (Pts[R].set(LocId)) {
-    Delta[R].push_back(LocId);
+  if (orWordInto(R, LocId >> 6, 1ULL << (LocId & 63)))
     push(R);
-  }
 }
 
 /// Inserts the copy edge rep(Src) -> rep(Dst) if it is not a self-loop or
 /// a (non-stale) duplicate, and propagates Src's full current set across
-/// it — a brand-new successor has seen none of it yet. The word-skipping
-/// set-bit iterator keeps this full-set push proportional to the source's
-/// population, not the universe.
+/// it, a word at a time — a brand-new successor has seen none of it yet.
 void PointerAnalysis::Solver::addCopyEdge(uint32_t Src, uint32_t Dst) {
   uint32_t S = findRep(Src), T = findRep(Dst);
   if (S == T)
@@ -657,13 +691,11 @@ void PointerAnalysis::Solver::addCopyEdge(uint32_t Src, uint32_t Dst) {
   ++PA.SStats.NumCopyEdges;
   ++PA.SStats.NumPropagations;
   bool Changed = false;
-  for (size_t LocIdx : Pts[S]) {
-    uint32_t LocId = static_cast<uint32_t>(LocIdx);
-    if (Pts[T].set(LocId)) {
-      Delta[T].push_back(LocId);
-      Changed = true;
-    }
-  }
+  const BitSet &From = Pts[S];
+  for (uint32_t W = 0, E = static_cast<uint32_t>(From.numWords()); W != E;
+       ++W)
+    if (uint64_t Mask = From.word(W))
+      Changed |= orWordInto(T, W, Mask);
   if (Changed)
     push(T);
   else if (!Pts[S].empty() && !lcdAlreadyChecked(S, T))
@@ -725,7 +757,11 @@ void PointerAnalysis::Solver::collapseScc(
   Targets.erase(std::remove(Targets.begin(), Targets.end(), R),
                 Targets.end());
   LcdChecked[R].clear();
-  Delta[R] = Pts[R].toVector();
+  Delta[R].clear();
+  for (uint32_t W = 0, E = static_cast<uint32_t>(Pts[R].numWords()); W != E;
+       ++W)
+    if (uint64_t Mask = Pts[R].word(W))
+      Delta[R].push_back({W, Mask});
   if (!Delta[R].empty() || !LoadTargets[R].empty() ||
       !StoreValues[R].empty() || !GepTargets[R].empty())
     push(R);
@@ -873,7 +909,7 @@ void PointerAnalysis::Solver::solveOptimized() {
   // which amortizes each sweep's O(graph) cost over O(graph) pops.
   const size_t LcdDrainThreshold = std::max<size_t>(16, NumNodes / 256);
   uint64_t PopsSinceDrain = 0;
-  std::vector<uint32_t> D; // reused pop-delta buffer (see swap below)
+  std::vector<DeltaWord> D; // reused pop-delta buffer (see swap below)
   while (true) {
     if (Worklist.empty()) {
       if (PendingLcd.empty())
@@ -913,19 +949,22 @@ void PointerAnalysis::Solver::solveOptimized() {
 
     if (!D.empty() && (!LoadTargets[N].empty() || !StoreValues[N].empty() ||
                        !GepTargets[N].empty())) {
-      for (uint32_t LocId : D) {
-        for (uint32_t Dst : LoadTargets[N])
-          addCopyEdge(locNode(LocId), Dst);
-        for (const ValueRef &V : StoreValues[N])
-          flowIntoOpt(V, locNode(LocId));
-        if (!GepTargets[N].empty()) {
-          const PtLoc &L = PA.location(LocId);
-          for (const GepCst &G : GepTargets[N]) {
-            if (G.Dynamic) {
-              for (unsigned Loc : PA.locsOfObject(L.Obj))
-                seedOpt(G.Dst, Loc);
-            } else {
-              seedOpt(G.Dst, PA.locId(L.Obj, L.Field + G.Offset));
+      for (const DeltaWord &DW : D) {
+        for (uint64_t Mask = DW.Mask; Mask; Mask &= Mask - 1) {
+          uint32_t LocId = DW.Word * 64 + __builtin_ctzll(Mask);
+          for (uint32_t Dst : LoadTargets[N])
+            addCopyEdge(locNode(LocId), Dst);
+          for (const ValueRef &V : StoreValues[N])
+            flowIntoOpt(V, locNode(LocId));
+          if (!GepTargets[N].empty()) {
+            const PtLoc &L = PA.location(LocId);
+            for (const GepCst &G : GepTargets[N]) {
+              if (G.Dynamic) {
+                for (unsigned Loc : PA.locsOfObject(L.Obj))
+                  seedOpt(G.Dst, Loc);
+              } else {
+                seedOpt(G.Dst, PA.locId(L.Obj, L.Field + G.Offset));
+              }
             }
           }
         }
@@ -952,18 +991,91 @@ void PointerAnalysis::Solver::solveOptimized() {
       for (uint32_t T : Targets) {
         ++PA.SStats.NumPropagations;
         bool Changed = false;
-        for (uint32_t LocId : D) {
-          if (Pts[T].set(LocId)) {
-            Delta[T].push_back(LocId);
-            Changed = true;
-          }
-        }
+        for (const DeltaWord &DW : D)
+          Changed |= orWordInto(T, DW.Word, DW.Mask);
         if (Changed)
           push(T);
         else if (!lcdAlreadyChecked(N, T))
           PendingLcd.push_back({N, T});
       }
     }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Harvest
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+size_t hashMix(size_t H, uint64_t V) {
+  H ^= V + 0x9E3779B97F4A7C15ULL + (H << 6) + (H >> 2);
+  return H;
+}
+
+/// An Andersen representative's final bits, hashed over nonzero words.
+struct BitsKey {
+  const BitSet *Bits;
+  bool empty() const { return Bits->empty(); }
+  size_t hash() const {
+    size_t H = 0;
+    for (size_t W = 0, E = Bits->numWords(); W != E; ++W)
+      if (uint64_t Word = Bits->word(W))
+        H = hashMix(hashMix(H, W), Word);
+    return H;
+  }
+  bool operator==(const BitsKey &O) const { return *Bits == *O.Bits; }
+};
+
+/// A unification representative's sorted cell-class ids.
+struct ClassesKey {
+  std::vector<uint32_t> Classes;
+  bool empty() const { return Classes.empty(); }
+  size_t hash() const {
+    size_t H = 0;
+    for (uint32_t K : Classes)
+      H = hashMix(H, K);
+    return H;
+  }
+  bool operator==(const ClassesKey &O) const { return Classes == O.Classes; }
+};
+
+} // namespace
+
+/// The one harvest all three engines share: every variable points at an
+/// interned vector, materialized once per distinct points-to set, so the
+/// many readers of one hub cost one vector rather than a copy each.
+/// Variables with the same representative (\p RepOf) reuse its entry
+/// without rehashing; an empty set maps to EmptyPts without hashing; any
+/// other set is looked up by its key (\p KeyOf of the representative) and
+/// built by \p Materialize on first sight.
+template <typename KeyT, typename RepFn, typename KeyFn, typename MatFn>
+void PointerAnalysis::Solver::harvest(RepFn RepOf, KeyFn KeyOf,
+                                      MatFn Materialize) {
+  struct Hash {
+    size_t operator()(const KeyT &K) const { return K.hash(); }
+  };
+  std::unordered_map<KeyT, const std::vector<uint32_t> *, Hash> Interned;
+  std::vector<const std::vector<uint32_t> *> ByRep(NumNodes, nullptr);
+  for (const auto &[V, Id] : VarIds) {
+    uint32_t R = RepOf(Id);
+    const std::vector<uint32_t> *&Shared = ByRep[R];
+    if (!Shared) {
+      KeyT K = KeyOf(R);
+      if (K.empty()) {
+        Shared = &EmptyPts;
+      } else {
+        auto [It, New] = Interned.try_emplace(std::move(K), nullptr);
+        if (New) {
+          PA.SharedPts.push_back(std::make_unique<std::vector<uint32_t>>(
+              Materialize(It->first)));
+          It->second = PA.SharedPts.back().get();
+        }
+        Shared = It->second;
+      }
+    }
+    if (Shared != &EmptyPts)
+      PA.VarPtsShared[V] = Shared;
   }
 }
 
@@ -1010,22 +1122,12 @@ void PointerAnalysis::Solver::run() {
       return;
     }
     PA.NumNodes = NumNodes;
-    // Materialize one locations vector per distinct class set and share
-    // it among all variables with that set; on unification-friendly
-    // shapes (many readers of one hub cell) this turns the harvest from
-    // Θ(vars × pts-size) into Θ(vars + classes × members).
-    std::map<std::vector<uint32_t>, const std::vector<uint32_t> *> Interned;
-    for (const auto &[V, Id] : VarIds) {
-      std::vector<uint32_t> Classes = U.classesOf(Id);
-      auto It = Interned.find(Classes);
-      if (It == Interned.end()) {
-        PA.SharedPts.push_back(std::make_unique<std::vector<uint32_t>>(
-            U.locsOfClasses(Classes)));
-        It = Interned.emplace(std::move(Classes), PA.SharedPts.back().get())
-                 .first;
-      }
-      PA.VarPtsShared[V] = It->second;
-    }
+    // A class set names its locations exactly (classes partition them),
+    // so it keys the interning without materializing per variable.
+    harvest<ClassesKey>(
+        [&](uint32_t Id) { return U.repOf(Id); },
+        [&](uint32_t R) { return ClassesKey{U.classesOf(R)}; },
+        [&](const ClassesKey &K) { return U.locsOfClasses(K.Classes); });
     return;
   }
 
@@ -1036,10 +1138,10 @@ void PointerAnalysis::Solver::run() {
   if (PA.Exhausted)
     return;
   PA.NumNodes = NumNodes;
-  for (const auto &[V, Id] : VarIds) {
-    uint32_t N = Parent.empty() ? Id : findRep(Id);
-    PA.VarPts[V] = Pts[N].toVector();
-  }
+  harvest<BitsKey>(
+      [&](uint32_t Id) { return Parent.empty() ? Id : findRep(Id); },
+      [&](uint32_t R) { return BitsKey{&Pts[R]}; },
+      [&](const BitsKey &K) { return K.Bits->toVector(); });
 }
 
 //===----------------------------------------------------------------------===//
@@ -1059,17 +1161,15 @@ PointerAnalysis::PointerAnalysis(Module &M, const CallGraph &CG,
 
 const std::vector<uint32_t> &
 PointerAnalysis::pointsTo(const Variable *V) const {
-  auto It = VarPts.find(V);
-  if (It != VarPts.end())
-    return It->second;
-  auto SIt = VarPtsShared.find(V);
-  return SIt == VarPtsShared.end() ? EmptyPts : *SIt->second;
+  auto It = VarPtsShared.find(V);
+  return It == VarPtsShared.end() ? EmptyPts : *It->second;
 }
 
-std::vector<uint32_t> PointerAnalysis::pointsTo(const Operand &Op) const {
+const std::vector<uint32_t> &
+PointerAnalysis::pointsTo(const Operand &Op) const {
   if (Op.isVar())
     return pointsTo(Op.getVar());
   if (Op.isGlobal())
-    return {locId(Op.getGlobal(), 0)};
-  return {};
+    return GlobalPts[Op.getGlobal()->getId()];
+  return EmptyPts;
 }

@@ -54,8 +54,8 @@ struct PtLoc {
 /// Which constraint-solving engine runs the inclusion fixpoint.
 enum class SolverKind : uint8_t {
   /// The production engine: online lazy cycle detection with union-find
-  /// SCC collapsing plus difference (delta) propagation over the sparse
-  /// BitSet API. See DESIGN.md "Solver architecture".
+  /// SCC collapsing plus difference (delta) propagation, 64 bits per word
+  /// operation. See DESIGN.md "Solver architecture".
   Optimized,
   /// The plain full-set worklist solver, retained as an oracle: it never
   /// collapses and always re-propagates whole points-to sets. Used by the
@@ -162,10 +162,12 @@ public:
   //===--------------------------------------------------------------------===//
 
   /// May-point-to set of a top-level variable, as sorted loc ids.
+  /// Variables with equal sets share one vector.
   const std::vector<uint32_t> &pointsTo(const ir::Variable *V) const;
 
-  /// May-point-to set of any operand (globals resolve to their base loc).
-  std::vector<uint32_t> pointsTo(const ir::Operand &Op) const;
+  /// May-point-to set of any operand (globals resolve to their base loc,
+  /// constants to the empty set).
+  const std::vector<uint32_t> &pointsTo(const ir::Operand &Op) const;
 
   //===--------------------------------------------------------------------===//
   // Allocation wrappers and heap cloning
@@ -218,14 +220,16 @@ private:
   std::unordered_map<const ir::CallInst *, std::vector<ir::MemObject *>>
       Clones;
 
-  std::unordered_map<const ir::Variable *, std::vector<uint32_t>> VarPts;
-  // The unification harvest interns one vector per distinct class set and
-  // points every variable with that class set at the shared copy —
-  // materializing per-variable vectors would reintroduce the Θ(vars ×
-  // pts-size) cost the class-granular engine exists to avoid.
+  // Every engine's harvest interns one vector per distinct points-to set
+  // and points each variable with that set at the shared copy (variables
+  // with empty sets are left out) — per-variable vectors would cost
+  // Θ(vars × pts-size) on the many readers of one hub.
   std::vector<std::unique_ptr<std::vector<uint32_t>>> SharedPts;
   std::unordered_map<const ir::Variable *, const std::vector<uint32_t> *>
       VarPtsShared;
+  // Obj id -> {base loc} for globals (the set a global operand names),
+  // empty for every other object.
+  std::vector<std::vector<uint32_t>> GlobalPts;
   unsigned NumNodes = 0;
   bool Exhausted = false;
   SolverStatistics SStats;

@@ -483,7 +483,3 @@ UnificationSolver::locsOfClasses(const std::vector<uint32_t> &Classes) const {
   Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
   return Out;
 }
-
-std::vector<uint32_t> UnificationSolver::pointsToOf(uint32_t Node) const {
-  return locsOfClasses(classesOf(Node));
-}

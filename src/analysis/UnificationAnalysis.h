@@ -131,6 +131,10 @@ public:
   /// Engine counters, folded into the owning PointerAnalysis' statistics.
   const SolverStatistics &stats() const { return Stats; }
 
+  /// Union-find representative of node \p Node; nodes sharing one have
+  /// equal classesOf().
+  uint32_t repOf(uint32_t Node) const { return findRepConst(Node); }
+
   /// Canonical (sorted, deduplicated) cell-class representatives node
   /// \p Node may point to. Two variables with equal classesOf() have
   /// identical points-to sets — the harvest uses this to share one
@@ -140,9 +144,6 @@ public:
   /// Union of the member locations of \p Classes (canonical reps from
   /// classesOf), as sorted loc ids.
   std::vector<uint32_t> locsOfClasses(const std::vector<uint32_t> &Classes) const;
-
-  /// Final points-to set of solver node \p Node as sorted loc ids.
-  std::vector<uint32_t> pointsToOf(uint32_t Node) const;
 
 private:
   using ValueRef = ConstraintSystem::ValueRef;

@@ -58,6 +58,16 @@ public:
 
   void clearAll() { Words.assign(Words.size(), 0); }
 
+  /// Word-level access: bit I lives in word I / 64 at position I % 64.
+  /// The optimized pointer solver moves points-to deltas a word at a time.
+  size_t numWords() const { return Words.size(); }
+  uint64_t word(size_t WordIdx) const { return Words[WordIdx]; }
+  void orWord(size_t WordIdx, uint64_t Mask) { Words[WordIdx] |= Mask; }
+
+  bool operator==(const BitSet &O) const {
+    return Bits == O.Bits && Words == O.Words;
+  }
+
   /// this |= Other; returns true if any bit changed. Dense word loop: the
   /// naive reference solver keeps this so its cost model stays honest.
   bool unionWith(const BitSet &Other) {

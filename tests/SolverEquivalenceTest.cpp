@@ -13,7 +13,12 @@
 ///    random programs and on adversarial copy-cycle workloads;
 ///  - identical runUsher warning sets on every rung of the degradation
 ///    ladder, so collapsing/delta state interacts soundly with Budget
-///    exhaustion and the driver's fallbacks.
+///    exhaustion and the driver's fallbacks;
+///  - unchanged worklist accounting: the solver counters of three
+///    adversarial programs are pinned exactly.
+///
+/// Every engine's harvest must also share one vector among all variables
+/// with equal points-to sets.
 ///
 /// Points-to sets are compared as (object name, field) pairs rather than
 /// raw loc ids so the property does not depend on the two runs numbering
@@ -159,6 +164,51 @@ std::string makeNestedRingsWorkload() {
   return Src;
 }
 
+/// A small copy of perfbench's pta-deref program: \p Hubs functions, each
+/// with a hub pointer that may name either of two cells (so its stores are
+/// weak), \p Pointees heap objects stored through it, and \p Readers loads
+/// of it draining into one sink. Each reader's set is the hub's whole
+/// pointee set, so every load edge moves Pointees bits at once. With
+/// \p StoreBack, each loaded value is stored back through the hub, closing
+/// a cell -> reader -> cell copy cycle that collapses only after the
+/// pointee bits have already travelled as bulk word deltas.
+std::string makeDerefMeshWorkload(unsigned Hubs, unsigned Readers,
+                                  unsigned Pointees, bool StoreBack) {
+  std::string Src;
+  for (unsigned H = 0; H != Hubs; ++H) {
+    Src += "func hub" + std::to_string(H) +
+           "() {\n  s = 0;\n  c = 1;\n  h = alloc heap 1 uninit;\n"
+           "  if c goto A;\n  h = alloc heap 1 uninit;\nA:\n";
+    for (unsigned J = 0; J != Pointees; ++J)
+      Src += "  o = alloc heap 1 uninit;\n  *h = o;\n";
+    for (unsigned I = 0; I != Readers; ++I) {
+      const std::string P = "p" + std::to_string(I);
+      Src += "  " + P + " = *h;\n  s = " + P + ";\n";
+      if (StoreBack)
+        Src += "  *h = " + P + ";\n";
+    }
+    Src += "  v = *s;\n  if v goto L;\nL:\n  ret 0;\n}\n\n";
+  }
+  Src += "func main() {\n  t = 0;\n";
+  for (unsigned H = 0; H != Hubs; ++H) {
+    const std::string R = "r" + std::to_string(H);
+    Src += "  " + R + " = hub" + std::to_string(H) + "();\n  t = t + " + R +
+           ";\n";
+  }
+  Src += "  ret t;\n}\n";
+  return Src;
+}
+
+const std::string &derefMeshSource() {
+  static const std::string Src = makeDerefMeshWorkload(3, 64, 64, false);
+  return Src;
+}
+
+const std::string &derefRingSource() {
+  static const std::string Src = makeDerefMeshWorkload(3, 64, 64, true);
+  return Src;
+}
+
 TEST(SolverEquivalence, CollapsingRing) {
   const std::string Src = makeRingWorkload(24, 16, 16);
   auto MOpt = parser::parseModuleOrAbort(Src.c_str());
@@ -171,6 +221,116 @@ TEST(SolverEquivalence, NestedRings) {
   auto MOpt = parser::parseModuleOrAbort(Src.c_str());
   auto MRef = parser::parseModuleOrAbort(Src.c_str());
   expectEnginesAgree(*MOpt, *MRef, "nested-rings");
+}
+
+TEST(SolverEquivalence, DerefMesh) {
+  auto MOpt = parser::parseModuleOrAbort(derefMeshSource());
+  auto MRef = parser::parseModuleOrAbort(derefMeshSource());
+  expectEnginesAgree(*MOpt, *MRef, "deref-mesh");
+}
+
+TEST(SolverEquivalence, DerefRingCollapsesAfterWordDeltas) {
+  auto MOpt = parser::parseModuleOrAbort(derefRingSource());
+  auto MRef = parser::parseModuleOrAbort(derefRingSource());
+  expectEnginesAgree(*MOpt, *MRef, "deref-ring");
+
+  auto M = parser::parseModuleOrAbort(derefRingSource());
+  CallGraph CG(*M);
+  PointerAnalysis PA(*M, CG);
+  EXPECT_GT(PA.solverStats().NumCollapses, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Interned points-to sets
+//===----------------------------------------------------------------------===//
+//
+// Every engine's harvest shares one vector among all variables with equal
+// points-to sets: two variables return the same vector exactly when their
+// sets are equal.
+
+class InternedPointsTo : public ::testing::TestWithParam<SolverKind> {};
+
+TEST_P(InternedPointsTo, EqualSetsShareOneVector) {
+  auto M = parser::parseModuleOrAbort(derefMeshSource());
+  CallGraph CG(*M);
+  PtaOptions Opts;
+  Opts.Solver = GetParam();
+  PointerAnalysis PA(*M, CG, Opts);
+  ASSERT_FALSE(PA.exhausted());
+
+  std::vector<const ir::Variable *> Vars;
+  for (const auto &F : M->functions())
+    for (const auto &V : F->variables())
+      Vars.push_back(V.get());
+  for (const ir::Variable *A : Vars)
+    for (const ir::Variable *B : Vars) {
+      const std::vector<uint32_t> &SA = PA.pointsTo(A);
+      const std::vector<uint32_t> &SB = PA.pointsTo(B);
+      ASSERT_EQ(&SA == &SB, SA == SB)
+          << A->getName() << " vs " << B->getName();
+    }
+
+  // The 64 readers of one hub all see its 64 pointees, through one vector.
+  const ir::Function *Hub = M->findFunction("hub0");
+  ASSERT_NE(Hub, nullptr);
+  const std::vector<uint32_t> &P0 = PA.pointsTo(Hub->findVariable("p0"));
+  EXPECT_GE(P0.size(), 64u);
+  for (unsigned I = 1; I != 64; ++I)
+    EXPECT_EQ(&PA.pointsTo(Hub->findVariable("p" + std::to_string(I))), &P0)
+        << "p" << I;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, InternedPointsTo,
+    ::testing::Values(SolverKind::Optimized, SolverKind::NaiveReference,
+                      SolverKind::Unify),
+    [](const ::testing::TestParamInfo<SolverKind> &Info) {
+      return std::string(analysis::solverKindName(Info.param));
+    });
+
+//===----------------------------------------------------------------------===//
+// Pinned solver counters
+//===----------------------------------------------------------------------===//
+//
+// The optimized engine's worklist order and budget charging must not
+// depend on how deltas are represented: BudgetTest's degradation
+// boundaries rest on both. These are the counts per-bit deltas produced.
+
+struct PinnedStats {
+  uint64_t Pops, Propagations, CopyEdges, Collapses, CollapsedNodes,
+      SkippedMergedPops, BudgetSteps;
+};
+
+void expectPinnedStats(const std::string &Src, const PinnedStats &Want,
+                       const std::string &Tag) {
+  auto M = parser::parseModuleOrAbort(Src);
+  CallGraph CG(*M);
+  PointerAnalysis PA(*M, CG);
+  ASSERT_FALSE(PA.exhausted()) << Tag;
+  const analysis::SolverStatistics &S = PA.solverStats();
+  EXPECT_EQ(S.NumPops, Want.Pops) << Tag;
+  EXPECT_EQ(S.NumPropagations, Want.Propagations) << Tag;
+  EXPECT_EQ(S.NumCopyEdges, Want.CopyEdges) << Tag;
+  EXPECT_EQ(S.NumCollapses, Want.Collapses) << Tag;
+  EXPECT_EQ(S.NumCollapsedNodes, Want.CollapsedNodes) << Tag;
+  EXPECT_EQ(S.NumSkippedMergedPops, Want.SkippedMergedPops) << Tag;
+  EXPECT_EQ(S.NumBudgetSteps, Want.BudgetSteps) << Tag;
+}
+
+TEST(SolverCounters, DerefMeshPinned) {
+  expectPinnedStats(derefMeshSource(), {210, 1350, 774, 0, 0, 0, 415},
+                    "deref-mesh");
+}
+
+TEST(SolverCounters, DerefRingPinned) {
+  expectPinnedStats(derefRingSource(), {213, 1407, 1158, 3, 195, 177, 241},
+                    "deref-ring");
+}
+
+TEST(SolverCounters, CollapsingRingPinned) {
+  expectPinnedStats(makeRingWorkload(24, 16, 16),
+                    {518, 531, 103, 1, 15, 1, 567},
+                    "collapsing-ring");
 }
 
 //===----------------------------------------------------------------------===//

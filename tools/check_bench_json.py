@@ -133,6 +133,15 @@ def check_solver_report(report, path):
                 f"workload {name!r}: optimized pop count wildly exceeds the "
                 "reference's — difference propagation is not working"
             )
+        # ...and so they must reach the identical fixpoint: equal points-to
+        # sets, hence equal plans and equal runtime warnings.
+        for field in ("avg_pts_size", "plan_checks", "warnings"):
+            if optimized[field] != naive[field]:
+                fail(
+                    f"workload {name!r}: optimized {field} "
+                    f"{optimized[field]!r} differs from naive "
+                    f"{naive[field]!r} — the Andersen engines disagree"
+                )
         # Unification may only lose precision, never gain it, and the
         # warnings the pipeline reports at runtime are ground truth — the
         # engine must not change them.
