@@ -25,38 +25,56 @@ Session::Session(SessionOptions O)
 
 namespace {
 
-/// Key derivation. The module key folds the canonical printed module text
-/// and the operation, so any textual change — or asking for diagnosis
-/// instead of analysis — lands on disjoint entries. Per-function and
-/// module-section entries are derived from it; they are per-function
-/// *files*, not per-function validity (ROADMAP item 2 covers true
-/// incremental invalidation).
+/// The snapshot key: the operation, the canonical printed module text and
+/// the client list (it changes the reply), so any textual change — or
+/// asking for diagnosis instead of analysis — lands on a disjoint record.
 uint64_t moduleKey(const ir::Module &M, Op Kind, const std::string &Clients) {
   std::string Text;
   raw_string_ostream OS(Text);
   M.print(OS);
-  uint64_t Key = SnapshotStore::mix(SnapshotStore::hashBytes(opName(Kind)),
-                                    SnapshotStore::hashBytes(Text));
-  // The client list changes the reply, so it must change the key; the
-  // empty (UUV-only) list keeps the pre-framework key values, so old
-  // snapshot stores stay warm.
-  if (!Clients.empty())
-    Key = SnapshotStore::mix(Key, SnapshotStore::hashBytes(Clients));
-  return Key;
+  return SnapshotStore::mix(
+      SnapshotStore::mix(SnapshotStore::hashBytes(opName(Kind)),
+                         SnapshotStore::hashBytes(Text)),
+      SnapshotStore::hashBytes(Clients));
 }
 
-uint64_t functionKey(uint64_t ModuleKey, const ir::Function &F) {
-  return SnapshotStore::mix(ModuleKey, SnapshotStore::hashBytes(F.getName()));
+/// Renders the parse-error reply: "parse error" plus one indented line
+/// per diagnostic.
+Reply parseErrorReply(uint64_t Id, const parser::ParseResult &PR) {
+  Reply Rp;
+  Rp.Id = Id;
+  Rp.Status = ReplyStatus::Error;
+  Rp.Payload = "parse error";
+  for (const std::string &E : PR.Errors)
+    Rp.Payload += "\n  " + E;
+  return Rp;
 }
 
-uint64_t moduleSectionKey(uint64_t ModuleKey) {
-  return SnapshotStore::mix(ModuleKey, SnapshotStore::hashBytes("#module"));
+/// Arms \p UO with the request's deadline, step budget and fault plan.
+/// A malformed fault spec turns \p Rp into an error reply and returns
+/// false.
+bool applyRequestLimits(const Request &Rq, core::UsherOptions &UO,
+                        Reply &Rp) {
+  UO.Limits.PhaseDeadlineMs = Rq.DeadlineMs;
+  UO.Limits.MaxStepsPerPhase = Rq.BudgetSteps;
+  if (Rq.FaultSpec.empty())
+    return true;
+  std::string Err;
+  std::optional<FaultPlan> FP = parseFaultSpec(Rq.FaultSpec, &Err);
+  if (!FP) {
+    Rp.Status = ReplyStatus::Error;
+    Rp.Payload = "bad fault spec: " + Err;
+    return false;
+  }
+  UO.Fault = *FP;
+  return true;
 }
 
-/// Renders the analyze section for one function: static plan counts
-/// derived from the instrumentation plan, deterministic in module order.
-std::string renderAnalyzeFunction(const core::InstrumentationPlan &Plan,
-                                  const ir::Function &F) {
+/// Renders the analyze line for one function: static plan counts derived
+/// from the instrumentation plan, deterministic in module order.
+void renderAnalyzeFunction(raw_ostream &OS,
+                           const core::InstrumentationPlan &Plan,
+                           const ir::Function &F) {
   uint64_t Checks = 0, ShadowOps = 0, Reads = 0;
   auto Count = [&](const std::vector<core::ShadowOp> &Ops) {
     for (const core::ShadowOp &Op : Ops) {
@@ -77,17 +95,12 @@ std::string renderAnalyzeFunction(const core::InstrumentationPlan &Plan,
   for (const core::ShadowOp &Op : Plan.entry(&F))
     Reads += Op.reads();
 
-  std::string Out;
-  raw_string_ostream OS(Out);
   OS << "function " << F.getName() << ": checks=" << Checks
      << " shadow-ops=" << ShadowOps << " entry-ops=" << EntryOps
      << " reads=" << Reads << "\n";
-  return Out;
 }
 
-std::string renderAnalyzeModule(const core::UsherResult &R) {
-  std::string Out;
-  raw_string_ostream OS(Out);
+void renderAnalyzeModule(raw_ostream &OS, const core::UsherResult &R) {
   OS << "module: variant=" << core::toolVariantName(R.Degradation.Rung)
      << " checks=" << R.Plan.countChecks()
      << " shadow-ops=" << R.Plan.countShadowOps()
@@ -100,61 +113,48 @@ std::string renderAnalyzeModule(const core::UsherResult &R) {
        << "\n";
   if (R.Degradation.Degraded)
     OS << "degraded: " << R.Degradation.summary() << "\n";
-  return Out;
 }
 
-/// Renders the diagnose section for one function: its non-CLEAN findings
+/// Renders the diagnose lines for one function: its non-CLEAN findings
 /// in instruction-id order (the report is already so ordered).
-std::string renderDiagnoseFunction(const core::DiagnosisReport &Report,
-                                   const ir::Function &F) {
-  std::string Out;
-  raw_string_ostream OS(Out);
+void renderDiagnoseFunction(raw_ostream &OS,
+                            const core::DiagnosisReport &Report,
+                            const ir::Function &F) {
+  auto InF = [&](const core::Finding &Fd) {
+    return Fd.I->getParent()->getParent() == &F;
+  };
   uint64_t N = 0;
-  std::string Body;
-  raw_string_ostream BodyOS(Body);
-  for (const core::Finding &Fd : Report.Findings) {
-    if (Fd.I->getParent()->getParent() != &F)
-      continue;
-    ++N;
-    BodyOS << "  " << core::verdictName(Fd.V) << " use of "
-           << Fd.Var->getName() << " at #" << Fd.I->getId()
-           << " witness-steps=" << Fd.Witness.size() << "\n";
-  }
-  OS << "function " << F.getName() << ": findings=" << N << "\n" << Body;
-  return Out;
+  for (const core::Finding &Fd : Report.Findings)
+    N += InF(Fd);
+  OS << "function " << F.getName() << ": findings=" << N << "\n";
+  for (const core::Finding &Fd : Report.Findings)
+    if (InF(Fd))
+      OS << "  " << core::verdictName(Fd.V) << " use of "
+         << Fd.Var->getName() << " at #" << Fd.I->getId()
+         << " witness-steps=" << Fd.Witness.size() << "\n";
 }
 
-std::string renderDiagnoseModule(const core::DiagnosisReport &Report) {
-  std::string Out;
-  raw_string_ostream OS(Out);
+void renderDiagnoseModule(raw_ostream &OS,
+                          const core::DiagnosisReport &Report) {
   OS << "module: critical-uses="
      << (Report.NumClean + Report.NumMay + Report.NumDefinite)
      << " clean=" << Report.NumClean << " may=" << Report.NumMay
      << " definite=" << Report.NumDefinite << "\n";
-  return Out;
 }
 
 } // namespace
 
 Reply Session::handleAnalysis(const Request &Rq) {
+  parser::ParseResult PR = parser::parseModule(Rq.Source);
+  if (!PR.succeeded())
+    return parseErrorReply(Rq.Id, PR);
+  ir::Module &M = *PR.M;
+
   Reply Rp;
   Rp.Id = Rq.Id;
 
-  parser::ParseResult PR = parser::parseModule(Rq.Source);
-  if (!PR.succeeded()) {
-    Rp.Status = ReplyStatus::Error;
-    std::string Msg;
-    raw_string_ostream OS(Msg);
-    OS << "parse error";
-    for (const std::string &E : PR.Errors)
-      OS << "\n  " << E;
-    Rp.Payload = std::move(Msg);
-    return Rp;
-  }
-  ir::Module &M = *PR.M;
-
   // Sanitizer-client selection (analyze only; diagnose is UUV by nature).
-  std::vector<core::ClientKind> Clients;
+  core::UsherOptions UO;
   if (Rq.Kind == Op::Analyze && !Rq.Clients.empty()) {
     std::string_view List = Rq.Clients;
     for (;;) {
@@ -165,12 +165,14 @@ Reply Session::handleAnalysis(const Request &Rq) {
         Rp.Payload = "unknown sanitizer client in list: " + Rq.Clients;
         return Rp;
       }
-      Clients.push_back(K);
+      UO.Clients.push_back(K);
       if (Comma == std::string_view::npos)
         break;
       List.remove_prefix(Comma + 1);
     }
   }
+  if (!applyRequestLimits(Rq, UO, Rp))
+    return Rp;
 
   // Budgeted requests bypass the snapshot store in both directions: their
   // results may be degraded (weaker than what a later unbudgeted request
@@ -181,55 +183,26 @@ Reply Session::handleAnalysis(const Request &Rq) {
 
   const uint64_t MK =
       moduleKey(M, Rq.Kind, Rq.Kind == Op::Analyze ? Rq.Clients : "");
-  const uint64_t SectionKey = moduleSectionKey(MK);
 
+  // Warm path: one validated record is the whole payload. A miss or a
+  // discarded corrupt record falls through to a full recompute, whose
+  // save heals the store.
   if (Cacheable) {
-    // Warm path: every per-function entry plus the module section must
-    // validate; any miss or discarded corruption falls through to a full
-    // recompute (which re-saves, healing the store).
-    std::string Assembled;
-    bool Complete = true;
-    for (const auto &F : M.functions()) {
-      std::optional<std::string> E = Store.load(functionKey(MK, *F));
-      if (!E) {
-        Complete = false;
-        break;
-      }
-      Assembled += *E;
-    }
-    if (Complete) {
-      if (std::optional<std::string> E = Store.load(SectionKey)) {
-        Rp.Status = ReplyStatus::Ok;
-        Rp.Payload = Assembled + *E;
-        ServedWarm.fetch_add(1, std::memory_order_relaxed);
-        return Rp;
-      }
-    }
-  }
-
-  core::UsherOptions UO;
-  UO.Clients = Clients;
-  UO.Limits.PhaseDeadlineMs = Rq.DeadlineMs;
-  UO.Limits.MaxStepsPerPhase = Rq.BudgetSteps;
-  if (!Rq.FaultSpec.empty()) {
-    std::string Err;
-    std::optional<FaultPlan> FP = parseFaultSpec(Rq.FaultSpec, &Err);
-    if (!FP) {
-      Rp.Status = ReplyStatus::Error;
-      Rp.Payload = "bad fault spec: " + Err;
+    if (std::optional<std::string> E = Store.load(MK)) {
+      Rp.Status = ReplyStatus::Ok;
+      Rp.Payload = std::move(*E);
+      ServedWarm.fetch_add(1, std::memory_order_relaxed);
       return Rp;
     }
-    UO.Fault = *FP;
   }
 
   core::UsherResult R = core::runUsher(M, UO);
 
-  std::vector<std::string> Sections;
-  std::string ModuleSection;
+  raw_string_ostream OS(Rp.Payload);
   if (Rq.Kind == Op::Analyze) {
     for (const auto &F : M.functions())
-      Sections.push_back(renderAnalyzeFunction(R.Plan, *F));
-    ModuleSection = renderAnalyzeModule(R);
+      renderAnalyzeFunction(OS, R.Plan, *F);
+    renderAnalyzeModule(OS, R);
   } else {
     // Diagnosis needs the static analyses; rungs that discarded them
     // (terminal MSan fallback) cannot answer, and say so explicitly
@@ -243,13 +216,9 @@ Reply Session::handleAnalysis(const Request &Rq) {
     core::DiagnosisOptions DO;
     core::StaticDiagnosis Diag(*R.PA, *R.CG, *R.G, DO);
     for (const auto &F : M.functions())
-      Sections.push_back(renderDiagnoseFunction(Diag.report(), *F));
-    ModuleSection = renderDiagnoseModule(Diag.report());
+      renderDiagnoseFunction(OS, Diag.report(), *F);
+    renderDiagnoseModule(OS, Diag.report());
   }
-
-  for (const std::string &S : Sections)
-    Rp.Payload += S;
-  Rp.Payload += ModuleSection;
 
   if (R.Degradation.Degraded) {
     Rp.Status = ReplyStatus::Degraded;
@@ -258,47 +227,25 @@ Reply Session::handleAnalysis(const Request &Rq) {
   }
 
   Rp.Status = ReplyStatus::Ok;
-  if (Cacheable) {
-    // Failures here cost warm-start only; the reply is already complete.
-    for (size_t I = 0; I != Sections.size(); ++I)
-      Store.save(functionKey(MK, *M.functions()[I]), Sections[I]);
-    Store.save(SectionKey, ModuleSection);
-  }
+  // A failed save costs warm-start only; the reply is already complete.
+  if (Cacheable)
+    Store.save(MK, Rp.Payload);
   return Rp;
 }
 
 Reply Session::handleQuery(const Request &Rq) {
+  parser::ParseResult PR = parser::parseModule(Rq.Source);
+  if (!PR.succeeded())
+    return parseErrorReply(Rq.Id, PR);
+
   Reply Rp;
   Rp.Id = Rq.Id;
-
-  parser::ParseResult PR = parser::parseModule(Rq.Source);
-  if (!PR.succeeded()) {
-    Rp.Status = ReplyStatus::Error;
-    std::string Msg;
-    raw_string_ostream OS(Msg);
-    OS << "parse error";
-    for (const std::string &E : PR.Errors)
-      OS << "\n  " << E;
-    Rp.Payload = std::move(Msg);
-    return Rp;
-  }
-
   core::UsherOptions UO;
   // The demand fast lane: the unification solver backs the VFG so a
   // single-pair question never pays for whole-program Andersen solving.
   UO.Pta.Solver = analysis::SolverKind::Unify;
-  UO.Limits.PhaseDeadlineMs = Rq.DeadlineMs;
-  UO.Limits.MaxStepsPerPhase = Rq.BudgetSteps;
-  if (!Rq.FaultSpec.empty()) {
-    std::string Err;
-    std::optional<FaultPlan> FP = parseFaultSpec(Rq.FaultSpec, &Err);
-    if (!FP) {
-      Rp.Status = ReplyStatus::Error;
-      Rp.Payload = "bad fault spec: " + Err;
-      return Rp;
-    }
-    UO.Fault = *FP;
-  }
+  if (!applyRequestLimits(Rq, UO, Rp))
+    return Rp;
 
   core::QueryOutcome Q =
       core::runUsherQuery(*PR.M, UO, Rq.QuerySrc, Rq.QuerySink);

@@ -24,12 +24,12 @@
 ///    DEGRADED(<rung>) with the partial result — the sound plan the rung
 ///    guarantees — as its payload.
 ///
-///  - *Warm == cold, byte for byte*: full-fidelity results (no budget
-///    configured, no degradation) are rendered per function and written
-///    to the content-hashed SnapshotStore, one atomically-written entry
-///    per function plus one module entry. A warm request re-assembles the
-///    identical payload from validated entries; any missing or corrupt
-///    entry falls back to a full recompute. Budgeted or degraded results
+///  - *Warm == cold, byte for byte*: a full-fidelity reply (no budget
+///    configured, no degradation) is written to the content-hashed
+///    SnapshotStore as one atomically-written record per request, keyed
+///    by the operation, module text and client list. A warm request
+///    serves that record's validated payload as is; a missing or corrupt
+///    record falls back to a full recompute. Budgeted or degraded results
 ///    never touch the store, so a warm reply can never encode a weaker
 ///    rung than cold analysis would produce.
 ///
@@ -83,7 +83,7 @@ public:
   SnapshotStore &store() { return Store; }
   const SnapshotStore &store() const { return Store; }
 
-  /// Requests whose replies were assembled entirely from snapshots.
+  /// Requests whose replies were served from a snapshot record.
   uint64_t servedWarm() const {
     return ServedWarm.load(std::memory_order_relaxed);
   }

@@ -376,6 +376,40 @@ TEST_F(ServeTest, SessionEditReplyEqualsFreshSession) {
   EXPECT_EQ(Reopened.servedWarm(), 1u);
 }
 
+/// The store layout: each cacheable request is one record keyed by its
+/// operation and module, whatever the number of functions; budgeted
+/// requests never touch the store.
+TEST_F(ServeTest, SessionStoresOneRecordPerRequest) {
+  SessionOptions SO;
+  SO.SnapshotDir = Dir.string();
+  Session Sess(SO);
+  auto Records = [&] {
+    unsigned N = 0;
+    for (const auto &E : std::filesystem::directory_iterator(Dir))
+      N += E.path().extension() == ".snap";
+    return N;
+  };
+
+  ASSERT_EQ(Sess.handle(analyzeReq(EditBase, 1)).Status, ReplyStatus::Ok);
+  EXPECT_EQ(Records(), 1u);
+
+  ASSERT_EQ(Sess.handle(analyzeReq(EditBase, 2)).Status, ReplyStatus::Ok);
+  EXPECT_EQ(Sess.store().stats().Hits, 1u);
+  EXPECT_EQ(Sess.servedWarm(), 1u);
+
+  Request Diag = analyzeReq(EditBase, 3);
+  Diag.Kind = Op::Diagnose;
+  ASSERT_EQ(Sess.handle(Diag).Status, ReplyStatus::Ok);
+  EXPECT_EQ(Records(), 2u);
+
+  Request Budgeted = analyzeReq(EditBase, 4);
+  Budgeted.BudgetSteps = 1;
+  EXPECT_EQ(Sess.handle(Budgeted).Status, ReplyStatus::Degraded);
+  EXPECT_EQ(Records(), 2u);
+  EXPECT_EQ(Sess.store().stats().Hits, 1u);
+  EXPECT_EQ(Sess.store().stats().Misses, 2u);
+}
+
 TEST_F(ServeTest, SessionRecomputesAfterSnapshotCorruption) {
   SessionOptions SO;
   SO.SnapshotDir = Dir.string();

@@ -3,17 +3,18 @@
 
 Usage:
   check_serve_json.py FILE.json
-      Validate an existing usher-serve-v1 JSON document. The "kind" field
-      dispatches: "status" (daemon --op=status output) or "bench" (the
-      committed BENCH_serve.json written by bench_serve).
+      Validate an existing usher-serve-v1 status document (kind "status",
+      the daemon's --op=status output).
 
   check_serve_json.py --run-smoke SERVE_BIN PROG DIAG_PROG
       Drive a full service round trip: start a daemon on a fresh socket +
       snapshot dir, issue a cold analyze, a warm analyze (must be
       byte-identical to the cold reply), a diagnose, a --budget-steps=1
-      analyze (must come back DEGRADED), validate the status JSON, and
-      shut down cleanly. Then restart with --queue-limit=0 and assert an
-      analyze is shed (client exit 4) while --op=status still answers.
+      analyze (must come back DEGRADED), validate the status JSON and its
+      snapshot counters (one hit, two misses) against a directory holding
+      exactly one record per cacheable request, and shut down cleanly.
+      Then restart with --queue-limit=0 and assert an analyze is shed
+      (client exit 4) while --op=status still answers.
 
   check_serve_json.py --run-query SERVE_BIN PROG
       Query-op round trip: issue a reachable and an unreachable
@@ -35,10 +36,6 @@ Usage:
       with the fault armed and require every analyze reply to carry the
       correct payload (or, for socket-drop-reply, the client to retry its
       way to it) and the daemon to survive to a clean shutdown.
-
-  check_serve_json.py --run-bench BENCH_BIN
-      Run `BENCH_BIN --smoke --out=tmp`, then validate the emitted
-      BENCH_serve.json (kind "bench").
 
 All driver modes print "check_serve_json: OK" on success; the ctest
 entries key off that string.
@@ -82,14 +79,6 @@ def check_count(owner, obj, field):
     return value
 
 
-def check_rate(owner, obj, field):
-    value = obj.get(field)
-    if not isinstance(value, (int, float)) or isinstance(value, bool) \
-            or value < 0:
-        fail(f"{owner}: field {field!r} missing or not a rate: {value!r}")
-    return float(value)
-
-
 def check_status(doc, source="status"):
     for block, fields in STATUS_SHAPE.items():
         sub = doc.get(block)
@@ -108,34 +97,13 @@ def check_status(doc, source="status"):
         fail(f"{source}: served_warm exceeds ok replies")
 
 
-def check_bench(doc, source="bench"):
-    if not isinstance(doc.get("smoke"), bool):
-        fail(f"{source}: field 'smoke' missing or not a bool")
-    check_count(source, doc, "requests")
-    for leg in ("cold", "warm"):
-        sub = doc.get(leg)
-        if not isinstance(sub, dict):
-            fail(f"{source}: missing {leg!r} block")
-        check_rate(f"{source}.{leg}", sub, "requests_per_sec")
-        p50 = check_rate(f"{source}.{leg}", sub, "p50_ms")
-        p99 = check_rate(f"{source}.{leg}", sub, "p99_ms")
-        if p99 < p50:
-            fail(f"{source}.{leg}: p99 {p99} below p50 {p50}")
-    if doc.get("warm_identical") is not True:
-        fail(f"{source}: warm_identical is not true — the warm replies "
-             f"were not byte-identical to the cold ones")
-
-
 def check_document(doc, source):
     if doc.get("schema") != "usher-serve-v1":
         fail(f"{source}: unexpected schema tag: {doc.get('schema')!r}")
     kind = doc.get("kind")
-    if kind == "status":
-        check_status(doc, source)
-    elif kind == "bench":
-        check_bench(doc, source)
-    else:
+    if kind != "status":
         fail(f"{source}: unknown kind {kind!r}")
+    check_status(doc, source)
     return kind
 
 
@@ -254,6 +222,18 @@ def run_smoke(serve_bin, prog, diag_prog):
             fail("status reports no warm replies after a warm analyze")
         if doc["requests"]["analyze"] != 3 or doc["requests"]["diagnose"] != 1:
             fail(f"status per-op counters off: {doc['requests']!r}")
+        # One record per cacheable request: the cold analyze and the
+        # diagnose each miss and write one record, the warm analyze hits
+        # it, and the budgeted analyze bypasses the store.
+        snapshot = doc["snapshot"]
+        if snapshot["hits"] != 1 or snapshot["misses"] != 2:
+            fail(f"expected 1 snapshot hit and 2 misses: {snapshot!r}")
+        files = os.listdir(snap)
+        records = [f for f in files if f.endswith(".snap")]
+        temps = [f for f in files if f.endswith(".tmp")]
+        if len(records) != 2 or temps:
+            fail(f"expected exactly 2 .snap records and no .tmp files in "
+                 f"the snapshot dir, found {sorted(files)!r}")
         d.shutdown()
 
         # Overload: queue-limit=0 sheds every analysis request with
@@ -274,7 +254,8 @@ def run_smoke(serve_bin, prog, diag_prog):
             fail(f"expected >=3 shed requests, status says "
                  f"{doc['daemon']['shed']}")
         d.shutdown()
-    print("check_serve_json: OK (smoke: cold==warm, degraded, status, shed)")
+    print("check_serve_json: OK (smoke: cold==warm, one record per request, "
+          "degraded, status, shed)")
 
 
 def run_query(serve_bin, prog):
@@ -441,16 +422,6 @@ def run_fault(serve_bin, prog):
           f"{len(IO_FAULT_SITES)} sites survived)")
 
 
-def run_bench(bench_bin):
-    with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "BENCH_serve.json")
-        proc = subprocess.run([bench_bin, "--smoke", f"--out={out}"],
-                              stdout=subprocess.DEVNULL)
-        if proc.returncode != 0:
-            fail(f"{bench_bin} exited with {proc.returncode}")
-        check_file(out)
-
-
 def main(argv):
     if len(argv) == 5 and argv[1] == "--run-smoke":
         run_smoke(argv[2], argv[3], argv[4])
@@ -460,8 +431,6 @@ def main(argv):
         run_crash(argv[2], argv[3])
     elif len(argv) == 4 and argv[1] == "--run-fault":
         run_fault(argv[2], argv[3])
-    elif len(argv) == 3 and argv[1] == "--run-bench":
-        run_bench(argv[2])
     elif len(argv) == 2 and not argv[1].startswith("-"):
         check_file(argv[1])
     else:
