@@ -8,6 +8,7 @@
 #include "analysis/CallGraph.h"
 
 #include "ir/IR.h"
+#include "support/SCC.h"
 
 #include <algorithm>
 #include <cassert>
@@ -18,19 +19,16 @@ using ir::CallInst;
 using ir::Function;
 using ir::Module;
 
-CallGraph::CallGraph(const Module &M) {
-  for (const auto &F : M.functions())
-    Info[F.get()]; // Ensure every function has an entry.
-
+CallGraph::CallGraph(const Module &M) : Info(M.functions().size()) {
   for (const auto &F : M.functions()) {
-    FnInfo &FI = Info[F.get()];
+    FnInfo &FI = Info[F->getId()];
     for (const auto &BB : F->blocks()) {
       for (const auto &I : BB->instructions()) {
         auto *Call = dyn_cast<CallInst>(I.get());
         if (!Call)
           continue;
         FI.CallSites.push_back(Call);
-        Info[Call->getCallee()].Callers.push_back(Call);
+        Info[Call->getCallee()->getId()].Callers.push_back(Call);
         auto &Callees = FI.Callees;
         if (std::find(Callees.begin(), Callees.end(), Call->getCallee()) ==
             Callees.end())
@@ -39,69 +37,25 @@ CallGraph::CallGraph(const Module &M) {
     }
   }
 
-  // Tarjan's SCC algorithm, iterative. SCCs pop in reverse topological
-  // order (callees first), which is exactly the order mod/ref wants.
-  struct NodeState {
-    unsigned Index = ~0u;
-    unsigned LowLink = 0;
-    bool OnStack = false;
-  };
-  std::unordered_map<const Function *, NodeState> State;
-  std::vector<const Function *> Stack;
-  unsigned NextIndex = 0;
-
-  struct Frame {
-    const Function *F;
-    size_t NextCallee;
-  };
-
-  for (const auto &Root : M.functions()) {
-    if (State[Root.get()].Index != ~0u)
-      continue;
-    std::vector<Frame> DFS{{Root.get(), 0}};
-    State[Root.get()].Index = State[Root.get()].LowLink = NextIndex++;
-    State[Root.get()].OnStack = true;
-    Stack.push_back(Root.get());
-    while (!DFS.empty()) {
-      Frame &Top = DFS.back();
-      const auto &Callees = Info[Top.F].Callees;
-      if (Top.NextCallee < Callees.size()) {
-        const Function *Callee = Callees[Top.NextCallee++];
-        NodeState &CS = State[Callee];
-        if (CS.Index == ~0u) {
-          CS.Index = CS.LowLink = NextIndex++;
-          CS.OnStack = true;
-          Stack.push_back(Callee);
-          DFS.push_back({Callee, 0});
-        } else if (CS.OnStack) {
-          State[Top.F].LowLink = std::min(State[Top.F].LowLink, CS.Index);
-        }
-        continue;
-      }
-      // All callees processed: maybe pop an SCC, then propagate lowlink.
-      NodeState &TS = State[Top.F];
-      if (TS.LowLink == TS.Index) {
+  // SCCs complete in reverse topological order (callees first), which is
+  // exactly the order mod/ref wants.
+  forEachSCC(
+      static_cast<uint32_t>(Info.size()),
+      [&](uint32_t U) -> const std::vector<Function *> & {
+        return Info[U].Callees;
+      },
+      [](const Function *Callee) { return Callee->getId(); },
+      [&](uint32_t, const std::vector<uint32_t> &Members) {
         SCCs.emplace_back();
-        const Function *Member;
-        do {
-          Member = Stack.back();
-          Stack.pop_back();
-          State[Member].OnStack = false;
-          Info[Member].SCC = static_cast<unsigned>(SCCs.size() - 1);
-          SCCs.back().push_back(const_cast<Function *>(Member));
-        } while (Member != Top.F);
-      }
-      const Function *Done = Top.F;
-      DFS.pop_back();
-      if (!DFS.empty())
-        State[DFS.back().F].LowLink =
-            std::min(State[DFS.back().F].LowLink, State[Done].LowLink);
-    }
-  }
+        for (uint32_t Id : Members) {
+          Info[Id].SCC = static_cast<unsigned>(SCCs.size() - 1);
+          SCCs.back().push_back(M.functions()[Id].get());
+        }
+      });
 
   // A function is recursive if its SCC has >1 member or it calls itself.
   for (const auto &F : M.functions()) {
-    FnInfo &FI = Info[F.get()];
+    FnInfo &FI = Info[F->getId()];
     FI.Recursive = SCCs[FI.SCC].size() > 1 ||
                    std::find(FI.Callees.begin(), FI.Callees.end(), F.get()) !=
                        FI.Callees.end();
@@ -109,9 +63,8 @@ CallGraph::CallGraph(const Module &M) {
 }
 
 const CallGraph::FnInfo &CallGraph::info(const Function *F) const {
-  auto It = Info.find(F);
-  assert(It != Info.end() && "function not in call graph");
-  return It->second;
+  assert(F->getId() < Info.size() && "function not in call graph");
+  return Info[F->getId()];
 }
 
 const std::vector<CallInst *> &

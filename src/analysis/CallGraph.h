@@ -15,7 +15,6 @@
 #ifndef USHER_ANALYSIS_CALLGRAPH_H
 #define USHER_ANALYSIS_CALLGRAPH_H
 
-#include <unordered_map>
 #include <vector>
 
 namespace usher {
@@ -65,7 +64,8 @@ private:
 
   const FnInfo &info(const ir::Function *F) const;
 
-  std::unordered_map<const ir::Function *, FnInfo> Info;
+  /// Indexed by Function::getId(), which is dense in module order.
+  std::vector<FnInfo> Info;
   std::vector<std::vector<ir::Function *>> SCCs;
 };
 

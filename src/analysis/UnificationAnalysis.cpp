@@ -9,6 +9,7 @@
 
 #include "ir/IR.h"
 #include "support/Budget.h"
+#include "support/SCC.h"
 
 #include <algorithm>
 #include <cassert>
@@ -229,62 +230,19 @@ bool UnificationSolver::condenseStaticCopies() {
     if (Cp.Src < N && Cp.Dst < N)
       Adj[Cp.Src].push_back(Cp.Dst);
 
-  std::vector<uint32_t> Index(N, 0), Low(N, 0), SccStack;
-  std::vector<uint8_t> OnStack(N, 0);
-  struct Frame {
-    uint32_t Node;
-    uint32_t NextEdge;
-  };
-  std::vector<Frame> Stack;
-  uint32_t NextIndex = 1;
-  for (uint32_t Root = 0; Root != N; ++Root) {
-    if (Index[Root])
-      continue;
-    if (!charge())
-      return false;
-    Index[Root] = Low[Root] = NextIndex++;
-    OnStack[Root] = 1;
-    SccStack.push_back(Root);
-    Stack.push_back({Root, 0});
-    while (!Stack.empty()) {
-      Frame &F = Stack.back();
-      uint32_t U = F.Node;
-      if (F.NextEdge < Adj[U].size()) {
-        uint32_t V = Adj[U][F.NextEdge++];
-        if (!Index[V]) {
-          if (!charge())
-            return false;
-          Index[V] = Low[V] = NextIndex++;
-          OnStack[V] = 1;
-          SccStack.push_back(V);
-          Stack.push_back({V, 0});
-        } else if (OnStack[V]) {
-          Low[U] = std::min(Low[U], Index[V]);
-        }
-        continue;
-      }
-      Stack.pop_back();
-      if (!Stack.empty())
-        Low[Stack.back().Node] = std::min(Low[Stack.back().Node], Low[U]);
-      if (Low[U] == Index[U]) {
-        uint32_t Count = 0;
-        while (true) {
-          uint32_t M = SccStack.back();
-          SccStack.pop_back();
-          OnStack[M] = 0;
-          Parent[M] = U;
-          ++Count;
-          if (M == U)
-            break;
-        }
-        if (Count > 1) {
+  // The budget is charged once per discovered node.
+  return forEachSCC(
+      N, [&](uint32_t U) -> const std::vector<uint32_t> & { return Adj[U]; },
+      [](uint32_t V) { return V; },
+      [&](uint32_t Root, const std::vector<uint32_t> &Members) {
+        for (uint32_t M : Members)
+          Parent[M] = Root;
+        if (Members.size() > 1) {
           ++Stats.NumCollapses;
-          Stats.NumCollapsedNodes += Count - 1;
+          Stats.NumCollapsedNodes += Members.size() - 1;
         }
-      }
-    }
-  }
-  return true;
+      },
+      [&](uint32_t) { return charge(); });
 }
 
 void UnificationSolver::run() {

@@ -9,6 +9,7 @@
 
 #include "core/ContextStack.h"
 #include "support/Budget.h"
+#include "support/SCC.h"
 
 #include <algorithm>
 #include <cassert>
@@ -98,63 +99,21 @@ Definedness::Definedness(
     }
   }
 
-  // Condense the Direct-flow SCCs (iterative Tarjan). Direct edges never
-  // touch the context stack, so every member of a Direct cycle is
-  // undefinedness-reachable under exactly the same set of contexts; the
-  // reachability below therefore runs over SCC representatives and the
-  // visited-(node, context) memo is kept once per component instead of
-  // once per member.
+  // Condense the Direct-flow SCCs. Direct edges never touch the context
+  // stack, so every member of a Direct cycle is undefinedness-reachable
+  // under exactly the same set of contexts; the reachability below
+  // therefore runs over SCC representatives and the visited-(node,
+  // context) memo is kept once per component instead of once per member.
   std::vector<uint32_t> Rep(N);
-  {
-    std::vector<uint32_t> Index(N, 0), Low(N, 0), SccStack;
-    std::vector<uint8_t> OnStack(N, 0);
-    struct Frame {
-      uint32_t Node;
-      uint32_t NextEdge;
-    };
-    std::vector<Frame> Stack;
-    uint32_t NextIndex = 1;
-    for (uint32_t Root = 0; Root != N; ++Root) {
-      if (Index[Root])
-        continue;
-      Index[Root] = Low[Root] = NextIndex++;
-      OnStack[Root] = 1;
-      SccStack.push_back(Root);
-      Stack.push_back({Root, 0});
-      while (!Stack.empty()) {
-        Frame &F = Stack.back();
-        uint32_t U = F.Node;
-        if (F.NextEdge < Flows[U].size()) {
-          const Edge &E = Flows[U][F.NextEdge++];
-          if (E.Kind != EdgeKind::Direct)
-            continue;
-          uint32_t V = E.Node;
-          if (!Index[V]) {
-            Index[V] = Low[V] = NextIndex++;
-            OnStack[V] = 1;
-            SccStack.push_back(V);
-            Stack.push_back({V, 0});
-          } else if (OnStack[V]) {
-            Low[U] = std::min(Low[U], Index[V]);
-          }
-          continue;
-        }
-        Stack.pop_back();
-        if (!Stack.empty())
-          Low[Stack.back().Node] = std::min(Low[Stack.back().Node], Low[U]);
-        if (Low[U] == Index[U]) {
-          while (true) {
-            uint32_t M = SccStack.back();
-            SccStack.pop_back();
-            OnStack[M] = 0;
-            Rep[M] = U;
-            if (M == U)
-              break;
-          }
-        }
-      }
-    }
-  }
+  forEachSCC(
+      N, [&](uint32_t U) -> const std::vector<Edge> & { return Flows[U]; },
+      [](const Edge &E) {
+        return E.Kind == EdgeKind::Direct ? E.Node : SCCSkipEdge;
+      },
+      [&](uint32_t Root, const std::vector<uint32_t> &Members) {
+        for (uint32_t M : Members)
+          Rep[M] = Root;
+      });
 
   // Members per representative (a component reached in any context marks
   // every member bottom), and the condensed labeled adjacency:

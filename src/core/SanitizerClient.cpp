@@ -14,6 +14,7 @@
 #include "ir/IR.h"
 #include "runtime/CostModel.h"
 #include "ssa/MemorySSA.h"
+#include "support/SCC.h"
 #include "vfg/VFG.h"
 
 #include <algorithm>
@@ -406,60 +407,18 @@ static std::vector<uint8_t> blocksInCycle(const Function &F) {
   }
 
   std::vector<uint8_t> InCycle(N, 0);
-  std::vector<uint32_t> Index(N, 0), Low(N, 0), SccStack;
-  std::vector<uint8_t> OnStack(N, 0);
-  struct Frame {
-    uint32_t Node;
-    uint32_t NextEdge;
-  };
-  std::vector<Frame> Stack;
-  uint32_t NextIndex = 1;
-  for (uint32_t Root = 0; Root != N; ++Root) {
-    if (Index[Root])
-      continue;
-    Index[Root] = Low[Root] = NextIndex++;
-    OnStack[Root] = 1;
-    SccStack.push_back(Root);
-    Stack.push_back({Root, 0});
-    while (!Stack.empty()) {
-      Frame &Fr = Stack.back();
-      uint32_t U = Fr.Node;
-      if (Fr.NextEdge < Succs[U].size()) {
-        uint32_t W = Succs[U][Fr.NextEdge++];
-        if (!Index[W]) {
-          Index[W] = Low[W] = NextIndex++;
-          OnStack[W] = 1;
-          SccStack.push_back(W);
-          Stack.push_back({W, 0});
-        } else if (OnStack[W]) {
-          Low[U] = std::min(Low[U], Index[W]);
-        }
-        continue;
-      }
-      Stack.pop_back();
-      if (!Stack.empty())
-        Low[Stack.back().Node] = std::min(Low[Stack.back().Node], Low[U]);
-      if (Low[U] == Index[U]) {
-        std::vector<uint32_t> Comp;
-        while (true) {
-          uint32_t M = SccStack.back();
-          SccStack.pop_back();
-          OnStack[M] = 0;
-          Comp.push_back(M);
-          if (M == U)
-            break;
-        }
-        bool Cyclic = Comp.size() > 1;
-        if (!Cyclic)
-          for (uint32_t S : Succs[U])
-            if (S == U)
-              Cyclic = true;
+  forEachSCC(
+      static_cast<uint32_t>(N),
+      [&](uint32_t U) -> const std::vector<uint32_t> & { return Succs[U]; },
+      [](uint32_t V) { return V; },
+      [&](uint32_t Root, const std::vector<uint32_t> &Comp) {
+        bool Cyclic = Comp.size() > 1 ||
+                      std::find(Succs[Root].begin(), Succs[Root].end(),
+                                Root) != Succs[Root].end();
         if (Cyclic)
           for (uint32_t M : Comp)
             InCycle[M] = 1;
-      }
-    }
-  }
+      });
   return InCycle;
 }
 

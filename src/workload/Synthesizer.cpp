@@ -28,6 +28,7 @@
 
 #include "workload/Synthesizer.h"
 
+#include "analysis/CallGraph.h"
 #include "ir/IR.h"
 #include "parser/Parser.h"
 #include "support/RNG.h"
@@ -35,9 +36,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 using namespace usher;
@@ -471,99 +470,6 @@ std::string workload::synthesizeProgram(const ShapeSpec &Spec) {
 // measureShape
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// Iterative Tarjan over the function-level call graph. Returns the SCC
-/// id of every function; ids are assigned in completion order, so callee
-/// SCCs get smaller ids than their callers (reverse topological).
-struct CallGraphSccs {
-  std::vector<std::vector<unsigned>> Callees; ///< Distinct, per function.
-  std::vector<unsigned> SccId;
-  std::vector<unsigned> SccSize;
-  std::vector<bool> SccSelfLoop;
-  unsigned NumSccs = 0;
-};
-
-CallGraphSccs buildSccs(const ir::Module &M) {
-  CallGraphSccs CG;
-  std::unordered_map<const ir::Function *, unsigned> Index;
-  unsigned N = static_cast<unsigned>(M.functions().size());
-  for (unsigned I = 0; I != N; ++I)
-    Index[M.functions()[I].get()] = I;
-
-  CG.Callees.resize(N);
-  for (unsigned I = 0; I != N; ++I) {
-    std::set<unsigned> Out;
-    for (const auto &BB : M.functions()[I]->blocks())
-      for (const auto &Inst : BB->instructions())
-        if (const auto *Call = dyn_cast<ir::CallInst>(Inst.get()))
-          Out.insert(Index.at(Call->getCallee()));
-    CG.Callees[I].assign(Out.begin(), Out.end());
-  }
-
-  CG.SccId.assign(N, ~0u);
-  std::vector<unsigned> Low(N), Num(N, ~0u);
-  std::vector<bool> OnStack(N, false);
-  std::vector<unsigned> Stack;
-  unsigned NextNum = 0;
-
-  struct Frame {
-    unsigned V;
-    size_t EdgeIdx;
-  };
-  for (unsigned Root = 0; Root != N; ++Root) {
-    if (Num[Root] != ~0u)
-      continue;
-    std::vector<Frame> Frames{{Root, 0}};
-    Num[Root] = Low[Root] = NextNum++;
-    Stack.push_back(Root);
-    OnStack[Root] = true;
-    while (!Frames.empty()) {
-      Frame &F = Frames.back();
-      if (F.EdgeIdx < CG.Callees[F.V].size()) {
-        unsigned W = CG.Callees[F.V][F.EdgeIdx++];
-        if (Num[W] == ~0u) {
-          Num[W] = Low[W] = NextNum++;
-          Stack.push_back(W);
-          OnStack[W] = true;
-          Frames.push_back({W, 0});
-        } else if (OnStack[W]) {
-          Low[F.V] = std::min(Low[F.V], Num[W]);
-        }
-        continue;
-      }
-      unsigned V = F.V;
-      Frames.pop_back();
-      if (!Frames.empty())
-        Low[Frames.back().V] = std::min(Low[Frames.back().V], Low[V]);
-      if (Low[V] == Num[V]) {
-        unsigned Size = 0;
-        bool SelfLoop = false;
-        unsigned Id = CG.NumSccs++;
-        for (;;) {
-          unsigned W = Stack.back();
-          Stack.pop_back();
-          OnStack[W] = false;
-          CG.SccId[W] = Id;
-          ++Size;
-          if (W == V)
-            break;
-        }
-        CG.SccSize.push_back(Size);
-        CG.SccSelfLoop.push_back(SelfLoop);
-      }
-    }
-  }
-  // Self-loops (direct recursion) make a singleton SCC nontrivial.
-  for (unsigned I = 0; I != N; ++I)
-    for (unsigned C : CG.Callees[I])
-      if (C == I)
-        CG.SccSelfLoop[CG.SccId[I]] = true;
-  return CG;
-}
-
-} // namespace
-
 ShapeMetrics workload::measureShape(ir::Module &M) {
   ShapeMetrics Met;
   Met.NumFunctions = static_cast<unsigned>(M.functions().size());
@@ -580,42 +486,30 @@ ShapeMetrics workload::measureShape(ir::Module &M) {
   Met.UninitAllocFraction =
       Allocs ? static_cast<double>(Uninit) / static_cast<double>(Allocs) : 0;
 
-  if (M.functions().empty())
-    return Met;
-  CallGraphSccs CG = buildSccs(M);
-
-  for (unsigned S = 0; S != CG.NumSccs; ++S)
-    if (CG.SccSize[S] > 1 || CG.SccSelfLoop[S])
+  analysis::CallGraph CG(M);
+  const auto &Sccs = CG.sccs();
+  for (const auto &Scc : Sccs)
+    if (CG.isRecursive(Scc.front()))
       ++Met.NontrivialSccs;
 
-  const ir::Function *Main = M.findFunction("main");
-  unsigned MainIdx = ~0u;
-  for (unsigned I = 0; I != M.functions().size(); ++I)
-    if (M.functions()[I].get() == Main)
-      MainIdx = I;
-
-  // Longest acyclic path from main over the condensation. Tarjan ids are
+  // Longest acyclic path from main over the condensation. SCC ids are
   // reverse topological (callers have larger ids), so one descending
   // sweep relaxes every condensation edge in topological order.
-  if (Main && MainIdx != ~0u) {
+  const ir::Function *Main = M.findFunction("main");
+  if (Main) {
     constexpr int64_t Unreached = -1;
-    std::vector<int64_t> Dist(CG.NumSccs, Unreached);
-    Dist[CG.SccId[MainIdx]] = 0;
-    std::vector<std::vector<unsigned>> SccEdges(CG.NumSccs);
-    for (unsigned I = 0; I != CG.Callees.size(); ++I)
-      for (unsigned C : CG.Callees[I])
-        if (CG.SccId[I] != CG.SccId[C])
-          SccEdges[CG.SccId[I]].push_back(CG.SccId[C]);
+    std::vector<int64_t> Dist(Sccs.size(), Unreached);
+    Dist[CG.sccId(Main)] = 0;
     int64_t Best = 0;
-    for (unsigned S = CG.NumSccs; S-- != 0;) {
+    for (unsigned S = static_cast<unsigned>(Sccs.size()); S-- != 0;) {
       if (Dist[S] == Unreached)
         continue;
       Best = std::max(Best, Dist[S]);
-      for (unsigned T : SccEdges[S])
-        Dist[T] = std::max(Dist[T], Dist[S] + 1);
+      for (const ir::Function *F : Sccs[S])
+        for (const ir::Function *C : CG.calleesOf(F))
+          if (CG.sccId(C) != S)
+            Dist[CG.sccId(C)] = std::max(Dist[CG.sccId(C)], Dist[S] + 1);
     }
-    for (unsigned S = 0; S != CG.NumSccs; ++S)
-      Best = std::max(Best, Dist[S]);
     Met.CallDepth = static_cast<unsigned>(Best);
   }
 
@@ -623,14 +517,11 @@ ShapeMetrics workload::measureShape(ir::Module &M) {
   // have exactly one callee — counting them would understate the dial),
   // excluding main (whose fanout is the level width by construction).
   uint64_t FanSum = 0, FanCnt = 0;
-  for (unsigned I = 0; I != CG.Callees.size(); ++I) {
-    const ir::Function *F = M.functions()[I].get();
-    if (F == Main || CG.Callees[I].empty())
+  for (const auto &F : M.functions()) {
+    const auto &Callees = CG.calleesOf(F.get());
+    if (F.get() == Main || Callees.empty() || CG.isRecursive(F.get()))
       continue;
-    unsigned S = CG.SccId[I];
-    if (CG.SccSize[S] > 1 || CG.SccSelfLoop[S])
-      continue;
-    FanSum += CG.Callees[I].size();
+    FanSum += Callees.size();
     ++FanCnt;
   }
   Met.AvgFanout =
