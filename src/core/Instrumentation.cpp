@@ -34,20 +34,37 @@ using vfg::VFG;
 // Full (MSan-style) instrumentation
 //===----------------------------------------------------------------------===//
 
-InstrumentationPlan core::buildFullInstrumentation(const Module &M) {
+/// The variable UUV's MSan baseline checks before \p I: the pointer of a
+/// load or store, the condition of a branch.
+static const Variable *syntacticCheck(const Instruction &I) {
+  Operand Op;
+  if (const auto *L = dyn_cast<LoadInst>(&I))
+    Op = L->getPtr();
+  else if (const auto *St = dyn_cast<StoreInst>(&I))
+    Op = St->getPtr();
+  else if (const auto *B = dyn_cast<CondBrInst>(&I))
+    Op = B->getCond();
+  return Op.isVar() ? Op.getVar() : nullptr;
+}
+
+InstrumentationPlan core::buildFullInstrumentation(const Module &M,
+                                                   const PlannerOptions &Hooks) {
   InstrumentationPlan Plan(M);
+
+  std::vector<const Variable *> SinkVar;
+  if (Hooks.Sinks) {
+    SinkVar.assign(M.instructionCount(), nullptr);
+    for (const VFG::CriticalUse &Use : *Hooks.Sinks) {
+      assert(!SinkVar[Use.I->getId()] && "one sink per instruction");
+      SinkVar[Use.I->getId()] = Use.Var;
+    }
+  }
 
   auto SetVar = [](const Variable *Dst, ShadowVal Src) {
     ShadowOp Op;
     Op.K = ShadowOp::Kind::SetVar;
     Op.Dst = Dst;
     Op.Srcs = {Src};
-    return Op;
-  };
-  auto Check = [](const Variable *V) {
-    ShadowOp Op;
-    Op.K = ShadowOp::Kind::Check;
-    Op.Srcs = {ShadowVal::var(V)};
     return Op;
   };
 
@@ -61,6 +78,14 @@ InstrumentationPlan core::buildFullInstrumentation(const Module &M) {
     }
     for (const auto &BB : F->blocks()) {
       for (const auto &I : BB->instructions()) {
+        // The check, if any, runs before every other op of the statement.
+        if (const Variable *V = Hooks.Sinks ? SinkVar[I->getId()]
+                                            : syntacticCheck(*I)) {
+          ShadowOp Op;
+          Op.K = ShadowOp::Kind::Check;
+          Op.Srcs = {ShadowVal::var(V)};
+          Plan.addBefore(I.get(), std::move(Op));
+        }
         switch (I->getKind()) {
         case Instruction::IKind::Copy:
           Plan.addAfter(I.get(),
@@ -80,11 +105,14 @@ InstrumentationPlan core::buildFullInstrumentation(const Module &M) {
         }
         case Instruction::IKind::Alloc: {
           const auto *A = cast<AllocInst>(I.get());
-          Plan.addAfter(I.get(), SetVar(A->getDef(), ShadowVal::literal(true)));
+          Plan.addAfter(I.get(),
+                        SetVar(A->getDef(), ShadowVal::literal(
+                                                !Hooks.AllocResultsAreSources)));
           ShadowOp Op;
           Op.K = ShadowOp::Kind::SetMemObject;
           Op.Ptr = Operand::var(A->getDef());
-          Op.Srcs = {ShadowVal::literal(A->getObject()->isInitialized())};
+          Op.Srcs = {ShadowVal::literal(Hooks.ObjectsStartClean ||
+                                        A->getObject()->isInitialized())};
           Plan.addAfter(I.get(), std::move(Op));
           break;
         }
@@ -100,8 +128,6 @@ InstrumentationPlan core::buildFullInstrumentation(const Module &M) {
         }
         case Instruction::IKind::Load: {
           const auto *L = cast<LoadInst>(I.get());
-          if (L->getPtr().isVar())
-            Plan.addBefore(I.get(), Check(L->getPtr().getVar()));
           ShadowOp Op;
           Op.K = ShadowOp::Kind::LoadMem;
           Op.Dst = L->getDef();
@@ -111,8 +137,6 @@ InstrumentationPlan core::buildFullInstrumentation(const Module &M) {
         }
         case Instruction::IKind::Store: {
           const auto *St = cast<StoreInst>(I.get());
-          if (St->getPtr().isVar())
-            Plan.addBefore(I.get(), Check(St->getPtr().getVar()));
           ShadowOp Op;
           Op.K = ShadowOp::Kind::SetMemCell;
           Op.Ptr = St->getPtr();
@@ -137,22 +161,17 @@ InstrumentationPlan core::buildFullInstrumentation(const Module &M) {
           }
           break;
         }
-        case Instruction::IKind::CondBr: {
-          const auto *B = cast<CondBrInst>(I.get());
-          if (B->getCond().isVar())
-            Plan.addBefore(I.get(), Check(B->getCond().getVar()));
-          break;
-        }
         case Instruction::IKind::Ret: {
           const auto *R = cast<RetInst>(I.get());
           ShadowOp Op;
           Op.K = ShadowOp::Kind::RetOut;
           Op.Srcs = {R->getValue().isNone()
-                         ? ShadowVal::literal(false)
+                         ? ShadowVal::literal(Hooks.VoidRetShadow)
                          : ShadowVal::operand(R->getValue())};
           Plan.addBefore(I.get(), std::move(Op));
           break;
         }
+        case Instruction::IKind::CondBr:
         case Instruction::IKind::Goto:
           break;
         }

@@ -50,7 +50,8 @@ struct PlannerOptions {
   // -- SanitizerClient hooks -----------------------------------------------
   // Defaults reproduce the UUV client bit-for-bit; a taint client (see
   // core/SanitizerClient.h) overrides them together with a seeded
-  // Definedness so the same Figure 7 rules plan its instrumentation.
+  // Definedness so the same Figure 7 rules plan its instrumentation, and
+  // buildFullInstrumentation reads them to build its full plan.
 
   /// Check sites to seed the demand from; null = the VFG's critical uses
   /// (the UUV client's loads/stores/branches/returns).
@@ -90,8 +91,13 @@ private:
 };
 
 /// Builds the MSan-style full instrumentation: every value shadowed, every
-/// statement's shadow executed, every critical operation checked.
-InstrumentationPlan buildFullInstrumentation(const ir::Module &M);
+/// statement's shadow executed, every check site checked. Only the client
+/// hooks of \p Hooks are read. Without Sinks the check sites are UUV's
+/// syntactic ones (the pointer of each load and store, the condition of
+/// each branch); with Sinks, exactly the sinks are checked.
+InstrumentationPlan
+buildFullInstrumentation(const ir::Module &M,
+                         const PlannerOptions &Hooks = PlannerOptions());
 
 } // namespace core
 } // namespace usher

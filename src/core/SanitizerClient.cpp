@@ -141,6 +141,19 @@ addrLeakSinks(const Module &M, const analysis::PointerAnalysis *PA,
   return Sinks;
 }
 
+/// The planner hooks that make the UUV rules plan taint: allocations are
+/// the sources, fresh cells and void returns are clean, and only the
+/// \p Sinks are checked.
+static PlannerOptions
+addrLeakHooks(const std::vector<VFG::CriticalUse> &Sinks) {
+  PlannerOptions Hooks;
+  Hooks.Sinks = &Sinks;
+  Hooks.AllocResultsAreSources = true;
+  Hooks.ObjectsStartClean = true;
+  Hooks.VoidRetShadow = true;
+  return Hooks;
+}
+
 static ClientPlanInfo buildAddrLeakGuided(const ClientBuildInputs &In) {
   assert(In.PA && In.SSA && In.G &&
          "guided addrleak plan needs the full analysis pipeline");
@@ -163,14 +176,8 @@ static ClientPlanInfo buildAddrLeakGuided(const ClientBuildInputs &In) {
   std::vector<VFG::CriticalUse> Sinks =
       addrLeakSinks(In.M, In.PA, In.SSA, In.G);
 
-  PlannerOptions POpts;
-  POpts.AddressTakenAware = true;
-  POpts.OptI = false;
-  POpts.Sinks = &Sinks;
-  POpts.AllocResultsAreSources = true;
-  POpts.ObjectsStartClean = true;
-  POpts.VoidRetShadow = true;
-  InstrumentationPlanner Planner(In.M, *In.SSA, G, Taint, POpts);
+  InstrumentationPlanner Planner(In.M, *In.SSA, G, Taint,
+                                 addrLeakHooks(Sinks));
 
   ClientPlanInfo Info(ClientKind::AddrLeak, Planner.run());
   Info.SinkCandidates = Sinks.size();
@@ -182,145 +189,10 @@ static ClientPlanInfo buildAddrLeakGuided(const ClientBuildInputs &In) {
 }
 
 static ClientPlanInfo buildAddrLeakFull(const ClientBuildInputs &In) {
-  const Module &M = In.M;
-  InstrumentationPlan Plan(M);
-
   std::vector<VFG::CriticalUse> Sinks =
-      addrLeakSinks(M, In.PA, nullptr, nullptr);
-  std::vector<uint8_t> IsSink;
-  for (const VFG::CriticalUse &Use : Sinks) {
-    if (Use.I->getId() >= IsSink.size())
-      IsSink.resize(Use.I->getId() + 1, 0);
-    IsSink[Use.I->getId()] = 1;
-  }
-  auto SinkAt = [&](const Instruction *I) {
-    return I->getId() < IsSink.size() && IsSink[I->getId()];
-  };
-
-  auto SetVar = [](const Variable *Dst, ShadowVal Src) {
-    ShadowOp Op;
-    Op.K = ShadowOp::Kind::SetVar;
-    Op.Dst = Dst;
-    Op.Srcs = {Src};
-    return Op;
-  };
-  auto Check = [](const Variable *V) {
-    ShadowOp Op;
-    Op.K = ShadowOp::Kind::Check;
-    Op.Srcs = {ShadowVal::var(V)};
-    return Op;
-  };
-
-  // Full taint propagation: the same statement-by-statement shadowing as
-  // the UUV MSan baseline, with the client's sources (allocations taint
-  // their result, their cells start clean) and sinks (escaping stores and
-  // main's return, not pointer/branch operands).
-  for (const auto &F : M.functions()) {
-    for (size_t Idx = 0; Idx != F->params().size(); ++Idx) {
-      ShadowOp Op;
-      Op.K = ShadowOp::Kind::ParamIn;
-      Op.Dst = F->params()[Idx];
-      Op.Index = static_cast<uint32_t>(Idx);
-      Plan.addEntry(F.get(), std::move(Op));
-    }
-    for (const auto &BB : F->blocks()) {
-      for (const auto &I : BB->instructions()) {
-        switch (I->getKind()) {
-        case Instruction::IKind::Copy:
-          Plan.addAfter(I.get(),
-                        SetVar(I->getDef(), ShadowVal::operand(
-                                                cast<CopyInst>(I.get())
-                                                    ->getSrc())));
-          break;
-        case Instruction::IKind::BinOp: {
-          const auto *B = cast<BinOpInst>(I.get());
-          ShadowOp Op;
-          Op.K = ShadowOp::Kind::AndVar;
-          Op.Dst = B->getDef();
-          Op.Srcs = {ShadowVal::operand(B->getLHS()),
-                     ShadowVal::operand(B->getRHS())};
-          Plan.addAfter(I.get(), std::move(Op));
-          break;
-        }
-        case Instruction::IKind::Alloc: {
-          const auto *A = cast<AllocInst>(I.get());
-          Plan.addAfter(I.get(),
-                        SetVar(A->getDef(), ShadowVal::literal(false)));
-          ShadowOp Op;
-          Op.K = ShadowOp::Kind::SetMemObject;
-          Op.Ptr = Operand::var(A->getDef());
-          Op.Srcs = {ShadowVal::literal(true)};
-          Plan.addAfter(I.get(), std::move(Op));
-          break;
-        }
-        case Instruction::IKind::FieldAddr: {
-          const auto *FA = cast<FieldAddrInst>(I.get());
-          ShadowOp Op;
-          Op.K = ShadowOp::Kind::AndVar;
-          Op.Dst = FA->getDef();
-          Op.Srcs = {ShadowVal::operand(FA->getBase()),
-                     ShadowVal::operand(FA->getIndex())};
-          Plan.addAfter(I.get(), std::move(Op));
-          break;
-        }
-        case Instruction::IKind::Load: {
-          const auto *L = cast<LoadInst>(I.get());
-          ShadowOp Op;
-          Op.K = ShadowOp::Kind::LoadMem;
-          Op.Dst = L->getDef();
-          Op.Ptr = L->getPtr();
-          Plan.addAfter(I.get(), std::move(Op));
-          break;
-        }
-        case Instruction::IKind::Store: {
-          const auto *St = cast<StoreInst>(I.get());
-          if (SinkAt(St))
-            Plan.addBefore(I.get(), Check(St->getValue().getVar()));
-          ShadowOp Op;
-          Op.K = ShadowOp::Kind::SetMemCell;
-          Op.Ptr = St->getPtr();
-          Op.Srcs = {ShadowVal::operand(St->getValue())};
-          Plan.addAfter(I.get(), std::move(Op));
-          break;
-        }
-        case Instruction::IKind::Call: {
-          const auto *C = cast<CallInst>(I.get());
-          for (size_t Idx = 0; Idx != C->getArgs().size(); ++Idx) {
-            ShadowOp Op;
-            Op.K = ShadowOp::Kind::ArgOut;
-            Op.Index = static_cast<uint32_t>(Idx);
-            Op.Srcs = {ShadowVal::operand(C->getArgs()[Idx])};
-            Plan.addBefore(I.get(), std::move(Op));
-          }
-          if (C->getDef()) {
-            ShadowOp Op;
-            Op.K = ShadowOp::Kind::RetIn;
-            Op.Dst = C->getDef();
-            Plan.addAfter(I.get(), std::move(Op));
-          }
-          break;
-        }
-        case Instruction::IKind::Ret: {
-          const auto *R = cast<RetInst>(I.get());
-          if (SinkAt(R))
-            Plan.addBefore(I.get(), Check(R->getValue().getVar()));
-          ShadowOp Op;
-          Op.K = ShadowOp::Kind::RetOut;
-          Op.Srcs = {R->getValue().isNone()
-                         ? ShadowVal::literal(true)
-                         : ShadowVal::operand(R->getValue())};
-          Plan.addBefore(I.get(), std::move(Op));
-          break;
-        }
-        case Instruction::IKind::CondBr:
-        case Instruction::IKind::Goto:
-          break;
-        }
-      }
-    }
-  }
-
-  ClientPlanInfo Info(ClientKind::AddrLeak, std::move(Plan));
+      addrLeakSinks(In.M, In.PA, nullptr, nullptr);
+  ClientPlanInfo Info(ClientKind::AddrLeak,
+                      buildFullInstrumentation(In.M, addrLeakHooks(Sinks)));
   Info.SinkCandidates = Sinks.size();
   Info.UnsafeSinks = Sinks.size();
   Info.ChosenChecks = Info.Plan.countChecks();
