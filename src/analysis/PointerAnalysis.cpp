@@ -21,6 +21,9 @@ using namespace usher;
 using namespace usher::analysis;
 using namespace usher::ir;
 
+/// Fields beyond this index collapse into the last tracked field.
+static constexpr unsigned MaxFieldsTracked = 64;
+
 const std::vector<MemObject *> PointerAnalysis::EmptyObjList;
 const std::vector<uint32_t> PointerAnalysis::EmptyPts;
 
@@ -48,7 +51,7 @@ void PointerAnalysis::numberLocations() {
   for (const auto &Obj : M.objects()) {
     unsigned Tracked = 1;
     if (Opts.FieldSensitive && !Obj->isArray())
-      Tracked = std::min(Obj->getNumFields(), Opts.MaxFieldsTracked);
+      Tracked = std::min(Obj->getNumFields(), MaxFieldsTracked);
     assert(Obj->getId() == ObjLocBase.size() && "object ids not dense");
     if (Obj->isGlobal())
       GlobalPts[Obj->getId()] = {static_cast<uint32_t>(Locations.size())};

@@ -79,8 +79,6 @@ struct PtaOptions {
   bool FieldSensitive = true;
   /// Clone heap objects of allocation wrappers per call site.
   bool HeapCloning = true;
-  /// Fields beyond this index collapse into the last tracked field.
-  unsigned MaxFieldsTracked = 64;
   /// Constraint-solving engine; both compute identical points-to sets.
   SolverKind Solver = SolverKind::Optimized;
 };

@@ -24,6 +24,12 @@ using vfg::EdgeKind;
 using vfg::NodeOrigin;
 using vfg::VFG;
 
+/// Witness search caps: explored (node, context) states overall, and
+/// distinct contexts remembered per node (matching the Definedness
+/// saturation cap keeps the search able to reach whatever Gamma reached).
+static constexpr size_t MaxWitnessStates = size_t(1) << 20;
+static constexpr size_t MaxContextsPerNode = 64;
+
 const char *core::verdictName(Verdict V) {
   switch (V) {
   case Verdict::Clean:
@@ -96,7 +102,7 @@ void StaticDiagnosis::computeMustUndef(const analysis::CallGraph &CG) {
 
   // Per-provenance transfer rule: conjunctive defs taint from ANY
   // undefined dependency; merge nodes demand ALL dependencies undefined
-  // unless an anchor knob admits the ANY rule for their class (the
+  // unless the default posture admits the ANY rule for their class (the
   // anchor-coverage hypothesis; see DESIGN.md). Must-undef is restricted
   // to Gamma-bottom nodes, so DEFINITE is always a refinement of MAY.
   auto Eval = [&](uint32_t Id) {
@@ -127,7 +133,7 @@ void StaticDiagnosis::computeMustUndef(const analysis::CallGraph &CG) {
     case NodeOrigin::AllocPtr:
       return false; // The pointer itself is always defined.
     case NodeOrigin::AllocChi:
-      if (Opts.AnchorExactAllocChis && IsExactUninitCell(Id))
+      if (!Opts.Conservative && IsExactUninitCell(Id))
         return true;
       return AllDeps();
     case NodeOrigin::CloneAllocChi:
@@ -139,9 +145,8 @@ void StaticDiagnosis::computeMustUndef(const analysis::CallGraph &CG) {
     case NodeOrigin::CallResult:
     case NodeOrigin::FormalParam:
     case NodeOrigin::FormalIn:
-      return Opts.AnchorCallFlows ? AnyDep() : AllDeps();
     case NodeOrigin::Phi:
-      return Opts.AnchorPhis ? AnyDep() : AllDeps();
+      return Opts.Conservative ? AllDeps() : AnyDep();
     case NodeOrigin::Root:
     case NodeOrigin::Unknown:
       return false;
@@ -258,7 +263,7 @@ void StaticDiagnosis::computeMustFire(const analysis::CallGraph &CG) {
   while (!Work.empty()) {
     const Function *F = Work.back();
     Work.pop_back();
-    if (Opts.AssumeFunctionCoverage) {
+    if (!Opts.Conservative) {
       // Function-coverage hypothesis: every statically reachable callee
       // is entered at least once.
       for (const Function *Callee : CG.calleesOf(F))
@@ -330,9 +335,9 @@ void StaticDiagnosis::reconstructWitnesses() {
 
   auto Enqueue = [&](uint32_t Node, ContextStack Ctx, int32_t Parent,
                      EdgeKind Kind, uint32_t CallSite) {
-    if (States.size() >= Opts.MaxWitnessStates)
+    if (States.size() >= MaxWitnessStates)
       return;
-    if (Seen[Node].size() >= Opts.MaxContextsPerNode)
+    if (Seen[Node].size() >= MaxContextsPerNode)
       return;
     if (!Seen[Node].insert(Ctx.raw()).second)
       return;

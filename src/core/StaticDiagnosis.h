@@ -15,7 +15,7 @@
 ///     must-undef when, per its provenance-specific transfer rule, the
 ///     values it describes are undefined in every execution that computes
 ///     them (see DESIGN.md for the rules and the anchor hypothesis the
-///     refinement knobs encode). Combined with Gamma this classifies each
+///     default posture encodes). Combined with Gamma this classifies each
 ///     critical operation as CLEAN (Gamma top), DEFINITE-UUV (must-undef
 ///     and witnessed), or MAY-UUV (everything between).
 ///
@@ -78,35 +78,22 @@ struct DiagnosisOptions {
   /// Call-site sensitivity of the underlying reachability (paper: 1).
   unsigned ContextK = 1;
 
-  /// Anchor knobs for the must-undef refinement. Each enables an
-  /// any-dependency (instead of all-dependencies) transfer rule at one
-  /// merge-node class, under the *coverage hypothesis* documented in
-  /// DESIGN.md: workload-style programs exercise both directions of every
-  /// branch, so a merge with an undefined arm eventually selects it. The
-  /// defaults encode the diagnosis posture validated by the differential
-  /// harness over the benchmark suite; the harness's random-program sweep
-  /// instead runs the conservative posture (all three off, plus
-  /// AssumeFunctionCoverage off), under which DEFINITE provably fires.
-  bool AnchorPhis = true;          ///< SSA phis: any undef incoming arm.
-  bool AnchorCallFlows = true;     ///< Call results / formal params.
-  bool AnchorExactAllocChis = true;///< alloc_F chis over exact cells.
-
-  /// The must-fire gate: DEFINITE additionally requires the critical op's
-  /// block to post-dominate its function's entry (it executes whenever
-  /// the function is entered) and the function itself to be entered. With
-  /// this knob on, "entered" means reachable from main in the call graph
-  /// (the function-coverage hypothesis); with it off, only main and
-  /// functions called from a must-execute block of an entered function
-  /// count, making DEFINITE a guarantee: it fires on every terminating
-  /// run.
-  bool AssumeFunctionCoverage = true;
-
-  /// Witness search caps: explored (node, context) states overall, and
-  /// distinct contexts remembered per node (matching the Definedness
-  /// saturation cap keeps the search able to reach whatever Gamma
-  /// reached).
-  uint32_t MaxWitnessStates = 1u << 20;
-  uint32_t MaxContextsPerNode = 64;
+  /// The diagnosis posture. The default (false) is the posture validated
+  /// by the differential harness over the benchmark suite. It assumes the
+  /// *coverage hypothesis* documented in DESIGN.md: workload-style programs
+  /// exercise both directions of every branch and enter every function
+  /// reachable from main. Under it, an SSA phi, a call flow (call result,
+  /// formal parameter) or an alloc_F chi over an exact cell is
+  /// must-undefined as soon as any dependency is, and DEFINITE requires
+  /// the op's block to post-dominate its function's entry in a function
+  /// reachable from main in the call graph.
+  ///
+  /// Conservative drops the hypothesis: those merges need all their
+  /// dependencies must-undefined, and a function counts as entered only if
+  /// it is main or is called from a must-execute block of an entered
+  /// function. DEFINITE then provably fires on every terminating run; the
+  /// harness's random-program sweep runs this posture.
+  bool Conservative = false;
 };
 
 /// One step of a witness path. Steps run from the F root to the use node;

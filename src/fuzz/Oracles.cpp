@@ -296,10 +296,7 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
     // fires on every terminating run — required on arbitrary mutants,
     // which need not exercise both directions of every branch.
     core::DiagnosisOptions DOpts;
-    DOpts.AnchorPhis = false;
-    DOpts.AnchorCallFlows = false;
-    DOpts.AnchorExactAllocChis = false;
-    DOpts.AssumeFunctionCoverage = false;
+    DOpts.Conservative = true;
     core::StaticDiagnosis Diag(*R.PA, *R.CG, *R.G, DOpts);
 
     std::map<uint32_t, core::Verdict> ByInst;

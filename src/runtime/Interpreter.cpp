@@ -21,6 +21,9 @@ using core::InstrumentationPlan;
 using core::ShadowOp;
 using core::ShadowVal;
 
+/// Concrete allocations one execution may make before it traps.
+static constexpr size_t MaxInstances = 4'000'000;
+
 bool ExecutionReport::toolWarnedAt(const Instruction *I) const {
   for (const Warning &W : ToolWarnings)
     if (W.At == I)
@@ -386,7 +389,7 @@ bool Interpreter::Impl::step() {
   }
   case Instruction::IKind::Alloc: {
     const auto *A = cast<AllocInst>(I);
-    if (Instances.size() >= Limits.MaxInstances)
+    if (Instances.size() >= MaxInstances)
       return trap("allocation limit exceeded");
     const MemObject *Obj = A->getObject();
     Instances.emplace_back();

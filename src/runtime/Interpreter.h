@@ -48,7 +48,6 @@ enum class ExitReason {
 struct ExecLimits {
   uint64_t MaxSteps = 200'000'000;
   uint32_t MaxCallDepth = 4096;
-  uint32_t MaxInstances = 4'000'000;
   /// Cooperative cancellation: when non-null, the interpreter polls this
   /// flag periodically (every few thousand steps) and stops with
   /// ExitReason::Interrupted once it reads true. Signal handlers set the

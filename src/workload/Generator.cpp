@@ -24,6 +24,13 @@ using namespace usher::ir;
 
 namespace {
 
+/// Longest trip count of a generated counted loop.
+constexpr unsigned MaxLoopTrip = 6;
+/// Percentage of allocations left uninitialized.
+constexpr unsigned UninitAllocPercent = 45;
+/// Percentage of statements that read a possibly-undefined variable.
+constexpr unsigned UndefUsePercent = 12;
+
 /// Object layouts the generator allocates. Field 0 is always an integer;
 /// when a layout has a pointer slot it is the last field, pointing to the
 /// layout one level down (bounded chains, so generation terminates).
@@ -123,7 +130,7 @@ private:
 Operand Generator::intOperand() {
   if (Rng.chance(30))
     return Operand::constant(Rng.range(-8, 64));
-  if (Variable *V = pickIntVar(Rng.chance(Opts.UndefUsePercent)))
+  if (Variable *V = pickIntVar(Rng.chance(UndefUsePercent)))
     return Operand::var(V);
   return Operand::constant(Rng.range(0, 9));
 }
@@ -157,7 +164,7 @@ const VarInfo *Generator::ensureObjPtr(unsigned Shape) {
     return Existing;
   const struct Shape &S = Shapes[Shape];
   Variable *P = freshVar("p");
-  bool Uninit = Rng.chance(Opts.UninitAllocPercent);
+  bool Uninit = Rng.chance(UninitAllocPercent);
   B.createAlloc(P, Rng.chance(50) ? Region::Heap : Region::Stack,
                 S.NumFields, !Uninit, /*IsArray=*/false,
                 "obj" + std::to_string(ObjCounter++));
@@ -169,7 +176,7 @@ void Generator::emitAlloc(bool ForceHeap) {
   unsigned Shape = static_cast<unsigned>(Rng.below(Shapes.size()));
   const struct Shape &S = Shapes[Shape];
   Variable *P = freshVar("p");
-  bool Uninit = Rng.chance(Opts.UninitAllocPercent);
+  bool Uninit = Rng.chance(UninitAllocPercent);
   bool IsArray = !ForceHeap && S.PtrSlot < 0 && Rng.chance(15);
   B.createAlloc(P,
                 ForceHeap || Rng.chance(40) ? Region::Heap : Region::Stack,
@@ -238,10 +245,9 @@ void Generator::emitPointerWalkLoop() {
   // array: `x = *p; p = gep p, 1;`. The induction pointer is reassigned
   // every iteration, so it stays out of the pool — other emitters must
   // not capture a mid-walk value.
-  int64_t Trip =
-      Rng.range(2, std::max<int64_t>(2, static_cast<int64_t>(Opts.MaxLoopTrip)));
+  int64_t Trip = Rng.range(2, MaxLoopTrip);
   Variable *P = freshVar("wp");
-  bool Uninit = Rng.chance(Opts.UninitAllocPercent);
+  bool Uninit = Rng.chance(UninitAllocPercent);
   B.createAlloc(P, Rng.chance(50) ? Region::Heap : Region::Stack,
                 static_cast<unsigned>(Trip + 1), !Uninit, /*IsArray=*/true,
                 "walk" + std::to_string(ObjCounter++));
@@ -289,7 +295,7 @@ void Generator::emitStraightStmt() {
         break;
       }
     }
-    if (Variable *Y = pickIntVar(Rng.chance(Opts.UndefUsePercent))) {
+    if (Variable *Y = pickIntVar(Rng.chance(UndefUsePercent))) {
       Variable *X = freshVar("v");
       B.createCopy(X, Operand::var(Y));
       defineInt(X, false); // May dynamically hold an undefined value.
@@ -466,7 +472,7 @@ void Generator::emitSegment(unsigned Depth) {
     break;
   }
   case 2: { // If-diamond on a (possibly undefined) condition.
-    Variable *C = pickIntVar(Rng.chance(Opts.UndefUsePercent));
+    Variable *C = pickIntVar(Rng.chance(UndefUsePercent));
     Operand Cond = C ? Operand::var(C) : intOperand();
     BasicBlock *ThenBB = newBlock("then");
     BasicBlock *ElseBB = newBlock("else");
@@ -499,7 +505,7 @@ void Generator::emitSegment(unsigned Depth) {
     Variable *I = freshVar("i");
     B.createCopy(I, Operand::constant(0));
     defineInt(I, false);
-    int64_t Trip = Rng.range(1, Opts.MaxLoopTrip);
+    int64_t Trip = Rng.range(1, MaxLoopTrip);
     BasicBlock *HeaderBB = newBlock("head");
     BasicBlock *BodyBB = newBlock("body");
     BasicBlock *ExitBB = newBlock("exit");
@@ -654,6 +660,9 @@ std::unique_ptr<Module> workload::generateProgram(uint64_t Seed,
 
 namespace {
 
+/// mutateProgram applies 1..MaxMutations point mutations per call.
+constexpr unsigned MaxMutations = 3;
+
 std::string stripComment(const std::string &Line) {
   size_t Pos = Line.find("//");
   return Pos == std::string::npos ? Line : Line.substr(0, Pos);
@@ -775,12 +784,11 @@ std::vector<std::string> identTokens(const std::string &Line) {
 
 } // namespace
 
-std::string workload::mutateProgram(const std::string &Source, uint64_t Seed,
-                                    MutationOptions MOpts) {
+std::string workload::mutateProgram(const std::string &Source,
+                                    uint64_t Seed) {
   RNG Rng(Seed);
   std::vector<std::string> Lines = splitLines(Source);
-  unsigned Count = 1 + static_cast<unsigned>(
-                           Rng.below(std::max(1u, MOpts.MaxMutations)));
+  unsigned Count = 1 + static_cast<unsigned>(Rng.below(MaxMutations));
   for (unsigned K = 0; K != Count; ++K) {
     std::vector<size_t> Stmts = stmtIndexes(Lines);
     if (Stmts.empty())

@@ -42,11 +42,6 @@ struct GeneratorOptions {
   unsigned NumFunctions = 4;     ///< Besides main.
   unsigned MaxSegmentsPerFn = 6; ///< Straight-line / if / loop segments.
   unsigned MaxStmtsPerSegment = 8;
-  unsigned MaxLoopTrip = 6;
-  /// Percentage of allocations left uninitialized.
-  unsigned UninitAllocPercent = 45;
-  /// Percentage of statements that read a possibly-undefined variable.
-  unsigned UndefUsePercent = 12;
   /// Emit multi-level field chains: gep through a pointer slot, store a
   /// fresh pointee, reload it and gep the *loaded* base again.
   bool NestedFieldChains = true;
@@ -74,18 +69,12 @@ generateProgram(uint64_t Seed, GeneratorOptions Opts = GeneratorOptions());
 // (generate-and-filter, as in Csmith-style fuzzing). All entry points are
 // deterministic functions of their arguments.
 
-/// Knobs for mutateProgram.
-struct MutationOptions {
-  /// 1..MaxMutations point mutations are applied per call.
-  unsigned MaxMutations = 3;
-};
-
-/// Applies a random batch of statement-level mutations to \p Source:
+/// Applies a random batch of one to three statement-level mutations to
+/// \p Source:
 /// delete / duplicate / swap statement lines, flip `init` <-> `uninit` on
 /// allocations and globals, perturb integer literals, and insert
 /// redefinitions of existing variables.
-std::string mutateProgram(const std::string &Source, uint64_t Seed,
-                          MutationOptions Opts = MutationOptions());
+std::string mutateProgram(const std::string &Source, uint64_t Seed);
 
 /// Splices a short contiguous run of statements from \p Donor into a
 /// function of \p Receiver, declaring any donor-only names in the

@@ -257,7 +257,7 @@ TEST(DiagnosisSuite, ParserPpmatchBugIsDefiniteWithWitness) {
 
 // The pinned seed range of the acceptance harness. Soundness is
 // unconditional (Gamma is sound by construction); must-precision is the
-// empirical claim the anchor knobs encode, validated over this range.
+// empirical claim the default posture encodes, validated over this range.
 class DiagnosisProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DiagnosisProperty, SoundAndMustPrecise) {
@@ -267,10 +267,7 @@ TEST_P(DiagnosisProperty, SoundAndMustPrecise) {
   ASSERT_EQ(Rep.Reason, ExitReason::Finished)
       << "seed " << Seed << ": " << Rep.TrapMessage;
   core::DiagnosisOptions DOpts;
-  DOpts.AnchorPhis = false;
-  DOpts.AnchorCallFlows = false;
-  DOpts.AnchorExactAllocChis = false;
-  DOpts.AssumeFunctionCoverage = false;
+  DOpts.Conservative = true;
   DiagRun D = diagnose(*M, DOpts);
   expectDifferentialAgreement(D, Rep, "seed " + std::to_string(Seed));
 }
