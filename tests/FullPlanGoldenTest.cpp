@@ -102,8 +102,8 @@ struct Golden {
   uint64_t AddrLeak;
 };
 
-// Measured on the plans the builders produced before UUV and AddrLeak
-// shared one full-plan builder.
+// A digest changes only with a deliberate change to the baseline rules, the
+// AddrLeak sink set or the suite programs; re-pin it in the same change.
 const Golden Goldens[] = {
     {"164.gzip", 0x60c19caa76212747ull, 0xe90060dfefe5bb29ull},
     {"175.vpr", 0x01f3c0bf5ea95cfaull, 0xe08d1b4c6010e1e6ull},
