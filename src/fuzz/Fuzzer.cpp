@@ -10,9 +10,7 @@
 #include "ir/IR.h"
 #include "support/RNG.h"
 #include "support/RawStream.h"
-#include "support/ThreadPool.h"
 
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -55,11 +53,9 @@ OracleOptions onlyOracle(OracleKind K, const OracleOptions &Base) {
 /// How one campaign round obtained its input.
 enum class SchedKind { Generated, Mutated, Spliced, Wrapped };
 
-/// Draws the next input exactly as the serial campaign loop always has:
-/// the branch taken and the number of RNG draws are a function of the RNG
-/// state and whether the corpus is empty, so running this against a
-/// cloned RNG and a corpus snapshot *predicts* the schedule, and running
-/// it against the authoritative RNG/corpus *is* the schedule.
+/// Draws the next input: a fresh generation, or a mutation, splice or
+/// wrap of corpus members. The branch taken and the number of RNG draws
+/// are a function of the RNG state and whether the corpus is empty.
 static std::pair<std::string, SchedKind>
 scheduleOne(RNG &Rng, const std::vector<std::string> &Corpus,
             const workload::GeneratorOptions &Gen) {
@@ -87,9 +83,8 @@ FuzzReport fuzz::runFuzzer(const FuzzOptions &Opts) {
   RNG Rng(Opts.Seed);
   CoverageMap Cov;
   std::vector<std::string> Corpus;
-  // Synthesized corpus seeds go in before round 0, on the main thread:
-  // the first scheduling draw already sees a non-empty corpus, and the
-  // speculative parallel path predicts against exactly the same state.
+  // Synthesized corpus seeds go in before round 0, so the first
+  // scheduling draw already sees a non-empty corpus.
   for (unsigned I = 0; I != Opts.SeedCorpusSynth; ++I) {
     workload::ShapeSpec Shape = Opts.SynthShape;
     Shape.Seed = Opts.Seed + I;
@@ -99,18 +94,16 @@ FuzzReport fuzz::runFuzzer(const FuzzOptions &Opts) {
   }
   FuzzReport Rep;
   Rep.Seed = Opts.Seed;
-  Rep.Runs = Opts.Runs;
 
-  unsigned Jobs = Opts.Jobs == 0 ? ThreadPool::defaultJobs() : Opts.Jobs;
-  std::unique_ptr<ThreadPool> Pool;
-  if (Jobs > 1 && Opts.Runs > 1)
-    Pool = std::make_unique<ThreadPool>(Jobs);
-
-  // Applies one round's outcome to the campaign state. This — like the
-  // scheduling itself — always runs on the main thread, in run order:
-  // parallelism only ever memoizes runOracles results.
-  auto Apply = [&](unsigned Run, const std::string &Source, SchedKind K,
-                   OracleOutcome &&Out) {
+  // Rep.Runs counts completed rounds, so an interrupted report covers
+  // exactly the rounds it tallied.
+  for (Rep.Runs = 0; Rep.Runs != Opts.Runs; ++Rep.Runs) {
+    if (Opts.Stop && Opts.Stop->load(std::memory_order_relaxed)) {
+      Rep.Interrupted = true;
+      break;
+    }
+    auto [Source, K] = scheduleOne(Rng, Corpus, Opts.Gen);
+    OracleOutcome Out = runOracles(Source, Opts.Oracle);
     switch (K) {
     case SchedKind::Generated:
       ++Rep.NumGenerated;
@@ -129,7 +122,7 @@ FuzzReport fuzz::runFuzzer(const FuzzOptions &Opts) {
       Rep.OracleChecked[OK] += Out.Checked[OK] ? 1 : 0;
     if (!Out.Valid) {
       ++Rep.NumInvalid;
-      return;
+      continue;
     }
     ++Rep.NumValid;
 
@@ -142,17 +135,17 @@ FuzzReport fuzz::runFuzzer(const FuzzOptions &Opts) {
 
     // -- Divergences: tally, then minimize the first one ----------------
     if (Out.Divergences.empty())
-      return;
+      continue;
     for (const Divergence &D : Out.Divergences)
       ++Rep.OracleDiverged[static_cast<unsigned>(D.Oracle)];
     if (Rep.Divergences.size() >= Opts.MaxDivergences)
-      return;
+      continue;
 
     const Divergence &D0 = Out.Divergences.front();
     DivergenceRecord Rec;
     Rec.Oracle = D0.Oracle;
     Rec.Detail = D0.Detail;
-    Rec.Run = Run;
+    Rec.Run = Rep.Runs;
     Rec.Source = Source;
     Rec.OriginalLines = countLines(Source);
     Rec.Reduced = Source;
@@ -168,63 +161,8 @@ FuzzReport fuzz::runFuzzer(const FuzzOptions &Opts) {
     }
     Rec.ReducedLines = countLines(Rec.Reduced);
     Rep.Divergences.push_back(std::move(Rec));
-  };
-
-  auto Stopped = [&Opts, &Rep] {
-    if (Opts.Stop && Opts.Stop->load(std::memory_order_relaxed)) {
-      Rep.Interrupted = true;
-      return true;
-    }
-    return false;
-  };
-  unsigned Completed = 0;
-
-  if (!Pool) {
-    for (unsigned Run = 0; Run != Opts.Runs && !Stopped(); ++Run) {
-      auto [Source, K] = scheduleOne(Rng, Corpus, Opts.Gen);
-      Apply(Run, Source, K, runOracles(Source, Opts.Oracle));
-      Completed = Run + 1;
-    }
-  } else {
-    // Speculative sharding. Predict a window of inputs from a cloned RNG
-    // against the current corpus, evaluate the oracles (a pure function
-    // of the program text) on the pool, then replay the window serially
-    // from the authoritative RNG: a replayed input byte-equal to its
-    // prediction reuses the precomputed outcome; a mismatch (the corpus
-    // changed mid-window) is evaluated inline and ends the window so the
-    // next one speculates against the updated corpus. Every decision the
-    // report can observe is made by the replay, which is exactly the
-    // serial loop above.
-    const unsigned Window = Pool->numThreads() * 2;
-    unsigned Run = 0;
-    std::vector<std::string> SpecSources;
-    // Interruption is checked at window boundaries: completed rounds are
-    // whole rounds either way, so the partial report stays consistent.
-    while (Run != Opts.Runs && !Stopped()) {
-      unsigned W = std::min(Window, Opts.Runs - Run);
-      RNG SpecRng = Rng;
-      SpecSources.clear();
-      for (unsigned I = 0; I != W; ++I)
-        SpecSources.push_back(scheduleOne(SpecRng, Corpus, Opts.Gen).first);
-      std::vector<OracleOutcome> SpecOuts =
-          parallelMapOrdered(Pool.get(), W, [&](size_t I) {
-            return runOracles(SpecSources[I], Opts.Oracle);
-          });
-      for (unsigned I = 0; I != W; ++I) {
-        auto [Source, K] = scheduleOne(Rng, Corpus, Opts.Gen);
-        bool Hit = Source == SpecSources[I];
-        OracleOutcome Out =
-            Hit ? std::move(SpecOuts[I]) : runOracles(Source, Opts.Oracle);
-        Apply(Run, Source, K, std::move(Out));
-        ++Run;
-        if (!Hit)
-          break;
-      }
-    }
-    Completed = Run;
   }
 
-  Rep.Runs = Completed;
   Rep.CorpusSize = static_cast<unsigned>(Corpus.size());
   Rep.CoverageKeys = Cov.size();
   return Rep;

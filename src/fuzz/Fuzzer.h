@@ -21,15 +21,6 @@
 /// campaign seed, and the JSON report (schema "usher-fuzz-v1") contains
 /// no timings, so same-seed campaigns are byte-identical.
 ///
-/// With Jobs > 1 the campaign parallelizes by *speculation*: a window of
-/// upcoming inputs is predicted from a cloned RNG and the current corpus,
-/// their oracle outcomes (a pure function of the program text) are
-/// evaluated on pool workers, and a serial replay then re-makes every
-/// scheduling decision from the authoritative RNG/corpus, reusing a
-/// worker's outcome only when the replayed input is byte-equal to the
-/// prediction. Mispredictions (the corpus changed mid-window) fall back
-/// to inline evaluation, so the report stays byte-identical to Jobs = 1.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef USHER_FUZZ_FUZZER_H
@@ -80,21 +71,15 @@ struct FuzzOptions {
                                  /*MaxSegmentsPerFn=*/4,
                                  /*MaxStmtsPerSegment=*/6};
   /// Seed the corpus with this many synthesized whole programs before
-  /// round 0 (seeds Spec.Seed + i over SynthShape). Seeding runs on the
-  /// main thread before any scheduling, so reports stay byte-identical
-  /// for every Jobs. The seeds enter the mutation/splice/wrap pool
-  /// immediately — rounds then drive mid-size mutants through every
-  /// oracle instead of only the small generated programs.
+  /// round 0 (seeds Spec.Seed + i over SynthShape). The seeds enter the
+  /// mutation/splice/wrap pool immediately — rounds then drive mid-size
+  /// mutants through every oracle instead of only the small generated
+  /// programs.
   unsigned SeedCorpusSynth = 0;
   /// Shape of those synthesized seeds.
   workload::ShapeSpec SynthShape = fuzzSynthShape();
   OracleOptions Oracle;
   ReducerOptions Reducer;
-  /// Campaign worker threads. 1 (the default) is the serial loop; 0
-  /// resolves to the hardware concurrency. Any value yields byte-identical
-  /// reports: workers only evaluate speculatively predicted inputs, and an
-  /// authoritative serial replay makes every scheduling decision.
-  unsigned Jobs = 1;
   /// Cooperative cancellation: when non-null and raised (e.g. by a
   /// SIGINT/SIGTERM handler), the campaign stops at the next round
   /// boundary. The report then covers exactly the completed rounds

@@ -30,7 +30,8 @@
 ///     full wire protocol (encode, frame, reassemble, decode) into a
 ///     Session backed by an in-memory snapshot store, twice. The cold
 ///     reply's check totals must match a direct runUsher, and the warm
-///     (snapshot-assembled) reply must be byte-identical to the cold one.
+///     reply, served from the stored snapshot record, must be
+///     byte-identical to the cold one.
 ///  6. QueryEquivalence — the demand-driven CFL-reachability engine must
 ///     agree with whole-program VFG reachability on sampled (src, sink)
 ///     pairs: each cflReachable verdict is checked against an independent

@@ -50,7 +50,7 @@ Daemon::Daemon(DaemonOptions O) : Opts(std::move(O)) {
   SessionOptions SO;
   SO.SnapshotDir = Opts.SnapshotDir;
   Sess = std::make_unique<Session>(SO);
-  Pool = std::make_unique<ThreadPool>(std::max(1u, Opts.Workers));
+  Pool = std::make_unique<ThreadPool>(Opts.Workers);
 }
 
 Daemon::~Daemon() {

@@ -8,10 +8,10 @@
 /// \file
 /// The socket-facing half of usher-serve: a poll()-based event loop over
 /// an AF_UNIX listening socket, with analysis requests dispatched onto
-/// the PR 5 ThreadPool. The loop owns all connection state; workers only
-/// run Session::handle and post the finished reply to an outbox the loop
-/// drains through a self-pipe wakeup, so no fd is ever touched from two
-/// threads.
+/// support/ThreadPool's FIFO workers. The loop owns all connection state;
+/// workers only run Session::handle and post the finished reply to an
+/// outbox the loop drains through a self-pipe wakeup, so no fd is ever
+/// touched from two threads.
 ///
 /// Robustness properties (each one is exercised by a tier-1 or
 /// serve_fault test):

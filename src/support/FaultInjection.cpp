@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/FaultInjection.h"
+#include "support/Decimal.h"
 
 #include <atomic>
 #include <cstdio>
@@ -65,13 +66,8 @@ std::optional<FaultPlan> usher::parseFaultSpec(std::string_view Spec,
       if (Suffix.empty())
         return Fail("empty fire-count suffix");
       uint64_t Fires = 0;
-      for (char C : Suffix) {
-        if (C < '0' || C > '9')
-          return Fail("non-numeric fire-count suffix");
-        Fires = Fires * 10 + static_cast<uint64_t>(C - '0');
-        if (Fires > 0xffffffffull)
-          return Fail("fire count out of range");
-      }
+      if (!parseDecimal(Suffix, UINT32_MAX, Fires))
+        return Fail("non-numeric or out-of-range fire-count suffix");
       if (Fires == 0)
         return Fail("fire count must be positive");
       Plan.MaxFires = static_cast<uint32_t>(Fires);
@@ -80,13 +76,8 @@ std::optional<FaultPlan> usher::parseFaultSpec(std::string_view Spec,
   }
   if (Rest.empty())
     return Fail("missing step count");
-  uint64_t Step = 0;
-  for (char C : Rest) {
-    if (C < '0' || C > '9')
-      return Fail("non-numeric step count");
-    Step = Step * 10 + static_cast<uint64_t>(C - '0');
-  }
-  Plan.AtStep = Step;
+  if (!parseDecimal(Rest, UINT64_MAX, Plan.AtStep))
+    return Fail("non-numeric or out-of-range step count");
   return Plan;
 }
 
@@ -159,15 +150,10 @@ std::optional<IoFaultSpec> usher::parseIoFaultSpec(std::string_view Spec,
   }
   if (Rest.empty())
     return Fail("missing hit ordinal");
-  uint64_t Hit = 0;
-  for (char C : Rest) {
-    if (C < '0' || C > '9')
-      return Fail("non-numeric hit ordinal");
-    Hit = Hit * 10 + static_cast<uint64_t>(C - '0');
-  }
-  if (Hit == 0)
+  if (!parseDecimal(Rest, UINT64_MAX, Plan.AtHit))
+    return Fail("non-numeric or out-of-range hit ordinal");
+  if (Plan.AtHit == 0)
     return Fail("hit ordinal is 1-based");
-  Plan.AtHit = Hit;
   return Plan;
 }
 

@@ -1,4 +1,4 @@
-//===- support/ThreadPool.cpp - Deterministic parallel execution ----------===//
+//===- support/ThreadPool.cpp - Fixed-size FIFO worker pool ---------------===//
 //
 // Part of the Usher project, reproducing "Accelerating Dynamic Detection of
 // Uses of Undefined Values with Static Value-Flow Analysis" (CGO 2014).
@@ -11,17 +11,11 @@
 
 using namespace usher;
 
-unsigned ThreadPool::defaultJobs() {
-  unsigned HW = std::thread::hardware_concurrency();
-  return std::clamp(HW, 1u, 64u);
-}
-
 ThreadPool::ThreadPool(unsigned NumThreads) {
   NumThreads = std::clamp(NumThreads, 1u, 64u);
-  Queues.resize(NumThreads);
   Workers.reserve(NumThreads);
   for (unsigned I = 0; I != NumThreads; ++I)
-    Workers.emplace_back([this, I] { workerLoop(I); });
+    Workers.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -37,71 +31,22 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::async(std::function<void()> Task) {
   {
     std::lock_guard<std::mutex> L(Mtx);
-    Queues[NextQueue].push_back(std::move(Task));
-    NextQueue = (NextQueue + 1) % static_cast<unsigned>(Queues.size());
+    Queue.push_back(std::move(Task));
   }
   HasWork.notify_one();
 }
 
-bool ThreadPool::popTaskLocked(unsigned Me, std::function<void()> &Out,
-                               bool &WasSteal) {
-  // Owned work first, front of the own deque.
-  if (Me < Queues.size() && !Queues[Me].empty()) {
-    Out = std::move(Queues[Me].front());
-    Queues[Me].pop_front();
-    WasSteal = false;
-    return true;
-  }
-  // Steal from the back of the longest other queue: taking the newest
-  // task of the most loaded victim spreads a skewed round-robin
-  // distribution without fighting the owner over its front.
-  size_t Victim = Queues.size(), Best = 0;
-  for (size_t Q = 0; Q != Queues.size(); ++Q) {
-    if (Q == Me)
-      continue;
-    if (Queues[Q].size() > Best) {
-      Best = Queues[Q].size();
-      Victim = Q;
-    }
-  }
-  if (Victim == Queues.size())
-    return false;
-  Out = std::move(Queues[Victim].back());
-  Queues[Victim].pop_back();
-  WasSteal = true;
-  return true;
-}
-
-void ThreadPool::workerLoop(unsigned Me) {
+void ThreadPool::workerLoop() {
   while (true) {
     std::function<void()> Task;
-    bool WasSteal = false;
     {
       std::unique_lock<std::mutex> L(Mtx);
-      while (!popTaskLocked(Me, Task, WasSteal)) {
-        if (Stopping)
-          return; // All queues drained: shutdown is clean mid-queue.
-        HasWork.wait(L);
-      }
+      HasWork.wait(L, [this] { return Stopping || !Queue.empty(); });
+      if (Queue.empty())
+        return; // Stopping and drained: shutdown is clean mid-queue.
+      Task = std::move(Queue.front());
+      Queue.pop_front();
     }
-    if (WasSteal)
-      Steals.fetch_add(1, std::memory_order_relaxed);
     Task();
   }
-}
-
-bool ThreadPool::tryRunOne() {
-  std::function<void()> Task;
-  bool WasSteal = false;
-  {
-    std::lock_guard<std::mutex> L(Mtx);
-    // The helper owns no queue; pass an out-of-range id so it always
-    // steals (uncounted — see popTaskLocked's caller below).
-    if (!popTaskLocked(static_cast<unsigned>(Queues.size()), Task, WasSteal))
-      return false;
-  }
-  // Caller-help runs are deliberately not counted as steals: stealCount()
-  // measures worker-to-worker balancing only.
-  Task();
-  return true;
 }

@@ -170,6 +170,29 @@ TEST(FaultSpec, RejectsMalformedSpecs) {
   EXPECT_NE(Err.find("non-numeric"), std::string::npos);
 }
 
+TEST(FaultSpec, RejectsOutOfRangeNumbers) {
+  // 2^64 steps or hits used to wrap to 0 and fire at once; 2^64 - 1 is the
+  // largest count a spec can name.
+  std::string Err;
+  EXPECT_FALSE(
+      parseFaultSpec("pta@18446744073709551616", &Err).has_value());
+  EXPECT_NE(Err.find("out-of-range step count"), std::string::npos);
+  auto P = parseFaultSpec("pta@18446744073709551615");
+  ASSERT_TRUE(P.has_value());
+  EXPECT_EQ(P->AtStep, UINT64_MAX);
+  EXPECT_FALSE(parseFaultSpec("pta@0:4294967296", &Err).has_value());
+  EXPECT_NE(Err.find("out-of-range fire-count"), std::string::npos);
+
+  EXPECT_FALSE(
+      parseIoFaultSpec("snapshot-read@18446744073709551616", &Err)
+          .has_value());
+  EXPECT_NE(Err.find("out-of-range hit ordinal"), std::string::npos);
+  auto IO = parseIoFaultSpec("snapshot-read@18446744073709551615:once");
+  ASSERT_TRUE(IO.has_value());
+  EXPECT_EQ(IO->AtHit, UINT64_MAX);
+  EXPECT_TRUE(IO->Once);
+}
+
 //===----------------------------------------------------------------------===//
 // Degradation ladder (end to end through runUsher)
 //===----------------------------------------------------------------------===//

@@ -10,8 +10,8 @@
 /// interpreter's edge-coverage feedback, the text-level mutation API, the
 /// six differential oracles (including a replay of the minimized
 /// near-miss corpus in tests/inputs/fuzz/), the hierarchical reducer's
-/// shrink guarantee, and byte-identical same-seed campaign reports, serial
-/// or sharded across --jobs workers.
+/// shrink guarantee, and byte-identical same-seed campaign reports
+/// (FuzzGoldenTest pins their digests).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -477,34 +477,5 @@ TEST(Fuzzer, DifferentSeedsScheduleDifferently) {
   RB.printJson(OB);
   EXPECT_NE(JA, JB);
 }
-
-//===----------------------------------------------------------------------===//
-// Sharded campaign workers: byte-identical usher-fuzz-v1 report
-//===----------------------------------------------------------------------===//
-
-std::string campaignJson(uint64_t Seed, unsigned Jobs) {
-  fuzz::FuzzOptions Opts;
-  Opts.Seed = Seed;
-  Opts.Runs = 24;
-  Opts.Jobs = Jobs;
-  fuzz::FuzzReport Rep = fuzz::runFuzzer(Opts);
-  std::string Buf;
-  raw_string_ostream OS(Buf);
-  Rep.printJson(OS);
-  return Buf;
-}
-
-class FuzzParallelDeterminism : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(FuzzParallelDeterminism, CampaignReportIsByteIdentical) {
-  const uint64_t Seed = GetParam();
-  std::string Serial = campaignJson(Seed, 1);
-  for (unsigned Jobs : {2u, 8u})
-    EXPECT_EQ(Serial, campaignJson(Seed, Jobs))
-        << "jobs=" << Jobs << " campaign seed " << Seed;
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, FuzzParallelDeterminism,
-                         ::testing::Values(1, 7, 42, 1234, 9001));
 
 } // namespace

@@ -11,7 +11,8 @@
 /// corruption), the crash-safe snapshot store (atomic visibility,
 /// validated load, a corruption sweep over every byte of a record), and
 /// the Session request core (warm == cold byte-for-byte, error
-/// isolation, degradation, never-cache-degraded).
+/// isolation, degradation, never-cache-degraded, and concurrent callers
+/// sharing one session, as the daemon's workers do).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +27,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace usher;
@@ -477,6 +479,78 @@ TEST_F(ServeTest, SessionRejectsBadFaultSpec) {
   Reply Rp = Sess.handle(Rq);
   EXPECT_EQ(Rp.Status, ReplyStatus::Error);
   EXPECT_NE(Rp.Payload.find("bad fault spec"), std::string::npos);
+}
+
+/// The number after `"<Key>": ` in \p Json (the first occurrence).
+uint64_t jsonCount(const std::string &Json, const std::string &Key) {
+  size_t At = Json.find("\"" + Key + "\": ");
+  EXPECT_NE(At, std::string::npos) << Key;
+  return At == std::string::npos
+             ? 0
+             : std::stoull(Json.substr(At + Key.size() + 4));
+}
+
+TEST_F(ServeTest, SessionHandlesConcurrentRequests) {
+  // Eight threads share one Session on an on-disk store, as the daemon's
+  // workers do, each walking a fixed mix of analyze, diagnose and query
+  // requests from a different offset. Every reply must equal the reply a
+  // fresh Session computes serially, whichever thread computed or stored
+  // it first.
+  const char *Programs[] = {SmokeProgram, UndefProgram, EditBase,
+                            EditedProgram};
+  std::vector<Request> Mix;
+  for (Op K : {Op::Analyze, Op::Diagnose, Op::Query})
+    for (const char *P : Programs) {
+      Request Rq = analyzeReq(P);
+      Rq.Kind = K;
+      Rq.QuerySrc = 1;
+      Rq.QuerySink = 2;
+      Mix.push_back(Rq);
+    }
+  std::vector<Reply> Want;
+  for (const Request &Rq : Mix)
+    Want.push_back(Session(SessionOptions{}).handle(Rq));
+
+  constexpr unsigned NumThreads = 8, PerThread = 12;
+  SessionOptions SO;
+  SO.SnapshotDir = Dir.string();
+  Session Shared(SO);
+  std::vector<std::vector<Reply>> Got(NumThreads);
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T != NumThreads; ++T)
+    Threads.emplace_back([&, T] {
+      for (unsigned I = 0; I != PerThread; ++I) {
+        Request Rq = Mix[(T + I) % Mix.size()];
+        Rq.Id = T * PerThread + I;
+        Got[T].push_back(Shared.handle(Rq));
+      }
+    });
+  for (std::thread &Th : Threads)
+    Th.join();
+
+  for (unsigned T = 0; T != NumThreads; ++T)
+    for (unsigned I = 0; I != PerThread; ++I) {
+      const Reply &G = Got[T][I];
+      const Reply &W = Want[(T + I) % Mix.size()];
+      EXPECT_EQ(G.Id, T * PerThread + I);
+      EXPECT_EQ(G.Status, W.Status) << "thread " << T << " request " << I;
+      EXPECT_EQ(G.Rung, W.Rung) << "thread " << T << " request " << I;
+      EXPECT_EQ(G.Payload, W.Payload) << "thread " << T << " request " << I;
+    }
+
+  // The status counters account for every request sent: the status
+  // request itself counts in "total" but not yet among the replies.
+  Request St;
+  St.Kind = Op::Status;
+  const std::string Json = Shared.handle(St).Payload;
+  const uint64_t Sent = NumThreads * PerThread;
+  EXPECT_EQ(jsonCount(Json, "total"), Sent + 1);
+  EXPECT_EQ(jsonCount(Json, "analyze") + jsonCount(Json, "diagnose") +
+                jsonCount(Json, "query"),
+            Sent);
+  EXPECT_EQ(jsonCount(Json, "ok") + jsonCount(Json, "degraded") +
+                jsonCount(Json, "error"),
+            Sent);
 }
 
 TEST_F(ServeTest, SessionDiagnoseReportsFindings) {

@@ -51,6 +51,7 @@
 #include "core/Usher.h"
 #include "parser/Parser.h"
 #include "runtime/Interpreter.h"
+#include "support/Decimal.h"
 #include "support/FaultInjection.h"
 #include "support/RawStream.h"
 #include "transforms/Transforms.h"
@@ -180,18 +181,6 @@ int usage(const char *Argv0) {
   return ExitInputError;
 }
 
-bool parseUInt(std::string_view Text, uint64_t &Out) {
-  if (Text.empty())
-    return false;
-  Out = 0;
-  for (char C : Text) {
-    if (C < '0' || C > '9')
-      return false;
-    Out = Out * 10 + static_cast<uint64_t>(C - '0');
-  }
-  return true;
-}
-
 bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
   for (int I = 1; I != Argc; ++I) {
     std::string_view Arg = Argv[I];
@@ -229,9 +218,9 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
         return false;
       Opts.SolverGiven = true;
     } else if (Arg == "--query") {
-      if (I + 2 >= Argc || !parseUInt(Argv[I + 1], Opts.QuerySrc) ||
-          !parseUInt(Argv[I + 2], Opts.QuerySink) ||
-          Opts.QuerySrc > 0xffffffffull || Opts.QuerySink > 0xffffffffull)
+      if (I + 2 >= Argc ||
+          !parseDecimal(Argv[I + 1], UINT32_MAX, Opts.QuerySrc) ||
+          !parseDecimal(Argv[I + 2], UINT32_MAX, Opts.QuerySink))
         return false;
       Opts.Query = true;
       I += 2;
@@ -275,14 +264,16 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       }
     } else if (Arg.rfind("--bounds-budget=", 0) == 0) {
       uint64_t Pct;
-      if (!parseUInt(Arg.substr(16), Pct) || Pct > 10000)
+      if (!parseDecimal(Arg.substr(16), 10000, Pct))
         return false;
       Opts.BoundsBudgetPercent = static_cast<unsigned>(Pct);
     } else if (Arg.rfind("--budget-ms=", 0) == 0) {
-      if (!parseUInt(Arg.substr(12), Opts.Limits.PhaseDeadlineMs))
+      if (!parseDecimal(Arg.substr(12), UINT64_MAX,
+                        Opts.Limits.PhaseDeadlineMs))
         return false;
     } else if (Arg.rfind("--budget-steps=", 0) == 0) {
-      if (!parseUInt(Arg.substr(15), Opts.Limits.MaxStepsPerPhase))
+      if (!parseDecimal(Arg.substr(15), UINT64_MAX,
+                        Opts.Limits.MaxStepsPerPhase))
         return false;
     } else if (Arg.rfind("--inject-fault=", 0) == 0) {
       std::string Err;

@@ -23,12 +23,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "fuzz/Fuzzer.h"
+#include "support/Decimal.h"
 #include "support/RawStream.h"
 
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 using namespace usher;
@@ -56,18 +56,7 @@ void printUsage(raw_ostream &OS) {
      << "                  seed the corpus with N synthesized mid-size\n"
      << "                  programs before round 0 (default 0)\n"
      << "  --max-corpus=N  corpus capacity (default 64)\n"
-     << "  --max-steps=N   interpreter step budget per run\n"
-     << "  --jobs=N        campaign worker threads (default 1 = serial;\n"
-     << "                  0 = all cores; report is byte-identical for\n"
-     << "                  every value)\n";
-}
-
-bool parseUInt(const std::string &Text, uint64_t &Out) {
-  if (Text.empty())
-    return false;
-  char *End = nullptr;
-  Out = std::strtoull(Text.c_str(), &End, 10);
-  return End && *End == '\0';
+     << "  --max-steps=N   interpreter step budget per run\n";
 }
 
 bool parseArgs(int Argc, char **Argv, CliOptions &Cli) {
@@ -75,11 +64,10 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Cli) {
     std::string Arg = Argv[I];
     uint64_t N = 0;
     if (Arg.rfind("--seed=", 0) == 0) {
-      if (!parseUInt(Arg.substr(7), N))
+      if (!parseDecimal(Arg.substr(7), UINT64_MAX, Cli.Fuzz.Seed))
         return false;
-      Cli.Fuzz.Seed = N;
     } else if (Arg.rfind("--runs=", 0) == 0) {
-      if (!parseUInt(Arg.substr(7), N))
+      if (!parseDecimal(Arg.substr(7), UINT32_MAX, N))
         return false;
       Cli.Fuzz.Runs = static_cast<unsigned>(N);
     } else if (Arg.rfind("--json=", 0) == 0) {
@@ -87,21 +75,17 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Cli) {
     } else if (Arg == "--no-reduce") {
       Cli.Fuzz.Reduce = false;
     } else if (Arg.rfind("--seed-corpus-synth=", 0) == 0) {
-      if (!parseUInt(Arg.substr(20), N) || N > 1024)
+      if (!parseDecimal(Arg.substr(20), 1024, N))
         return false;
       Cli.Fuzz.SeedCorpusSynth = static_cast<unsigned>(N);
     } else if (Arg.rfind("--max-corpus=", 0) == 0) {
-      if (!parseUInt(Arg.substr(13), N) || N == 0)
+      if (!parseDecimal(Arg.substr(13), UINT32_MAX, N) || N == 0)
         return false;
       Cli.Fuzz.MaxCorpus = static_cast<unsigned>(N);
     } else if (Arg.rfind("--max-steps=", 0) == 0) {
-      if (!parseUInt(Arg.substr(12), N) || N == 0)
+      if (!parseDecimal(Arg.substr(12), UINT64_MAX, N) || N == 0)
         return false;
       Cli.Fuzz.Oracle.MaxSteps = N;
-    } else if (Arg.rfind("--jobs=", 0) == 0) {
-      if (!parseUInt(Arg.substr(7), N) || N > 64)
-        return false;
-      Cli.Fuzz.Jobs = static_cast<unsigned>(N);
     } else {
       return false;
     }

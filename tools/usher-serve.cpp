@@ -29,6 +29,7 @@
 
 #include "serve/Client.h"
 #include "serve/Daemon.h"
+#include "support/Decimal.h"
 #include "support/FaultInjection.h"
 #include "support/RawStream.h"
 
@@ -106,18 +107,6 @@ int usage(const char *Argv0) {
   return ExitUsage;
 }
 
-bool parseUInt(std::string_view Text, uint64_t &Out) {
-  if (Text.empty())
-    return false;
-  Out = 0;
-  for (char C : Text) {
-    if (C < '0' || C > '9')
-      return false;
-    Out = Out * 10 + static_cast<uint64_t>(C - '0');
-  }
-  return true;
-}
-
 bool parseArgs(int Argc, char **Argv, ServeOptions &Opts) {
   for (int I = 1; I != Argc; ++I) {
     std::string_view Arg = Argv[I];
@@ -130,22 +119,22 @@ bool parseArgs(int Argc, char **Argv, ServeOptions &Opts) {
     else if (Arg.rfind("--snapshot-dir=", 0) == 0)
       Opts.SnapshotDir = std::string(Arg.substr(15));
     else if (Arg.rfind("--workers=", 0) == 0) {
-      if (!parseUInt(Arg.substr(10), Opts.Workers) || Opts.Workers == 0 ||
-          Opts.Workers > 64)
+      if (!parseDecimal(Arg.substr(10), 64, Opts.Workers) ||
+          Opts.Workers == 0)
         return false;
     } else if (Arg.rfind("--queue-limit=", 0) == 0) {
-      if (!parseUInt(Arg.substr(14), Opts.QueueLimit))
+      if (!parseDecimal(Arg.substr(14), UINT64_MAX, Opts.QueueLimit))
         return false;
     } else if (Arg.rfind("--retry-after-ms=", 0) == 0) {
-      if (!parseUInt(Arg.substr(17), Opts.RetryAfterMs))
+      if (!parseDecimal(Arg.substr(17), UINT32_MAX, Opts.RetryAfterMs))
         return false;
     } else if (Arg.rfind("--op=", 0) == 0) {
       Opts.OpName = std::string(Arg.substr(5));
     } else if (Arg.rfind("--deadline-ms=", 0) == 0) {
-      if (!parseUInt(Arg.substr(14), Opts.DeadlineMs))
+      if (!parseDecimal(Arg.substr(14), UINT32_MAX, Opts.DeadlineMs))
         return false;
     } else if (Arg.rfind("--budget-steps=", 0) == 0) {
-      if (!parseUInt(Arg.substr(15), Opts.BudgetSteps))
+      if (!parseDecimal(Arg.substr(15), UINT64_MAX, Opts.BudgetSteps))
         return false;
     } else if (Arg.rfind("--inject-fault=", 0) == 0) {
       Opts.FaultSpec = std::string(Arg.substr(15));
@@ -153,9 +142,8 @@ bool parseArgs(int Argc, char **Argv, ServeOptions &Opts) {
       std::string_view Pair = Arg.substr(8);
       size_t Comma = Pair.find(',');
       if (Comma == std::string_view::npos ||
-          !parseUInt(Pair.substr(0, Comma), Opts.QuerySrc) ||
-          !parseUInt(Pair.substr(Comma + 1), Opts.QuerySink) ||
-          Opts.QuerySrc > 0xffffffffull || Opts.QuerySink > 0xffffffffull)
+          !parseDecimal(Pair.substr(0, Comma), UINT32_MAX, Opts.QuerySrc) ||
+          !parseDecimal(Pair.substr(Comma + 1), UINT32_MAX, Opts.QuerySink))
         return false;
       Opts.QueryGiven = true;
     } else if (Arg.rfind("--client-list=", 0) == 0) {
@@ -163,13 +151,13 @@ bool parseArgs(int Argc, char **Argv, ServeOptions &Opts) {
       if (Opts.Clients.empty())
         return false;
     } else if (Arg.rfind("--id=", 0) == 0) {
-      if (!parseUInt(Arg.substr(5), Opts.Id))
+      if (!parseDecimal(Arg.substr(5), UINT64_MAX, Opts.Id))
         return false;
     } else if (Arg.rfind("--max-retries=", 0) == 0) {
-      if (!parseUInt(Arg.substr(14), Opts.MaxRetries))
+      if (!parseDecimal(Arg.substr(14), UINT32_MAX, Opts.MaxRetries))
         return false;
     } else if (Arg.rfind("--timeout-ms=", 0) == 0) {
-      if (!parseUInt(Arg.substr(13), Opts.TimeoutMs))
+      if (!parseDecimal(Arg.substr(13), UINT32_MAX, Opts.TimeoutMs))
         return false;
     } else if (!Arg.empty() && Arg[0] != '-' && Opts.InputPath.empty()) {
       Opts.InputPath = Arg;
