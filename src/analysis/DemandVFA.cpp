@@ -50,9 +50,11 @@ struct ParentLink {
 
 } // namespace
 
-QueryResult DemandVFA::solve(uint32_t Src, uint32_t Sink) {
+QueryResult analysis::cflReachable(const VFG &G, uint32_t Src, uint32_t Sink,
+                                   unsigned ContextK, Budget *B) {
   QueryResult R;
-  const unsigned K = Opts.ContextK;
+  if (Src >= G.numNodes() || Sink >= G.numNodes())
+    return R; // out of range: unreachable
 
   std::unordered_map<StateKey, ParentLink, StateKeyHash> Seen;
   std::deque<StateKey> Queue;
@@ -94,25 +96,8 @@ QueryResult DemandVFA::solve(uint32_t Src, uint32_t Sink) {
 
     for (const Edge &E : G.users(S.Node)) {
       ContextStack Next = ContextStack::empty();
-      switch (E.Kind) {
-      case EdgeKind::Direct:
-        Next = Ctx;
-        break;
-      case EdgeKind::Call:
-        Next = K == 0 ? Ctx : Ctx.pushed(E.CallSite, K);
-        break;
-      case EdgeKind::Ret: {
-        if (K == 0) {
-          Next = Ctx;
-          break;
-        }
-        ContextStack Out = ContextStack::empty();
-        if (!Ctx.popped(E.CallSite, Out))
-          continue; // unrealizable: a different call is pending
-        Next = Out;
-        break;
-      }
-      }
+      if (!Ctx.follow(E.Kind, E.CallSite, ContextK, Next))
+        continue; // unrealizable: a different call is pending
       StateKey NS{E.Node, Next.raw()};
       auto [It, Inserted] =
           Seen.emplace(NS, ParentLink{S.Node, S.Ctx, E.Kind, E.CallSite});
@@ -130,45 +115,27 @@ QueryResult DemandVFA::solve(uint32_t Src, uint32_t Sink) {
   return R; // state space exhausted: definitively unreachable
 }
 
-QueryResult DemandVFA::cflReachable(uint32_t Src, uint32_t Sink) {
-  {
-    std::lock_guard<std::mutex> L(Mu);
-    ++Queries;
-  }
-  if (Src >= G.numNodes() || Sink >= G.numNodes())
-    return QueryResult(); // out of range: unreachable, never cached
-
-  const uint64_t Key = (static_cast<uint64_t>(Src) << 32) | Sink;
-  {
-    std::lock_guard<std::mutex> L(Mu);
-    auto It = Cache.find(Key);
-    if (It != Cache.end()) {
-      ++CacheHits;
-      QueryResult R = It->second;
-      R.FromCache = true;
-      R.StatesVisited = 0;
-      return R;
+void analysis::printQueryWitness(raw_ostream &OS,
+                                 const std::vector<QueryStep> &W) {
+  if (W.empty())
+    return;
+  OS << "witness: " << W.front().Node;
+  for (size_t I = 1; I != W.size(); ++I) {
+    const QueryStep &S = W[I];
+    switch (S.Kind) {
+    case EdgeKind::Direct:
+      OS << " -> ";
+      break;
+    case EdgeKind::Call:
+      OS << " -call@" << S.CallSite << "-> ";
+      break;
+    case EdgeKind::Ret:
+      OS << " -ret@" << S.CallSite << "-> ";
+      break;
     }
+    OS << S.Node;
   }
-
-  QueryResult R = solve(Src, Sink);
-  if (!R.Exhausted) {
-    // Both verdicts are definitive once the BFS ran to completion (or
-    // found the sink); exhausted runs are inconclusive and stay uncached.
-    std::lock_guard<std::mutex> L(Mu);
-    Cache.emplace(Key, R);
-  }
-  return R;
-}
-
-uint64_t DemandVFA::memoHits() const {
-  std::lock_guard<std::mutex> L(Mu);
-  return CacheHits;
-}
-
-uint64_t DemandVFA::queriesAnswered() const {
-  std::lock_guard<std::mutex> L(Mu);
-  return Queries;
+  OS << '\n';
 }
 
 bool analysis::validateQueryWitness(const VFG &G, uint32_t Src, uint32_t Sink,
@@ -201,28 +168,15 @@ bool analysis::validateQueryWitness(const VFG &G, uint32_t Src, uint32_t Sink,
       OS << "step " << I << ": no user edge " << From << " -> " << S.Node;
       return Fail(Msg);
     }
-    switch (S.Kind) {
-    case EdgeKind::Direct:
-      break;
-    case EdgeKind::Call:
-      if (ContextK != 0)
-        Ctx = Ctx.pushed(S.CallSite, ContextK);
-      break;
-    case EdgeKind::Ret: {
-      if (ContextK == 0)
-        break;
-      ContextStack Out = ContextStack::empty();
-      if (!Ctx.popped(S.CallSite, Out)) {
-        std::string Msg;
-        raw_string_ostream OS(Msg);
-        OS << "step " << I << ": unrealizable return through site "
-           << S.CallSite;
-        return Fail(Msg);
-      }
-      Ctx = Out;
-      break;
+    ContextStack Next = ContextStack::empty();
+    if (!Ctx.follow(S.Kind, S.CallSite, ContextK, Next)) {
+      std::string Msg;
+      raw_string_ostream OS(Msg);
+      OS << "step " << I << ": unrealizable return through site "
+         << S.CallSite;
+      return Fail(Msg);
     }
-    }
+    Ctx = Next;
   }
   return true;
 }

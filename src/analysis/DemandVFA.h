@@ -6,20 +6,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A demand-driven CFL-reachability query engine over the value-flow
-/// graph: cflReachable(src, sink) answers "can the value at src flow to
+/// A demand-driven CFL-reachability query over the value-flow graph:
+/// cflReachable(G, src, sink, k) answers "can the value at src flow to
 /// sink along a context-valid path?" without resolving the whole program.
 /// The grammar is the VFG's matched-paren call/return discipline — the
-/// exact transitions Definedness resolution uses (core/ContextStack.h),
-/// minus the saturation widening, so a query is *exact* with respect to
-/// whole-program k-bounded reachability and the query-equivalence fuzz
-/// oracle can compare them bit for bit.
+/// exact context step Definedness resolution takes
+/// (ContextStack::follow), minus the saturation widening, so a query is
+/// *exact* with respect to whole-program k-bounded reachability and the
+/// query-equivalence fuzz oracle can compare them bit for bit.
 ///
-/// Queries are breadth-first over (node, context) states, so the returned
-/// witness is a shortest context-valid path; each state is visited once
-/// per query (the per-(node,state) memo) and completed query results are
-/// cached across queries behind a mutex, which is the surface the TSan
-/// parallel-memoization tier exercises.
+/// A query is breadth-first over (node, context) states, so the returned
+/// witness is a shortest context-valid path; each state is visited at
+/// most once per query.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,13 +27,12 @@
 #include "vfg/VFG.h"
 
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace usher {
 class Budget;
+class raw_ostream;
 
 namespace analysis {
 
@@ -48,61 +45,30 @@ struct QueryStep {
   uint32_t CallSite = ~0u;
 };
 
+/// Prints a witness on one line, "witness: 3 -> 7 -call@12-> 9\n", or
+/// nothing when \p W is empty.
+void printQueryWitness(raw_ostream &OS, const std::vector<QueryStep> &W);
+
 /// Outcome of one cflReachable() call.
 struct QueryResult {
   bool Reachable = false;
   /// The budget ran out before the state space was exhausted; Reachable
-  /// is then inconclusive (false only means "not found yet") and the
-  /// result is never cached.
+  /// is then inconclusive (false only means "not found yet").
   bool Exhausted = false;
-  /// Answered from the cross-query result cache.
-  bool FromCache = false;
-  /// (node, context) states expanded by this query (0 on a cache hit).
+  /// (node, context) states expanded by this query.
   uint64_t StatesVisited = 0;
   /// Shortest context-valid path src..sink; non-empty iff Reachable.
   std::vector<QueryStep> Witness;
 };
 
-/// The demand-driven query engine. Thread-safe: concurrent queries share
-/// the result cache under a mutex and charge the Budget atomically.
-class DemandVFA {
-public:
-  struct Options {
-    /// Unmatched call sites remembered along a path (the paper's
-    /// configuration is 1); must match the Definedness run the answer is
-    /// compared against.
-    unsigned ContextK;
-    // Explicit constructor (not a default member initializer) so the
-    // enclosing class can use Options() as a default argument.
-    Options() : ContextK(1) {}
-  };
-
-  /// \p G must outlive the engine. When \p B is armed, each state
-  /// expansion charges one step; exhaustion aborts the query with
-  /// Exhausted set rather than looping on.
-  explicit DemandVFA(const vfg::VFG &G, Options Opts = Options(),
-                     Budget *B = nullptr)
-      : G(G), Opts(Opts), B(B) {}
-
-  /// Is there a context-valid value-flow path from \p Src to \p Sink?
-  /// Node ids outside the graph yield an unreachable, non-cached result.
-  QueryResult cflReachable(uint32_t Src, uint32_t Sink);
-
-  uint64_t memoHits() const;
-  uint64_t queriesAnswered() const;
-
-private:
-  QueryResult solve(uint32_t Src, uint32_t Sink);
-
-  const vfg::VFG &G;
-  Options Opts;
-  Budget *B;
-
-  mutable std::mutex Mu;
-  std::unordered_map<uint64_t, QueryResult> Cache; // (src<<32)|sink
-  uint64_t CacheHits = 0;
-  uint64_t Queries = 0;
-};
+/// Is there a context-valid value-flow path from \p Src to \p Sink of
+/// \p G, remembering up to \p ContextK unmatched call sites (the paper's
+/// configuration is 1; it must match the Definedness run the answer is
+/// compared against)? Node ids outside the graph yield an unreachable
+/// result. When \p B is armed, each state expansion charges one step;
+/// exhaustion aborts the query with Exhausted set rather than looping on.
+QueryResult cflReachable(const vfg::VFG &G, uint32_t Src, uint32_t Sink,
+                         unsigned ContextK, Budget *B = nullptr);
 
 /// Validates that \p W is a genuine context-valid user-edge path of \p G
 /// from \p Src to \p Sink under k = \p ContextK: every step names a real

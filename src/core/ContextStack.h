@@ -7,15 +7,18 @@
 ///
 /// \file
 /// The k-bounded stack of unmatched call sites used by context-sensitive
-/// value-flow reachability (Section 3.3). Shared by the Definedness
-/// resolution, the static diagnosis witness search, and the witness-path
-/// validity tests, so all three agree exactly on which interprocedural
+/// value-flow reachability (Section 3.3), and follow(), the one k-limited
+/// Direct/Call/Ret context step. Definedness resolution, the static
+/// diagnosis witness search, the demand query and its witness validator
+/// all take that step, so they agree exactly on which interprocedural
 /// flows are realizable.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef USHER_CORE_CONTEXTSTACK_H
 #define USHER_CORE_CONTEXTSTACK_H
+
+#include "vfg/VFG.h"
 
 #include <cassert>
 #include <cstdint>
@@ -31,17 +34,17 @@ public:
   static ContextStack empty() { return ContextStack(0); }
 
   /// Rehydrates a stack from a raw() encoding. Only values previously
-  /// produced by raw() are valid (the demand-driven query engine keys its
-  /// visited-state memo by the raw encoding and round-trips through this).
+  /// produced by raw() are valid (the demand-driven query keys its visited
+  /// states by the raw encoding and round-trips through this).
   static ContextStack fromRaw(uint64_t Bits) { return ContextStack(Bits); }
 
   uint64_t raw() const { return Bits; }
 
   ContextStack pushed(uint32_t Site, unsigned K) const {
-    assert(Site < (1u << 24) && "call-site id exceeds encoding width");
-    unsigned Count = count();
     if (K == 0)
       return *this;
+    assert(Site < (1u << 24) && "call-site id exceeds encoding width");
+    unsigned Count = count();
     if (Count == 0)
       return make(1, 0, Site);
     if (Count == 1 && K >= 2)
@@ -70,6 +73,25 @@ public:
     else
       Out = make(1, 0, below());
     return true;
+  }
+
+  /// Follows a value-flow edge of kind \p Kind labelled with call site
+  /// \p Site under k = \p K, storing the successor context in \p Out.
+  /// Returns false for an unrealizable return. Under k = 0 nothing is
+  /// ever pushed, so every context stays empty and every return matches.
+  bool follow(vfg::EdgeKind Kind, uint32_t Site, unsigned K,
+              ContextStack &Out) const {
+    switch (Kind) {
+    case vfg::EdgeKind::Direct:
+      Out = *this;
+      return true;
+    case vfg::EdgeKind::Call:
+      Out = pushed(Site, K);
+      return true;
+    case vfg::EdgeKind::Ret:
+      return popped(Site, Out);
+    }
+    return false;
   }
 
 private:

@@ -207,24 +207,9 @@ Definedness::Definedness(
     State S = Work.back();
     Work.pop_back();
     for (const CondensedEdge &E : RepFlows[S.Rep]) {
-      switch (E.Kind) {
-      case EdgeKind::Direct:
-        Reach(E.Target, S.Ctx);
-        break;
-      case EdgeKind::Call:
-        Reach(E.Target, K == 0 ? S.Ctx : S.Ctx.pushed(E.CallSite, K));
-        break;
-      case EdgeKind::Ret: {
-        if (K == 0) {
-          Reach(E.Target, S.Ctx);
-          break;
-        }
-        Context Out = Context::empty();
-        if (S.Ctx.popped(E.CallSite, Out))
-          Reach(E.Target, Out);
-        break;
-      }
-      }
+      Context Out = Context::empty();
+      if (S.Ctx.follow(E.Kind, E.CallSite, K, Out))
+        Reach(E.Target, Out);
     }
   }
 }

@@ -351,28 +351,9 @@ void StaticDiagnosis::reconstructWitnesses() {
     // Copy: States may reallocate while expanding.
     const State S = States[Head];
     for (const Edge &E : G.users(S.Node)) {
-      switch (E.Kind) {
-      case EdgeKind::Direct:
-        Enqueue(E.Node, S.Ctx, static_cast<int32_t>(Head), E.Kind,
-                E.CallSite);
-        break;
-      case EdgeKind::Call:
-        Enqueue(E.Node, K == 0 ? S.Ctx : S.Ctx.pushed(E.CallSite, K),
-                static_cast<int32_t>(Head), E.Kind, E.CallSite);
-        break;
-      case EdgeKind::Ret: {
-        if (K == 0) {
-          Enqueue(E.Node, S.Ctx, static_cast<int32_t>(Head), E.Kind,
-                  E.CallSite);
-          break;
-        }
-        ContextStack Out = ContextStack::empty();
-        if (S.Ctx.popped(E.CallSite, Out))
-          Enqueue(E.Node, Out, static_cast<int32_t>(Head), E.Kind,
-                  E.CallSite);
-        break;
-      }
-      }
+      ContextStack Out = ContextStack::empty();
+      if (S.Ctx.follow(E.Kind, E.CallSite, K, Out))
+        Enqueue(E.Node, Out, static_cast<int32_t>(Head), E.Kind, E.CallSite);
     }
   }
 

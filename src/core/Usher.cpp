@@ -355,11 +355,9 @@ QueryOutcome core::runUsherQuery(Module &M, const UsherOptions &Opts,
   }
 
   Out.Valid = true;
-  analysis::DemandVFA::Options QOpts;
-  QOpts.ContextK = Opts.ContextK;
-  analysis::DemandVFA Q(G, QOpts, &B);
   B.beginPhase(BudgetPhase::Definedness);
-  analysis::QueryResult R = Q.cflReachable(Src, Sink);
+  analysis::QueryResult R =
+      analysis::cflReachable(G, Src, Sink, Opts.ContextK, &B);
   Out.Reachable = R.Reachable;
   Out.Exhausted = R.Exhausted;
   Out.StatesVisited = R.StatesVisited;

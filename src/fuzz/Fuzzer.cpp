@@ -20,6 +20,9 @@ using namespace usher::fuzz;
 
 namespace {
 
+/// Stop recording (and reducing) divergences past this many.
+constexpr unsigned MaxDivergences = 10;
+
 std::string printModule(const ir::Module &M) {
   std::string Buf;
   raw_string_ostream OS(Buf);
@@ -138,7 +141,7 @@ FuzzReport fuzz::runFuzzer(const FuzzOptions &Opts) {
       continue;
     for (const Divergence &D : Out.Divergences)
       ++Rep.OracleDiverged[static_cast<unsigned>(D.Oracle)];
-    if (Rep.Divergences.size() >= Opts.MaxDivergences)
+    if (Rep.Divergences.size() >= MaxDivergences)
       continue;
 
     const Divergence &D0 = Out.Divergences.front();

@@ -63,8 +63,6 @@ struct FuzzOptions {
   bool Reduce = true;
   /// Corpus capacity; oldest entries are evicted first.
   unsigned MaxCorpus = 64;
-  /// Stop recording (and reducing) divergences past this many.
-  unsigned MaxDivergences = 10;
   /// Program shape for fresh generations: smaller than the property-test
   /// defaults so a campaign's per-input pipeline cost stays low.
   workload::GeneratorOptions Gen{/*NumFunctions=*/3,

@@ -486,8 +486,8 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
       // Independent reference: an exhaustive DFS over (node, context)
       // states with the same k-limited CFL transitions, projecting out
       // the set of reachable *nodes* from one source. It shares the
-      // ContextStack encoding with DemandVFA but none of its traversal,
-      // memoization, or witness machinery.
+      // ContextStack encoding with cflReachable but none of its traversal
+      // or witness machinery, and keeps its own copy of the context step.
       auto ReachableFrom = [&](uint32_t Src) {
         std::vector<bool> NodeReached(N, false);
         std::set<std::pair<uint32_t, uint64_t>> SeenStates;
@@ -542,15 +542,12 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
       for (uint32_t Step = 7; Sinks.size() < 5 && Step <= 70; ++Step)
         Sinks.insert(static_cast<uint32_t>((Step * 40503ull) % N));
 
-      analysis::DemandVFA::Options QOpts;
-      QOpts.ContextK = K;
-      analysis::DemandVFA Demand(G, QOpts);
       for (uint32_t Src : Srcs) {
         std::vector<bool> Ref = ReachableFrom(Src);
         for (uint32_t Sink : Sinks) {
           const std::string Tag =
               "query " + std::to_string(Src) + " -> " + std::to_string(Sink);
-          analysis::QueryResult Q = Demand.cflReachable(Src, Sink);
+          analysis::QueryResult Q = analysis::cflReachable(G, Src, Sink, K);
           if (Q.Exhausted) {
             Diverge(OracleKind::QueryEquivalence,
                     Tag + ": exhausted without a budget configured");
@@ -571,10 +568,6 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
               Diverge(OracleKind::QueryEquivalence,
                       Tag + ": witness does not replay: " + WErr);
           }
-          analysis::QueryResult Q2 = Demand.cflReachable(Src, Sink);
-          if (!Q2.FromCache || Q2.Reachable != Q.Reachable)
-            Diverge(OracleKind::QueryEquivalence,
-                    Tag + ": memoized answer differs from the first");
         }
       }
     }

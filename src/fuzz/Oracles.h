@@ -32,12 +32,11 @@
 ///     reply's check totals must match a direct runUsher, and the warm
 ///     reply, served from the stored snapshot record, must be
 ///     byte-identical to the cold one.
-///  6. QueryEquivalence — the demand-driven CFL-reachability engine must
+///  6. QueryEquivalence — the demand-driven CFL-reachability query must
 ///     agree with whole-program VFG reachability on sampled (src, sink)
 ///     pairs: each cflReachable verdict is checked against an independent
-///     exhaustive state-space traversal, every positive verdict's witness
-///     must replay as a realizable VFG path, and a repeated query must be
-///     answered from the memo table with the same verdict.
+///     exhaustive state-space traversal, and every positive verdict's
+///     witness must replay as a realizable VFG path.
 ///  7. ClientConsistency — every sanitizer client's guided plan must
 ///     report exactly the warnings its own full (analysis-free)
 ///     instrumentation reports, each warning must sit at an instruction

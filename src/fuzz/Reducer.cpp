@@ -16,6 +16,9 @@ using namespace usher::fuzz;
 
 namespace {
 
+/// Full sweeps over all three pass shapes.
+constexpr unsigned MaxPasses = 8;
+
 std::vector<std::string> splitLines(const std::string &Source) {
   std::vector<std::string> Lines;
   std::string Cur;
@@ -197,7 +200,7 @@ ReduceResult fuzz::reduceProgram(const std::string &Source,
   if (!C.test(Lines)) // The input itself must exhibit the behavior.
     return Res;
 
-  for (unsigned Pass = 0; Pass != Opts.MaxPasses && !C.exhausted(); ++Pass) {
+  for (unsigned Pass = 0; Pass != MaxPasses && !C.exhausted(); ++Pass) {
     bool Changed = false;
     Changed |= removeFunctions(Lines, C);
     Changed |= deleteChunks(Lines, C);

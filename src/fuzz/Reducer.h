@@ -37,8 +37,6 @@ namespace fuzz {
 using Predicate = std::function<bool(const std::string &)>;
 
 struct ReducerOptions {
-  /// Full sweeps over all three pass shapes.
-  unsigned MaxPasses = 8;
   /// Hard cap on predicate evaluations (the expensive part).
   unsigned MaxChecks = 1500;
 };

@@ -21,6 +21,16 @@
 using namespace usher;
 using namespace usher::serve;
 
+namespace {
+/// Backoff schedule: the delay starts at InitialBackoffMs and doubles per
+/// retry, capped at MaxBackoffMs; each delay is jittered into [d/2, d] and
+/// never waits less than the server's RetryAfterMs hint.
+constexpr uint32_t InitialBackoffMs = 10;
+constexpr uint32_t MaxBackoffMs = 1000;
+/// Jitter seed; fixed so tests replay identical schedules.
+constexpr uint64_t JitterSeed = 0x7573686572ull;
+} // namespace
+
 const char *serve::callOutcomeName(CallOutcome O) {
   switch (O) {
   case CallOutcome::Ok:
@@ -40,7 +50,7 @@ const char *serve::callOutcomeName(CallOutcome O) {
 }
 
 ServeClient::ServeClient(ClientOptions O)
-    : Opts(std::move(O)), RngState(Opts.JitterSeed) {}
+    : Opts(std::move(O)), RngState(JitterSeed) {}
 
 namespace {
 
@@ -149,7 +159,7 @@ CallOutcome ServeClient::attempt(const Request &Rq, Reply &Out,
 
 CallResult ServeClient::call(const Request &Rq) {
   CallResult Res;
-  uint32_t BackoffMs = Opts.InitialBackoffMs;
+  uint32_t BackoffMs = InitialBackoffMs;
   for (unsigned Attempt = 0; Attempt <= Opts.MaxRetries; ++Attempt) {
     ++Res.Attempts;
     Reply Rp;
@@ -187,7 +197,7 @@ CallResult ServeClient::call(const Request &Rq) {
     DelayMs = DelayMs / 2 + nextRand(RngState) % (DelayMs / 2 + 1);
     Res.BackoffWaitedMs += DelayMs;
     std::this_thread::sleep_for(std::chrono::milliseconds(DelayMs));
-    BackoffMs = std::min<uint32_t>(Opts.MaxBackoffMs, BackoffMs * 2);
+    BackoffMs = std::min<uint32_t>(MaxBackoffMs, BackoffMs * 2);
   }
   Res.Outcome = CallOutcome::ShedExhausted;
   Res.Error = "daemon shed the request on every attempt";

@@ -34,13 +34,6 @@ struct ClientOptions {
   /// Attempts per call() when the daemon sheds: the first try plus up to
   /// MaxRetries backoff-and-retry rounds.
   unsigned MaxRetries = 6;
-  /// Backoff schedule: InitialBackoffMs doubles per shed reply, capped at
-  /// MaxBackoffMs; each delay is jittered into [d/2, d] and never waits
-  /// less than the server's RetryAfterMs hint.
-  uint32_t InitialBackoffMs = 10;
-  uint32_t MaxBackoffMs = 1000;
-  /// Jitter seed; fixed so tests replay identical schedules.
-  uint64_t JitterSeed = 0x7573686572ull;
   /// recv() timeout per attempt; 0 = wait forever.
   uint32_t ReceiveTimeoutMs = 0;
 };

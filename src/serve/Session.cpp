@@ -264,25 +264,7 @@ Reply Session::handleQuery(const Request &Rq) {
      << "\n"
      << "engine: " << analysis::solverKindName(Q.Solver.Engine) << "\n"
      << "states: " << Q.StatesVisited << "\n";
-  if (Q.Reachable && !Q.Witness.empty()) {
-    OS << "witness: " << Q.Witness.front().Node;
-    for (size_t I = 1; I != Q.Witness.size(); ++I) {
-      const analysis::QueryStep &S = Q.Witness[I];
-      switch (S.Kind) {
-      case vfg::EdgeKind::Direct:
-        OS << " -> ";
-        break;
-      case vfg::EdgeKind::Call:
-        OS << " -call@" << S.CallSite << "-> ";
-        break;
-      case vfg::EdgeKind::Ret:
-        OS << " -ret@" << S.CallSite << "-> ";
-        break;
-      }
-      OS << S.Node;
-    }
-    OS << "\n";
-  }
+  analysis::printQueryWitness(OS, Q.Witness);
   Rp.Payload = std::move(Payload);
 
   if (Q.Exhausted) {

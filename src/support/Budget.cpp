@@ -41,125 +41,56 @@ const char *usher::exhaustKindName(ExhaustKind K) {
   return "?";
 }
 
-namespace {
-
-/// Rank of each exhaustion kind in the serial check order of stepSlow
-/// (fault, then steps, then deadline, then memory). Ties between
-/// thresholds crossed at the same charged step resolve in this order,
-/// matching what a serial run would have reported.
-uint64_t checkRank(ExhaustKind K) {
-  switch (K) {
-  case ExhaustKind::Injected:
-    return 0;
-  case ExhaustKind::Steps:
-    return 1;
-  case ExhaustKind::Deadline:
-    return 2;
-  case ExhaustKind::Memory:
-    return 3;
-  case ExhaustKind::None:
-    break;
-  }
-  return 4;
-}
-
-ExhaustKind kindOfRank(uint64_t R) {
-  switch (R) {
-  case 0:
-    return ExhaustKind::Injected;
-  case 1:
-    return ExhaustKind::Steps;
-  case 2:
-    return ExhaustKind::Deadline;
-  case 3:
-    return ExhaustKind::Memory;
-  default:
-    return ExhaustKind::None;
-  }
-}
-
-} // namespace
-
-ExhaustKind Budget::exhaustKind() const {
-  uint64_t Packed = Exhaust.load(std::memory_order_acquire);
-  if (Packed == NotExhausted)
-    return ExhaustKind::None;
-  return kindOfRank(Packed & 0xff);
-}
-
-void Budget::install(ExhaustKind K, uint64_t CrossStep) {
-  uint64_t Packed = (CrossStep << 8) | checkRank(K);
-  uint64_t Cur = Exhaust.load(std::memory_order_relaxed);
-  while (Packed < Cur &&
-         !Exhaust.compare_exchange_weak(Cur, Packed, std::memory_order_acq_rel,
-                                        std::memory_order_relaxed)) {
-  }
-}
-
 void Budget::beginPhase(BudgetPhase P) {
   Cur = P;
-  Steps.store(0, std::memory_order_relaxed);
-  Checks.store(0, std::memory_order_relaxed);
-  Exhaust.store(NotExhausted, std::memory_order_relaxed);
+  Steps = 0;
+  Checks = 0;
+  Exhaust = ExhaustKind::None;
   if (!Armed)
     return;
   PhaseStart = std::chrono::steady_clock::now();
   // An at-step-0 fault means "exhaust upon entering the phase". Firing it
   // here (not in step) keeps injection deterministic even when the phase's
   // worklist turns out to be empty.
-  if (Fault && Fault->Phase == Cur && Fault->AtStep == 0 &&
-      FaultFires.load(std::memory_order_relaxed) < Fault->fireLimit()) {
-    FaultFires.fetch_add(1, std::memory_order_relaxed);
-    install(ExhaustKind::Injected, 0);
+  if (faultLeft() && Fault->AtStep == 0) {
+    ++FaultFires;
+    Exhaust = ExhaustKind::Injected;
   }
 }
 
 bool Budget::stepSlow(uint64_t N) {
   if (exhausted())
     return false;
-  // Charge first: the interval (Start, End] belongs to this call alone,
-  // so each threshold T is crossed by exactly one call — the one whose
-  // interval contains T + 1 — no matter how calls interleave. That call
-  // installs the exhaustion, attributed to the charged-step at which a
-  // serial run would have reported it.
-  uint64_t End = Steps.fetch_add(N, std::memory_order_relaxed) + N;
-  uint64_t Start = End - N;
-  bool Over = false;
-  if (Fault && Fault->Phase == Cur && End > Fault->AtStep &&
-      FaultFires.load(std::memory_order_relaxed) < Fault->fireLimit()) {
-    Over = true;
-    if (Start <= Fault->AtStep) {
-      // The unique installer also consumes the fire: the counter advances
-      // once per arm, at the same charged step in every schedule.
-      FaultFires.fetch_add(1, std::memory_order_relaxed);
-      install(ExhaustKind::Injected, Fault->AtStep + 1);
-    }
+  Steps += N;
+  // One batched call may cross the fault (at AtStep + 1) and the step
+  // limit (at MaxStepsPerPhase + 1) together. The lower crossing is
+  // reported; the fault wins a tie but consumes its fire either way.
+  bool FaultHit = faultLeft() && Steps > Fault->AtStep;
+  if (FaultHit) {
+    ++FaultFires;
+    Exhaust = ExhaustKind::Injected;
   }
-  if (Limits.MaxStepsPerPhase && End > Limits.MaxStepsPerPhase) {
-    Over = true;
-    if (Start <= Limits.MaxStepsPerPhase)
-      install(ExhaustKind::Steps, Limits.MaxStepsPerPhase + 1);
-  }
-  if (Over)
+  if (Limits.MaxStepsPerPhase && Steps > Limits.MaxStepsPerPhase &&
+      (!FaultHit || Limits.MaxStepsPerPhase < Fault->AtStep))
+    Exhaust = ExhaustKind::Steps;
+  if (exhausted())
     return false;
   // Clock and RSS probes are rate-limited: a syscall-ish probe per
-  // worklist pop would dominate small analyses. Wall-clock and memory
-  // crossings are inherently timing-dependent; they attribute to this
-  // call's charged end so concurrent probes still agree on one winner.
-  uint64_t C = Checks.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (Limits.PhaseDeadlineMs && (C & 127) == 0) {
+  // worklist pop would dominate small analyses.
+  ++Checks;
+  if (Limits.PhaseDeadlineMs && (Checks & 127) == 0) {
     auto Elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
                        std::chrono::steady_clock::now() - PhaseStart)
                        .count();
     if (static_cast<uint64_t>(Elapsed) >= Limits.PhaseDeadlineMs) {
-      install(ExhaustKind::Deadline, End);
+      Exhaust = ExhaustKind::Deadline;
       return false;
     }
   }
-  if (Limits.MaxRSSBytes && (C & 4095) == 0 &&
+  if (Limits.MaxRSSBytes && (Checks & 4095) == 0 &&
       currentRSSBytes() > Limits.MaxRSSBytes) {
-    install(ExhaustKind::Memory, End);
+    Exhaust = ExhaustKind::Memory;
     return false;
   }
-  return !exhausted();
+  return true;
 }

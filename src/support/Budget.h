@@ -18,14 +18,10 @@
 /// cached flag. Wall-clock and memory probes are rate-limited so an armed
 /// budget stays cheap too.
 ///
-/// step() may be called concurrently (concurrent DemandVFA queries charge
-/// one token). Charging uses a relaxed atomic counter, and exhaustion is
-/// attributed deterministically: thresholds fire on the
-/// unique step() call whose charged interval contains the crossing value
-/// (limit + 1), and when several thresholds are crossed the one with the
-/// lowest crossing step wins — exactly the serial attribution, regardless
-/// of scheduling. beginPhase() must not race with step(): phases are
-/// separated by joins.
+/// One token belongs to one pipeline run on one thread. Concurrent runs
+/// (usher-serve's workers) each build their own token. Within one
+/// step(N) that crosses several thresholds, the lowest crossing step
+/// wins and an injected fault wins a tie.
 ///
 /// Exhaustion never throws and never crashes the pipeline: the driver
 /// (core/Usher.cpp) reacts by walking a sound degradation ladder and the
@@ -36,7 +32,6 @@
 #ifndef USHER_SUPPORT_BUDGET_H
 #define USHER_SUPPORT_BUDGET_H
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <optional>
@@ -80,25 +75,16 @@ struct BudgetLimits {
 
 /// A deterministic injected exhaustion: while the named phase is armed,
 /// the budget reports Exhausted as soon as AtStep steps were consumed
-/// (AtStep == 0 exhausts the phase the moment it is armed). With Once set
-/// the fault fires on the first matching arm only, which exercises the
-/// retry rungs of the ladder (e.g. the field-insensitive Andersen rerun).
-/// MaxFires generalizes Once to the first N matching arms (spec suffix
-/// ":2" etc.), so deeper rungs — the unification retry behind two failed
-/// Andersen arms — are reachable deterministically too.
+/// (AtStep == 0 exhausts the phase the moment it is armed). MaxFires
+/// bounds the fault to the first N matching arms (spec suffix ":once" is
+/// 1, ":2" is 2), which exercises the retry rungs of the ladder: "pta@0:1"
+/// fails the field-sensitive Andersen run only, "pta@0:2" also fails the
+/// field-insensitive rerun and lands on the unification retry.
 struct FaultPlan {
   BudgetPhase Phase = BudgetPhase::PointerAnalysis;
   uint64_t AtStep = 0;
-  bool Once = false;
-  /// 0 honors Once (1 arm if set, every arm otherwise); N > 0 fires on
-  /// the first N matching arms regardless of Once.
+  /// 0 fires on every matching arm.
   uint32_t MaxFires = 0;
-
-  uint32_t fireLimit() const {
-    if (MaxFires)
-      return MaxFires;
-    return Once ? 1 : ~0u;
-  }
 };
 
 /// The budget token. Default-constructed tokens are unlimited and free.
@@ -117,47 +103,40 @@ public:
   /// Re-arms the token for phase \p P: resets the step count, the phase
   /// deadline and any previous exhaustion. An AtStep == 0 fault for \p P
   /// fires immediately, so injection is deterministic even for phases
-  /// whose worklists happen to be empty. Serial only — never call while
-  /// workers may still be charging.
+  /// whose worklists happen to be empty.
   void beginPhase(BudgetPhase P);
 
   /// Consumes \p N steps. Returns true while the phase is within budget;
-  /// once false, it stays false until the next beginPhase(). Safe to call
-  /// concurrently; the total charged is the sum of all grants, exactly as
-  /// in a serial run.
+  /// once false, it stays false until the next beginPhase(). The call
+  /// that crosses a threshold is charged in full; later calls charge
+  /// nothing.
   bool step(uint64_t N = 1) {
     if (!Armed)
       return true;
     return stepSlow(N);
   }
 
-  bool exhausted() const {
-    return Exhaust.load(std::memory_order_acquire) != NotExhausted;
-  }
-  ExhaustKind exhaustKind() const;
+  bool exhausted() const { return Exhaust != ExhaustKind::None; }
+  ExhaustKind exhaustKind() const { return Exhaust; }
   BudgetPhase currentPhase() const { return Cur; }
-  uint64_t stepsUsed() const { return Steps.load(std::memory_order_relaxed); }
+  uint64_t stepsUsed() const { return Steps; }
 
 private:
   bool stepSlow(uint64_t N);
-  /// Records exhaustion \p K attributed to charged-step \p CrossStep; the
-  /// lowest crossing step wins (with serial check order breaking ties) so
-  /// attribution is schedule-independent.
-  void install(ExhaustKind K, uint64_t CrossStep);
-
-  /// Exhaustion state packed into one word — (CrossStep << 8) | check-rank
-  /// of the kind — so the pair is installed and read atomically and a
-  /// CAS-min linearizes racing crossings.
-  static constexpr uint64_t NotExhausted = ~0ull;
+  /// The fault targets the current phase and has fires left.
+  bool faultLeft() const {
+    return Fault && Fault->Phase == Cur &&
+           (Fault->MaxFires == 0 || FaultFires < Fault->MaxFires);
+  }
 
   BudgetLimits Limits;
   std::optional<FaultPlan> Fault;
   bool Armed = false;
-  std::atomic<uint32_t> FaultFires{0};
+  uint32_t FaultFires = 0;
   BudgetPhase Cur = BudgetPhase::PointerAnalysis;
-  std::atomic<uint64_t> Exhaust{NotExhausted};
-  std::atomic<uint64_t> Steps{0};
-  std::atomic<uint64_t> Checks{0};
+  ExhaustKind Exhaust = ExhaustKind::None;
+  uint64_t Steps = 0;
+  uint64_t Checks = 0;
   std::chrono::steady_clock::time_point PhaseStart{};
 };
 

@@ -58,7 +58,7 @@ std::optional<FaultPlan> usher::parseFaultSpec(std::string_view Spec,
   if (Colon != std::string_view::npos) {
     std::string_view Suffix = Rest.substr(Colon + 1);
     if (Suffix == "once") {
-      Plan.Once = true;
+      Plan.MaxFires = 1;
     } else {
       // A numeric suffix bounds the fault to the first N matching arms,
       // e.g. "pta@0:2" exhausts the first two pointer-analysis attempts

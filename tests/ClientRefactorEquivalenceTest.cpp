@@ -45,7 +45,7 @@ namespace {
 /// (heap cloning), so each path gets a fresh one.
 using FreshModule = std::function<std::unique_ptr<ir::Module>()>;
 
-/// Renders a UUV run exactly as tools/usher-cli's reportRun does, from
+/// Renders a UUV run exactly as tools/usher-cli's reportClientRun does, from
 /// either the legacy report fields or one plan's slice of a multi-plan
 /// report. Byte-equality of two renders is the golden criterion.
 std::string renderUuvRun(const ExecutionReport &Rep,

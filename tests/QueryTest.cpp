@@ -5,11 +5,10 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Unit tests for the demand CFL-reachability engine (analysis/DemandVFA.h)
+// Unit tests for the demand CFL-reachability query (analysis/DemandVFA.h)
 // and the runUsherQuery pipeline entry: result semantics (witnesses,
-// caching, exhaustion), the "no whole-program Andersen" statistic the
-// speed ladder promises, and the cross-thread memoization surface the
-// tsan_query_memo tier entry re-runs under ThreadSanitizer.
+// out-of-range ids, exhaustion) and the "no whole-program Andersen"
+// statistic the speed ladder promises.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,11 +22,9 @@
 
 #include <memory>
 #include <optional>
-#include <thread>
-#include <vector>
 
 using namespace usher;
-using analysis::DemandVFA;
+using analysis::cflReachable;
 using analysis::QueryResult;
 
 namespace {
@@ -77,7 +74,6 @@ uint32_t firstCriticalUse(const vfg::VFG &G) {
 TEST(Query, ReachableQueryYieldsValidWitness) {
   BuiltVFG B(QueryProgram);
   const vfg::VFG &G = B.graph();
-  DemandVFA Q(G);
 
   // Undefinedness flows from F along user edges; the uninitialized load's
   // critical use is reachable from the F root, the strongly-updated one
@@ -85,7 +81,7 @@ TEST(Query, ReachableQueryYieldsValidWitness) {
   ASSERT_FALSE(G.criticalUses().empty());
   uint32_t Sink = ~0u;
   for (const vfg::VFG::CriticalUse &U : G.criticalUses()) {
-    QueryResult R = Q.cflReachable(vfg::VFG::RootF, U.Node);
+    QueryResult R = cflReachable(G, vfg::VFG::RootF, U.Node, 1);
     ASSERT_FALSE(R.Exhausted);
     if (R.Reachable) {
       Sink = U.Node;
@@ -93,7 +89,7 @@ TEST(Query, ReachableQueryYieldsValidWitness) {
     }
   }
   ASSERT_NE(Sink, ~0u) << "no critical use reachable from F";
-  QueryResult R = Q.cflReachable(vfg::VFG::RootF, Sink);
+  QueryResult R = cflReachable(G, vfg::VFG::RootF, Sink, 1);
   ASSERT_TRUE(R.Reachable);
   ASSERT_FALSE(R.Witness.empty());
   EXPECT_EQ(R.Witness.front().Node, vfg::VFG::RootF);
@@ -106,42 +102,22 @@ TEST(Query, ReachableQueryYieldsValidWitness) {
 
 TEST(Query, UnreachableQueryHasNoWitness) {
   BuiltVFG B(QueryProgram);
-  DemandVFA Q(B.graph());
 
   // Nothing flows into a root: T has no incoming user edges from F.
-  QueryResult R = Q.cflReachable(vfg::VFG::RootF, vfg::VFG::RootT);
+  QueryResult R =
+      cflReachable(B.graph(), vfg::VFG::RootF, vfg::VFG::RootT, 1);
   ASSERT_FALSE(R.Exhausted);
   EXPECT_FALSE(R.Reachable);
   EXPECT_TRUE(R.Witness.empty());
 }
 
-TEST(Query, RepeatQueryIsServedFromCache) {
-  BuiltVFG B(QueryProgram);
-  DemandVFA Q(B.graph());
-  uint32_t Sink = firstCriticalUse(B.graph());
-
-  QueryResult Cold = Q.cflReachable(vfg::VFG::RootF, Sink);
-  EXPECT_FALSE(Cold.FromCache);
-  EXPECT_GT(Cold.StatesVisited, 0u);
-
-  QueryResult Warm = Q.cflReachable(vfg::VFG::RootF, Sink);
-  EXPECT_TRUE(Warm.FromCache);
-  EXPECT_EQ(Warm.StatesVisited, 0u);
-  EXPECT_EQ(Warm.Reachable, Cold.Reachable);
-  ASSERT_EQ(Warm.Witness.size(), Cold.Witness.size());
-  EXPECT_EQ(Q.memoHits(), 1u);
-  EXPECT_EQ(Q.queriesAnswered(), 2u);
-}
-
 TEST(Query, OutOfRangeNodesAreUnreachableAndUncached) {
   BuiltVFG B(QueryProgram);
-  DemandVFA Q(B.graph());
   const uint32_t Bogus = B.graph().numNodes() + 7;
 
   for (int Round = 0; Round != 2; ++Round) {
-    QueryResult R = Q.cflReachable(Bogus, vfg::VFG::RootF);
+    QueryResult R = cflReachable(B.graph(), Bogus, vfg::VFG::RootF, 1);
     EXPECT_FALSE(R.Reachable);
-    EXPECT_FALSE(R.FromCache) << "round " << Round;
     EXPECT_TRUE(R.Witness.empty());
   }
 }
@@ -152,14 +128,10 @@ TEST(Query, ExhaustedQueryIsInconclusiveAndNeverCached) {
   Limits.MaxStepsPerPhase = 1;
   Budget Bud(Limits);
   Bud.beginPhase(BudgetPhase::Definedness);
-  DemandVFA Q(B.graph(), DemandVFA::Options(), &Bud);
   uint32_t Sink = firstCriticalUse(B.graph());
 
-  QueryResult R = Q.cflReachable(vfg::VFG::RootF, Sink);
+  QueryResult R = cflReachable(B.graph(), vfg::VFG::RootF, Sink, 1, &Bud);
   EXPECT_TRUE(R.Exhausted);
-  // The aborted answer must not poison the cache.
-  QueryResult Again = Q.cflReachable(vfg::VFG::RootF, Sink);
-  EXPECT_FALSE(Again.FromCache);
 }
 
 //===----------------------------------------------------------------------===//
@@ -202,7 +174,6 @@ TEST(Query, PipelineAgreesWithWholeProgramOnGeneratedPrograms) {
     ASSERT_TRUE(R.G != nullptr);
     if (R.G->numNodes() == 0)
       continue;
-    DemandVFA Ref(*R.G);
 
     for (const vfg::VFG::CriticalUse &U : R.G->criticalUses()) {
       auto M2 = workload::generateProgram(Seed);
@@ -211,58 +182,11 @@ TEST(Query, PipelineAgreesWithWholeProgramOnGeneratedPrograms) {
       core::QueryOutcome Q =
           core::runUsherQuery(*M2, UO, vfg::VFG::RootF, U.Node);
       ASSERT_TRUE(Q.Valid) << Q.Error;
-      QueryResult Want = Ref.cflReachable(vfg::VFG::RootF, U.Node);
+      QueryResult Want = cflReachable(*R.G, vfg::VFG::RootF, U.Node, 1);
       EXPECT_EQ(Q.Reachable, Want.Reachable)
           << "seed " << Seed << " sink " << U.Node;
     }
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Parallel memoization (also runs under the tsan label as tsan_query_memo)
-//===----------------------------------------------------------------------===//
-
-TEST(Query, ParallelQueriesAgreeAndShareTheMemo) {
-  auto M = workload::generateProgram(5);
-  core::UsherOptions Opts;
-  Opts.Variant = core::ToolVariant::UsherFull;
-  core::UsherResult R = core::runUsher(*M, Opts);
-  ASSERT_TRUE(R.G != nullptr);
-  const vfg::VFG &G = *R.G;
-  const uint32_t N = G.numNodes();
-  ASSERT_GT(N, 2u);
-
-  // Deterministic query mix; every thread asks the same questions, so
-  // most answers after the first arrivals come from the shared cache.
-  std::vector<std::pair<uint32_t, uint32_t>> Pairs;
-  for (uint32_t I = 0; I != 16; ++I)
-    Pairs.push_back({static_cast<uint32_t>((I * 2654435761ull) % N),
-                     static_cast<uint32_t>((I * 40503ull + 1) % N)});
-
-  DemandVFA Serial(G);
-  std::vector<bool> Want;
-  for (auto [S, T] : Pairs)
-    Want.push_back(Serial.cflReachable(S, T).Reachable);
-
-  DemandVFA Shared(G);
-  constexpr unsigned NumThreads = 8;
-  std::vector<std::vector<bool>> Got(NumThreads,
-                                     std::vector<bool>(Pairs.size()));
-  std::vector<std::thread> Threads;
-  for (unsigned T = 0; T != NumThreads; ++T)
-    Threads.emplace_back([&, T] {
-      for (size_t I = 0; I != Pairs.size(); ++I)
-        Got[T][I] =
-            Shared.cflReachable(Pairs[I].first, Pairs[I].second).Reachable;
-    });
-  for (std::thread &Th : Threads)
-    Th.join();
-
-  for (unsigned T = 0; T != NumThreads; ++T)
-    for (size_t I = 0; I != Pairs.size(); ++I)
-      EXPECT_EQ(Got[T][I], Want[I]) << "thread " << T << " pair " << I;
-  EXPECT_GT(Shared.memoHits(), 0u);
-  EXPECT_EQ(Shared.queriesAnswered(), NumThreads * Pairs.size());
 }
 
 } // namespace

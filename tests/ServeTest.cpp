@@ -493,9 +493,11 @@ uint64_t jsonCount(const std::string &Json, const std::string &Key) {
 TEST_F(ServeTest, SessionHandlesConcurrentRequests) {
   // Eight threads share one Session on an on-disk store, as the daemon's
   // workers do, each walking a fixed mix of analyze, diagnose and query
-  // requests from a different offset. Every reply must equal the reply a
-  // fresh Session computes serially, whichever thread computed or stored
-  // it first.
+  // requests from a different offset. Analyze and query requests also
+  // come with a step budget or an injected fault: each request builds its
+  // own Budget, so concurrent workers never charge a shared token. Every
+  // reply must equal the reply a fresh Session computes serially,
+  // whichever thread computed or stored it first.
   const char *Programs[] = {SmokeProgram, UndefProgram, EditBase,
                             EditedProgram};
   std::vector<Request> Mix;
@@ -506,12 +508,29 @@ TEST_F(ServeTest, SessionHandlesConcurrentRequests) {
       Rq.QuerySrc = 1;
       Rq.QuerySink = 2;
       Mix.push_back(Rq);
+      if (K == Op::Diagnose)
+        continue;
+      Request Budgeted = Rq;
+      Budgeted.BudgetSteps = 3;
+      Mix.push_back(Budgeted);
+      for (const char *Spec : {"pta@0:2", "definedness@0"}) {
+        Request Faulted = Rq;
+        Faulted.FaultSpec = Spec;
+        Mix.push_back(Faulted);
+      }
     }
   std::vector<Reply> Want;
-  for (const Request &Rq : Mix)
+  size_t NumDegraded = 0;
+  for (const Request &Rq : Mix) {
     Want.push_back(Session(SessionOptions{}).handle(Rq));
+    NumDegraded += Want.back().Status == ReplyStatus::Degraded;
+  }
+  // The faults and budgets really bite: all 16 faulted requests degrade,
+  // and so do some of the budgeted ones.
+  EXPECT_GT(NumDegraded, 16u);
 
-  constexpr unsigned NumThreads = 8, PerThread = 12;
+  constexpr unsigned NumThreads = 8;
+  const unsigned PerThread = Mix.size();
   SessionOptions SO;
   SO.SnapshotDir = Dir.string();
   Session Shared(SO);

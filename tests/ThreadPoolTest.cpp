@@ -1,4 +1,4 @@
-//===- tests/ThreadPoolTest.cpp - FIFO worker pool and Budget contention --===//
+//===- tests/ThreadPoolTest.cpp - FIFO worker pool ------------------------===//
 //
 // Part of the Usher project, reproducing "Accelerating Dynamic Detection of
 // Uses of Undefined Values with Static Value-Flow Analysis" (CGO 2014).
@@ -8,12 +8,10 @@
 /// \file
 /// Unit tests for support/ThreadPool, the usher-serve daemon's worker
 /// queue: every task runs, the thread count is clamped, and destruction
-/// drains tasks still queued. Also the 8-thread Budget charging and
-/// fault-injection contention regressions.
+/// drains tasks still queued.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "support/Budget.h"
 #include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
@@ -21,7 +19,6 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
-#include <vector>
 
 using namespace usher;
 
@@ -63,83 +60,6 @@ TEST(ThreadPool, CleanShutdownDrainsQueuedTasks) {
     // Fall out of scope immediately: most tasks are still queued.
   }
   EXPECT_EQ(Ran.load(), 200);
-}
-
-//===----------------------------------------------------------------------===//
-// Thread-safe Budget charging (satellite regression)
-//===----------------------------------------------------------------------===//
-
-TEST(ThreadPool, BudgetChargesFromEightThreadsMatchSerialTotal) {
-  // 8 threads x 10'000 single-step charges on an unlimited budget must
-  // total exactly what one thread charging 80'000 would: charging is a
-  // relaxed atomic sum, no charge may be lost or double-counted.
-  BudgetLimits L;
-  L.MaxStepsPerPhase = 1'000'000; // Armed, far above the total.
-  Budget B(L);
-  B.beginPhase(BudgetPhase::OptII);
-  std::vector<std::thread> Threads;
-  for (int T = 0; T != 8; ++T)
-    Threads.emplace_back([&B] {
-      for (int I = 0; I != 10'000; ++I)
-        ASSERT_TRUE(B.step());
-    });
-  for (std::thread &T : Threads)
-    T.join();
-  EXPECT_EQ(B.stepsUsed(), 80'000u);
-  EXPECT_FALSE(B.exhausted());
-}
-
-TEST(ThreadPool, BudgetExhaustionUnderContentionIsDeterministic) {
-  // When the limit sits inside the charged range, concurrent charging
-  // must (a) always exhaust, (b) always report the same kind. Repeat to
-  // give racing schedules a chance to disagree.
-  for (int Round = 0; Round != 20; ++Round) {
-    BudgetLimits L;
-    L.MaxStepsPerPhase = 1'000;
-    Budget B(L);
-    B.beginPhase(BudgetPhase::OptII);
-    std::vector<std::thread> Threads;
-    for (int T = 0; T != 8; ++T)
-      Threads.emplace_back([&B] {
-        while (B.step()) {
-        }
-      });
-    for (std::thread &T : Threads)
-      T.join();
-    ASSERT_TRUE(B.exhausted());
-    ASSERT_EQ(B.exhaustKind(), ExhaustKind::Steps);
-  }
-}
-
-TEST(ThreadPool, FaultFiresExactlyOnceUnderContention) {
-  // An injected :once fault charged from 8 threads fires on exactly one
-  // arm: the first. The second arm must run to its step limit instead.
-  FaultPlan F;
-  F.Phase = BudgetPhase::OptII;
-  F.AtStep = 100;
-  F.Once = true;
-  BudgetLimits L;
-  L.MaxStepsPerPhase = 100'000;
-  Budget B(L, F);
-
-  auto ChargeFromThreads = [&B] {
-    std::vector<std::thread> Threads;
-    for (int T = 0; T != 8; ++T)
-      Threads.emplace_back([&B] {
-        while (B.step()) {
-        }
-      });
-    for (std::thread &T : Threads)
-      T.join();
-  };
-
-  B.beginPhase(BudgetPhase::OptII);
-  ChargeFromThreads();
-  EXPECT_EQ(B.exhaustKind(), ExhaustKind::Injected);
-
-  B.beginPhase(BudgetPhase::OptII);
-  ChargeFromThreads();
-  EXPECT_EQ(B.exhaustKind(), ExhaustKind::Steps);
 }
 
 } // namespace

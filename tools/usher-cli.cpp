@@ -307,41 +307,8 @@ std::string readFile(const std::string &Path, bool &Ok) {
   return Contents;
 }
 
-void reportRun(raw_ostream &OS, const char *Tool,
-               const runtime::ExecutionReport &Rep) {
-  OS << '[';
-  OS.leftJustify(Tool, 12);
-  OS << "] ";
-  if (Rep.Reason == runtime::ExitReason::Trap) {
-    OS << "trapped: " << Rep.TrapMessage << '\n';
-    return;
-  }
-  if (Rep.Reason == runtime::ExitReason::StepLimit) {
-    OS << "stopped: step limit exceeded\n";
-    return;
-  }
-  if (Rep.Reason == runtime::ExitReason::Interrupted) {
-    OS << "interrupted after " << Rep.Steps << " steps, shadow ops "
-       << Rep.DynShadowOps << ", checks " << Rep.DynChecks << '\n';
-    return;
-  }
-  OS << "result " << Rep.MainResult << ", slowdown "
-     << static_cast<int>(Rep.slowdownPercent()) << "%, shadow ops "
-     << Rep.DynShadowOps << ", checks " << Rep.DynChecks << '\n';
-  for (const runtime::Warning &W : Rep.ToolWarnings) {
-    OS << "  warning: ";
-    if (W.At->getLoc().isValid())
-      OS << W.At->getLoc().Line << ':' << W.At->getLoc().Col << ": ";
-    OS << "use of undefined value in "
-       << W.At->getParent()->getParent()->getName() << " at \"";
-    W.At->print(OS);
-    OS << "\" (x" << W.Occurrences << ")\n";
-  }
-}
-
-/// Like reportRun, but for one client of a multi-client run: the base
-/// execution facts are shared, the shadow counters and warnings come from
-/// that client's plan.
+/// Reports one plan of a run: the base execution facts are shared by
+/// every plan, the shadow counters and warnings come from plan \p PR.
 void reportClientRun(raw_ostream &OS, std::string_view Tool,
                      const runtime::ExecutionReport &Rep,
                      const runtime::PlanReport &PR, const char *WarnText) {
@@ -437,25 +404,7 @@ int main(int Argc, char **Argv) {
        << "solver engine: " << analysis::solverKindName(Q.Solver.Engine)
        << '\n'
        << "states visited: " << Q.StatesVisited << '\n';
-    if (Q.Reachable && !Q.Witness.empty()) {
-      OS << "witness: " << Q.Witness.front().Node;
-      for (size_t I = 1; I != Q.Witness.size(); ++I) {
-        const analysis::QueryStep &S = Q.Witness[I];
-        switch (S.Kind) {
-        case vfg::EdgeKind::Direct:
-          OS << " -> ";
-          break;
-        case vfg::EdgeKind::Call:
-          OS << " -call@" << S.CallSite << "-> ";
-          break;
-        case vfg::EdgeKind::Ret:
-          OS << " -ret@" << S.CallSite << "-> ";
-          break;
-        }
-        OS << S.Node;
-      }
-      OS << '\n';
-    }
+    analysis::printQueryWitness(OS, Q.Witness);
     return Q.Exhausted ? ExitLimits : ExitSuccess;
   }
 
@@ -546,29 +495,18 @@ int main(int Argc, char **Argv) {
       }
     }
 
-    if (Opts.Run && Opts.Clients.empty()) {
-      runtime::ExecLimits Limits;
-      Limits.Interrupt = &InterruptRaised;
-      runtime::ExecutionReport Rep =
-          runtime::Interpreter(M, &R.Plan, runtime::CostModel(), Limits).run();
-      reportRun(OS, core::toolVariantName(V), Rep);
-      if (!Rep.ToolWarnings.empty())
-        ExitCode = ExitWarnings; // Like a sanitizer: nonzero on bugs.
-      if (Rep.Reason != runtime::ExitReason::Finished)
-        ExitCode = ExitLimits;
-      if (Rep.Reason == runtime::ExitReason::Interrupted) {
-        // Everything produced so far (including any --diag-json file) is
-        // already flushed; make the interruption visible to callers.
-        OS.flush();
-        return ExitInterrupted;
-      }
-    } else if (Opts.Run) {
-      // Multi-client: one base execution, one shadow plane per client.
-      // "uuv" maps to the pipeline's own plan; the other clients' plans
-      // come from R.ClientPlans in request order.
+    if (Opts.Run) {
+      // One base execution, one shadow plane per client. "uuv" maps to the
+      // pipeline's own plan; the other clients' plans come from
+      // R.ClientPlans in request order. Without --client the pipeline's
+      // plan runs alone, labelled with the bare variant name.
+      const bool Bare = Opts.Clients.empty();
+      std::vector<core::ClientKind> Clients = Opts.Clients;
+      if (Bare)
+        Clients.push_back(core::ClientKind::UUV);
       std::vector<runtime::PlanExec> Plans;
       size_t NextClientPlan = 0;
-      for (core::ClientKind K : Opts.Clients) {
+      for (core::ClientKind K : Clients) {
         if (K == core::ClientKind::UUV)
           Plans.push_back({&R.Plan, core::ShadowSemantics()});
         else
@@ -581,18 +519,21 @@ int main(int Argc, char **Argv) {
           runtime::Interpreter(M, std::move(Plans), runtime::CostModel(),
                                Limits)
               .run();
-      for (size_t Ci = 0; Ci != Opts.Clients.size(); ++Ci) {
-        core::ClientKind K = Opts.Clients[Ci];
-        std::string Label = std::string(core::toolVariantName(V)) + "/" +
-                            core::clientName(K);
+      for (size_t Ci = 0; Ci != Clients.size(); ++Ci) {
+        core::ClientKind K = Clients[Ci];
+        std::string Label = core::toolVariantName(V);
+        if (!Bare)
+          Label += std::string("/") + core::clientName(K);
         reportClientRun(OS, Label, Rep, Rep.PlanResults[Ci],
                         core::clientWarningText(K));
         if (!Rep.PlanResults[Ci].ToolWarnings.empty())
-          ExitCode = ExitWarnings;
+          ExitCode = ExitWarnings; // Like a sanitizer: nonzero on bugs.
       }
       if (Rep.Reason != runtime::ExitReason::Finished)
         ExitCode = ExitLimits;
       if (Rep.Reason == runtime::ExitReason::Interrupted) {
+        // Everything produced so far (including any --diag-json file) is
+        // already flushed; make the interruption visible to callers.
         OS.flush();
         return ExitInterrupted;
       }
