@@ -44,15 +44,21 @@ const char *core::clientName(ClientKind K) {
   return "?";
 }
 
-bool core::parseClientName(const std::string &Name, ClientKind &K) {
-  for (unsigned I = 0; I != NumClientKinds; ++I) {
-    ClientKind C = static_cast<ClientKind>(I);
-    if (Name == clientName(C)) {
-      K = C;
+bool core::parseClientList(std::string_view List,
+                           std::vector<ClientKind> &Out) {
+  for (;;) {
+    size_t Comma = List.find(',');
+    std::string_view Name = List.substr(0, Comma);
+    unsigned I = 0;
+    while (I != NumClientKinds && Name != clientName(ClientKind(I)))
+      ++I;
+    if (I == NumClientKinds)
+      return false;
+    Out.push_back(ClientKind(I));
+    if (Comma == std::string_view::npos)
       return true;
-    }
+    List.remove_prefix(Comma + 1);
   }
-  return false;
 }
 
 const char *core::clientWarningText(ClientKind K) {

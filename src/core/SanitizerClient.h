@@ -46,6 +46,7 @@
 #include "core/InstrumentationPlan.h"
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace usher {
@@ -70,8 +71,10 @@ constexpr unsigned NumClientKinds = 3;
 /// the serve protocol, diagnostic JSON, and ctest labels.
 const char *clientName(ClientKind K);
 
-/// Parses a client name; returns false on an unknown spelling.
-bool parseClientName(const std::string &Name, ClientKind &K);
+/// Appends the clients of a comma-separated name list ("uuv,bounds") to
+/// \p Out, in order. Returns false if any element is not a client name
+/// (the empty list included).
+bool parseClientList(std::string_view List, std::vector<ClientKind> &Out);
 
 /// The warning phrase rendered for this client's runtime checks, e.g.
 /// "use of undefined value" for UUV.

@@ -8,8 +8,8 @@
 #include "core/StaticDiagnosis.h"
 
 #include "analysis/CallGraph.h"
+#include "analysis/DemandVFA.h"
 #include "analysis/PointerAnalysis.h"
-#include "core/ContextStack.h"
 #include "ir/IR.h"
 #include "support/RawStream.h"
 
@@ -50,7 +50,7 @@ StaticDiagnosis::StaticDiagnosis(const analysis::PointerAnalysis &PA,
   // unbudgeted, so verdicts do not depend on the caller's variant or on
   // any degradation its pipeline went through.
   DefinednessOptions DefOpts;
-  DefOpts.ContextK = Opts.ContextK;
+  DefOpts.ContextK = ContextK;
   DefOpts.AddressTakenAware = true;
   Gamma = std::make_unique<Definedness>(G, DefOpts);
 
@@ -182,19 +182,6 @@ void StaticDiagnosis::computeMustUndef(const analysis::CallGraph &CG) {
 // The must-fire gate
 //===----------------------------------------------------------------------===//
 
-static void appendSuccessors(const BasicBlock *BB,
-                             std::vector<const BasicBlock *> &Out) {
-  if (BB->instructions().empty())
-    return;
-  const Instruction *T = BB->instructions().back().get();
-  if (const auto *C = dyn_cast<CondBrInst>(T)) {
-    Out.push_back(C->getTrueBB());
-    Out.push_back(C->getFalseBB());
-  } else if (const auto *Go = dyn_cast<GotoInst>(T)) {
-    Out.push_back(Go->getTarget());
-  }
-}
-
 /// The blocks of \p F that lie on every entry-to-return path: once F is
 /// entered and runs to completion, each of them executes. Computed by
 /// deletion — B qualifies iff it is reachable from entry and removing it
@@ -209,6 +196,7 @@ mustExecBlocks(const ir::Function &F) {
     std::unordered_set<const BasicBlock *> Seen;
     const BasicBlock *Entry = F.getEntry();
     bool SawRet = false;
+    std::vector<BasicBlock *> Succs;
     if (Entry != Avoid) {
       Work.push_back(Entry);
       Seen.insert(Entry);
@@ -216,11 +204,10 @@ mustExecBlocks(const ir::Function &F) {
     while (!Work.empty()) {
       const BasicBlock *BB = Work.back();
       Work.pop_back();
-      if (!BB->instructions().empty() &&
-          isa<RetInst>(BB->instructions().back().get()))
+      if (isa<RetInst>(BB->getTerminator()))
         SawRet = true;
-      std::vector<const BasicBlock *> Succs;
-      appendSuccessors(BB, Succs);
+      Succs.clear();
+      BB->getSuccessors(Succs);
       for (const BasicBlock *S : Succs)
         if (S != Avoid && Seen.insert(S).second)
           Work.push_back(S);
@@ -311,83 +298,26 @@ void StaticDiagnosis::classify() {
 void StaticDiagnosis::reconstructWitnesses() {
   if (Report.Findings.empty())
     return;
-  const uint32_t N = G.numNodes();
-  const unsigned K = Opts.ContextK;
-
-  // One breadth-first search forward from the F root over value-flow
-  // (user) edges, replaying the Definedness context transitions from
-  // core/ContextStack.h. First arrival at a node is a shortest
-  // context-valid slice to it; parents reconstruct the path. Contexts per
-  // node and total states are capped; a finding whose node is not reached
-  // within the caps keeps an empty witness and, if DEFINITE, is
+  // One search forward from the F root; first arrival at a node is a
+  // shortest context-valid slice to it. A finding whose node is not
+  // reached within the caps keeps an empty witness and, if DEFINITE, is
   // downgraded to MAY (must-precision is only claimed for witnessed
   // findings).
-  struct State {
-    uint32_t Node;
-    ContextStack Ctx;
-    int32_t Parent; ///< Index of the predecessor state, -1 at the root.
-    EdgeKind Kind;  ///< Edge taken from the parent.
-    uint32_t CallSite;
-  };
-  std::vector<State> States;
-  std::vector<std::unordered_set<uint64_t>> Seen(N);
-  std::vector<int32_t> FirstArrival(N, -1);
-
-  auto Enqueue = [&](uint32_t Node, ContextStack Ctx, int32_t Parent,
-                     EdgeKind Kind, uint32_t CallSite) {
-    if (States.size() >= MaxWitnessStates)
-      return;
-    if (Seen[Node].size() >= MaxContextsPerNode)
-      return;
-    if (!Seen[Node].insert(Ctx.raw()).second)
-      return;
-    if (FirstArrival[Node] < 0)
-      FirstArrival[Node] = static_cast<int32_t>(States.size());
-    States.push_back({Node, Ctx, Parent, Kind, CallSite});
-  };
-
-  Enqueue(VFG::RootF, ContextStack::empty(), -1, EdgeKind::Direct, ~0u);
-  for (size_t Head = 0; Head != States.size(); ++Head) {
-    // Copy: States may reallocate while expanding.
-    const State S = States[Head];
-    for (const Edge &E : G.users(S.Node)) {
-      ContextStack Out = ContextStack::empty();
-      if (S.Ctx.follow(E.Kind, E.CallSite, K, Out))
-        Enqueue(E.Node, Out, static_cast<int32_t>(Head), E.Kind, E.CallSite);
-    }
-  }
+  analysis::PathSearchLimits L;
+  L.MaxStates = MaxWitnessStates;
+  L.MaxContextsPerNode = MaxContextsPerNode;
+  analysis::PathSearch S = analysis::searchPaths(G, VFG::RootF, ContextK, L);
 
   for (Finding &F : Report.Findings) {
-    int32_t At = FirstArrival[F.UseNode];
-    if (At < 0) {
-      if (F.V == Verdict::Definite)
-        F.V = Verdict::May;
-      continue;
-    }
-    // Walk the parents back to the root, then flip into F -> use order.
-    std::vector<int32_t> Chain;
-    for (int32_t Idx = At; Idx >= 0; Idx = States[Idx].Parent)
-      Chain.push_back(Idx);
-    std::reverse(Chain.begin(), Chain.end());
-    F.Witness.clear();
-    for (size_t Pos = 0; Pos != Chain.size(); ++Pos) {
-      WitnessStep Step;
-      Step.Node = States[Chain[Pos]].Node;
-      if (Pos + 1 != Chain.size()) {
-        const State &Next = States[Chain[Pos + 1]];
-        Step.HasEdge = true;
-        Step.Kind = Next.Kind;
-        Step.CallSite = Next.CallSite;
-      }
-      F.Witness.push_back(Step);
-    }
+    F.Witness = S.witness(F.UseNode);
+    if (F.Witness.empty() && F.V == Verdict::Definite)
+      F.V = Verdict::May;
   }
-
   // Witness-failure downgrades must be reflected in UseVerdicts too.
   const std::vector<VFG::CriticalUse> &Uses = G.criticalUses();
   for (size_t Idx = 0; Idx != Uses.size(); ++Idx)
     if (Report.UseVerdicts[Idx] == Verdict::Definite &&
-        FirstArrival[Uses[Idx].Node] < 0)
+        !S.reached(Uses[Idx].Node))
       Report.UseVerdicts[Idx] = Verdict::May;
 }
 
@@ -455,14 +385,16 @@ void StaticDiagnosis::printText(raw_ostream &OS) const {
       continue;
     }
     OS << "  value flow:\n";
-    for (const WitnessStep &Step : F.Witness) {
+    for (size_t Pos = 0; Pos != F.Witness.size(); ++Pos) {
       OS << "    ";
-      describeNode(OS, Step.Node);
-      if (Step.HasEdge) {
-        if (Step.Kind == EdgeKind::Call)
-          OS << "  --call@" << Step.CallSite << "-->";
-        else if (Step.Kind == EdgeKind::Ret)
-          OS << "  --ret@" << Step.CallSite << "-->";
+      describeNode(OS, F.Witness[Pos].Node);
+      // Each step carries the edge into it; print it after its source.
+      if (Pos + 1 != F.Witness.size()) {
+        const analysis::QueryStep &Next = F.Witness[Pos + 1];
+        if (Next.Kind == EdgeKind::Call)
+          OS << "  --call@" << Next.CallSite << "-->";
+        else if (Next.Kind == EdgeKind::Ret)
+          OS << "  --ret@" << Next.CallSite << "-->";
         else
           OS << "  -->";
       }
@@ -503,22 +435,22 @@ void StaticDiagnosis::printJson(raw_ostream &OS) const {
     OS << "      \"var\": \"";
     jsonEscape(OS, F.Var->getName());
     OS << "\",\n      \"codeFlow\": [";
-    bool FirstStep = true;
-    for (const WitnessStep &Step : F.Witness) {
-      if (!FirstStep)
+    for (size_t Pos = 0; Pos != F.Witness.size(); ++Pos) {
+      if (Pos != 0)
         OS << ',';
-      FirstStep = false;
-      OS << "\n        {\"nodeId\": " << Step.Node << ", \"desc\": \"";
+      OS << "\n        {\"nodeId\": " << F.Witness[Pos].Node
+         << ", \"desc\": \"";
       std::string Desc;
       {
         raw_string_ostream DS(Desc);
-        describeNode(DS, Step.Node);
+        describeNode(DS, F.Witness[Pos].Node);
       }
       jsonEscape(OS, Desc);
       OS << '"';
-      if (Step.HasEdge) {
+      if (Pos + 1 != F.Witness.size()) {
+        const analysis::QueryStep &Next = F.Witness[Pos + 1];
         OS << ", \"edgeToNext\": {\"kind\": \"";
-        switch (Step.Kind) {
+        switch (Next.Kind) {
         case EdgeKind::Direct:
           OS << "direct";
           break;
@@ -530,8 +462,8 @@ void StaticDiagnosis::printJson(raw_ostream &OS) const {
           break;
         }
         OS << '"';
-        if (Step.CallSite != ~0u)
-          OS << ", \"callSite\": " << Step.CallSite;
+        if (Next.CallSite != ~0u)
+          OS << ", \"callSite\": " << Next.CallSite;
         OS << '}';
       }
       OS << '}';

@@ -19,13 +19,11 @@
 ///     critical operation as CLEAN (Gamma top), DEFINITE-UUV (must-undef
 ///     and witnessed), or MAY-UUV (everything between).
 ///
-///  2. A *witness-path reconstructor*: a breadth-first search forward
-///     from the F root over value-flow (user) edges, replaying exactly
-///     the k-bounded call-site context transitions of the Definedness
-///     pass (shared via core/ContextStack.h), yielding for every
-///     non-CLEAN finding a shortest context-valid value-flow slice from
-///     the undefined root to the critical operation, with matched
-///     call/return labels.
+///  2. A *witness-path reconstructor*: one analysis::searchPaths run
+///     forward from the F root, the same context-valid search the
+///     demand query runs, yielding for every non-CLEAN finding a
+///     shortest context-valid value-flow slice from the undefined root to
+///     the critical operation, with matched call/return labels.
 ///
 ///  3. Renderers: human-readable text and machine-readable JSON (schema
 ///     "usher-diagnosis-v1", SARIF-like: ruleId, severity, locations,
@@ -42,6 +40,7 @@
 #ifndef USHER_CORE_STATICDIAGNOSIS_H
 #define USHER_CORE_STATICDIAGNOSIS_H
 
+#include "analysis/DemandVFA.h"
 #include "core/Definedness.h"
 #include "support/BitSet.h"
 #include "vfg/VFG.h"
@@ -75,9 +74,6 @@ const char *verdictName(Verdict V);
 
 /// Options for the diagnosis engine.
 struct DiagnosisOptions {
-  /// Call-site sensitivity of the underlying reachability (paper: 1).
-  unsigned ContextK = 1;
-
   /// The diagnosis posture. The default (false) is the posture validated
   /// by the differential harness over the benchmark suite. It assumes the
   /// *coverage hypothesis* documented in DESIGN.md: workload-style programs
@@ -96,25 +92,17 @@ struct DiagnosisOptions {
   bool Conservative = false;
 };
 
-/// One step of a witness path. Steps run from the F root to the use node;
-/// every step but the last carries the value-flow edge to its successor.
-struct WitnessStep {
-  uint32_t Node;                  ///< VFG node id.
-  bool HasEdge = false;           ///< False only on the final step.
-  vfg::EdgeKind Kind = vfg::EdgeKind::Direct;
-  uint32_t CallSite = ~0u;        ///< Instruction id of the call, if labeled.
-};
-
 /// One non-CLEAN finding at a critical operation.
 struct Finding {
   const ir::Instruction *I;       ///< The critical operation.
   const ir::Variable *Var;        ///< The top-level variable used there.
   uint32_t UseNode;               ///< VFG node of the used SSA version.
   Verdict V = Verdict::May;       ///< May or Definite (never Clean).
-  /// Shortest context-valid value-flow slice F -> ... -> UseNode. Empty
-  /// only if the witness search hit its state cap before reaching the
-  /// node (the finding is then downgraded to May).
-  std::vector<WitnessStep> Witness;
+  /// Shortest context-valid value-flow slice F -> ... -> UseNode, each
+  /// step with the edge into it. Empty only if the witness search hit its
+  /// state cap before reaching the node (the finding is then downgraded
+  /// to May).
+  std::vector<analysis::QueryStep> Witness;
 };
 
 /// Aggregate result of one diagnosis run.
@@ -131,6 +119,10 @@ struct DiagnosisReport {
 /// pipeline ran with.
 class StaticDiagnosis {
 public:
+  /// Call-site sensitivity of the engine's Gamma and witness search (the
+  /// paper's configuration).
+  static constexpr unsigned ContextK = 1;
+
   StaticDiagnosis(const analysis::PointerAnalysis &PA,
                   const analysis::CallGraph &CG, const vfg::VFG &G,
                   DiagnosisOptions Opts = DiagnosisOptions());

@@ -7,9 +7,12 @@
 
 #include "fuzz/Fuzzer.h"
 
+#include "fuzz/Reducer.h"
 #include "ir/IR.h"
 #include "support/RNG.h"
 #include "support/RawStream.h"
+#include "workload/Generator.h"
+#include "workload/Synthesizer.h"
 
 #include <string>
 #include <utility>
@@ -22,6 +25,27 @@ namespace {
 
 /// Stop recording (and reducing) divergences past this many.
 constexpr unsigned MaxDivergences = 10;
+
+/// Program shape for fresh generations: smaller than the property-test
+/// defaults so a campaign's per-input pipeline cost stays low.
+constexpr workload::GeneratorOptions GenShape{/*NumFunctions=*/3,
+                                              /*MaxSegmentsPerFn=*/4,
+                                              /*MaxStmtsPerSegment=*/6};
+
+/// Shape of synthesized corpus seeds (FuzzOptions::SeedCorpusSynth):
+/// mid-size whole programs, an order of magnitude above what the
+/// round-by-round generator produces, small enough that a seven-oracle
+/// evaluation of a mutant stays in the tens of milliseconds.
+workload::ShapeSpec synthShape(uint64_t Seed) {
+  workload::ShapeSpec S;
+  S.TargetNodes = 1'200;
+  S.CallDepth = 3;
+  S.Fanout = 2;
+  S.RecursionRings = 1;
+  S.RingSize = 2;
+  S.Seed = Seed;
+  return S;
+}
 
 std::string printModule(const ir::Module &M) {
   std::string Buf;
@@ -37,22 +61,6 @@ unsigned countLines(const std::string &S) {
   return N;
 }
 
-/// Oracle configuration that re-checks only \p K — the reducer's
-/// predicate must preserve the *same kind* of divergence, and skipping
-/// the other oracles makes each predicate call several times cheaper.
-OracleOptions onlyOracle(OracleKind K, const OracleOptions &Base) {
-  OracleOptions Only;
-  Only.MaxSteps = Base.MaxSteps;
-  Only.CheckVariants = K == OracleKind::VariantEquivalence;
-  Only.CheckSolver = K == OracleKind::SolverEquivalence;
-  Only.CheckDiagnosis = K == OracleKind::DiagnosisSoundness;
-  Only.CheckDegradation = K == OracleKind::DegradationSoundness;
-  Only.CheckServe = K == OracleKind::ServeEquivalence;
-  Only.CheckQuery = K == OracleKind::QueryEquivalence;
-  Only.CheckClients = K == OracleKind::ClientConsistency;
-  return Only;
-}
-
 /// How one campaign round obtained its input.
 enum class SchedKind { Generated, Mutated, Spliced, Wrapped };
 
@@ -60,11 +68,10 @@ enum class SchedKind { Generated, Mutated, Spliced, Wrapped };
 /// wrap of corpus members. The branch taken and the number of RNG draws
 /// are a function of the RNG state and whether the corpus is empty.
 static std::pair<std::string, SchedKind>
-scheduleOne(RNG &Rng, const std::vector<std::string> &Corpus,
-            const workload::GeneratorOptions &Gen) {
+scheduleOne(RNG &Rng, const std::vector<std::string> &Corpus) {
   unsigned Choice = Corpus.empty() ? 0 : static_cast<unsigned>(Rng.below(100));
   if (Corpus.empty() || Choice < 30)
-    return {printModule(*workload::generateProgram(Rng.next(), Gen)),
+    return {printModule(*workload::generateProgram(Rng.next(), GenShape)),
             SchedKind::Generated};
   if (Choice < 65)
     return {workload::mutateProgram(Corpus[Rng.below(Corpus.size())],
@@ -89,9 +96,7 @@ FuzzReport fuzz::runFuzzer(const FuzzOptions &Opts) {
   // Synthesized corpus seeds go in before round 0, so the first
   // scheduling draw already sees a non-empty corpus.
   for (unsigned I = 0; I != Opts.SeedCorpusSynth; ++I) {
-    workload::ShapeSpec Shape = Opts.SynthShape;
-    Shape.Seed = Opts.Seed + I;
-    Corpus.push_back(workload::synthesizeProgram(Shape));
+    Corpus.push_back(workload::synthesizeProgram(synthShape(Opts.Seed + I)));
     if (Corpus.size() > Opts.MaxCorpus)
       Corpus.erase(Corpus.begin());
   }
@@ -105,7 +110,7 @@ FuzzReport fuzz::runFuzzer(const FuzzOptions &Opts) {
       Rep.Interrupted = true;
       break;
     }
-    auto [Source, K] = scheduleOne(Rng, Corpus, Opts.Gen);
+    auto [Source, K] = scheduleOne(Rng, Corpus);
     OracleOutcome Out = runOracles(Source, Opts.Oracle);
     switch (K) {
     case SchedKind::Generated:
@@ -153,12 +158,15 @@ FuzzReport fuzz::runFuzzer(const FuzzOptions &Opts) {
     Rec.OriginalLines = countLines(Source);
     Rec.Reduced = Source;
     if (Opts.Reduce) {
-      OracleOptions Only = onlyOracle(D0.Oracle, Opts.Oracle);
+      // The predicate must preserve the *same kind* of divergence, and
+      // skipping the other oracles makes each call several times cheaper.
+      OracleOptions Only = Opts.Oracle;
+      Only.Only = D0.Oracle;
       Predicate StillDiverges = [&Only](const std::string &S) {
         OracleOutcome O = runOracles(S, Only);
         return O.Valid && !O.Divergences.empty();
       };
-      ReduceResult RR = reduceProgram(Source, StillDiverges, Opts.Reducer);
+      ReduceResult RR = reduceProgram(Source, StillDiverges);
       Rec.Reduced = std::move(RR.Source);
       Rec.ReduceChecks = RR.NumChecks;
     }

@@ -7,7 +7,7 @@
 ///
 /// \file
 /// The campaign driver: a coverage-guided loop over TinyC programs that
-/// evaluates the six differential oracles (fuzz/Oracles.h) on every
+/// evaluates the seven differential oracles (fuzz/Oracles.h) on every
 /// valid input and minimizes any divergence with the hierarchical reducer
 /// (fuzz/Reducer.h).
 ///
@@ -27,9 +27,6 @@
 #define USHER_FUZZ_FUZZER_H
 
 #include "fuzz/Oracles.h"
-#include "fuzz/Reducer.h"
-#include "workload/Generator.h"
-#include "workload/Synthesizer.h"
 
 #include <atomic>
 #include <cstdint>
@@ -42,20 +39,6 @@ class raw_ostream;
 
 namespace fuzz {
 
-/// Shape of synthesized corpus seeds (FuzzOptions::SeedCorpusSynth):
-/// mid-size whole programs — an order of magnitude above what the
-/// round-by-round generator produces, small enough that a seven-oracle
-/// evaluation of a mutant stays in the tens of milliseconds.
-inline workload::ShapeSpec fuzzSynthShape() {
-  workload::ShapeSpec S;
-  S.TargetNodes = 1'200;
-  S.CallDepth = 3;
-  S.Fanout = 2;
-  S.RecursionRings = 1;
-  S.RingSize = 2;
-  return S;
-}
-
 struct FuzzOptions {
   uint64_t Seed = 1;
   unsigned Runs = 256;
@@ -63,21 +46,13 @@ struct FuzzOptions {
   bool Reduce = true;
   /// Corpus capacity; oldest entries are evicted first.
   unsigned MaxCorpus = 64;
-  /// Program shape for fresh generations: smaller than the property-test
-  /// defaults so a campaign's per-input pipeline cost stays low.
-  workload::GeneratorOptions Gen{/*NumFunctions=*/3,
-                                 /*MaxSegmentsPerFn=*/4,
-                                 /*MaxStmtsPerSegment=*/6};
-  /// Seed the corpus with this many synthesized whole programs before
-  /// round 0 (seeds Spec.Seed + i over SynthShape). The seeds enter the
+  /// Seed the corpus with this many synthesized mid-size whole programs
+  /// before round 0 (seeds Seed + i over a fixed shape). The seeds enter the
   /// mutation/splice/wrap pool immediately — rounds then drive mid-size
   /// mutants through every oracle instead of only the small generated
   /// programs.
   unsigned SeedCorpusSynth = 0;
-  /// Shape of those synthesized seeds.
-  workload::ShapeSpec SynthShape = fuzzSynthShape();
   OracleOptions Oracle;
-  ReducerOptions Reducer;
   /// Cooperative cancellation: when non-null and raised (e.g. by a
   /// SIGINT/SIGTERM handler), the campaign stops at the next round
   /// boundary. The report then covers exactly the completed rounds

@@ -172,13 +172,18 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
   ExecLimits ToolLimits;
   ToolLimits.MaxSteps = Opts.MaxSteps;
 
+  // True if oracle K is enabled; it is then recorded as checked.
+  auto Enabled = [&Opts, &Out](OracleKind K) {
+    bool On = !Opts.Only || *Opts.Only == K;
+    Out.Checked[static_cast<unsigned>(K)] = On;
+    return On;
+  };
   auto Diverge = [&Out](OracleKind K, std::string Detail) {
     Out.Divergences.push_back({K, std::move(Detail)});
   };
 
   // -- Oracle 1: variant equivalence vs the shadow interpreter -----------
-  if (Opts.CheckVariants) {
-    Out.Checked[static_cast<unsigned>(OracleKind::VariantEquivalence)] = true;
+  if (Enabled(OracleKind::VariantEquivalence)) {
     for (const VariantSemantics &VS : AllVariants) {
       auto M = parseFresh(Source);
       core::UsherOptions UOpts;
@@ -226,8 +231,7 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
   }
 
   // -- Oracle 2: fast vs naive constraint solver -------------------------
-  if (Opts.CheckSolver) {
-    Out.Checked[static_cast<unsigned>(OracleKind::SolverEquivalence)] = true;
+  if (Enabled(OracleKind::SolverEquivalence)) {
     auto MOpt = parseFresh(Source);
     auto MRef = parseFresh(Source);
     CallGraph CGOpt(*MOpt);
@@ -286,8 +290,7 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
   }
 
   // -- Oracle 3: static diagnosis soundness and must-precision -----------
-  if (Opts.CheckDiagnosis) {
-    Out.Checked[static_cast<unsigned>(OracleKind::DiagnosisSoundness)] = true;
+  if (Enabled(OracleKind::DiagnosisSoundness)) {
     auto M = parseFresh(Source);
     core::UsherOptions UOpts;
     UOpts.Variant = ToolVariant::UsherFull;
@@ -325,17 +328,22 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
         Diverge(OracleKind::DiagnosisSoundness,
                 "DEFINITE at inst#" + std::to_string(F.I->getId()) +
                     " never fired");
+      std::string WErr;
       if (F.Witness.empty())
         Diverge(OracleKind::DiagnosisSoundness,
                 "DEFINITE at inst#" + std::to_string(F.I->getId()) +
                     " has no witness path");
+      else if (!analysis::validateQueryWitness(
+                   *R.G, vfg::VFG::RootF, F.UseNode, F.Witness,
+                   core::StaticDiagnosis::ContextK, &WErr))
+        Diverge(OracleKind::DiagnosisSoundness,
+                "DEFINITE at inst#" + std::to_string(F.I->getId()) +
+                    " witness does not replay: " + WErr);
     }
   }
 
   // -- Oracle 4: degradation-ladder soundness under injected faults ------
-  if (Opts.CheckDegradation) {
-    Out.Checked[static_cast<unsigned>(OracleKind::DegradationSoundness)] =
-        true;
+  if (Enabled(OracleKind::DegradationSoundness)) {
     struct FaultCase {
       BudgetPhase Phase;
       ToolVariant Requested;
@@ -389,8 +397,7 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
   }
 
   // -- Oracle 5: analysis service equivalence ----------------------------
-  if (Opts.CheckServe) {
-    Out.Checked[static_cast<unsigned>(OracleKind::ServeEquivalence)] = true;
+  if (Enabled(OracleKind::ServeEquivalence)) {
     // One in-process Session with an in-memory snapshot store; every
     // request goes through the full wire encoding round trip so the
     // protocol layer is part of the differential surface.
@@ -472,8 +479,7 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
   }
 
   // -- Oracle 6: demand query vs whole-program VFG reachability ----------
-  if (Opts.CheckQuery) {
-    Out.Checked[static_cast<unsigned>(OracleKind::QueryEquivalence)] = true;
+  if (Enabled(OracleKind::QueryEquivalence)) {
     auto M = parseFresh(Source);
     core::UsherOptions UOpts;
     UOpts.Variant = ToolVariant::UsherFull;
@@ -574,8 +580,7 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
   }
 
   // -- Oracle 7: sanitizer-client consistency ----------------------------
-  if (Opts.CheckClients) {
-    Out.Checked[static_cast<unsigned>(OracleKind::ClientConsistency)] = true;
+  if (Enabled(OracleKind::ClientConsistency)) {
     // A plan covers a warning when the warned instruction carries one of
     // the plan's own check ops.
     auto PlanChecksAt = [](const core::InstrumentationPlan &P,

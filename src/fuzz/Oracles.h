@@ -21,7 +21,8 @@
 ///     ladder.
 ///  3. DiagnosisSoundness — the static diagnosis engine, run in its
 ///     conservative posture, must classify no oracle warning CLEAN and
-///     every DEFINITE finding must fire at runtime with a witness.
+///     every DEFINITE finding must fire at runtime with a witness that
+///     validateQueryWitness accepts.
 ///  4. DegradationSoundness — injected budget exhaustion in each pipeline
 ///     phase must land on the documented rung and keep the plan's
 ///     warnings exact.
@@ -58,6 +59,7 @@
 #include "fuzz/Coverage.h"
 #include "runtime/Interpreter.h"
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -89,13 +91,8 @@ struct Divergence {
 
 /// Which oracles to evaluate and under what execution limits.
 struct OracleOptions {
-  bool CheckVariants = true;
-  bool CheckSolver = true;
-  bool CheckDiagnosis = true;
-  bool CheckDegradation = true;
-  bool CheckServe = true;
-  bool CheckQuery = true;
-  bool CheckClients = true;
+  /// Evaluate only this oracle; unset evaluates all seven.
+  std::optional<OracleKind> Only;
   /// Applied to every interpreter run. Mutants can manufacture infinite
   /// loops, so the default step budget is far below the interpreter's.
   uint64_t MaxSteps = 2'000'000;

@@ -7,59 +7,28 @@
 
 #include "fuzz/Reducer.h"
 
+#include "workload/Generator.h"
+
 #include <cctype>
 #include <string>
 #include <vector>
 
 using namespace usher;
 using namespace usher::fuzz;
+using workload::joinLines;
+using workload::splitLines;
+using workload::trimmedLine;
 
 namespace {
 
 /// Full sweeps over all three pass shapes.
 constexpr unsigned MaxPasses = 8;
 
-std::vector<std::string> splitLines(const std::string &Source) {
-  std::vector<std::string> Lines;
-  std::string Cur;
-  for (char C : Source) {
-    if (C == '\n') {
-      Lines.push_back(Cur);
-      Cur.clear();
-    } else {
-      Cur += C;
-    }
-  }
-  if (!Cur.empty())
-    Lines.push_back(Cur);
-  return Lines;
-}
-
-std::string joinLines(const std::vector<std::string> &Lines) {
-  std::string Out;
-  for (const std::string &L : Lines) {
-    Out += L;
-    Out += '\n';
-  }
-  return Out;
-}
-
-std::string trimmed(const std::string &Line) {
-  size_t Comment = Line.find("//");
-  std::string S =
-      Comment == std::string::npos ? Line : Line.substr(0, Comment);
-  size_t Begin = S.find_first_not_of(" \t");
-  if (Begin == std::string::npos)
-    return "";
-  size_t End = S.find_last_not_of(" \t");
-  return S.substr(Begin, End - Begin + 1);
-}
-
 /// Deletable granularity: anything except function headers and closing
 /// braces (removing those alone always breaks the structure — whole
 /// functions go in one piece in the coarse pass instead).
 bool isBodyLine(const std::string &Line) {
-  std::string T = trimmed(Line);
+  std::string T = trimmedLine(Line);
   return !T.empty() && T != "}" && T.rfind("func ", 0) != 0;
 }
 
@@ -85,11 +54,11 @@ bool removeFunctions(std::vector<std::string> &Lines, Checker &C) {
   for (bool Retry = true; Retry && !C.exhausted();) {
     Retry = false;
     for (size_t I = 0; I != Lines.size(); ++I) {
-      std::string T = trimmed(Lines[I]);
+      std::string T = trimmedLine(Lines[I]);
       if (T.rfind("func ", 0) != 0 || T.rfind("func main(", 0) == 0)
         continue;
       size_t Close = I + 1;
-      while (Close != Lines.size() && trimmed(Lines[Close]) != "}")
+      while (Close != Lines.size() && trimmedLine(Lines[Close]) != "}")
         ++Close;
       if (Close == Lines.size())
         continue;
@@ -160,7 +129,7 @@ bool deleteChunks(std::vector<std::string> &Lines, Checker &C) {
 bool simplifyLines(std::vector<std::string> &Lines, Checker &C) {
   bool Changed = false;
   for (size_t I = 0; I != Lines.size() && !C.exhausted(); ++I) {
-    std::string T = trimmed(Lines[I]);
+    std::string T = trimmedLine(Lines[I]);
     if (T.empty() || T.back() != ';' || T[0] == '*')
       continue;
     size_t Eq = T.find(" = ");
@@ -175,7 +144,7 @@ bool simplifyLines(std::vector<std::string> &Lines, Checker &C) {
     if (Name.empty() || T.rfind("var ", 0) == 0)
       continue;
     std::string Simple = "  " + Name + " = 0;";
-    if (trimmed(Simple) == T)
+    if (trimmedLine(Simple) == T)
       continue;
     std::string Saved = Lines[I];
     Lines[I] = Simple;
@@ -191,10 +160,10 @@ bool simplifyLines(std::vector<std::string> &Lines, Checker &C) {
 } // namespace
 
 ReduceResult fuzz::reduceProgram(const std::string &Source,
-                                 const Predicate &P, ReducerOptions Opts) {
+                                 const Predicate &P, unsigned MaxChecks) {
   ReduceResult Res;
   Res.Source = Source;
-  Checker C{P, Opts.MaxChecks};
+  Checker C{P, MaxChecks};
 
   std::vector<std::string> Lines = splitLines(Source);
   if (!C.test(Lines)) // The input itself must exhibit the behavior.

@@ -36,10 +36,8 @@ namespace fuzz {
 /// minimized. Must be deterministic.
 using Predicate = std::function<bool(const std::string &)>;
 
-struct ReducerOptions {
-  /// Hard cap on predicate evaluations (the expensive part).
-  unsigned MaxChecks = 1500;
-};
+/// Default cap on predicate evaluations (the expensive part).
+constexpr unsigned MaxReduceChecks = 1500;
 
 struct ReduceResult {
   std::string Source;      ///< The minimized program.
@@ -47,10 +45,11 @@ struct ReduceResult {
   unsigned NumPasses = 0;  ///< Sweeps completed.
 };
 
-/// Minimizes \p Source while \p P holds. \p P must hold on \p Source
-/// itself; if it does not, the input is returned unchanged.
+/// Minimizes \p Source while \p P holds, evaluating \p P at most
+/// \p MaxChecks times. \p P must hold on \p Source itself; if it does
+/// not, the input is returned unchanged.
 ReduceResult reduceProgram(const std::string &Source, const Predicate &P,
-                           ReducerOptions Opts = ReducerOptions());
+                           unsigned MaxChecks = MaxReduceChecks);
 
 } // namespace fuzz
 } // namespace usher

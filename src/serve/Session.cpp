@@ -155,21 +155,11 @@ Reply Session::handleAnalysis(const Request &Rq) {
 
   // Sanitizer-client selection (analyze only; diagnose is UUV by nature).
   core::UsherOptions UO;
-  if (Rq.Kind == Op::Analyze && !Rq.Clients.empty()) {
-    std::string_view List = Rq.Clients;
-    for (;;) {
-      size_t Comma = List.find(',');
-      core::ClientKind K;
-      if (!core::parseClientName(std::string(List.substr(0, Comma)), K)) {
-        Rp.Status = ReplyStatus::Error;
-        Rp.Payload = "unknown sanitizer client in list: " + Rq.Clients;
-        return Rp;
-      }
-      UO.Clients.push_back(K);
-      if (Comma == std::string_view::npos)
-        break;
-      List.remove_prefix(Comma + 1);
-    }
+  if (Rq.Kind == Op::Analyze && !Rq.Clients.empty() &&
+      !core::parseClientList(Rq.Clients, UO.Clients)) {
+    Rp.Status = ReplyStatus::Error;
+    Rp.Payload = "unknown sanitizer client in list: " + Rq.Clients;
+    return Rp;
   }
   if (!applyRequestLimits(Rq, UO, Rp))
     return Rp;

@@ -9,6 +9,7 @@
 
 #include "serve/Protocol.h"
 #include "support/FaultInjection.h"
+#include "support/RawStream.h"
 
 #include <cstdio>
 
@@ -46,22 +47,6 @@ uint64_t u64At(std::string_view B, size_t Off) {
   for (int I = 0; I != 8; ++I)
     V |= static_cast<uint64_t>(static_cast<uint8_t>(B[Off + I])) << (8 * I);
   return V;
-}
-
-/// Reads a whole file; returns false if it does not exist or is
-/// unreadable.
-bool readFile(const std::string &Path, std::string &Out) {
-  std::FILE *FP = std::fopen(Path.c_str(), "rb");
-  if (!FP)
-    return false;
-  Out.clear();
-  char Buf[4096];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), FP)) > 0)
-    Out.append(Buf, N);
-  bool Ok = !std::ferror(FP);
-  std::fclose(FP);
-  return Ok;
 }
 
 /// Writes \p Size bytes of \p Data to \p Path and fsyncs. Returns false

@@ -7,8 +7,6 @@
 
 #include "support/Budget.h"
 
-#include "support/Timer.h"
-
 using namespace usher;
 
 const char *usher::budgetPhaseName(BudgetPhase P) {
@@ -33,8 +31,6 @@ const char *usher::exhaustKindName(ExhaustKind K) {
     return "step budget";
   case ExhaustKind::Deadline:
     return "deadline";
-  case ExhaustKind::Memory:
-    return "memory watermark";
   case ExhaustKind::Injected:
     return "injected fault";
   }
@@ -75,8 +71,8 @@ bool Budget::stepSlow(uint64_t N) {
     Exhaust = ExhaustKind::Steps;
   if (exhausted())
     return false;
-  // Clock and RSS probes are rate-limited: a syscall-ish probe per
-  // worklist pop would dominate small analyses.
+  // The clock probe is rate-limited: a syscall-ish probe per worklist
+  // pop would dominate small analyses.
   ++Checks;
   if (Limits.PhaseDeadlineMs && (Checks & 127) == 0) {
     auto Elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -86,11 +82,6 @@ bool Budget::stepSlow(uint64_t N) {
       Exhaust = ExhaustKind::Deadline;
       return false;
     }
-  }
-  if (Limits.MaxRSSBytes && (Checks & 4095) == 0 &&
-      currentRSSBytes() > Limits.MaxRSSBytes) {
-    Exhaust = ExhaustKind::Memory;
-    return false;
   }
   return true;
 }

@@ -15,8 +15,8 @@
 ///
 /// The token is deliberately zero-cost on the happy path: with no limits
 /// configured and no fault injected, step() is a single branch on a
-/// cached flag. Wall-clock and memory probes are rate-limited so an armed
-/// budget stays cheap too.
+/// cached flag. The wall-clock probe is rate-limited so an armed budget
+/// stays cheap too.
 ///
 /// One token belongs to one pipeline run on one thread. Concurrent runs
 /// (usher-serve's workers) each build their own token. Within one
@@ -56,7 +56,6 @@ enum class ExhaustKind : uint8_t {
   None = 0, ///< Not exhausted.
   Steps,    ///< Hit MaxStepsPerPhase.
   Deadline, ///< Hit PhaseDeadlineMs.
-  Memory,   ///< Crossed MaxRSSBytes.
   Injected, ///< A FaultPlan fired (tests, --inject-fault).
 };
 const char *exhaustKindName(ExhaustKind K);
@@ -68,9 +67,8 @@ const char *exhaustKindName(ExhaustKind K);
 struct BudgetLimits {
   uint64_t MaxStepsPerPhase = 0; ///< Worklist iterations per phase.
   uint64_t PhaseDeadlineMs = 0;  ///< Wall-clock deadline per phase.
-  uint64_t MaxRSSBytes = 0;      ///< Optional resident-set watermark.
 
-  bool any() const { return MaxStepsPerPhase || PhaseDeadlineMs || MaxRSSBytes; }
+  bool any() const { return MaxStepsPerPhase || PhaseDeadlineMs; }
 };
 
 /// A deterministic injected exhaustion: while the named phase is armed,

@@ -102,3 +102,17 @@ raw_ostream &usher::errs() {
   static raw_fd_ostream Stream(stderr);
   return Stream;
 }
+
+bool usher::readFile(const std::string &Path, std::string &Out) {
+  std::FILE *FP = std::fopen(Path.c_str(), "rb");
+  if (!FP)
+    return false;
+  Out.clear();
+  char Buf[4096];
+  size_t N;
+  while ((N = std::fread(Buf, 1, sizeof(Buf), FP)) > 0)
+    Out.append(Buf, N);
+  bool Ok = !std::ferror(FP);
+  std::fclose(FP);
+  return Ok;
+}

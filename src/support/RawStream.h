@@ -114,6 +114,10 @@ raw_ostream &outs();
 /// Returns the stream bound to stderr.
 raw_ostream &errs();
 
+/// Reads the whole file at \p Path into \p Out. Returns false if it
+/// cannot be opened or a read fails.
+bool readFile(const std::string &Path, std::string &Out);
+
 } // namespace usher
 
 #endif // USHER_SUPPORT_RAWSTREAM_H

@@ -12,25 +12,20 @@
 
 using namespace usher;
 
-static uint64_t readStatusField(const char *Field) {
+uint64_t usher::peakRSSBytes() {
   std::FILE *FP = std::fopen("/proc/self/status", "r");
   if (!FP)
     return 0;
   char Line[256];
   uint64_t Result = 0;
-  size_t FieldLen = std::strlen(Field);
   while (std::fgets(Line, sizeof(Line), FP)) {
-    if (std::strncmp(Line, Field, FieldLen) != 0)
+    if (std::strncmp(Line, "VmHWM:", 6) != 0)
       continue;
     unsigned long long KB = 0;
-    if (std::sscanf(Line + FieldLen, " %llu", &KB) == 1)
+    if (std::sscanf(Line + 6, " %llu", &KB) == 1)
       Result = static_cast<uint64_t>(KB) * 1024;
     break;
   }
   std::fclose(FP);
   return Result;
 }
-
-uint64_t usher::peakRSSBytes() { return readStatusField("VmHWM:"); }
-
-uint64_t usher::currentRSSBytes() { return readStatusField("VmRSS:"); }

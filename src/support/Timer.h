@@ -45,9 +45,6 @@ private:
 /// benchmarking environment is Linux).
 uint64_t peakRSSBytes();
 
-/// Returns the current resident set size in bytes, or 0 if unknown.
-uint64_t currentRSSBytes();
-
 } // namespace usher
 
 #endif // USHER_SUPPORT_TIMER_H

@@ -658,26 +658,7 @@ std::unique_ptr<Module> workload::generateProgram(uint64_t Seed,
 // Text-level mutation API
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// mutateProgram applies 1..MaxMutations point mutations per call.
-constexpr unsigned MaxMutations = 3;
-
-std::string stripComment(const std::string &Line) {
-  size_t Pos = Line.find("//");
-  return Pos == std::string::npos ? Line : Line.substr(0, Pos);
-}
-
-std::string trimmedStmt(const std::string &Line) {
-  std::string S = stripComment(Line);
-  size_t Begin = S.find_first_not_of(" \t");
-  if (Begin == std::string::npos)
-    return "";
-  size_t End = S.find_last_not_of(" \t");
-  return S.substr(Begin, End - Begin + 1);
-}
-
-std::vector<std::string> splitLines(const std::string &Source) {
+std::vector<std::string> workload::splitLines(const std::string &Source) {
   std::vector<std::string> Lines;
   std::string Cur;
   for (char C : Source) {
@@ -693,7 +674,7 @@ std::vector<std::string> splitLines(const std::string &Source) {
   return Lines;
 }
 
-std::string joinLines(const std::vector<std::string> &Lines) {
+std::string workload::joinLines(const std::vector<std::string> &Lines) {
   std::string Out;
   for (const std::string &L : Lines) {
     Out += L;
@@ -702,11 +683,30 @@ std::string joinLines(const std::vector<std::string> &Lines) {
   return Out;
 }
 
+std::string workload::trimmedLine(const std::string &Line) {
+  std::string S = Line.substr(0, Line.find("//"));
+  size_t Begin = S.find_first_not_of(" \t");
+  if (Begin == std::string::npos)
+    return "";
+  size_t End = S.find_last_not_of(" \t");
+  return S.substr(Begin, End - Begin + 1);
+}
+
+namespace {
+
+/// mutateProgram applies 1..MaxMutations point mutations per call.
+constexpr unsigned MaxMutations = 3;
+
+std::string stripComment(const std::string &Line) {
+  size_t Pos = Line.find("//");
+  return Pos == std::string::npos ? Line : Line.substr(0, Pos);
+}
+
 /// A statement line: ends in ';' and is not a declaration. Terminators
 /// (goto / if / ret) count; mutations that break a block's structure
 /// produce invalid mutants the caller's validity filter discards.
 bool isStmtLine(const std::string &Line) {
-  std::string T = trimmedStmt(Line);
+  std::string T = trimmedLine(Line);
   return !T.empty() && T.back() == ';' && T.rfind("var ", 0) != 0 &&
          T.rfind("global ", 0) != 0;
 }
@@ -730,7 +730,7 @@ std::vector<FnRange> functionRanges(const std::vector<std::string> &Lines) {
   size_t Start = 0;
   bool In = false;
   for (size_t I = 0; I != Lines.size(); ++I) {
-    std::string T = trimmedStmt(Lines[I]);
+    std::string T = trimmedLine(Lines[I]);
     if (!In && T.rfind("func ", 0) == 0 && !T.empty() && T.back() == '{') {
       In = true;
       Start = I + 1;
@@ -796,7 +796,7 @@ std::string workload::mutateProgram(const std::string &Source,
     switch (Rng.below(6)) {
     case 0: { // Delete a statement (returns stay: every path needs one).
       size_t Idx = Stmts[Rng.below(Stmts.size())];
-      if (trimmedStmt(Lines[Idx]).rfind("ret", 0) != 0)
+      if (trimmedLine(Lines[Idx]).rfind("ret", 0) != 0)
         Lines.erase(Lines.begin() + static_cast<std::ptrdiff_t>(Idx));
       break;
     }
@@ -864,7 +864,7 @@ std::string workload::mutateProgram(const std::string &Source,
               // shift definedness without changing the program's shape.
       std::vector<size_t> Defs;
       for (size_t I : Stmts) {
-        std::string T = trimmedStmt(Lines[I]);
+        std::string T = trimmedLine(Lines[I]);
         size_t Eq = T.find(" = ");
         if (Eq == std::string::npos || T[0] == '*')
           continue;
@@ -877,7 +877,7 @@ std::string workload::mutateProgram(const std::string &Source,
       if (Defs.empty())
         break;
       size_t Idx = Defs[Rng.below(Defs.size())];
-      std::string T = trimmedStmt(Lines[Idx]);
+      std::string T = trimmedLine(Lines[Idx]);
       std::string Name = T.substr(0, T.find(" = "));
       Lines.insert(Lines.begin() + static_cast<std::ptrdiff_t>(Idx) + 1,
                    "  " + Name + " = " + std::to_string(Rng.range(-4, 99)) +
@@ -902,7 +902,7 @@ std::string workload::spliceProgram(const std::string &Receiver,
   auto IsSpliceable = [&](size_t I) {
     if (!isStmtLine(DLines[I]))
       return false;
-    std::string T = trimmedStmt(DLines[I]);
+    std::string T = trimmedLine(DLines[I]);
     return T.find("goto") == std::string::npos && T.rfind("ret", 0) != 0 &&
            T.find('(') == std::string::npos;
   };
@@ -921,7 +921,7 @@ std::string workload::spliceProgram(const std::string &Receiver,
   for (size_t I = Start; I != DLines.size() && Run.size() < MaxLen; ++I) {
     if (!IsSpliceable(I))
       break;
-    Run.push_back("  " + trimmedStmt(DLines[I]));
+    Run.push_back("  " + trimmedLine(DLines[I]));
     for (std::string &Tok : identTokens(DLines[I]))
       Used.push_back(std::move(Tok));
   }
@@ -948,14 +948,14 @@ std::string workload::spliceProgram(const std::string &Receiver,
       Declared.push_back(std::move(Tok));
   size_t VarLine = ~size_t(0);
   for (size_t I = R.Begin; I != R.End; ++I)
-    if (trimmedStmt(RLines[I]).rfind("var ", 0) == 0) {
+    if (trimmedLine(RLines[I]).rfind("var ", 0) == 0) {
       VarLine = I;
       for (std::string &Tok : identTokens(RLines[I]))
         Declared.push_back(std::move(Tok));
       break;
     }
   for (const std::string &L : RLines) {
-    if (trimmedStmt(L).rfind("global ", 0) != 0)
+    if (trimmedLine(L).rfind("global ", 0) != 0)
       continue;
     for (std::string &Tok : identTokens(L))
       Declared.push_back(std::move(Tok));
@@ -989,7 +989,7 @@ std::string workload::wrapMainInCall(const std::string &Source) {
   std::vector<std::string> Lines = splitLines(Source);
   size_t HeaderIdx = ~size_t(0);
   for (size_t I = 0; I != Lines.size(); ++I)
-    if (trimmedStmt(Lines[I]).rfind("func main(", 0) == 0) {
+    if (trimmedLine(Lines[I]).rfind("func main(", 0) == 0) {
       HeaderIdx = I;
       break;
     }

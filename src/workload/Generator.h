@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 namespace usher {
 namespace ir {
@@ -68,6 +69,16 @@ generateProgram(uint64_t Seed, GeneratorOptions Opts = GeneratorOptions());
 // verify and natively execute each one, discarding failures
 // (generate-and-filter, as in Csmith-style fuzzing). All entry points are
 // deterministic functions of their arguments.
+
+/// Splits source text into lines, without their newlines; a final line
+/// without a newline is kept, a trailing empty one is not.
+std::vector<std::string> splitLines(const std::string &Source);
+
+/// Joins lines back into source text, each followed by a newline.
+std::string joinLines(const std::vector<std::string> &Lines);
+
+/// \p Line without its `//` comment and surrounding blanks.
+std::string trimmedLine(const std::string &Line);
 
 /// Applies a random batch of one to three statement-level mutations to
 /// \p Source:

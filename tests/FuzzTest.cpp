@@ -188,8 +188,7 @@ TEST(Mutation, MutantsFrequentlySurviveTheValidityGate) {
   unsigned Valid = 0;
   for (uint64_t Seed = 0; Seed != 30; ++Seed) {
     fuzz::OracleOptions Opts;
-    Opts.CheckVariants = Opts.CheckSolver = false;
-    Opts.CheckDiagnosis = Opts.CheckDegradation = false;
+    Opts.Only = fuzz::OracleKind::QueryEquivalence;
     if (fuzz::runOracles(workload::mutateProgram(Base, Seed), Opts).Valid)
       ++Valid;
   }
@@ -400,7 +399,7 @@ TEST(Reducer, ShrinksBuriedBugBelowQuarterSize) {
       << "reduced to " << SmallLines << " of " << BigLines << " lines:\n"
       << RR.Source;
   EXPECT_GT(RR.NumChecks, 0u);
-  EXPECT_LE(RR.NumChecks, fuzz::ReducerOptions().MaxChecks);
+  EXPECT_LE(RR.NumChecks, fuzz::MaxReduceChecks);
 }
 
 TEST(Reducer, IsDeterministic) {
@@ -418,10 +417,8 @@ TEST(Reducer, ReturnsInputWhenPredicateFailsOnIt) {
 }
 
 TEST(Reducer, RespectsCheckBudget) {
-  fuzz::ReducerOptions Opts;
-  Opts.MaxChecks = 5;
   fuzz::ReduceResult RR =
-      fuzz::reduceProgram(bigBuggyProgram(), stillWarns, Opts);
+      fuzz::reduceProgram(bigBuggyProgram(), stillWarns, /*MaxChecks=*/5);
   EXPECT_LE(RR.NumChecks, 5u);
   EXPECT_TRUE(stillWarns(RR.Source))
       << "a truncated reduction must still satisfy the predicate";

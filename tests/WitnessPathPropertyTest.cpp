@@ -15,12 +15,15 @@
 ///  - replaying the call/return labels through the shared ContextStack
 ///    from the empty context never hits an unrealizable return.
 ///
+/// analysis::validateQueryWitness checks all three, as it does for
+/// demand-query witnesses.
+///
 /// Checked over the Spec2000-like suite, the diagnosis bug corpus, and a
 /// range of generator seeds.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/ContextStack.h"
+#include "analysis/DemandVFA.h"
 #include "core/StaticDiagnosis.h"
 #include "core/Usher.h"
 #include "parser/Parser.h"
@@ -33,72 +36,26 @@
 #include <sstream>
 
 using namespace usher;
-using core::ContextStack;
 using core::Finding;
 using core::StaticDiagnosis;
 
 namespace {
-
-/// True if the graph has a user edge From -> To with this kind and label.
-bool hasUserEdge(const vfg::VFG &G, uint32_t From, uint32_t To,
-                 vfg::EdgeKind Kind, uint32_t CallSite) {
-  for (const vfg::Edge &E : G.users(From))
-    if (E.Node == To && E.Kind == Kind && E.CallSite == CallSite)
-      return true;
-  return false;
-}
-
-/// Asserts the structural and context validity of one witness path.
-void checkWitness(const vfg::VFG &G, unsigned K, const Finding &F,
-                  const std::string &Tag) {
-  ASSERT_FALSE(F.Witness.empty()) << Tag << ": empty witness checked";
-  EXPECT_EQ(F.Witness.front().Node, vfg::VFG::RootF)
-      << Tag << ": witness does not start at the F root";
-  EXPECT_EQ(F.Witness.back().Node, F.UseNode)
-      << Tag << ": witness does not end at the reported use node";
-  EXPECT_FALSE(F.Witness.back().HasEdge)
-      << Tag << ": final step claims an outgoing edge";
-
-  ContextStack Ctx = ContextStack::empty();
-  for (size_t Pos = 0; Pos + 1 < F.Witness.size(); ++Pos) {
-    const core::WitnessStep &S = F.Witness[Pos];
-    const core::WitnessStep &Next = F.Witness[Pos + 1];
-    ASSERT_TRUE(S.HasEdge) << Tag << ": interior step " << Pos
-                           << " has no edge";
-    EXPECT_TRUE(hasUserEdge(G, S.Node, Next.Node, S.Kind, S.CallSite))
-        << Tag << ": step " << Pos << " edge " << S.Node << " -> "
-        << Next.Node << " is not in the VFG";
-    if (K == 0)
-      continue;
-    switch (S.Kind) {
-    case vfg::EdgeKind::Direct:
-      break;
-    case vfg::EdgeKind::Call:
-      Ctx = Ctx.pushed(S.CallSite, K);
-      break;
-    case vfg::EdgeKind::Ret: {
-      ContextStack Out = ContextStack::empty();
-      ASSERT_TRUE(Ctx.popped(S.CallSite, Out))
-          << Tag << ": step " << Pos << " returns through call site "
-          << S.CallSite << " with a different pending call on the stack";
-      Ctx = Out;
-      break;
-    }
-    }
-  }
-}
 
 void checkAllWitnesses(ir::Module &M, const std::string &Tag) {
   core::UsherOptions Opts;
   Opts.Variant = core::ToolVariant::UsherFull;
   core::UsherResult R = core::runUsher(M, Opts);
   ASSERT_TRUE(R.PA && R.CG && R.G) << Tag;
-  core::DiagnosisOptions DOpts;
-  StaticDiagnosis Diag(*R.PA, *R.CG, *R.G, DOpts);
+  StaticDiagnosis Diag(*R.PA, *R.CG, *R.G);
   for (const Finding &F : Diag.report().Findings) {
     if (F.Witness.empty())
       continue; // Capped searches may leave no witness; nothing to check.
-    checkWitness(*R.G, DOpts.ContextK, F, Tag);
+    std::string Err;
+    EXPECT_TRUE(analysis::validateQueryWitness(*R.G, vfg::VFG::RootF,
+                                               F.UseNode, F.Witness,
+                                               StaticDiagnosis::ContextK,
+                                               &Err))
+        << Tag << ": witness to inst#" << F.I->getId() << ": " << Err;
   }
 }
 

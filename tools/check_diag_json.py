@@ -3,13 +3,15 @@
 
 Usage:
   check_diag_json.py FILE.json                validate an existing report
-  check_diag_json.py --run-smoke CLI INPUT.tc run `CLI INPUT.tc --diagnose
+  check_diag_json.py --run-smoke CLI INPUT.tc [INPUT.tc ...]
+                                              for each input, run `CLI
+                                              INPUT.tc --diagnose
                                               --diag-json=<tmp> --no-run`,
                                               then validate the output
 
-The usher_cli_diag_json ctest uses --run-smoke over the diagnosis bug
-corpus, so the CLI surface and the machine-readable schema stay covered
-by tier-1. Verdicts are NOT pinned here (the C++ differential tests own
+The usher_cli_diag_json ctest uses --run-smoke over every program of the
+diagnosis bug corpus, so the CLI surface and the machine-readable schema
+stay covered by tier-1. Verdicts are NOT pinned here (the C++ differential tests own
 that); this checks that the report is structurally valid: consistent
 summary counts, well-formed findings, and codeFlows whose edges carry
 legal kinds and call-site labels.
@@ -150,16 +152,17 @@ def check_report(path):
 
 
 def main(argv):
-    if len(argv) == 4 and argv[1] == "--run-smoke":
+    if len(argv) >= 4 and argv[1] == "--run-smoke":
         with tempfile.TemporaryDirectory() as tmp:
-            out = os.path.join(tmp, "diag.json")
-            proc = subprocess.run(
-                [argv[2], argv[3], "--diagnose", f"--diag-json={out}",
-                 "--no-run"]
-            )
-            if proc.returncode != 0:
-                fail(f"{argv[2]} exited with {proc.returncode}")
-            check_report(out)
+            for idx, program in enumerate(argv[3:]):
+                out = os.path.join(tmp, f"diag{idx}.json")
+                proc = subprocess.run(
+                    [argv[2], program, "--diagnose", f"--diag-json={out}",
+                     "--no-run"]
+                )
+                if proc.returncode != 0:
+                    fail(f"{argv[2]} {program} exited with {proc.returncode}")
+                check_report(out)
     elif len(argv) == 2 and not argv[1].startswith("-"):
         check_report(argv[1])
     else:

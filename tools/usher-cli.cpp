@@ -249,19 +249,8 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       else
         return false;
     } else if (Arg.rfind("--client=", 0) == 0) {
-      std::string_view List = Arg.substr(9);
-      if (List.empty())
+      if (!core::parseClientList(Arg.substr(9), Opts.Clients))
         return false;
-      for (;;) {
-        size_t Comma = List.find(',');
-        core::ClientKind K;
-        if (!core::parseClientName(std::string(List.substr(0, Comma)), K))
-          return false;
-        Opts.Clients.push_back(K);
-        if (Comma == std::string_view::npos)
-          break;
-        List.remove_prefix(Comma + 1);
-      }
     } else if (Arg.rfind("--bounds-budget=", 0) == 0) {
       uint64_t Pct;
       if (!parseDecimal(Arg.substr(16), 10000, Pct))
@@ -289,22 +278,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     }
   }
   return Opts.ListFaultSites || !Opts.InputPath.empty();
-}
-
-std::string readFile(const std::string &Path, bool &Ok) {
-  std::FILE *FP = std::fopen(Path.c_str(), "rb");
-  if (!FP) {
-    Ok = false;
-    return {};
-  }
-  std::string Contents;
-  char Buf[4096];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), FP)) > 0)
-    Contents.append(Buf, N);
-  std::fclose(FP);
-  Ok = true;
-  return Contents;
 }
 
 /// Reports one plan of a run: the base execution facts are shared by
@@ -361,9 +334,8 @@ int main(int Argc, char **Argv) {
   std::signal(SIGINT, onSignal);
   std::signal(SIGTERM, onSignal);
 
-  bool Ok = false;
-  std::string Source = readFile(Opts.InputPath, Ok);
-  if (!Ok) {
+  std::string Source;
+  if (!readFile(Opts.InputPath, Source)) {
     errs() << Opts.InputPath << ": error: cannot open file\n";
     return ExitInputError;
   }

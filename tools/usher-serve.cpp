@@ -168,22 +168,6 @@ bool parseArgs(int Argc, char **Argv, ServeOptions &Opts) {
   return true;
 }
 
-std::string readFile(const std::string &Path, bool &Ok) {
-  std::FILE *FP = std::fopen(Path.c_str(), "rb");
-  if (!FP) {
-    Ok = false;
-    return {};
-  }
-  std::string Contents;
-  char Buf[4096];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), FP)) > 0)
-    Contents.append(Buf, N);
-  std::fclose(FP);
-  Ok = true;
-  return Contents;
-}
-
 Daemon *ActiveDaemon = nullptr;
 
 void onSignal(int) {
@@ -235,9 +219,7 @@ int runClient(const ServeOptions &Opts) {
       errs() << "error: --op=" << Opts.OpName << " needs a <program.tc>\n";
       return ExitUsage;
     }
-    bool Ok = false;
-    Rq.Source = readFile(Opts.InputPath, Ok);
-    if (!Ok) {
+    if (!readFile(Opts.InputPath, Rq.Source)) {
       errs() << Opts.InputPath << ": error: cannot open file\n";
       return ExitUsage;
     }
