@@ -19,7 +19,9 @@ Usage:
       true, fewer completed runs than requested, and the usual
       usher-fuzz-v1 internal consistency (valid + invalid == runs).
 
-Prints "check_interrupt: OK" on success; the ctest entries key off it.
+On success prints one line: the script name, a colon and "OK". The
+ctest entries key off that line, which this usage text must never
+contain.
 """
 
 import json

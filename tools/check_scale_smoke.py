@@ -19,7 +19,8 @@ Usage:
   check_scale_smoke.py USHER_GEN USHER_CLI --nodes=N [--min-vfg-nodes=M]
                        [extra usher-gen flags...]
 
-Exit: 0 and "check_scale_smoke: OK" on success, 1 on any mismatch.
+Exit: 0 on success, with a line of the script name, a colon and "OK"
+(which this usage text must never contain); 1 on any mismatch.
 """
 
 import os

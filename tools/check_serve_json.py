@@ -37,8 +37,9 @@ Usage:
       correct payload (or, for socket-drop-reply, the client to retry its
       way to it) and the daemon to survive to a clean shutdown.
 
-All driver modes print "check_serve_json: OK" on success; the ctest
-entries key off that string.
+On success every driver mode prints one line: the script name, a colon
+and "OK". The ctest entries key off that line, which this usage text
+must never contain.
 """
 
 import json
