@@ -38,6 +38,7 @@
 #include "core/Usher.h"
 #include "parser/Parser.h"
 #include "runtime/Interpreter.h"
+#include "support/JsonWriter.h"
 #include "transforms/Transforms.h"
 #include "workload/Synthesizer.h"
 
@@ -230,25 +231,18 @@ ConfigRow runConfig(const std::string &Source, const Config &C,
   return Row;
 }
 
-void printConfigJson(std::FILE *F, const ConfigRow &R, bool Last) {
-  std::fprintf(
-      F,
-      "        {\"name\": \"%s\", \"parse_ms\": %.4f, \"mem2reg_ms\": %.4f, "
-      "\"analyze_ms\": %.4f, \"peak_rss_bytes\": %llu,\n"
-      "         \"phases\": {\"pointer_analysis_ms\": %.4f, "
-      "\"memory_ssa_ms\": %.4f, \"vfg_ms\": %.4f, "
-      "\"definedness_ms\": %.4f, \"opt2_ms\": %.4f},\n"
-      "         \"vfg_nodes\": %llu, \"vfg_edges\": %llu, "
-      "\"checks\": %llu, \"shadow_ops\": %llu, "
-      "\"warning_sites\": %zu}%s\n",
-      R.Name.c_str(), R.ParseMs, R.Mem2RegMs, R.AnalyzeMs,
-      static_cast<unsigned long long>(R.PeakRSSBytes), R.PtaMs, R.SsaMs,
-      R.VfgMs, R.DefinednessMs, R.Opt2Ms,
-      static_cast<unsigned long long>(R.FP.VFGNodes),
-      static_cast<unsigned long long>(R.FP.VFGEdges),
-      static_cast<unsigned long long>(R.FP.Checks),
-      static_cast<unsigned long long>(R.FP.ShadowOps),
-      R.FP.RunWarnings.size(), Last ? "" : ",");
+void printConfigJson(JsonWriter &W, const ConfigRow &R) {
+  W.beginObject(JsonWriter::Layout::Inline);
+  W.members("name", R.Name, "parse_ms", R.ParseMs, "mem2reg_ms", R.Mem2RegMs,
+            "analyze_ms", R.AnalyzeMs, "peak_rss_bytes", R.PeakRSSBytes);
+  W.key("phases").beginObject(JsonWriter::Layout::Inline);
+  W.members("pointer_analysis_ms", R.PtaMs, "memory_ssa_ms", R.SsaMs,
+            "vfg_ms", R.VfgMs, "definedness_ms", R.DefinednessMs,
+            "opt2_ms", R.Opt2Ms);
+  W.end().members("vfg_nodes", R.FP.VFGNodes, "vfg_edges", R.FP.VFGEdges,
+                  "checks", R.FP.Checks, "shadow_ops", R.FP.ShadowOps,
+                  "warning_sites", R.FP.RunWarnings.size());
+  W.end();
 }
 
 } // namespace
@@ -330,36 +324,28 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "FATAL: cannot write %s\n", OutPath.c_str());
     return 1;
   }
-  std::fprintf(F, "{\n  \"schema\": \"usher-bench-scale-v1\",\n");
-  std::fprintf(F, "  \"smoke\": %s,\n", Smoke ? "true" : "false");
-  std::fprintf(F, "  \"iterations\": %u,\n", Iters);
-  std::fprintf(F, "  \"hardware_concurrency\": %u,\n",
-               std::max(1u, std::thread::hardware_concurrency()));
-  std::fprintf(F, "  \"sizes\": [\n");
-  for (size_t I = 0; I != Rows.size(); ++I) {
-    const SizeRow &Row = Rows[I];
-    std::fprintf(F,
-                 "    {\"name\": \"%s\", \"target_nodes\": %u, "
-                 "\"synthesize_ms\": %.4f, \"functions\": %llu, "
-                 "\"instructions\": %llu,\n"
-                 "     \"fingerprints_equal\": true, "
-                 "\"warnings_equal_all_configs\": true,\n"
-                 "     \"configs\": [\n",
-                 Row.Name.c_str(), Row.TargetNodes, Row.SynthesizeMs,
-                 static_cast<unsigned long long>(Row.Functions),
-                 static_cast<unsigned long long>(Row.Instructions));
-    for (size_t J = 0; J != Row.Configs.size(); ++J)
-      printConfigJson(F, Row.Configs[J], J + 1 == Row.Configs.size());
-    std::fprintf(F, "    ]}%s\n", I + 1 != Rows.size() ? "," : "");
+  raw_fd_ostream OS(F);
+  JsonWriter W(OS);
+  W.beginObject().members("schema", "usher-bench-scale-v1", "smoke", Smoke,
+                          "iterations", Iters, "hardware_concurrency",
+                          std::max(1u, std::thread::hardware_concurrency()));
+  W.key("sizes").beginArray();
+  for (const SizeRow &Row : Rows) {
+    W.beginObject().members(
+        "name", Row.Name, "target_nodes", Row.TargetNodes,
+        "synthesize_ms", Row.SynthesizeMs, "functions", Row.Functions,
+        "instructions", Row.Instructions, "fingerprints_equal", true,
+        "warnings_equal_all_configs", true);
+    W.key("configs").beginArray();
+    for (const ConfigRow &C : Row.Configs)
+      printConfigJson(W, C);
+    W.end().end();
   }
-  std::fprintf(F, "  ],\n");
-  std::fprintf(F,
-               "  \"summary\": {\"min_vfg_nodes\": %llu, "
-               "\"max_vfg_nodes\": %llu}\n}\n",
-               static_cast<unsigned long long>(
-                   Rows.front().Configs[0].FP.VFGNodes),
-               static_cast<unsigned long long>(
-                   Rows.back().Configs[0].FP.VFGNodes));
+  W.end().key("summary").beginObject(JsonWriter::Layout::Inline);
+  W.members("min_vfg_nodes", Rows.front().Configs[0].FP.VFGNodes,
+            "max_vfg_nodes", Rows.back().Configs[0].FP.VFGNodes);
+  W.end().end();
+  OS.flush();
   std::fclose(F);
   std::printf("wrote %s\n", OutPath.c_str());
   return 0;

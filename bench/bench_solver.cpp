@@ -35,6 +35,7 @@
 #include "ir/IR.h"
 #include "parser/Parser.h"
 #include "runtime/Interpreter.h"
+#include "support/JsonWriter.h"
 
 #include <chrono>
 #include <cmath>
@@ -331,26 +332,18 @@ BenchRow runWorkload(const std::string &Name, const std::string &Src,
   return Row;
 }
 
-void emitEngine(std::FILE *F, const char *Key, const EngineResult &E) {
-  std::fprintf(F,
-               "      \"%s\": {\"solve_ms\": %.4f, \"total_ms\": %.4f, "
-               "\"propagations\": %llu, "
-               "\"pops\": %llu, \"skipped_merged_pops\": %llu, "
-               "\"collapses\": %llu, \"collapsed_nodes\": %llu, "
-               "\"unified_cells\": %llu, \"budget_steps\": %llu, "
-               "\"avg_pts_size\": %.4f, \"plan_checks\": %llu, "
-               "\"warnings\": %llu}",
-               Key, E.SolveMs, E.TotalMs,
-               static_cast<unsigned long long>(E.Stats.NumPropagations),
-               static_cast<unsigned long long>(E.Stats.NumPops),
-               static_cast<unsigned long long>(E.Stats.NumSkippedMergedPops),
-               static_cast<unsigned long long>(E.Stats.NumCollapses),
-               static_cast<unsigned long long>(E.Stats.NumCollapsedNodes),
-               static_cast<unsigned long long>(E.Stats.NumUnifiedCells),
-               static_cast<unsigned long long>(E.Stats.NumBudgetSteps),
-               E.AvgPtsSize,
-               static_cast<unsigned long long>(E.PlanChecks),
-               static_cast<unsigned long long>(E.Warnings));
+void emitEngine(JsonWriter &W, const char *Key, const EngineResult &E) {
+  W.key(Key).beginObject(JsonWriter::Layout::Inline);
+  W.members("solve_ms", E.SolveMs, "total_ms", E.TotalMs,
+            "propagations", E.Stats.NumPropagations, "pops", E.Stats.NumPops,
+            "skipped_merged_pops", E.Stats.NumSkippedMergedPops,
+            "collapses", E.Stats.NumCollapses,
+            "collapsed_nodes", E.Stats.NumCollapsedNodes,
+            "unified_cells", E.Stats.NumUnifiedCells,
+            "budget_steps", E.Stats.NumBudgetSteps,
+            "avg_pts_size", E.AvgPtsSize,
+            "plan_checks", E.PlanChecks, "warnings", E.Warnings);
+  W.end();
 }
 
 } // namespace
@@ -427,31 +420,26 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "FATAL: cannot write %s\n", OutPath.c_str());
     return 1;
   }
-  std::fprintf(F, "{\n  \"schema\": \"usher-bench-solver-v1\",\n");
-  std::fprintf(F, "  \"smoke\": %s,\n", Smoke ? "true" : "false");
-  std::fprintf(F, "  \"iterations\": %u,\n", Iters);
-  std::fprintf(F, "  \"workloads\": [\n");
-  for (size_t I = 0; I != Rows.size(); ++I) {
-    const BenchRow &Row = Rows[I];
-    std::fprintf(F, "    {\n      \"name\": \"%s\",\n", Row.Name.c_str());
-    std::fprintf(F, "      \"nodes\": %u,\n", Row.Nodes);
-    std::fprintf(F, "      \"constraints\": %llu,\n",
-                 static_cast<unsigned long long>(Row.Constraints));
-    emitEngine(F, "naive", Row.Naive);
-    std::fprintf(F, ",\n");
-    emitEngine(F, "optimized", Row.Optimized);
-    std::fprintf(F, ",\n");
-    emitEngine(F, "unify", Row.Unify);
-    std::fprintf(F, ",\n      \"speedup\": %.4f,\n", Row.speedup());
-    std::fprintf(F, "      \"unify_speedup\": %.4f\n    }%s\n",
-                 Row.unifySpeedup(), I + 1 != Rows.size() ? "," : "");
+  raw_fd_ostream OS(F);
+  JsonWriter W(OS);
+  W.beginObject().members("schema", "usher-bench-solver-v1", "smoke", Smoke,
+                          "iterations", Iters);
+  W.key("workloads").beginArray();
+  for (const BenchRow &Row : Rows) {
+    W.beginObject().members("name", Row.Name, "nodes", Row.Nodes,
+                            "constraints", Row.Constraints);
+    emitEngine(W, "naive", Row.Naive);
+    emitEngine(W, "optimized", Row.Optimized);
+    emitEngine(W, "unify", Row.Unify);
+    W.members("speedup", Row.speedup(), "unify_speedup", Row.unifySpeedup());
+    W.end();
   }
-  std::fprintf(F, "  ],\n");
-  std::fprintf(F, "  \"summary\": {\"min_speedup\": %.4f, "
-                  "\"geomean_speedup\": %.4f, "
-                  "\"min_unify_speedup\": %.4f, "
-                  "\"geomean_unify_speedup\": %.4f}\n}\n",
-               MinSpeedup, Geomean, MinUnify, UnifyGeomean);
+  W.end().key("summary").beginObject(JsonWriter::Layout::Inline);
+  W.members("min_speedup", MinSpeedup, "geomean_speedup", Geomean,
+            "min_unify_speedup", MinUnify,
+            "geomean_unify_speedup", UnifyGeomean);
+  W.end().end();
+  OS.flush();
   std::fclose(F);
   std::printf("wrote %s\n", OutPath.c_str());
   return 0;

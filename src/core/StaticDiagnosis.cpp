@@ -11,7 +11,7 @@
 #include "analysis/DemandVFA.h"
 #include "analysis/PointerAnalysis.h"
 #include "ir/IR.h"
-#include "support/RawStream.h"
+#include "support/JsonWriter.h"
 
 #include <algorithm>
 #include <unordered_set>
@@ -404,71 +404,50 @@ void StaticDiagnosis::printText(raw_ostream &OS) const {
 }
 
 void StaticDiagnosis::printJson(raw_ostream &OS) const {
-  OS << "{\n  \"schema\": \"usher-diagnosis-v1\",\n";
-  OS << "  \"summary\": {\"critical_uses\": " << G.criticalUses().size()
-     << ", \"clean\": " << Report.NumClean << ", \"may\": " << Report.NumMay
-     << ", \"definite\": " << Report.NumDefinite << "},\n";
-  OS << "  \"findings\": [";
-  bool FirstFinding = true;
+  using Layout = JsonWriter::Layout;
+  JsonWriter W(OS);
+  W.beginObject().members("schema", "usher-diagnosis-v1");
+  W.key("summary").beginObject(Layout::Inline);
+  W.members("critical_uses", G.criticalUses().size(),
+            "clean", Report.NumClean, "may", Report.NumMay,
+            "definite", Report.NumDefinite);
+  W.end().key("findings").beginArray();
   for (const Finding &F : Report.Findings) {
-    if (!FirstFinding)
-      OS << ',';
-    FirstFinding = false;
-    OS << "\n    {\n      \"ruleId\": \"usher-uuv\",\n";
-    OS << "      \"client\": \"uuv\",\n";
-    OS << "      \"severity\": \""
-       << (F.V == Verdict::Definite ? "error" : "warning") << "\",\n";
-    OS << "      \"verdict\": \"" << verdictName(F.V) << "\",\n";
-    OS << "      \"function\": \"";
-    jsonEscape(OS, F.I->getParent()->getParent()->getName());
-    OS << "\",\n      \"instructionId\": " << F.I->getId() << ",\n";
     std::string Text;
     {
       raw_string_ostream TS(Text);
       F.I->print(TS);
     }
-    OS << "      \"instruction\": \"";
-    jsonEscape(OS, Text);
-    OS << "\",\n";
-    OS << "      \"location\": {\"line\": " << F.I->getLoc().Line
-       << ", \"col\": " << F.I->getLoc().Col << "},\n";
-    OS << "      \"var\": \"";
-    jsonEscape(OS, F.Var->getName());
-    OS << "\",\n      \"codeFlow\": [";
+    W.beginObject().members(
+        "ruleId", "usher-uuv", "client", "uuv",
+        "severity", F.V == Verdict::Definite ? "error" : "warning",
+        "verdict", verdictName(F.V),
+        "function", F.I->getParent()->getParent()->getName(),
+        "instructionId", F.I->getId(), "instruction", Text);
+    W.key("location").beginObject(Layout::Inline);
+    W.members("line", F.I->getLoc().Line, "col", F.I->getLoc().Col).end();
+    W.members("var", F.Var->getName()).key("codeFlow").beginArray();
     for (size_t Pos = 0; Pos != F.Witness.size(); ++Pos) {
-      if (Pos != 0)
-        OS << ',';
-      OS << "\n        {\"nodeId\": " << F.Witness[Pos].Node
-         << ", \"desc\": \"";
       std::string Desc;
       {
         raw_string_ostream DS(Desc);
         describeNode(DS, F.Witness[Pos].Node);
       }
-      jsonEscape(OS, Desc);
-      OS << '"';
+      W.beginObject(Layout::Inline)
+          .members("nodeId", F.Witness[Pos].Node, "desc", Desc);
       if (Pos + 1 != F.Witness.size()) {
         const analysis::QueryStep &Next = F.Witness[Pos + 1];
-        OS << ", \"edgeToNext\": {\"kind\": \"";
-        switch (Next.Kind) {
-        case EdgeKind::Direct:
-          OS << "direct";
-          break;
-        case EdgeKind::Call:
-          OS << "call";
-          break;
-        case EdgeKind::Ret:
-          OS << "ret";
-          break;
-        }
-        OS << '"';
+        W.key("edgeToNext").beginObject(Layout::Inline);
+        W.members("kind", Next.Kind == EdgeKind::Call  ? "call"
+                          : Next.Kind == EdgeKind::Ret ? "ret"
+                                                       : "direct");
         if (Next.CallSite != ~0u)
-          OS << ", \"callSite\": " << Next.CallSite;
-        OS << '}';
+          W.members("callSite", Next.CallSite);
+        W.end();
       }
-      OS << '}';
+      W.end();
     }
-    OS << (F.Witness.empty() ? "]" : "\n      ]") << "\n    }";
+    W.end().end();
   }
-  OS << (Report.Findings.empty() ? "]" : "\n  ]") << "\n}\n";
+  W.end().end();
 }

@@ -9,6 +9,7 @@
 
 #include "fuzz/Reducer.h"
 #include "ir/IR.h"
+#include "support/JsonWriter.h"
 #include "support/RNG.h"
 #include "support/RawStream.h"
 #include "workload/Generator.h"
@@ -180,41 +181,29 @@ FuzzReport fuzz::runFuzzer(const FuzzOptions &Opts) {
 }
 
 void FuzzReport::printJson(raw_ostream &OS) const {
-  OS << "{\n";
-  OS << "  \"schema\": \"usher-fuzz-v1\",\n";
-  OS << "  \"seed\": " << Seed << ",\n";
-  OS << "  \"runs\": " << Runs << ",\n";
-  OS << "  \"interrupted\": " << (Interrupted ? "true" : "false") << ",\n";
-  OS << "  \"valid\": " << NumValid << ",\n";
-  OS << "  \"invalid\": " << NumInvalid << ",\n";
-  OS << "  \"scheduled\": {\"generated\": " << NumGenerated
-     << ", \"mutated\": " << NumMutated << ", \"spliced\": " << NumSpliced
-     << ", \"wrapped\": " << NumWrapped << "},\n";
-  OS << "  \"corpus_size\": " << CorpusSize << ",\n";
-  OS << "  \"coverage_keys\": " << CoverageKeys << ",\n";
-  OS << "  \"oracles\": [\n";
-  for (unsigned K = 0; K != NumOracleKinds; ++K) {
-    OS << "    {\"oracle\": \"" << oracleKindName(static_cast<OracleKind>(K))
-       << "\", \"checked\": " << OracleChecked[K]
-       << ", \"divergences\": " << OracleDiverged[K] << "}"
-       << (K + 1 != NumOracleKinds ? "," : "") << "\n";
-  }
-  OS << "  ],\n";
-  OS << "  \"divergences\": [";
-  for (size_t I = 0; I != Divergences.size(); ++I) {
-    const DivergenceRecord &D = Divergences[I];
-    OS << (I ? ",\n    {" : "\n    {");
-    OS << "\"oracle\": \"" << oracleKindName(D.Oracle) << "\", ";
-    OS << "\"run\": " << D.Run << ", ";
-    OS << "\"original_lines\": " << D.OriginalLines << ", ";
-    OS << "\"reduced_lines\": " << D.ReducedLines << ", ";
-    OS << "\"reduce_checks\": " << D.ReduceChecks << ", ";
-    OS << "\"detail\": \"";
-    jsonEscape(OS, D.Detail);
-    OS << "\", \"reduced_source\": \"";
-    jsonEscape(OS, D.Reduced);
-    OS << "\"}";
-  }
-  OS << (Divergences.empty() ? "]\n" : "\n  ]\n");
-  OS << "}\n";
+  using Layout = JsonWriter::Layout;
+  JsonWriter W(OS);
+  W.beginObject().members("schema", "usher-fuzz-v1", "seed", Seed,
+                          "runs", Runs, "interrupted", Interrupted,
+                          "valid", NumValid, "invalid", NumInvalid);
+  W.key("scheduled").beginObject(Layout::Inline);
+  W.members("generated", NumGenerated, "mutated", NumMutated,
+            "spliced", NumSpliced, "wrapped", NumWrapped);
+  W.end().members("corpus_size", CorpusSize, "coverage_keys", CoverageKeys);
+  W.key("oracles").beginArray();
+  for (unsigned K = 0; K != NumOracleKinds; ++K)
+    W.beginObject(Layout::Inline)
+        .members("oracle", oracleKindName(static_cast<OracleKind>(K)),
+                 "checked", OracleChecked[K], "divergences", OracleDiverged[K])
+        .end();
+  W.end().key("divergences").beginArray();
+  for (const DivergenceRecord &D : Divergences)
+    W.beginObject(Layout::Inline)
+        .members("oracle", oracleKindName(D.Oracle), "run", D.Run,
+                 "original_lines", D.OriginalLines,
+                 "reduced_lines", D.ReducedLines,
+                 "reduce_checks", D.ReduceChecks, "detail", D.Detail,
+                 "reduced_source", D.Reduced)
+        .end();
+  W.end().end();
 }

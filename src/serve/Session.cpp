@@ -10,9 +10,10 @@
 #include "core/StaticDiagnosis.h"
 #include "core/Usher.h"
 #include "ir/IR.h"
+#include "ir/Verifier.h"
 #include "parser/Parser.h"
 #include "support/FaultInjection.h"
-#include "support/RawStream.h"
+#include "support/JsonWriter.h"
 
 #include <exception>
 #include <utility>
@@ -38,15 +39,15 @@ uint64_t moduleKey(const ir::Module &M, Op Kind, const std::string &Clients) {
       SnapshotStore::hashBytes(Clients));
 }
 
-/// Renders the parse-error reply: "parse error" plus one indented line
-/// per diagnostic.
-Reply parseErrorReply(uint64_t Id, const parser::ParseResult &PR) {
+/// Renders an error reply: \p Head plus one indented line per message.
+Reply errorReply(uint64_t Id, const char *Head,
+                 const std::vector<std::string> &Lines) {
   Reply Rp;
   Rp.Id = Id;
   Rp.Status = ReplyStatus::Error;
-  Rp.Payload = "parse error";
-  for (const std::string &E : PR.Errors)
-    Rp.Payload += "\n  " + E;
+  Rp.Payload = Head;
+  for (const std::string &L : Lines)
+    Rp.Payload += "\n  " + L;
   return Rp;
 }
 
@@ -147,7 +148,7 @@ void renderDiagnoseModule(raw_ostream &OS,
 Reply Session::handleAnalysis(const Request &Rq) {
   parser::ParseResult PR = parser::parseModule(Rq.Source);
   if (!PR.succeeded())
-    return parseErrorReply(Rq.Id, PR);
+    return errorReply(Rq.Id, "parse error", PR.Errors);
   ir::Module &M = *PR.M;
 
   Reply Rp;
@@ -185,6 +186,12 @@ Reply Session::handleAnalysis(const Request &Rq) {
       return Rp;
     }
   }
+
+  // A module that parses but fails verification has no analysis; it
+  // never reaches the store, so warm replies skip this check.
+  std::vector<std::string> VerifyErrors;
+  if (!ir::verifyModule(M, VerifyErrors))
+    return errorReply(Rq.Id, "invalid module", VerifyErrors);
 
   core::UsherResult R = core::runUsher(M, UO);
 
@@ -226,7 +233,10 @@ Reply Session::handleAnalysis(const Request &Rq) {
 Reply Session::handleQuery(const Request &Rq) {
   parser::ParseResult PR = parser::parseModule(Rq.Source);
   if (!PR.succeeded())
-    return parseErrorReply(Rq.Id, PR);
+    return errorReply(Rq.Id, "parse error", PR.Errors);
+  std::vector<std::string> VerifyErrors;
+  if (!ir::verifyModule(*PR.M, VerifyErrors))
+    return errorReply(Rq.Id, "invalid module", VerifyErrors);
 
   Reply Rp;
   Rp.Id = Rq.Id;
@@ -334,30 +344,26 @@ Reply Session::handle(const Request &Rq, const DaemonStatus *DS) {
 }
 
 void Session::printStatusJson(raw_ostream &OS, const DaemonStatus &DS) const {
+  using Layout = JsonWriter::Layout;
   const SnapshotStore::Stats SS = Store.stats();
   auto Ld = [](const std::atomic<uint64_t> &A) {
     return A.load(std::memory_order_relaxed);
   };
-  OS << "{\n";
-  OS << "  \"schema\": \"usher-serve-v1\",\n";
-  OS << "  \"kind\": \"status\",\n";
-  OS << "  \"requests\": {";
-  OS << "\"total\": " << Ld(Requests);
+  JsonWriter W(OS);
+  W.beginObject().members("schema", "usher-serve-v1", "kind", "status");
+  W.key("requests").beginObject(Layout::Inline).members("total", Ld(Requests));
   for (unsigned I = 0; I != NumOps; ++I)
-    OS << ", \"" << opName(static_cast<Op>(I)) << "\": " << Ld(OpCount[I]);
-  OS << "},\n";
-  OS << "  \"replies\": {\"ok\": " << Ld(RepliesOk)
-     << ", \"degraded\": " << Ld(RepliesDegraded)
-     << ", \"error\": " << Ld(RepliesError)
-     << ", \"served_warm\": " << Ld(ServedWarm) << "},\n";
-  OS << "  \"snapshot\": {\"in_memory\": " << Store.inMemory()
-     << ", \"hits\": " << SS.Hits << ", \"misses\": " << SS.Misses
-     << ", \"corrupt_discarded\": " << SS.CorruptDiscarded
-     << ", \"write_failures\": " << SS.WriteFailures << "},\n";
-  OS << "  \"daemon\": {\"queue_depth\": " << DS.QueueDepth
-     << ", \"queue_limit\": " << DS.QueueLimit << ", \"shed\": " << DS.Shed
-     << ", \"dropped_replies\": " << DS.DroppedReplies
-     << ", \"protocol_errors\": " << DS.ProtocolErrors
-     << ", \"workers\": " << DS.Workers << "}\n";
-  OS << "}\n";
+    W.members(opName(static_cast<Op>(I)), Ld(OpCount[I]));
+  W.end().key("replies").beginObject(Layout::Inline);
+  W.members("ok", Ld(RepliesOk), "degraded", Ld(RepliesDegraded),
+            "error", Ld(RepliesError), "served_warm", Ld(ServedWarm));
+  W.end().key("snapshot").beginObject(Layout::Inline);
+  W.members("in_memory", Store.inMemory(), "hits", SS.Hits,
+            "misses", SS.Misses, "corrupt_discarded", SS.CorruptDiscarded,
+            "write_failures", SS.WriteFailures);
+  W.end().key("daemon").beginObject(Layout::Inline);
+  W.members("queue_depth", DS.QueueDepth, "queue_limit", DS.QueueLimit,
+            "shed", DS.Shed, "dropped_replies", DS.DroppedReplies,
+            "protocol_errors", DS.ProtocolErrors, "workers", DS.Workers);
+  W.end().end();
 }

@@ -68,31 +68,6 @@ raw_ostream &raw_ostream::printf(const char *Fmt, ...) {
   return *this;
 }
 
-void usher::jsonEscape(raw_ostream &OS, std::string_view S) {
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      OS << "\\\"";
-      break;
-    case '\\':
-      OS << "\\\\";
-      break;
-    case '\n':
-      OS << "\\n";
-      break;
-    case '\t':
-      OS << "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        OS.printf("\\u%04x",
-                  static_cast<unsigned>(static_cast<unsigned char>(C)));
-      else
-        OS << C;
-    }
-  }
-}
-
 raw_ostream &usher::outs() {
   static raw_fd_ostream Stream(stdout);
   return Stream;

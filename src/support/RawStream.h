@@ -104,10 +104,6 @@ private:
   std::FILE *FP;
 };
 
-/// Writes \p S as the body of a JSON string literal: quotes, backslashes
-/// and control bytes escaped, every other byte passed through.
-void jsonEscape(raw_ostream &OS, std::string_view S);
-
 /// Returns the stream bound to stdout.
 raw_ostream &outs();
 

@@ -438,7 +438,7 @@ void Generator::emitCall(bool WantResult) {
   if (Callee.RetShape >= 0) {
     definePtr(Def, PtrKind::ObjBase, static_cast<unsigned>(Callee.RetShape),
               false);
-    if (Opts.CallResultFieldAccess && Rng.chance(50)) {
+    if (Rng.chance(50)) {
       // Field access straight off the call result: the gep's base is a
       // CallResult node, so the address flows out of the callee's VFG.
       Variable *FieldP = freshVar("cf");
@@ -454,7 +454,7 @@ void Generator::emitCall(bool WantResult) {
 }
 
 void Generator::emitSegment(unsigned Depth) {
-  unsigned NumKinds = Depth < 2 ? (Opts.PointerInductionLoops ? 5u : 4u) : 2u;
+  unsigned NumKinds = Depth < 2 ? 5u : 2u;
   unsigned Kind = static_cast<unsigned>(Rng.below(NumKinds));
   switch (Kind) {
   case 0:
@@ -464,7 +464,7 @@ void Generator::emitSegment(unsigned Depth) {
     for (unsigned I = 0; I != N; ++I) {
       if (Rng.chance(12))
         emitCall(Rng.chance(70));
-      else if (Opts.NestedFieldChains && Rng.chance(8))
+      else if (Rng.chance(8))
         emitNestedFieldChain();
       else
         emitStraightStmt();

@@ -43,15 +43,6 @@ struct GeneratorOptions {
   unsigned NumFunctions = 4;     ///< Besides main.
   unsigned MaxSegmentsPerFn = 6; ///< Straight-line / if / loop segments.
   unsigned MaxStmtsPerSegment = 8;
-  /// Emit multi-level field chains: gep through a pointer slot, store a
-  /// fresh pointee, reload it and gep the *loaded* base again.
-  bool NestedFieldChains = true;
-  /// Emit counter-bounded loops that advance a pointer through an array
-  /// (`x = *p; p = gep p, 1;` — pointer induction).
-  bool PointerInductionLoops = true;
-  /// Follow pointer-returning calls with a field access on the result
-  /// (`r = f(); q = gep r, 0; x = *q;`).
-  bool CallResultFieldAccess = true;
 };
 
 /// Generates a verified, renumbered module from \p Seed.

@@ -25,6 +25,7 @@
 #include "core/Usher.h"
 #include "parser/Parser.h"
 #include "runtime/Interpreter.h"
+#include "support/RawStream.h"
 
 #include <gtest/gtest.h>
 
@@ -46,14 +47,6 @@ struct ExpectedOutcome {
   bool HaveSinks = false, HaveUnsafe = false, HaveChecks = false;
   std::vector<std::pair<unsigned, unsigned>> Warns; ///< (line, col).
 };
-
-std::string readFile(const std::string &Path) {
-  std::ifstream In(Path);
-  EXPECT_TRUE(In.good()) << "cannot open " << Path;
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  return SS.str();
-}
 
 ExpectedOutcome readExpected(const std::string &Path) {
   std::ifstream In(Path);
@@ -110,7 +103,8 @@ TEST_P(ClientCorpus, MatchesExpectedOutcome) {
   const CorpusCase &C = GetParam();
   const std::string Dir = std::string(USHER_TEST_INPUT_DIR) + "/clients/" +
                           core::clientName(C.Client) + "/";
-  const std::string Source = readFile(Dir + C.Stem + ".tc");
+  std::string Source;
+  ASSERT_TRUE(readFile(Dir + C.Stem + ".tc", Source)) << C.Stem;
   ExpectedOutcome Expected = readExpected(Dir + C.Stem + ".expected");
 
   auto M = parser::parseModuleOrAbort(Source);

@@ -28,9 +28,7 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <functional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -150,14 +148,6 @@ void expectUuvByteIdentical(const FreshModule &Fresh, const std::string &Tag) {
   }
 }
 
-std::string readFile(const std::string &Path) {
-  std::ifstream In(Path);
-  EXPECT_TRUE(In.good()) << "cannot open " << Path;
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  return SS.str();
-}
-
 //===----------------------------------------------------------------------===//
 // The 15-benchmark suite
 //===----------------------------------------------------------------------===//
@@ -187,8 +177,9 @@ class ClientRefactorCorpus : public ::testing::TestWithParam<const char *> {};
 
 TEST_P(ClientRefactorCorpus, UuvOutputByteIdentical) {
   const std::string Rel = GetParam();
-  const std::string Source =
-      readFile(std::string(USHER_TEST_INPUT_DIR) + "/" + Rel);
+  std::string Source;
+  ASSERT_TRUE(readFile(std::string(USHER_TEST_INPUT_DIR) + "/" + Rel, Source))
+      << Rel;
   expectUuvByteIdentical(
       [&Source] { return parser::parseModuleOrAbort(Source); }, Rel);
 }

@@ -25,6 +25,7 @@
 #include "core/Usher.h"
 #include "parser/Parser.h"
 #include "runtime/Interpreter.h"
+#include "support/RawStream.h"
 #include "workload/Generator.h"
 #include "workload/Spec2000.h"
 
@@ -151,20 +152,14 @@ std::vector<ExpectedFinding> readExpected(const std::string &Path) {
   return Out;
 }
 
-std::string readFile(const std::string &Path) {
-  std::ifstream In(Path);
-  EXPECT_TRUE(In.good()) << "cannot open " << Path;
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  return SS.str();
-}
-
 class DiagnosisCorpus : public ::testing::TestWithParam<const char *> {};
 
 TEST_P(DiagnosisCorpus, MatchesExpectedFindings) {
   const std::string Stem = GetParam();
   const std::string Dir = std::string(USHER_TEST_INPUT_DIR) + "/diagnosis/";
-  auto M = parser::parseModuleOrAbort(readFile(Dir + Stem + ".tc"));
+  std::string Source;
+  ASSERT_TRUE(readFile(Dir + Stem + ".tc", Source)) << Stem;
+  auto M = parser::parseModuleOrAbort(Source);
   auto Expected = readExpected(Dir + Stem + ".expected");
 
   DiagRun D = diagnose(*M);

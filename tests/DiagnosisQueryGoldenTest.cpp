@@ -38,9 +38,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
 #include <functional>
-#include <sstream>
 #include <string>
 
 using namespace usher;
@@ -170,13 +168,6 @@ std::string programDigest(const ModuleFactory &Make) {
   return Buf;
 }
 
-std::string readFile(const std::string &Path) {
-  std::ifstream In(Path);
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  return SS.str();
-}
-
 // A digest changes only with a deliberate change to diagnosis verdicts,
 // witness search, report rendering, the query engine or the programs;
 // re-pin it in the same change.
@@ -226,9 +217,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(DiagnosisQueryGolden, CorpusDigestsArePinned) {
   for (const auto &G : CorpusGoldens) {
-    std::string Source = readFile(std::string(USHER_TEST_INPUT_DIR) +
-                                  "/diagnosis/" + G.Stem + ".tc");
-    ASSERT_FALSE(Source.empty()) << G.Stem;
+    std::string Source;
+    ASSERT_TRUE(readFile(std::string(USHER_TEST_INPUT_DIR) + "/diagnosis/" +
+                             G.Stem + ".tc",
+                         Source))
+        << G.Stem;
     EXPECT_EQ(programDigest(
                   [&] { return parser::parseModuleOrAbort(Source); }),
               G.Digest)

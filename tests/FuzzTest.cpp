@@ -245,14 +245,6 @@ TEST(Mutation, WrapMainWithoutMainIsEmpty) {
 // Oracles: near-miss corpus replay
 //===----------------------------------------------------------------------===//
 
-std::string readFile(const std::string &Path) {
-  std::ifstream In(Path);
-  EXPECT_TRUE(In.good()) << "cannot open " << Path;
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  return SS.str();
-}
-
 struct CorpusExpectation {
   bool Valid = false;
   int64_t Result = 0;
@@ -292,7 +284,9 @@ TEST_P(FuzzCorpus, AllOraclesAgree) {
   const std::string Dir = std::string(USHER_TEST_INPUT_DIR) + "/fuzz/";
   CorpusExpectation E = readExpected(Dir + Stem + ".expected");
 
-  fuzz::OracleOutcome Out = fuzz::runOracles(readFile(Dir + Stem + ".tc"));
+  std::string Source;
+  ASSERT_TRUE(readFile(Dir + Stem + ".tc", Source)) << Stem;
+  fuzz::OracleOutcome Out = fuzz::runOracles(Source);
   ASSERT_EQ(Out.Valid, E.Valid) << Stem << ": " << Out.InvalidReason;
   EXPECT_EQ(Out.MainResult, E.Result) << Stem;
   EXPECT_EQ(Out.NumOracleWarnings, E.Warnings) << Stem;
@@ -324,8 +318,11 @@ TEST(Oracles, RejectsInvalidInputsWithoutCheckingAnything) {
 }
 
 TEST(Oracles, HarvestsAnalysisFeatures) {
-  fuzz::OracleOutcome Out = fuzz::runOracles(
-      readFile(std::string(USHER_TEST_INPUT_DIR) + "/fuzz/walk_partial.tc"));
+  std::string Source;
+  ASSERT_TRUE(readFile(std::string(USHER_TEST_INPUT_DIR) +
+                           "/fuzz/walk_partial.tc",
+                       Source));
+  fuzz::OracleOutcome Out = fuzz::runOracles(Source);
   ASSERT_TRUE(Out.Valid);
   bool HasEdge = false, HasOrigin = false, HasRung = false;
   for (uint64_t Key : Out.Features.Keys) {

@@ -29,6 +29,8 @@
 #include <new>
 #include <string>
 
+#include <unistd.h>
+
 using namespace usher;
 using namespace usher::serve;
 
@@ -44,10 +46,12 @@ class ServeFaultTest : public ::testing::Test {
 protected:
   void SetUp() override {
     disarmIoFaults();
-    // Per-test directory: ctest -j runs each gtest case as its own
-    // process, so a shared path would be wiped from under a sibling.
+    // Per-process, per-test directory: ctest -j runs each gtest case as
+    // its own process, and a case can run twice at once (a label entry
+    // beside its tier-1 entry), so a shared path would be wiped from
+    // under a sibling.
     Dir = std::filesystem::temp_directory_path() /
-          ("usher-serve-fault-test-" +
+          ("usher-serve-fault-test-" + std::to_string(::getpid()) + "-" +
            std::to_string(::testing::UnitTest::GetInstance()
                               ->current_test_info()
                               ->line()));

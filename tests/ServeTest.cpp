@@ -30,6 +30,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 using namespace usher;
 using namespace usher::serve;
 
@@ -86,14 +88,17 @@ const char *EditedProgram = "func g(a, b) {\n"
                             "  ret v;\n"
                             "}\n";
 
-/// A scratch directory wiped per test, plus guaranteed fault disarm (the
-/// I/O fault plane is process-global and gtest shares one process).
+/// A scratch directory per process and test, plus guaranteed fault disarm
+/// (the I/O fault plane is process-global and gtest shares one process).
+/// The pid keeps concurrent runs of one case apart: ctest -j runs
+/// tsan_serve_session beside the tier-1 entry of the same test, and a
+/// shared directory was wiped from under the other run.
 class ServeTest : public ::testing::Test {
 protected:
   void SetUp() override {
     disarmIoFaults();
     Dir = std::filesystem::temp_directory_path() /
-          ("usher-serve-test-" +
+          ("usher-serve-test-" + std::to_string(::getpid()) + "-" +
            std::to_string(::testing::UnitTest::GetInstance()
                               ->current_test_info()
                               ->line()));
@@ -451,6 +456,29 @@ TEST_F(ServeTest, SessionIsolatesParseErrors) {
   EXPECT_EQ(Good.Status, ReplyStatus::Ok);
 }
 
+TEST_F(ServeTest, SessionRejectsModulesThatFailVerification) {
+  // An empty source and a module without main both parse; every analysis
+  // op must answer Error with the verifier's message and store nothing.
+  SessionOptions SO;
+  SO.SnapshotDir = Dir.string();
+  Session Sess(SO);
+  uint64_t Id = 0;
+  for (const char *Source : {"", "func f(x) {\n  ret x;\n}\n"})
+    for (Op K : {Op::Analyze, Op::Diagnose, Op::Query}) {
+      Request Rq = analyzeReq(Source, ++Id);
+      Rq.Kind = K;
+      Reply Rp = Sess.handle(Rq);
+      SCOPED_TRACE(std::string(opName(K)) + " of \"" + Source + "\"");
+      EXPECT_EQ(Rp.Status, ReplyStatus::Error);
+      EXPECT_EQ(Rp.Id, Id);
+      EXPECT_NE(Rp.Payload.find("module has no 'main' function"),
+                std::string::npos)
+          << Rp.Payload;
+    }
+  EXPECT_TRUE(std::filesystem::is_empty(Dir));
+  EXPECT_EQ(Sess.store().stats().Misses, 4u);
+}
+
 TEST_F(ServeTest, SessionDegradesOnBudgetAndNeverCachesIt) {
   SessionOptions SO;
   SO.SnapshotDir = Dir.string();
@@ -549,12 +577,19 @@ TEST_F(ServeTest, SessionHandlesConcurrentRequests) {
 
   for (unsigned T = 0; T != NumThreads; ++T)
     for (unsigned I = 0; I != PerThread; ++I) {
+      const size_t M = (T + I) % Mix.size();
+      const Request &Rq = Mix[M];
+      SCOPED_TRACE("thread " + std::to_string(T) + " request " +
+                   std::to_string(I) + " (mix " + std::to_string(M) +
+                   "): " + opName(Rq.Kind) +
+                   " budget=" + std::to_string(Rq.BudgetSteps) +
+                   " fault=" + Rq.FaultSpec);
       const Reply &G = Got[T][I];
-      const Reply &W = Want[(T + I) % Mix.size()];
+      const Reply &W = Want[M];
       EXPECT_EQ(G.Id, T * PerThread + I);
-      EXPECT_EQ(G.Status, W.Status) << "thread " << T << " request " << I;
-      EXPECT_EQ(G.Rung, W.Rung) << "thread " << T << " request " << I;
-      EXPECT_EQ(G.Payload, W.Payload) << "thread " << T << " request " << I;
+      EXPECT_EQ(G.Status, W.Status);
+      EXPECT_EQ(G.Rung, W.Rung);
+      EXPECT_EQ(G.Payload, W.Payload);
     }
 
   // The status counters account for every request sent: the status

@@ -168,21 +168,6 @@ TEST(Generator, EmitsAllPointerFlowConstructsOverASeedSweep) {
   EXPECT_GE(Total.CallResultGeps, 5u);
 }
 
-TEST(Generator, ConstructOptionsGateTheirEmitters) {
-  workload::GeneratorOptions Off;
-  Off.NestedFieldChains = false;
-  Off.PointerInductionLoops = false;
-  Off.CallResultFieldAccess = false;
-  for (uint64_t Seed = 0; Seed != 40; ++Seed) {
-    ConstructCounts C = countConstructs(*workload::generateProgram(Seed, Off));
-    // Pointer-induction geps and pointer loads come only from the gated
-    // emitters; call-based geps can still arise from pooled call results,
-    // so only the first two are strictly zero.
-    EXPECT_EQ(C.InductionGeps, 0u) << "seed " << Seed;
-    EXPECT_EQ(C.NestedChainGeps, 0u) << "seed " << Seed;
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Benchmark suite infrastructure
 //===----------------------------------------------------------------------===//

@@ -14,11 +14,11 @@ consistency, not cleanliness — the separate fuzz_smoke test asserts the
 campaign is clean.
 """
 
-import json
-import subprocess
 import sys
-import tempfile
-import os
+
+from jsoncheck import Checker
+
+V = Checker("check_fuzz_json", __doc__)
 
 ORACLE_NAMES = [
     "variant-equivalence",
@@ -30,109 +30,78 @@ ORACLE_NAMES = [
     "client-consistency",
 ]
 
-COUNTER_FIELDS = ["seed", "runs", "valid", "invalid", "corpus_size", "coverage_keys"]
-
-SCHEDULED_FIELDS = ["generated", "mutated", "spliced", "wrapped"]
-
-
-def fail(msg):
-    print(f"check_fuzz_json: FAIL: {msg}", file=sys.stderr)
-    sys.exit(1)
-
-
-def check_count(owner, obj, field):
-    value = obj.get(field)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        fail(f"{owner}: field {field!r} missing or not a count: {value!r}")
-    return value
+REPORT_SHAPE = {
+    "seed": int,
+    "runs": int,
+    "interrupted": bool,
+    "valid": int,
+    "invalid": int,
+    "scheduled": {"generated": int, "mutated": int, "spliced": int,
+                  "wrapped": int},
+    "corpus_size": int,
+    "coverage_keys": int,
+}
 
 
 def check_report(path):
-    try:
-        with open(path) as f:
-            report = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        fail(f"cannot load {path}: {e}")
-
+    report = V.load(path)
     if report.get("schema") != "usher-fuzz-v1":
-        fail(f"unexpected schema tag: {report.get('schema')!r}")
-    for field in COUNTER_FIELDS:
-        check_count("report", report, field)
-    if not isinstance(report.get("interrupted"), bool):
-        fail(f"field 'interrupted' missing or not a bool: "
-             f"{report.get('interrupted')!r}")
-
-    scheduled = report.get("scheduled")
-    if not isinstance(scheduled, dict):
-        fail("missing 'scheduled' block")
-    total = sum(check_count("scheduled", scheduled, f) for f in SCHEDULED_FIELDS)
+        V.fail(f"unexpected schema tag: {report.get('schema')!r}")
+    V.shape(report, REPORT_SHAPE, "report")
+    total = sum(report["scheduled"][f] for f in REPORT_SHAPE["scheduled"])
     if total != report["runs"]:
-        fail(f"scheduled inputs sum to {total}, expected runs={report['runs']}")
+        V.fail(f"scheduled inputs sum to {total}, "
+               f"expected runs={report['runs']}")
     if report["valid"] + report["invalid"] != report["runs"]:
-        fail("valid + invalid does not equal runs")
+        V.fail("valid + invalid does not equal runs")
 
     oracles = report.get("oracles")
     if not isinstance(oracles, list) or len(oracles) != len(ORACLE_NAMES):
-        fail(f"'oracles' missing or not exactly {len(ORACLE_NAMES)} entries")
+        V.fail(f"'oracles' missing or not exactly {len(ORACLE_NAMES)} entries")
     seen = []
     for oracle in oracles:
         name = oracle.get("oracle")
         if name not in ORACLE_NAMES:
-            fail(f"unknown oracle name {name!r}")
+            V.fail(f"unknown oracle name {name!r}")
         seen.append(name)
-        checked = check_count(f"oracle {name!r}", oracle, "checked")
-        check_count(f"oracle {name!r}", oracle, "divergences")
+        checked = V.count(oracle, "checked", f"oracle {name!r}")
+        V.count(oracle, "divergences", f"oracle {name!r}")
         if checked > report["runs"]:
-            fail(f"oracle {name!r}: checked {checked} exceeds runs")
+            V.fail(f"oracle {name!r}: checked {checked} exceeds runs")
     if seen != ORACLE_NAMES:
-        fail(f"oracle names out of order or duplicated: {seen}")
+        V.fail(f"oracle names out of order or duplicated: {seen}")
 
     divergences = report.get("divergences")
     if not isinstance(divergences, list):
-        fail("'divergences' missing")
+        V.fail("'divergences' missing")
     for i, div in enumerate(divergences):
         owner = f"divergence[{i}]"
         if div.get("oracle") not in ORACLE_NAMES:
-            fail(f"{owner}: unknown oracle {div.get('oracle')!r}")
-        run = check_count(owner, div, "run")
+            V.fail(f"{owner}: unknown oracle {div.get('oracle')!r}")
+        run = V.count(div, "run", owner)
         if run >= report["runs"]:
-            fail(f"{owner}: run index {run} out of range")
-        orig = check_count(owner, div, "original_lines")
-        reduced = check_count(owner, div, "reduced_lines")
-        check_count(owner, div, "reduce_checks")
+            V.fail(f"{owner}: run index {run} out of range")
+        orig = V.count(div, "original_lines", owner)
+        reduced = V.count(div, "reduced_lines", owner)
+        V.count(div, "reduce_checks", owner)
         if reduced > orig:
-            fail(f"{owner}: reduction grew the program ({orig} -> {reduced})")
-        for field in ("detail", "reduced_source"):
-            if not isinstance(div.get(field), str) or not div[field]:
-                fail(f"{owner}: missing {field!r}")
+            V.fail(f"{owner}: reduction grew the program "
+                   f"({orig} -> {reduced})")
+        V.string(div, "detail", owner)
+        V.string(div, "reduced_source", owner)
     total_diverged = sum(o["divergences"] for o in oracles)
     if divergences and total_diverged == 0:
-        fail("divergence records present but per-oracle tallies are all zero")
+        V.fail("divergence records present but per-oracle tallies are "
+               "all zero")
 
-    print(
-        f"check_fuzz_json: OK: {path} "
-        f"({report['runs']} runs, {len(divergences)} divergences)"
-    )
+    V.ok(f": {path} ({report['runs']} runs, {len(divergences)} divergences)")
 
 
-def main(argv):
-    if len(argv) == 3 and argv[1] == "--run-smoke":
-        with tempfile.TemporaryDirectory() as tmp:
-            out = os.path.join(tmp, "fuzz.json")
-            proc = subprocess.run(
-                [argv[2], "--seed=7", "--runs=8", f"--json={out}"],
-                stdout=subprocess.DEVNULL,
-            )
-            # 0 = clean campaign, 3 = divergences found; both write a report.
-            if proc.returncode not in (0, 3):
-                fail(f"{argv[2]} exited with {proc.returncode}")
-            check_report(out)
-    elif len(argv) == 2 and not argv[1].startswith("-"):
-        check_report(argv[1])
-    else:
-        print(__doc__, file=sys.stderr)
-        sys.exit(2)
+def run_smoke(fuzz_bin):
+    # 0 = clean campaign, 3 = divergences found; both write a report.
+    V.run_smoke([fuzz_bin, "--seed=7", "--runs=8", "--json={out}"],
+                check_report, ok_codes=(0, 3))
 
 
 if __name__ == "__main__":
-    main(sys.argv)
+    V.main(sys.argv, check_report, [("--run-smoke", run_smoke, 1, 1)])

@@ -24,13 +24,16 @@ ctest entries key off that line, which this usage text must never
 contain.
 """
 
-import json
 import os
 import signal
 import subprocess
 import sys
 import tempfile
 import time
+
+from jsoncheck import Checker
+
+V = Checker("check_interrupt", __doc__)
 
 # Runs forever (TinyC has no timers): the only ways out are the step
 # budget (200M steps, several seconds) or the interrupt being tested.
@@ -44,11 +47,6 @@ loop:
 """
 
 
-def fail(msg):
-    print(f"check_interrupt: FAIL: {msg}", file=sys.stderr)
-    sys.exit(1)
-
-
 def interrupt_after(cmd, delay):
     """Run cmd, SIGINT it after `delay` seconds, return (code, out, err)."""
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE,
@@ -59,7 +57,7 @@ def interrupt_after(cmd, delay):
         out, err = proc.communicate(timeout=30)
     except subprocess.TimeoutExpired:
         proc.kill()
-        fail(f"{cmd[0]} did not exit within 30s of SIGINT")
+        V.fail(f"{cmd[0]} did not exit within 30s of SIGINT")
     return proc.returncode, out, err
 
 
@@ -70,12 +68,12 @@ def run_cli(cli_bin):
             f.write(LOOP_PROGRAM)
         code, out, err = interrupt_after([cli_bin, prog], 0.3)
         if code != 5:
-            fail(f"usher-cli exited {code}, expected 5\n"
-                 f"stdout: {out!r}\nstderr: {err!r}")
+            V.fail(f"usher-cli exited {code}, expected 5\n"
+                   f"stdout: {out!r}\nstderr: {err!r}")
         if "interrupted after" not in out + err:
-            fail(f"no flushed interrupt report\n"
-                 f"stdout: {out!r}\nstderr: {err!r}")
-    print("check_interrupt: OK (cli: exit 5, partial report flushed)")
+            V.fail(f"no flushed interrupt report\n"
+                   f"stdout: {out!r}\nstderr: {err!r}")
+    V.ok(" (cli: exit 5, partial report flushed)")
 
 
 def run_fuzz(fuzz_bin):
@@ -86,23 +84,19 @@ def run_fuzz(fuzz_bin):
             [fuzz_bin, "--seed=1", f"--runs={requested}",
              f"--json={out_json}"], 0.5)
         if code != 5:
-            fail(f"usher-fuzz exited {code}, expected 5\n"
-                 f"stdout: {out!r}\nstderr: {err!r}")
-        try:
-            with open(out_json) as f:
-                report = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
-            fail(f"interrupted campaign did not flush valid JSON: {e}")
+            V.fail(f"usher-fuzz exited {code}, expected 5\n"
+                   f"stdout: {out!r}\nstderr: {err!r}")
+        report = V.load(out_json)
         if report.get("interrupted") is not True:
-            fail(f"flushed report not marked interrupted: "
-                 f"{report.get('interrupted')!r}")
+            V.fail(f"flushed report not marked interrupted: "
+                   f"{report.get('interrupted')!r}")
         runs = report.get("runs")
         if not isinstance(runs, int) or not 0 <= runs < requested:
-            fail(f"completed runs {runs!r} not in [0, {requested})")
+            V.fail(f"completed runs {runs!r} not in [0, {requested})")
         if report.get("valid", -1) + report.get("invalid", -1) != runs:
-            fail("partial report inconsistent: valid + invalid != runs")
-    print(f"check_interrupt: OK (fuzz: exit 5, {runs} completed runs "
-          f"flushed)")
+            V.fail("partial report inconsistent: valid + invalid != runs")
+    V.ok(f" (fuzz: exit 5, {runs} completed runs "
+         f"flushed)")
 
 
 def main(argv):
@@ -111,8 +105,7 @@ def main(argv):
     elif len(argv) == 3 and argv[1] == "--fuzz":
         run_fuzz(argv[2])
     else:
-        print(__doc__, file=sys.stderr)
-        sys.exit(2)
+        V.usage()
 
 
 if __name__ == "__main__":

@@ -29,16 +29,15 @@ import subprocess
 import sys
 import tempfile
 
+from jsoncheck import Checker
 
-def fail(msg):
-    print(f"check_scale_smoke: FAIL: {msg}", file=sys.stderr)
-    sys.exit(1)
+V = Checker("check_scale_smoke", __doc__)
 
 
 def run(cmd, ok_codes=(0,)):
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode not in ok_codes:
-        fail(
+        V.fail(
             f"{' '.join(cmd)} exited with {proc.returncode}:\n{proc.stderr}"
         )
     return proc.stdout
@@ -55,7 +54,7 @@ RESULT_RE = re.compile(r"result (-?\d+),.*shadow ops (\d+), checks (\d+)")
 def parse_run(name, out):
     match = RESULT_RE.search(out)
     if not match:
-        fail(f"{name}: no result line in output:\n{out}")
+        V.fail(f"{name}: no result line in output:\n{out}")
     warnings = sorted(
         line.strip() for line in out.splitlines() if "warning:" in line
     )
@@ -64,8 +63,7 @@ def parse_run(name, out):
 
 def main(argv):
     if len(argv) < 4:
-        print(__doc__, file=sys.stderr)
-        return 2
+        V.usage()
     gen_bin, cli_bin = argv[1], argv[2]
     min_nodes = 0
     gen_flags = []
@@ -83,10 +81,10 @@ def main(argv):
             stats = run([cli_bin, source, "--stats", "--no-run"])
             match = re.search(r"VFG nodes/edges:\s*(\d+)/(\d+)", stats)
             if not match:
-                fail(f"no VFG node count in --stats output:\n{stats}")
+                V.fail(f"no VFG node count in --stats output:\n{stats}")
             nodes = int(match.group(1))
             if nodes < min_nodes:
-                fail(f"program has {nodes} VFG nodes, needed {min_nodes}")
+                V.fail(f"program has {nodes} VFG nodes, needed {min_nodes}")
             print(f"measured VFG nodes: {nodes} (>= {min_nodes})")
 
         runs = {}
@@ -99,26 +97,26 @@ def main(argv):
 
         ref_result, ref_checks, ref_warnings = runs["andersen"]
         if not ref_warnings:
-            fail(
+            V.fail(
                 "reference run reported no warnings — the synthesized "
                 "program exercises nothing"
             )
         for name, (result, checks, warnings) in runs.items():
             if result != ref_result:
-                fail(f"{name}: result {result} != reference {ref_result}")
+                V.fail(f"{name}: result {result} != reference {ref_result}")
             if warnings != ref_warnings:
-                fail(
+                V.fail(
                     f"{name}: warning set diverged from reference:\n"
                     f"  reference: {ref_warnings}\n  {name}: {warnings}"
                 )
             if checks < ref_checks:
-                fail(
+                V.fail(
                     f"{name}: plans {checks} checks, fewer than the "
                     f"Andersen reference's {ref_checks} — unsound elision"
                 )
 
-    print(
-        f"check_scale_smoke: OK ({len(CONFIGS)} configs, "
+    V.ok(
+        f" ({len(CONFIGS)} configs, "
         f"{len(ref_warnings)} warning sites, result {ref_result})"
     )
     return 0

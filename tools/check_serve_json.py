@@ -50,6 +50,10 @@ import sys
 import tempfile
 import time
 
+from jsoncheck import Checker
+
+V = Checker("check_serve_json", __doc__)
+
 IO_FAULT_SITES = [
     "snapshot-read",
     "snapshot-write",
@@ -58,64 +62,43 @@ IO_FAULT_SITES = [
     "parse-alloc",
 ]
 
+
+def counts(*fields):
+    return {f: int for f in fields}
+
+
 STATUS_SHAPE = {
-    "requests": ["total", "analyze", "diagnose", "query", "status", "ping",
-                 "shutdown"],
-    "replies": ["ok", "degraded", "error", "served_warm"],
-    "snapshot": ["hits", "misses", "corrupt_discarded", "write_failures"],
-    "daemon": ["queue_depth", "queue_limit", "shed", "dropped_replies",
-               "protocol_errors", "workers"],
+    "requests": counts("total", "analyze", "diagnose", "query", "status",
+                       "ping", "shutdown"),
+    "replies": counts("ok", "degraded", "error", "served_warm"),
+    "snapshot": {"in_memory": bool,
+                 **counts("hits", "misses", "corrupt_discarded",
+                          "write_failures")},
+    "daemon": counts("queue_depth", "queue_limit", "shed", "dropped_replies",
+                     "protocol_errors", "workers"),
 }
-
-
-def fail(msg):
-    print(f"check_serve_json: FAIL: {msg}", file=sys.stderr)
-    sys.exit(1)
-
-
-def check_count(owner, obj, field):
-    value = obj.get(field)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        fail(f"{owner}: field {field!r} missing or not a count: {value!r}")
-    return value
-
-
-def check_status(doc, source="status"):
-    for block, fields in STATUS_SHAPE.items():
-        sub = doc.get(block)
-        if not isinstance(sub, dict):
-            fail(f"{source}: missing {block!r} block")
-        for field in fields:
-            check_count(f"{source}.{block}", sub, field)
-    if not isinstance(doc["snapshot"].get("in_memory"), bool):
-        fail(f"{source}: snapshot.in_memory missing or not a bool")
-    reqs = doc["requests"]
-    per_op = sum(reqs[f] for f in STATUS_SHAPE["requests"][1:])
-    if per_op != reqs["total"]:
-        fail(f"{source}: per-op requests sum to {per_op}, "
-             f"expected total={reqs['total']}")
-    if doc["replies"]["served_warm"] > doc["replies"]["ok"]:
-        fail(f"{source}: served_warm exceeds ok replies")
 
 
 def check_document(doc, source):
     if doc.get("schema") != "usher-serve-v1":
-        fail(f"{source}: unexpected schema tag: {doc.get('schema')!r}")
+        V.fail(f"{source}: unexpected schema tag: {doc.get('schema')!r}")
     kind = doc.get("kind")
     if kind != "status":
-        fail(f"{source}: unknown kind {kind!r}")
-    check_status(doc, source)
+        V.fail(f"{source}: unknown kind {kind!r}")
+    V.shape(doc, STATUS_SHAPE, source)
+    reqs = doc["requests"]
+    per_op = sum(reqs[f] for f in list(STATUS_SHAPE["requests"])[1:])
+    if per_op != reqs["total"]:
+        V.fail(f"{source}: per-op requests sum to {per_op}, "
+               f"expected total={reqs['total']}")
+    if doc["replies"]["served_warm"] > doc["replies"]["ok"]:
+        V.fail(f"{source}: served_warm exceeds ok replies")
     return kind
 
 
 def check_file(path):
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        fail(f"cannot load {path}: {e}")
-    kind = check_document(doc, path)
-    print(f"check_serve_json: OK: {path} (kind={kind})")
+    kind = check_document(V.load(path), path)
+    V.ok(f": {path} (kind={kind})")
 
 
 # --- Daemon driver helpers --------------------------------------------------
@@ -136,24 +119,38 @@ class Daemon:
         while not os.path.exists(self.sock):
             if self.proc.poll() is not None or time.monotonic() > deadline:
                 self.log.seek(0)
-                fail(f"daemon did not come up: {self.log.read().strip()!r}")
+                V.fail(f"daemon did not come up: {self.log.read().strip()!r}")
             time.sleep(0.02)
 
-    def client(self, *args, timeout=30):
+    def expect(self, what, *args, code=0):
+        """A client call that must exit with code; returns the reply's
+        status line and payload."""
         proc = subprocess.run(
             [self.serve_bin, "--client", f"--socket={self.sock}", *args],
-            capture_output=True, text=True, timeout=timeout,
+            capture_output=True, text=True, timeout=30,
         )
-        return proc.returncode, proc.stdout, proc.stderr
+        if proc.returncode != code:
+            V.fail(f"{what} exited {proc.returncode}: {proc.stdout!r} "
+                   f"{proc.stderr.strip()!r}")
+        head, _, body = proc.stdout.partition("\n")
+        return head, body
 
-    def shutdown(self, expect_clean=True):
-        code, _, err = self.client("--op=shutdown")
-        if expect_clean and code != 0:
-            fail(f"shutdown client exited {code}: {err.strip()!r}")
+    def status(self, source):
+        """The --op=status document, validated."""
+        _, body = self.expect(f"{source} status", "--op=status")
+        try:
+            doc = json.loads(body)
+        except json.JSONDecodeError as e:
+            V.fail(f"{source}: status payload is not JSON: {e}\n{body!r}")
+        check_document(doc, f"{source} status reply")
+        return doc
+
+    def shutdown(self):
+        self.expect("shutdown client", "--op=shutdown")
         daemon_code = self.proc.wait(timeout=10)
         self.log.close()
-        if expect_clean and daemon_code != 0:
-            fail(f"daemon exited {daemon_code} after shutdown")
+        if daemon_code != 0:
+            V.fail(f"daemon exited {daemon_code} after shutdown")
 
     def kill9(self):
         self.proc.send_signal(signal.SIGKILL)
@@ -166,97 +163,65 @@ class Daemon:
             os.unlink(self.sock)
 
 
-def reply_body(stdout):
-    """Drop the client's one-line 'OK id=...' header, keep the payload."""
-    head, sep, body = stdout.partition("\n")
-    return head, body
-
-
 def run_smoke(serve_bin, prog, diag_prog):
     with tempfile.TemporaryDirectory() as tmp:
         snap = os.path.join(tmp, "snap")
         d = Daemon(serve_bin, tmp, "smoke", f"--snapshot-dir={snap}")
 
-        code, out, err = d.client("--op=analyze", prog)
-        if code != 0:
-            fail(f"cold analyze exited {code}: {err.strip()!r}")
-        head, cold = reply_body(out)
+        head, cold = d.expect("cold analyze", "--op=analyze", prog)
         if not head.startswith("OK "):
-            fail(f"cold analyze status line: {head!r}")
+            V.fail(f"cold analyze status line: {head!r}")
         if "module: variant=" not in cold:
-            fail(f"cold analyze payload missing module summary: {cold!r}")
+            V.fail(f"cold analyze payload missing module summary: {cold!r}")
 
-        code, out, err = d.client("--op=analyze", prog)
-        if code != 0:
-            fail(f"warm analyze exited {code}: {err.strip()!r}")
-        _, warm = reply_body(out)
+        _, warm = d.expect("warm analyze", "--op=analyze", prog)
         if warm != cold:
-            fail("warm analyze payload differs from cold:\n"
-                 f"cold: {cold!r}\nwarm: {warm!r}")
+            V.fail("warm analyze payload differs from cold:\n"
+                   f"cold: {cold!r}\nwarm: {warm!r}")
 
-        code, out, err = d.client("--op=diagnose", diag_prog)
-        if code != 0:
-            fail(f"diagnose exited {code}: {err.strip()!r}")
-        _, body = reply_body(out)
+        _, body = d.expect("diagnose", "--op=diagnose", diag_prog)
         if "critical-uses=" not in body:
-            fail(f"diagnose payload missing verdict summary: {body!r}")
+            V.fail(f"diagnose payload missing verdict summary: {body!r}")
 
         # --budget-steps=1 exhausts the first phase budget immediately:
         # a deterministic DEGRADED reply, unlike a wall-clock deadline.
-        code, out, err = d.client("--op=analyze", "--budget-steps=1", prog)
-        if code != 0:
-            fail(f"budgeted analyze exited {code}: {err.strip()!r}")
-        head, _ = reply_body(out)
+        head, _ = d.expect("budgeted analyze", "--op=analyze",
+                           "--budget-steps=1", prog)
         if not head.startswith("DEGRADED "):
-            fail(f"budget-steps=1 did not degrade: {head!r}")
+            V.fail(f"budget-steps=1 did not degrade: {head!r}")
 
-        code, out, err = d.client("--op=status")
-        if code != 0:
-            fail(f"status exited {code}: {err.strip()!r}")
-        _, body = reply_body(out)
-        try:
-            doc = json.loads(body)
-        except json.JSONDecodeError as e:
-            fail(f"status payload is not JSON: {e}\n{body!r}")
-        check_document(doc, "status reply")
+        doc = d.status("smoke")
         if doc["replies"]["served_warm"] < 1:
-            fail("status reports no warm replies after a warm analyze")
+            V.fail("status reports no warm replies after a warm analyze")
         if doc["requests"]["analyze"] != 3 or doc["requests"]["diagnose"] != 1:
-            fail(f"status per-op counters off: {doc['requests']!r}")
+            V.fail(f"status per-op counters off: {doc['requests']!r}")
         # One record per cacheable request: the cold analyze and the
         # diagnose each miss and write one record, the warm analyze hits
         # it, and the budgeted analyze bypasses the store.
         snapshot = doc["snapshot"]
         if snapshot["hits"] != 1 or snapshot["misses"] != 2:
-            fail(f"expected 1 snapshot hit and 2 misses: {snapshot!r}")
+            V.fail(f"expected 1 snapshot hit and 2 misses: {snapshot!r}")
         files = os.listdir(snap)
         records = [f for f in files if f.endswith(".snap")]
         temps = [f for f in files if f.endswith(".tmp")]
         if len(records) != 2 or temps:
-            fail(f"expected exactly 2 .snap records and no .tmp files in "
-                 f"the snapshot dir, found {sorted(files)!r}")
+            V.fail(f"expected exactly 2 .snap records and no .tmp files in "
+                   f"the snapshot dir, found {sorted(files)!r}")
         d.shutdown()
 
         # Overload: queue-limit=0 sheds every analysis request with
         # RETRY_AFTER until the client gives up (exit 4), while control
         # ops bypass admission and still answer.
         d = Daemon(serve_bin, tmp, "shed", "--queue-limit=0")
-        code, out, err = d.client("--op=analyze", "--max-retries=2", prog)
-        if code != 4:
-            fail(f"expected shed exit 4 under --queue-limit=0, got {code}: "
-                 f"{out!r} {err.strip()!r}")
-        code, out, err = d.client("--op=status")
-        if code != 0:
-            fail(f"status during overload exited {code}: {err.strip()!r}")
-        _, body = reply_body(out)
-        doc = json.loads(body)
-        check_document(doc, "overload status reply")
+        d.expect("analyze under --queue-limit=0", "--op=analyze",
+                 "--max-retries=2", prog, code=4)
+        doc = d.status("overload")
         if doc["daemon"]["shed"] < 3:
-            fail(f"expected >=3 shed requests, status says "
-                 f"{doc['daemon']['shed']}")
+            V.fail(f"expected >=3 shed requests, status says "
+                   f"{doc['daemon']['shed']}")
         d.shutdown()
-    print("check_serve_json: OK (smoke: cold==warm, one record per request, "
-          "degraded, status, shed)")
+    V.ok(" (smoke: cold==warm, one record per request, "
+         "degraded, status, shed)")
 
 
 def run_query(serve_bin, prog):
@@ -266,55 +231,45 @@ def run_query(serve_bin, prog):
         # Reachable pair — the pinned ids are documented in the input's
         # header comment. The reply must carry the verdict, the engine
         # the speed ladder promises, and a witness starting at the src.
-        code, out, err = d.client("--op=query", "--query=1,3", prog)
-        if code != 0:
-            fail(f"reachable query exited {code}: {err.strip()!r}")
-        head, body = reply_body(out)
+        head, body = d.expect("reachable query", "--op=query",
+                              "--query=1,3", prog)
         if not head.startswith("OK "):
-            fail(f"reachable query status line: {head!r}")
+            V.fail(f"reachable query status line: {head!r}")
         if "query 1 -> 3: reachable" not in body:
-            fail(f"reachable query verdict missing: {body!r}")
+            V.fail(f"reachable query verdict missing: {body!r}")
         if "engine: unify" not in body:
-            fail(f"query did not answer on the unification engine: {body!r}")
+            V.fail(f"query did not answer on the unification engine: {body!r}")
         if "witness: 1 -> " not in body:
-            fail(f"reachable query reply has no witness: {body!r}")
+            V.fail(f"reachable query reply has no witness: {body!r}")
 
         # Unreachable pair: a verdict, no witness line.
-        code, out, err = d.client("--op=query", "--query=1,0", prog)
-        if code != 0:
-            fail(f"unreachable query exited {code}: {err.strip()!r}")
-        _, body = reply_body(out)
+        _, body = d.expect("unreachable query", "--op=query", "--query=1,0",
+                           prog)
         if "query 1 -> 0: unreachable" not in body:
-            fail(f"unreachable query verdict missing: {body!r}")
+            V.fail(f"unreachable query verdict missing: {body!r}")
         if "witness:" in body:
-            fail(f"unreachable query reply carries a witness: {body!r}")
+            V.fail(f"unreachable query reply carries a witness: {body!r}")
 
         # An out-of-range node id is a structured Error reply (exit 3),
         # not a daemon casualty.
-        code, out, err = d.client("--op=query", "--query=1,4294967294", prog)
-        if code != 3:
-            fail(f"out-of-range query: expected Error reply (exit 3), "
-                 f"got {code}: {out!r}")
-        if "out of range" not in out:
-            fail(f"out-of-range query reply missing diagnostic: {out!r}")
+        head, body = d.expect("out-of-range query", "--op=query",
+                              "--query=1,4294967294", prog, code=3)
+        if "out of range" not in head + body:
+            V.fail(f"out-of-range query reply missing diagnostic: {body!r}")
 
-        # A missing --query spec is rejected client-side before any I/O.
-        code, out, err = d.client("--op=query", prog)
-        if code == 0:
-            fail("client accepted --op=query without --query=<src>,<sink>")
+        # A missing --query spec is a client-side usage error (exit 2)
+        # before any I/O.
+        d.expect("--op=query without --query=<src>,<sink>", "--op=query",
+                 prog, code=2)
 
         # The status JSON must validate and count all three server-side
         # queries (the spec-less one never reached the daemon).
-        code, out, err = d.client("--op=status")
-        if code != 0:
-            fail(f"status exited {code}: {err.strip()!r}")
-        doc = json.loads(reply_body(out)[1])
-        check_document(doc, "query status reply")
+        doc = d.status("query")
         if doc["requests"]["query"] != 3:
-            fail(f"status query counter off: {doc['requests']!r}")
+            V.fail(f"status query counter off: {doc['requests']!r}")
         d.shutdown()
-    print("check_serve_json: OK (query: reachable witness, unreachable, "
-          "out-of-range error, status counter)")
+    V.ok(" (query: reachable witness, unreachable, "
+         "out-of-range error, status counter)")
 
 
 def run_crash(serve_bin, prog):
@@ -323,24 +278,16 @@ def run_crash(serve_bin, prog):
 
         # Leg 1: warm the store, kill -9, recover byte-identically.
         d = Daemon(serve_bin, tmp, "pre", f"--snapshot-dir={snap}")
-        code, out, err = d.client("--op=analyze", prog)
-        if code != 0:
-            fail(f"pre-crash analyze exited {code}: {err.strip()!r}")
-        _, cold = reply_body(out)
+        _, cold = d.expect("pre-crash analyze", "--op=analyze", prog)
         d.kill9()
 
         d = Daemon(serve_bin, tmp, "post", f"--snapshot-dir={snap}")
-        code, out, err = d.client("--op=analyze", prog)
-        if code != 0:
-            fail(f"post-crash analyze exited {code}: {err.strip()!r}")
-        _, warm = reply_body(out)
+        _, warm = d.expect("post-crash analyze", "--op=analyze", prog)
         if warm != cold:
-            fail("post-crash warm reply differs from pre-crash cold reply")
-        code, out, _ = d.client("--op=status")
-        doc = json.loads(reply_body(out)[1])
-        if doc["snapshot"]["hits"] < 1:
-            fail("post-crash status reports no snapshot hits — the reply "
-                 "was recomputed, not recovered")
+            V.fail("post-crash warm reply differs from pre-crash cold reply")
+        if d.status("post-crash")["snapshot"]["hits"] < 1:
+            V.fail("post-crash status reports no snapshot hits — the reply "
+                   "was recomputed, not recovered")
         d.shutdown()
 
         # Leg 2: a torn snapshot write must never corrupt an answer. Arm
@@ -350,41 +297,31 @@ def run_crash(serve_bin, prog):
         torn = os.path.join(tmp, "torn-snap")
         env = dict(os.environ, USHER_INJECT_IO_FAULT="snapshot-torn-write@1")
         d = Daemon(serve_bin, tmp, "torn", f"--snapshot-dir={torn}", env=env)
-        code, out, err = d.client("--op=analyze", prog)
-        if code != 0:
-            fail(f"torn-write analyze exited {code}: {err.strip()!r}")
-        _, first = reply_body(out)
+        _, first = d.expect("torn-write analyze", "--op=analyze", prog)
         if first != cold:
-            fail("analyze under torn-write fault returned a wrong payload")
+            V.fail("analyze under torn-write fault returned a wrong payload")
         d.shutdown()
 
         d = Daemon(serve_bin, tmp, "healed", f"--snapshot-dir={torn}")
-        code, out, err = d.client("--op=analyze", prog)
-        if code != 0:
-            fail(f"post-torn analyze exited {code}: {err.strip()!r}")
-        _, healed = reply_body(out)
+        _, healed = d.expect("post-torn analyze", "--op=analyze", prog)
         if healed != cold:
-            fail("reply after torn-write recovery differs from cold")
-        code, out, _ = d.client("--op=status")
-        doc = json.loads(reply_body(out)[1])
+            V.fail("reply after torn-write recovery differs from cold")
+        doc = d.status("healed")
         d.shutdown()
         discarded = doc["snapshot"]["corrupt_discarded"]
         recovered = doc["snapshot"]["hits"]
         if discarded + recovered == 0:
-            fail("torn-snapshot restart neither discarded a corrupt record "
-                 "nor recovered an intact one")
-    print(f"check_serve_json: OK (crash: kill -9 recovery byte-identical, "
-          f"torn-write discarded={discarded})")
+            V.fail("torn-snapshot restart neither discarded a corrupt record "
+                   "nor recovered an intact one")
+    V.ok(f" (crash: kill -9 recovery byte-identical, "
+         f"torn-write discarded={discarded})")
 
 
 def run_fault(serve_bin, prog):
     with tempfile.TemporaryDirectory() as tmp:
         base = Daemon(serve_bin, tmp, "base",
                       f"--snapshot-dir={os.path.join(tmp, 'base-snap')}")
-        code, out, err = base.client("--op=analyze", prog)
-        if code != 0:
-            fail(f"baseline analyze exited {code}: {err.strip()!r}")
-        _, expected = reply_body(out)
+        _, expected = base.expect("baseline analyze", "--op=analyze", prog)
         base.shutdown()
 
         for site in IO_FAULT_SITES:
@@ -398,46 +335,27 @@ def run_fault(serve_bin, prog):
             d = Daemon(serve_bin, tmp, f"fault-{site}",
                        f"--snapshot-dir={snap}", env=env)
             for attempt in ("first", "second"):
-                code, out, err = d.client("--op=analyze", prog)
                 if site == "parse-alloc" and attempt == "first":
                     # The armed allocation failure surfaces as a
                     # structured Error reply; the daemon must survive it.
-                    if code != 3:
-                        fail(f"{site}: expected Error reply (exit 3) on the "
-                             f"faulted request, got {code}: {out!r}")
+                    d.expect(f"{site}: faulted analyze", "--op=analyze",
+                             prog, code=3)
                     continue
-                if code != 0:
-                    fail(f"{site}: {attempt} analyze exited {code}: "
-                         f"{out!r} {err.strip()!r}")
-                _, body = reply_body(out)
+                _, body = d.expect(f"{site}: {attempt} analyze",
+                                   "--op=analyze", prog)
                 if body != expected:
-                    fail(f"{site}: {attempt} analyze payload diverged from "
-                         f"the fault-free baseline")
-            code, out, _ = d.client("--op=status")
-            if code != 0:
-                fail(f"{site}: daemon stopped answering status after fault")
-            check_document(json.loads(reply_body(out)[1]),
-                           f"{site} status reply")
+                    V.fail(f"{site}: {attempt} analyze payload diverged from "
+                           f"the fault-free baseline")
+            d.status(site)
             d.shutdown()
-    print(f"check_serve_json: OK (fault campaign: "
-          f"{len(IO_FAULT_SITES)} sites survived)")
-
-
-def main(argv):
-    if len(argv) == 5 and argv[1] == "--run-smoke":
-        run_smoke(argv[2], argv[3], argv[4])
-    elif len(argv) == 4 and argv[1] == "--run-query":
-        run_query(argv[2], argv[3])
-    elif len(argv) == 4 and argv[1] == "--run-crash":
-        run_crash(argv[2], argv[3])
-    elif len(argv) == 4 and argv[1] == "--run-fault":
-        run_fault(argv[2], argv[3])
-    elif len(argv) == 2 and not argv[1].startswith("-"):
-        check_file(argv[1])
-    else:
-        print(__doc__, file=sys.stderr)
-        sys.exit(2)
+    V.ok(f" (fault campaign: "
+         f"{len(IO_FAULT_SITES)} sites survived)")
 
 
 if __name__ == "__main__":
-    main(sys.argv)
+    V.main(sys.argv, check_file, [
+        ("--run-smoke", run_smoke, 3, 3),
+        ("--run-query", run_query, 2, 2),
+        ("--run-crash", run_crash, 2, 2),
+        ("--run-fault", run_fault, 2, 2),
+    ])

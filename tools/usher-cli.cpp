@@ -49,6 +49,7 @@
 
 #include "core/StaticDiagnosis.h"
 #include "core/Usher.h"
+#include "ir/Verifier.h"
 #include "parser/Parser.h"
 #include "runtime/Interpreter.h"
 #include "support/Decimal.h"
@@ -347,6 +348,12 @@ int main(int Argc, char **Argv) {
     return ExitInputError;
   }
   ir::Module &M = *Parsed.M;
+  std::vector<std::string> VerifyErrors;
+  if (!ir::verifyModule(M, VerifyErrors)) {
+    for (const std::string &E : VerifyErrors)
+      errs() << Opts.InputPath << ": error: " << E << '\n';
+    return ExitInputError;
+  }
   transforms::runPreset(M, Opts.Preset);
 
   raw_ostream &OS = outs();
