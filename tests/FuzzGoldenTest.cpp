@@ -13,14 +13,23 @@
 /// the default options, one synthesizer-seeded corpus and one campaign
 /// with reduction off.
 ///
+/// Below the campaign level, one digest per program pins everything
+/// runOracles returns (validity, divergences, coverage features in order,
+/// Checked flags, main's result, ground-truth warning count) with all
+/// oracles enabled and with each oracle alone.
+///
 //===----------------------------------------------------------------------===//
 
 #include "fuzz/Fuzzer.h"
+#include "fuzz/Oracles.h"
+#include "ir/IR.h"
 #include "serve/SnapshotStore.h"
 #include "support/RawStream.h"
+#include "workload/Generator.h"
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
 #include <ostream>
 #include <string>
@@ -96,3 +105,106 @@ TEST(FuzzCampaignGolden, UnreducedReportDigestIsPinned) {
   Opts.Reduce = false;
   EXPECT_EQ(campaignDigest(Opts), hex(0x52379d049b0d7617ull));
 }
+
+namespace {
+
+std::string printed(uint64_t GenSeed) {
+  std::string Buf;
+  raw_string_ostream OS(Buf);
+  workload::generateProgram(GenSeed)->print(OS);
+  OS.flush();
+  return Buf;
+}
+
+/// The source text of one pinned program: a fuzz corpus file
+/// ("file:<stem>"), a printed generated program ("gen:<seed>"), or a
+/// fixed mutant or splice of generated programs ("mutant", "splice").
+std::string programSource(const std::string &Name) {
+  if (Name.rfind("file:", 0) == 0) {
+    std::string Source;
+    EXPECT_TRUE(readFile(std::string(USHER_TEST_INPUT_DIR) + "/fuzz/" +
+                             Name.substr(5) + ".tc",
+                         Source))
+        << Name;
+    return Source;
+  }
+  if (Name.rfind("gen:", 0) == 0)
+    return printed(std::stoull(Name.substr(4)));
+  if (Name == "mutant")
+    return workload::mutateProgram(printed(0), 2);
+  return workload::spliceProgram(printed(31), printed(32), 2);
+}
+
+/// Everything runOracles reports for \p Source, with all oracles enabled
+/// and then with each oracle alone, rendered as text and digested.
+std::string outcomeDigest(const std::string &Source) {
+  std::string Buf;
+  raw_string_ostream OS(Buf);
+  for (unsigned Only = 0; Only <= fuzz::NumOracleKinds; ++Only) {
+    fuzz::OracleOptions Opts;
+    if (Only != 0)
+      Opts.Only = static_cast<fuzz::OracleKind>(Only - 1);
+    fuzz::OracleOutcome Out = fuzz::runOracles(Source, Opts);
+    OS << "only " << Only << " valid " << Out.Valid << " reason "
+       << Out.InvalidReason << " checked";
+    for (bool C : Out.Checked)
+      OS << " " << C;
+    OS << " main " << Out.MainResult << " warnings " << Out.NumOracleWarnings
+       << "\n";
+    for (const fuzz::Divergence &D : Out.Divergences)
+      OS << fuzz::oracleKindName(D.Oracle) << ": " << D.Detail << "\n";
+    for (uint64_t Key : Out.Features.Keys)
+      OS << Key << " ";
+    OS << "\n";
+  }
+  OS.flush();
+  return hex(serve::SnapshotStore::hashBytes(Buf));
+}
+
+struct OutcomeGolden {
+  const char *Program;
+  uint64_t Digest;
+};
+// Re-pin a digest only with a deliberate change to an oracle, the
+// coverage features or the programs' text.
+const OutcomeGolden OutcomeGoldens[] = {
+    {"file:call_undef", 0x1e259bfe73ccbcc7ull},
+    {"file:global_uninit", 0x5204c8e596ca7585ull},
+    {"file:opt2_dup", 0x47d98d6e35e9aa9bull},
+    {"file:semi_strong_heap", 0x0f31ae25d62a148dull},
+    {"file:strong_update_clean", 0xc7b8341b76095807ull},
+    {"file:walk_partial", 0xd70d09b37c2d9dfbull},
+    {"gen:0", 0x702ea7349a5eb695ull},
+    {"gen:1", 0xbedcb7f047d7ea97ull},
+    {"gen:2", 0xfa3a316a8fe4bc53ull},
+    {"gen:3", 0xfdf8c5dc17057813ull},
+    {"gen:4", 0x5c89ecb98c7afe3bull},
+    {"gen:5", 0xda6f583e2e52394full},
+    {"gen:6", 0xa9bdc42c49b3bce7ull},
+    {"gen:7", 0xd2720c716e3979cfull},
+    {"gen:8", 0xf55bf9e73bd769a3ull},
+    {"gen:9", 0x5d62ba64b26c0865ull},
+    {"mutant", 0x52331a1b8b98c6d9ull},
+    {"splice", 0x8f0dabccc7d08687ull},
+};
+
+void PrintTo(const OutcomeGolden &G, std::ostream *OS) { *OS << G.Program; }
+
+class OracleOutcomeGolden : public ::testing::TestWithParam<OutcomeGolden> {};
+
+} // namespace
+
+TEST_P(OracleOutcomeGolden, DigestIsPinned) {
+  const OutcomeGolden &G = GetParam();
+  EXPECT_EQ(outcomeDigest(programSource(G.Program)), hex(G.Digest))
+      << G.Program;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Programs, OracleOutcomeGolden, ::testing::ValuesIn(OutcomeGoldens),
+    [](const ::testing::TestParamInfo<OutcomeGolden> &I) {
+      std::string Name;
+      for (const char *C = I.param.Program; *C; ++C)
+        Name += std::isalnum(static_cast<unsigned char>(*C)) ? *C : '_';
+      return Name;
+    });
