@@ -28,7 +28,8 @@ using Context = ContextStack;
 Definedness::Definedness(
     const VFG &G, DefinednessOptions Opts,
     const std::unordered_map<uint32_t, std::vector<Edge>> *Redirects,
-    Budget *B) {
+    Budget *B)
+    : AddressTakenAware(Opts.AddressTakenAware) {
   const unsigned K = Opts.ContextK;
   const uint32_t N = G.numNodes();
   Bottom.resize(N);

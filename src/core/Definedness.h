@@ -33,7 +33,8 @@ struct DefinednessOptions {
   unsigned ContextK = 1;
   /// When false, every memory-space node is pessimistically undefined:
   /// this models the UsherTL variant, which analyzes top-level variables
-  /// only.
+  /// only. The guided planner reads it back through
+  /// Definedness::addressTakenAware().
   bool AddressTakenAware = true;
   /// Reachability seed nodes. Null (the default) seeds from VFG::RootF —
   /// the UUV client's "undefined" root. A taint client (e.g. the
@@ -78,9 +79,14 @@ public:
   /// marked undefined-capable.
   bool wasPessimized() const { return Pessimized; }
 
+  /// False for the top-level-only (UsherTL) resolution, where memory is
+  /// not reasoned about (DefinednessOptions::AddressTakenAware).
+  bool addressTakenAware() const { return AddressTakenAware; }
+
 private:
   BitSet Bottom;
   bool Pessimized = false;
+  bool AddressTakenAware = true;
 };
 
 /// Computes the set of VFG nodes from which some needed runtime check is

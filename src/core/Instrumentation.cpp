@@ -519,7 +519,7 @@ void InstrumentationPlanner::Impl::processMemory(uint32_t Node,
                                                  const VFG::NodeData &N,
                                                  const FunctionSSA &FS,
                                                  const DefDesc &Desc) {
-  if (!Opts.AddressTakenAware)
+  if (!Gamma.addressTakenAware())
     return; // The prepass shadows memory unconditionally.
 
   const bool Defined = Gamma.isDefined(Node);
@@ -652,7 +652,7 @@ void InstrumentationPlanner::Impl::process(uint32_t Node) {
 InstrumentationPlan InstrumentationPlanner::Impl::run() {
   Demanded.assign(G.numNodes(), 0);
 
-  if (!Opts.AddressTakenAware)
+  if (!Gamma.addressTakenAware())
     prepassTopLevelOnly();
 
   // Seed from the runtime checks that are needed ([T-Check]/[B-Check]).

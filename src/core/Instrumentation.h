@@ -36,10 +36,6 @@ namespace core {
 
 /// Options for the guided planner.
 struct PlannerOptions {
-  /// False models the UsherTL variant: memory is not reasoned about, so
-  /// every store and allocation is shadowed unconditionally and loads are
-  /// pessimistically undefined. Must match the Definedness option.
-  bool AddressTakenAware = true;
   /// Apply Opt I (value-flow simplification of must-flow-from closures).
   bool OptI = false;
   /// Optional budget (BudgetPhase::OptI): consulted per simplification
@@ -71,6 +67,9 @@ struct PlannerOptions {
 };
 
 /// Demand-driven planner implementing the deduction rules of Figure 7.
+/// A top-level-only Gamma (Definedness::addressTakenAware() false, the
+/// UsherTL variant) makes it shadow every store and allocation
+/// unconditionally and treat loads as pessimistically undefined.
 class InstrumentationPlanner {
 public:
   InstrumentationPlanner(const ir::Module &M, const ssa::MemorySSA &SSA,

@@ -239,7 +239,6 @@ UsherResult core::runUsher(Module &M, const UsherOptions &Opts) {
   }
 
   PlannerOptions POpts;
-  POpts.AddressTakenAware = Opts.Variant != ToolVariant::UsherTL;
   POpts.OptI = static_cast<int>(DR.Rung) >=
                static_cast<int>(ToolVariant::UsherOptI);
   POpts.B = &B;

@@ -7,7 +7,6 @@
 
 #include "fuzz/Oracles.h"
 
-#include "analysis/CallGraph.h"
 #include "analysis/DemandVFA.h"
 #include "analysis/PointerAnalysis.h"
 #include "core/ContextStack.h"
@@ -19,15 +18,15 @@
 #include "serve/Protocol.h"
 #include "serve/Session.h"
 
+#include <iterator>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 
 using namespace usher;
 using namespace usher::fuzz;
-using analysis::CallGraph;
 using analysis::PointerAnalysis;
-using analysis::PtaOptions;
 using analysis::SolverKind;
 using core::ToolVariant;
 using runtime::ExecLimits;
@@ -36,23 +35,13 @@ using runtime::ExitReason;
 using runtime::Interpreter;
 
 const char *fuzz::oracleKindName(OracleKind K) {
-  switch (K) {
-  case OracleKind::VariantEquivalence:
-    return "variant-equivalence";
-  case OracleKind::SolverEquivalence:
-    return "solver-equivalence";
-  case OracleKind::DiagnosisSoundness:
-    return "diagnosis-soundness";
-  case OracleKind::DegradationSoundness:
-    return "degradation-soundness";
-  case OracleKind::ServeEquivalence:
-    return "serve-equivalence";
-  case OracleKind::QueryEquivalence:
-    return "query-equivalence";
-  case OracleKind::ClientConsistency:
-    return "client-consistency";
-  }
-  return "unknown";
+  static const char *const Names[] = {
+      "variant-equivalence", "solver-equivalence", "diagnosis-soundness",
+      "degradation-soundness", "serve-equivalence", "query-equivalence",
+      "client-consistency"};
+  static_assert(std::size(Names) == NumOracleKinds, "one name per oracle");
+  const unsigned I = static_cast<unsigned>(K);
+  return I < NumOracleKinds ? Names[I] : "unknown";
 }
 
 namespace {
@@ -78,29 +67,133 @@ std::string describeSetDiff(const std::set<uint32_t> &Tool,
   return "";
 }
 
-/// Exact-match semantics for MSan/TL/TLAT/OptI rungs; Opt II may only
-/// suppress dominated duplicates (subset, non-empty iff). Returns "" when
-/// the guarantee holds.
-std::string checkWarnings(ToolVariant V, const std::set<uint32_t> &Tool,
+/// Exact match, or Opt II's guarantee: it may only suppress dominated
+/// duplicates (subset, non-empty iff). Returns "" when the guarantee holds.
+std::string checkWarnings(bool Exact, const std::set<uint32_t> &Tool,
                           const std::set<uint32_t> &Oracle) {
-  if (V != ToolVariant::UsherFull) {
-    if (Tool != Oracle)
-      return describeSetDiff(Tool, Oracle);
-    return "";
-  }
+  if (Exact)
+    return describeSetDiff(Tool, Oracle);
   for (uint32_t Id : Tool)
     if (!Oracle.count(Id))
       return "false positive at inst#" + std::to_string(Id);
-  if (Tool.empty() != Oracle.empty())
-    return Tool.empty() ? "Opt II hid all real defects" : "";
-  return "";
+  return Tool.empty() && !Oracle.empty() ? "Opt II hid all real defects" : "";
 }
 
-/// Every pipeline run gets a fresh module: heap cloning mutates modules,
-/// so sharing one across engines or variants would contaminate results.
-std::unique_ptr<ir::Module> parseFresh(const std::string &Source) {
-  parser::ParseResult PR = parser::parseModule(Source);
-  return PR.succeeded() ? std::move(PR.M) : nullptr;
+/// One pipeline configuration run over its own freshly parsed module:
+/// heap cloning mutates modules, so sharing one across configurations
+/// would contaminate results.
+struct PipelineRun {
+  std::unique_ptr<ir::Module> M;
+  core::UsherResult R;
+  /// The interpreter's report on R.Plan (empty after analyze()).
+  ExecutionReport Rep;
+};
+
+/// Parses \p Source afresh and runs the pipeline on it.
+PipelineRun analyze(const std::string &Source,
+                    const core::UsherOptions &UOpts) {
+  std::unique_ptr<ir::Module> M = std::move(parser::parseModule(Source).M);
+  core::UsherResult R = core::runUsher(*M, UOpts);
+  return {std::move(M), std::move(R), ExecutionReport()};
+}
+
+/// analyze(), then interpret the plan under \p Limits.
+PipelineRun runPipeline(const std::string &Source,
+                        const core::UsherOptions &UOpts,
+                        const ExecLimits &Limits) {
+  PipelineRun X = analyze(Source, UOpts);
+  X.Rep = Interpreter(*X.M, &X.R.Plan, runtime::CostModel(), Limits).run();
+  return X;
+}
+
+/// One row of the plan table (oracles 1, 2 and 4): a pipeline
+/// configuration whose plan must land on Rung and, when run, keep main's
+/// result and report the ground-truth warnings.
+struct PlanRow {
+  OracleKind Oracle;
+  std::string Tag; ///< Prefix of the row's divergence details.
+  core::UsherOptions Opts;
+  ToolVariant Rung;
+  bool Exact; ///< False: Opt II's subset guarantee.
+};
+
+/// Oracle K's rows. Oracles 1 and 2 run every rung of the ladder
+/// unbudgeted, with the optimized and with the naive Andersen solver;
+/// oracle 4 injects exhaustion into one phase of a requested rung and
+/// expects the documented landing rung, whose warnings are always exact
+/// (runUsher never strands a run on a half-applied Opt II).
+std::vector<PlanRow> planRows(OracleKind K) {
+  std::vector<PlanRow> Rows;
+  auto Add = [&](std::string Tag, ToolVariant Requested, ToolVariant Rung,
+                 bool Exact) -> core::UsherOptions & {
+    Rows.push_back({K, std::move(Tag), {}, Rung, Exact});
+    Rows.back().Opts.Variant = Requested;
+    return Rows.back().Opts;
+  };
+  auto Fault = [&](BudgetPhase P, uint32_t MaxFires, ToolVariant Requested,
+                   ToolVariant Rung) {
+    std::string Tag = std::string("fault ") + budgetPhaseName(P);
+    if (MaxFires)
+      Tag += "@0:" + std::to_string(MaxFires);
+    Add(Tag, Requested, Rung, true).Fault = FaultPlan{P, 0, MaxFires};
+  };
+  using TV = ToolVariant;
+  if (K == OracleKind::DegradationSoundness) {
+    Fault(BudgetPhase::PointerAnalysis, 0, TV::UsherFull, TV::MSanFull);
+    // Two fires exhaust field-sensitive and field-insensitive Andersen but
+    // spare the unification solver: the unify-backed TL+AT rung.
+    Fault(BudgetPhase::PointerAnalysis, 2, TV::UsherFull, TV::UsherTLAT);
+    Fault(BudgetPhase::Definedness, 0, TV::UsherFull, TV::UsherTLAT);
+    Fault(BudgetPhase::OptII, 0, TV::UsherFull, TV::UsherOptI);
+    Fault(BudgetPhase::OptI, 0, TV::UsherOptI, TV::UsherTLAT);
+    return Rows;
+  }
+  const bool Naive = K == OracleKind::SolverEquivalence;
+  for (TV V : {TV::MSanFull, TV::UsherTL, TV::UsherTLAT, TV::UsherOptI,
+               TV::UsherFull}) {
+    std::string Tag = core::toolVariantName(V);
+    core::UsherOptions &O = Add(Naive ? Tag + " (naive)" : Tag, V, V,
+                                V != TV::UsherFull);
+    if (Naive)
+      O.Pta.Solver = SolverKind::NaiveReference;
+  }
+  return Rows;
+}
+
+/// An instrumented run must finish and keep main's native result. Returns
+/// false when it did not finish: nothing else about it can be checked.
+bool checkFinished(OracleKind K, const std::string &Tag,
+                   const ExecutionReport &Rep, int64_t MainResult,
+                   std::vector<Divergence> &Out) {
+  if (Rep.Reason != ExitReason::Finished) {
+    Out.push_back({K, Tag + ": instrumented run did not finish (" +
+                          Rep.TrapMessage + ")"});
+    return false;
+  }
+  if (Rep.MainResult != MainResult)
+    Out.push_back({K, Tag + ": instrumentation changed main's result"});
+  return true;
+}
+
+/// The one check of a plan-table row against the native run's result and
+/// ground-truth warnings.
+void checkRow(const PlanRow &Row, const PipelineRun &X, int64_t MainResult,
+              const std::set<uint32_t> &Oracle, std::vector<Divergence> &Out) {
+  auto Diverge = [&](const std::string &What) {
+    Out.push_back({Row.Oracle, Row.Tag + ": " + What});
+  };
+  const core::DegradationReport &DR = X.R.Degradation;
+  if (Row.Opts.Fault && !DR.Degraded)
+    return Diverge("injected exhaustion did not degrade");
+  if (DR.Rung != Row.Rung)
+    Diverge(std::string("landed on ") + core::toolVariantName(DR.Rung) +
+            ", expected " + core::toolVariantName(Row.Rung));
+  if (!checkFinished(Row.Oracle, Row.Tag, X.Rep, MainResult, Out))
+    return;
+  if (std::string Err =
+          checkWarnings(Row.Exact, warnIds(X.Rep.ToolWarnings), Oracle);
+      !Err.empty())
+    Diverge(Err);
 }
 
 /// Loc-id-independent rendering of one variable's points-to set.
@@ -114,18 +207,54 @@ std::set<std::string> ptsNames(const PointerAnalysis &PA,
   return S;
 }
 
-struct VariantSemantics {
-  ToolVariant V;
-  const char *Name;
-};
+/// Oracle 2's solver check: the naive run's points-to sets must be the
+/// optimized run's, variable by variable.
+void comparePointsTo(const PipelineRun &Opt, const PipelineRun &Ref,
+                     std::vector<Divergence> &Out) {
+  auto Diverge = [&Out](std::string Detail) {
+    Out.push_back({OracleKind::SolverEquivalence, std::move(Detail)});
+  };
+  const PointerAnalysis *PAOpt = Opt.R.PA.get(), *PARef = Ref.R.PA.get();
+  if (!PAOpt || !PARef)
+    return Diverge("solver exhausted without a budget configured");
+  if (PAOpt->numLocations() != PARef->numLocations())
+    return Diverge("location count mismatch: optimized " +
+                   std::to_string(PAOpt->numLocations()) + " vs naive " +
+                   std::to_string(PARef->numLocations()));
+  for (const auto &FOpt : Opt.M->functions()) {
+    const ir::Function *FRef = Ref.M->findFunction(FOpt->getName());
+    for (const auto &V : FOpt->variables()) {
+      const ir::Variable *VRef = FRef->findVariable(V->getName());
+      if (ptsNames(*PAOpt, V.get()) != ptsNames(*PARef, VRef)) {
+        Diverge("points-to mismatch for " + FOpt->getName() +
+                "::" + V->getName());
+        break;
+      }
+    }
+  }
+}
 
-const VariantSemantics AllVariants[] = {
-    {ToolVariant::MSanFull, "MSAN"},
-    {ToolVariant::UsherTL, "USHER-TL"},
-    {ToolVariant::UsherTLAT, "USHER-TL+AT"},
-    {ToolVariant::UsherOptI, "USHER-OPTI"},
-    {ToolVariant::UsherFull, "USHER"},
-};
+/// Coverage features of the analysis itself, from one pipeline result.
+void addAnalysisFeatures(const core::UsherResult &R, FeatureSet &Features) {
+  if (!R.G)
+    return;
+  uint32_t Mask = R.G->originMask();
+  for (unsigned Bit = 0; Bit != 32; ++Bit)
+    if (Mask & (1u << Bit))
+      Features.add(FeatureDomain::Origin, Bit);
+  if (R.G->numStrongStoreChis())
+    Features.add(FeatureDomain::StoreKind, 0);
+  if (R.G->numSemiStrongStoreChis())
+    Features.add(FeatureDomain::StoreKind, 1);
+  if (R.G->numWeakStoreChis())
+    Features.add(FeatureDomain::StoreKind, 2);
+  Features.add(FeatureDomain::OptCounter,
+               (uint64_t(0) << 8) | countBucket(R.Stats.NumSimplifiedMFCs));
+  Features.add(FeatureDomain::OptCounter,
+               (uint64_t(1) << 8) | countBucket(R.Stats.NumRedirectedNodes));
+  Features.add(FeatureDomain::Rung,
+               static_cast<uint64_t>(R.Degradation.Rung));
+}
 
 } // namespace
 
@@ -181,120 +310,47 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
   auto Diverge = [&Out](OracleKind K, std::string Detail) {
     Out.Divergences.push_back({K, std::move(Detail)});
   };
+  auto Check = [&](const PlanRow &Row, const PipelineRun &X) {
+    checkRow(Row, X, Native.MainResult, Oracle, Out.Divergences);
+  };
+
+  // The default configuration (UsherFull, Andersen, no clients) is what
+  // most oracles inspect: it runs at most once per program, when the
+  // first enabled oracle asks for it.
+  std::optional<PipelineRun> SharedRun;
+  auto Shared = [&]() -> const PipelineRun & {
+    if (!SharedRun)
+      SharedRun.emplace(runPipeline(Source, core::UsherOptions(), ToolLimits));
+    return *SharedRun;
+  };
 
   // -- Oracle 1: variant equivalence vs the shadow interpreter -----------
   if (Enabled(OracleKind::VariantEquivalence)) {
-    for (const VariantSemantics &VS : AllVariants) {
-      auto M = parseFresh(Source);
-      core::UsherOptions UOpts;
-      UOpts.Variant = VS.V;
-      core::UsherResult R = core::runUsher(*M, UOpts);
-      ExecutionReport Rep =
-          Interpreter(*M, &R.Plan, runtime::CostModel(), ToolLimits).run();
-      if (Rep.Reason != ExitReason::Finished) {
-        Diverge(OracleKind::VariantEquivalence,
-                std::string(VS.Name) + ": instrumented run did not finish (" +
-                    Rep.TrapMessage + ")");
-        continue;
-      }
-      if (Rep.MainResult != Native.MainResult)
-        Diverge(OracleKind::VariantEquivalence,
-                std::string(VS.Name) + ": instrumentation changed main's "
-                                       "result");
-      std::string Err = checkWarnings(VS.V, warnIds(Rep.ToolWarnings), Oracle);
-      if (!Err.empty())
-        Diverge(OracleKind::VariantEquivalence,
-                std::string(VS.Name) + ": " + Err);
-
-      // Analysis-feature coverage comes from the full pipeline run.
-      if (VS.V == ToolVariant::UsherFull && R.G) {
-        uint32_t Mask = R.G->originMask();
-        for (unsigned Bit = 0; Bit != 32; ++Bit)
-          if (Mask & (1u << Bit))
-            Out.Features.add(FeatureDomain::Origin, Bit);
-        if (R.G->numStrongStoreChis())
-          Out.Features.add(FeatureDomain::StoreKind, 0);
-        if (R.G->numSemiStrongStoreChis())
-          Out.Features.add(FeatureDomain::StoreKind, 1);
-        if (R.G->numWeakStoreChis())
-          Out.Features.add(FeatureDomain::StoreKind, 2);
-        Out.Features.add(FeatureDomain::OptCounter,
-                         (uint64_t(0) << 8) |
-                             countBucket(R.Stats.NumSimplifiedMFCs));
-        Out.Features.add(FeatureDomain::OptCounter,
-                         (uint64_t(1) << 8) |
-                             countBucket(R.Stats.NumRedirectedNodes));
-        Out.Features.add(FeatureDomain::Rung,
-                         static_cast<uint64_t>(R.Degradation.Rung));
-      }
-    }
+    for (const PlanRow &Row : planRows(OracleKind::VariantEquivalence))
+      if (Row.Rung == ToolVariant::UsherFull)
+        Check(Row, Shared());
+      else
+        Check(Row, runPipeline(Source, Row.Opts, ToolLimits));
+    addAnalysisFeatures(Shared().R, Out.Features);
   }
 
   // -- Oracle 2: fast vs naive constraint solver -------------------------
   if (Enabled(OracleKind::SolverEquivalence)) {
-    auto MOpt = parseFresh(Source);
-    auto MRef = parseFresh(Source);
-    CallGraph CGOpt(*MOpt);
-    PtaOptions POpt;
-    POpt.Solver = SolverKind::Optimized;
-    PointerAnalysis PAOpt(*MOpt, CGOpt, POpt);
-    CallGraph CGRef(*MRef);
-    PtaOptions PRef;
-    PRef.Solver = SolverKind::NaiveReference;
-    PointerAnalysis PARef(*MRef, CGRef, PRef);
-    if (PAOpt.exhausted() || PARef.exhausted()) {
-      Diverge(OracleKind::SolverEquivalence,
-              "solver exhausted without a budget configured");
-    } else if (PAOpt.numLocations() != PARef.numLocations()) {
-      Diverge(OracleKind::SolverEquivalence,
-              "location count mismatch: optimized " +
-                  std::to_string(PAOpt.numLocations()) + " vs naive " +
-                  std::to_string(PARef.numLocations()));
-    } else {
-      for (const auto &FOpt : MOpt->functions()) {
-        const ir::Function *FRef = MRef->findFunction(FOpt->getName());
-        for (const auto &V : FOpt->variables()) {
-          const ir::Variable *VRef = FRef->findVariable(V->getName());
-          if (ptsNames(PAOpt, V.get()) != ptsNames(PARef, VRef)) {
-            Diverge(OracleKind::SolverEquivalence,
-                    "points-to mismatch for " + FOpt->getName() +
-                        "::" + V->getName());
-            break;
-          }
-        }
-      }
-    }
-
-    // Per-rung warning guarantees with the naive solver underneath. The
-    // optimized side already holds these via oracle 1, so agreement with
-    // the oracle here implies fast/naive warning equality per rung.
-    for (const VariantSemantics &VS : AllVariants) {
-      auto M = parseFresh(Source);
-      core::UsherOptions UOpts;
-      UOpts.Variant = VS.V;
-      UOpts.Pta.Solver = SolverKind::NaiveReference;
-      core::UsherResult R = core::runUsher(*M, UOpts);
-      ExecutionReport Rep =
-          Interpreter(*M, &R.Plan, runtime::CostModel(), ToolLimits).run();
-      if (Rep.Reason != ExitReason::Finished) {
-        Diverge(OracleKind::SolverEquivalence,
-                std::string(VS.Name) +
-                    " (naive): instrumented run did not finish");
-        continue;
-      }
-      std::string Err = checkWarnings(VS.V, warnIds(Rep.ToolWarnings), Oracle);
-      if (!Err.empty())
-        Diverge(OracleKind::SolverEquivalence,
-                std::string(VS.Name) + " (naive): " + Err);
-    }
+    // The naive USHER run's points-to sets must be the shared run's. Each
+    // rung's guarantees with the naive solver underneath, like oracle 1's
+    // with the optimized one, imply fast/naive warning equality per rung.
+    std::vector<PlanRow> Rows = planRows(OracleKind::SolverEquivalence);
+    std::vector<PipelineRun> Runs;
+    for (const PlanRow &Row : Rows)
+      Runs.push_back(runPipeline(Source, Row.Opts, ToolLimits));
+    comparePointsTo(Shared(), Runs.back(), Out.Divergences);
+    for (size_t I = 0; I != Rows.size(); ++I)
+      Check(Rows[I], Runs[I]);
   }
 
   // -- Oracle 3: static diagnosis soundness and must-precision -----------
   if (Enabled(OracleKind::DiagnosisSoundness)) {
-    auto M = parseFresh(Source);
-    core::UsherOptions UOpts;
-    UOpts.Variant = ToolVariant::UsherFull;
-    core::UsherResult R = core::runUsher(*M, UOpts);
+    const core::UsherResult &R = Shared().R;
     // Conservative posture: no anchor hypotheses, so DEFINITE provably
     // fires on every terminating run — required on arbitrary mutants,
     // which need not exercise both directions of every branch.
@@ -311,90 +367,34 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
         It->second = Vs[Idx];
     }
     for (uint32_t Id : Oracle) {
+      const std::string At = "oracle warning at inst#" + std::to_string(Id);
       auto It = ByInst.find(Id);
       if (It == ByInst.end())
-        Diverge(OracleKind::DiagnosisSoundness,
-                "oracle warning at inst#" + std::to_string(Id) +
-                    " is not a critical use");
+        Diverge(OracleKind::DiagnosisSoundness, At + " is not a critical use");
       else if (It->second == core::Verdict::Clean)
-        Diverge(OracleKind::DiagnosisSoundness,
-                "oracle warning at inst#" + std::to_string(Id) +
-                    " classified CLEAN");
+        Diverge(OracleKind::DiagnosisSoundness, At + " classified CLEAN");
     }
     for (const core::Finding &F : Diag.report().Findings) {
       if (F.V != core::Verdict::Definite)
         continue;
+      const std::string At = "DEFINITE at inst#" + std::to_string(F.I->getId());
       if (!Oracle.count(F.I->getId()))
-        Diverge(OracleKind::DiagnosisSoundness,
-                "DEFINITE at inst#" + std::to_string(F.I->getId()) +
-                    " never fired");
+        Diverge(OracleKind::DiagnosisSoundness, At + " never fired");
       std::string WErr;
       if (F.Witness.empty())
-        Diverge(OracleKind::DiagnosisSoundness,
-                "DEFINITE at inst#" + std::to_string(F.I->getId()) +
-                    " has no witness path");
+        Diverge(OracleKind::DiagnosisSoundness, At + " has no witness path");
       else if (!analysis::validateQueryWitness(
                    *R.G, vfg::VFG::RootF, F.UseNode, F.Witness,
                    core::StaticDiagnosis::ContextK, &WErr))
         Diverge(OracleKind::DiagnosisSoundness,
-                "DEFINITE at inst#" + std::to_string(F.I->getId()) +
-                    " witness does not replay: " + WErr);
+                At + " witness does not replay: " + WErr);
     }
   }
 
   // -- Oracle 4: degradation-ladder soundness under injected faults ------
-  if (Enabled(OracleKind::DegradationSoundness)) {
-    struct FaultCase {
-      BudgetPhase Phase;
-      ToolVariant Requested;
-      ToolVariant ExpectedRung;
-    };
-    const FaultCase Cases[] = {
-        {BudgetPhase::PointerAnalysis, ToolVariant::UsherFull,
-         ToolVariant::MSanFull},
-        {BudgetPhase::Definedness, ToolVariant::UsherFull,
-         ToolVariant::UsherTLAT},
-        {BudgetPhase::OptII, ToolVariant::UsherFull, ToolVariant::UsherOptI},
-        {BudgetPhase::OptI, ToolVariant::UsherOptI, ToolVariant::UsherTLAT},
-    };
-    for (const FaultCase &C : Cases) {
-      auto M = parseFresh(Source);
-      core::UsherOptions UOpts;
-      UOpts.Variant = C.Requested;
-      FaultPlan F;
-      F.Phase = C.Phase;
-      F.AtStep = 0;
-      UOpts.Fault = F;
-      core::UsherResult R = core::runUsher(*M, UOpts);
-      std::string Tag = std::string("fault ") + budgetPhaseName(C.Phase);
-      if (!R.Degradation.Degraded) {
-        Diverge(OracleKind::DegradationSoundness,
-                Tag + ": injected exhaustion did not degrade");
-        continue;
-      }
-      if (R.Degradation.Rung != C.ExpectedRung)
-        Diverge(OracleKind::DegradationSoundness,
-                Tag + ": landed on " +
-                    core::toolVariantName(R.Degradation.Rung) +
-                    ", expected " + core::toolVariantName(C.ExpectedRung));
-      ExecutionReport Rep =
-          Interpreter(*M, &R.Plan, runtime::CostModel(), ToolLimits).run();
-      if (Rep.Reason != ExitReason::Finished) {
-        Diverge(OracleKind::DegradationSoundness,
-                Tag + ": degraded run did not finish");
-        continue;
-      }
-      if (Rep.MainResult != Native.MainResult)
-        Diverge(OracleKind::DegradationSoundness,
-                Tag + ": degraded instrumentation changed main's result");
-      // Every landing rung has exact-match semantics: the driver never
-      // strands a run on a half-applied Opt II.
-      if (warnIds(Rep.ToolWarnings) != Oracle)
-        Diverge(OracleKind::DegradationSoundness,
-                Tag + ": " +
-                    describeSetDiff(warnIds(Rep.ToolWarnings), Oracle));
-    }
-  }
+  if (Enabled(OracleKind::DegradationSoundness))
+    for (const PlanRow &Row : planRows(OracleKind::DegradationSoundness))
+      Check(Row, runPipeline(Source, Row.Opts, ToolLimits));
 
   // -- Oracle 5: analysis service equivalence ----------------------------
   if (Enabled(OracleKind::ServeEquivalence)) {
@@ -412,30 +412,30 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
       Reader.append(Wire.data() + Wire.size() / 2,
                     Wire.size() - Wire.size() / 2);
       std::string Body, Err;
-      if (Reader.next(Body, &Err) != serve::FrameReader::Result::Frame) {
-        Diverge(OracleKind::ServeEquivalence, "request frame lost: " + Err);
+      auto Lost = [&](const char *What) {
+        Diverge(OracleKind::ServeEquivalence, What + Err);
         return false;
-      }
+      };
+      if (Reader.next(Body, &Err) != serve::FrameReader::Result::Frame)
+        return Lost("request frame lost: ");
       serve::Request Decoded;
-      if (!serve::decodeRequest(Body, Decoded, &Err)) {
-        Diverge(OracleKind::ServeEquivalence,
-                "request did not survive encoding: " + Err);
-        return false;
-      }
+      if (!serve::decodeRequest(Body, Decoded, &Err))
+        return Lost("request did not survive encoding: ");
       serve::Reply Raw = Sess.handle(Decoded);
-      if (!serve::decodeReply(serve::encodeReply(Raw), Rp, &Err)) {
-        Diverge(OracleKind::ServeEquivalence,
-                "reply did not survive encoding: " + Err);
-        return false;
-      }
+      if (!serve::decodeReply(serve::encodeReply(Raw), Rp, &Err))
+        return Lost("reply did not survive encoding: ");
       return true;
     };
 
-    for (serve::Op O : {serve::Op::Analyze, serve::Op::Diagnose}) {
+    auto Req = [&Source](serve::Op O, uint64_t Id) {
       serve::Request Rq;
       Rq.Kind = O;
-      Rq.Id = static_cast<uint64_t>(O) + 1;
+      Rq.Id = Id;
       Rq.Source = Source;
+      return Rq;
+    };
+    for (serve::Op O : {serve::Op::Analyze, serve::Op::Diagnose}) {
+      serve::Request Rq = Req(O, static_cast<uint64_t>(O) + 1);
       serve::Reply Cold, Warm;
       if (!RoundTrip(Rq, Cold) || !RoundTrip(Rq, Warm))
         continue;
@@ -455,17 +455,11 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
               "expected 2 warm replies, got " +
                   std::to_string(Sess.servedWarm()));
 
-    // Cross-check the service's totals against a direct pipeline run: the
-    // module line carries the plan's check count.
-    auto M = parseFresh(Source);
-    core::UsherOptions UOpts;
-    core::UsherResult R = core::runUsher(*M, UOpts);
-    serve::Request Rq;
-    Rq.Kind = serve::Op::Analyze;
-    Rq.Id = 99;
-    Rq.Source = Source;
+    // Cross-check the service's totals against the shared pipeline run:
+    // the module line carries the plan's check count.
+    const core::UsherResult &R = Shared().R;
     serve::Reply Rp;
-    if (RoundTrip(Rq, Rp)) {
+    if (RoundTrip(Req(serve::Op::Analyze, 99), Rp)) {
       const std::string Needle =
           "module: variant=" +
           std::string(core::toolVariantName(R.Degradation.Rung)) +
@@ -480,14 +474,11 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
 
   // -- Oracle 6: demand query vs whole-program VFG reachability ----------
   if (Enabled(OracleKind::QueryEquivalence)) {
-    auto M = parseFresh(Source);
-    core::UsherOptions UOpts;
-    UOpts.Variant = ToolVariant::UsherFull;
-    core::UsherResult R = core::runUsher(*M, UOpts);
+    const core::UsherResult &R = Shared().R;
     if (R.G && R.G->numNodes() != 0) {
       const vfg::VFG &G = *R.G;
       const uint32_t N = G.numNodes();
-      const unsigned K = UOpts.ContextK;
+      const unsigned K = core::UsherOptions().ContextK;
 
       // Independent reference: an exhaustive DFS over (node, context)
       // states with the same k-limited CFL transitions, projecting out
@@ -529,14 +520,11 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
       };
 
       // Sample deterministically: sinks favor critical-use nodes (the
-      // queries a client would actually ask), sources and the remainder
-      // come from hash-derived ids so arbitrary interior nodes are
-      // exercised too. The stride walks carry a hard step cap: when N
-      // shares a factor with the stride, the orbit of Step*stride % N
-      // covers only a subset of the ids (e.g. stride 40503 on a 6-node
-      // graph yields {0, 3} forever), so an uncapped grow-until-size
-      // loop would never terminate. Short collections just mean fewer
-      // sampled pairs.
+      // queries a client would ask); sources and the other sinks are
+      // hash-derived ids, so interior nodes are exercised too. The stride
+      // walks are capped: when N shares a factor with the stride, the
+      // orbit of Step*stride % N misses ids (stride 40503 on a 6-node
+      // graph yields {0, 3} forever), and an uncapped loop would not end.
       std::set<uint32_t> Srcs, Sinks;
       for (const vfg::VFG::CriticalUse &U : G.criticalUses()) {
         Sinks.insert(U.Node);
@@ -593,18 +581,22 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
       return false;
     };
 
-    const core::ClientKind NewClients[] = {core::ClientKind::AddrLeak,
-                                           core::ClientKind::Bounds};
-    std::map<core::ClientKind, std::set<uint32_t>> SoloWarns;
-    std::map<core::ClientKind, uint64_t> SoloChecks;
-    bool SoloOk = true;
-    for (core::ClientKind K : NewClients) {
+    // Each client's individual run, in plane order: its warnings and
+    // dynamic check count. The UUV client's is the shared run (the legacy
+    // single-plan entry point).
+    const core::ClientKind Kinds[] = {core::ClientKind::UUV,
+                                      core::ClientKind::AddrLeak,
+                                      core::ClientKind::Bounds};
+    const ExecutionReport &UuvRep = Shared().Rep;
+    bool SoloOk = UuvRep.Reason == ExitReason::Finished;
+    std::vector<std::pair<std::set<uint32_t>, uint64_t>> Solo{
+        {warnIds(UuvRep.ToolWarnings), UuvRep.DynChecks}};
+    for (core::ClientKind K : {Kinds[1], Kinds[2]}) {
       const std::string Tag = std::string("client ") + core::clientName(K);
-      auto M = parseFresh(Source);
       core::UsherOptions UOpts;
-      UOpts.Variant = ToolVariant::UsherFull;
       UOpts.Clients = {K};
-      core::UsherResult R = core::runUsher(*M, UOpts);
+      const PipelineRun X = analyze(Source, UOpts);
+      const core::UsherResult &R = X.R;
       if (R.ClientPlans.size() != 1) {
         Diverge(OracleKind::ClientConsistency,
                 Tag + ": pipeline produced " +
@@ -617,24 +609,19 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
       // with the same PA-refined sink set, no taint analysis, no budgeted
       // placement. Both plans execute in ONE interpreter pass, which also
       // pits the multi-plan shadow planes against each other.
-      core::ClientBuildInputs FullIn(*M);
+      core::ClientBuildInputs FullIn(*X.M);
       FullIn.PA = R.PA.get();
       core::ClientPlanInfo Full = core::buildClientFullPlan(K, FullIn);
       std::vector<runtime::PlanExec> Plans{
           {&R.ClientPlans[0].Plan, core::clientShadowSemantics(K)},
           {&Full.Plan, core::clientShadowSemantics(K)}};
       ExecutionReport Rep =
-          Interpreter(*M, Plans, runtime::CostModel(), ToolLimits).run();
-      if (Rep.Reason != ExitReason::Finished) {
-        Diverge(OracleKind::ClientConsistency,
-                Tag + ": instrumented run did not finish (" +
-                    Rep.TrapMessage + ")");
+          Interpreter(*X.M, Plans, runtime::CostModel(), ToolLimits).run();
+      if (!checkFinished(OracleKind::ClientConsistency, Tag, Rep,
+                         Native.MainResult, Out.Divergences)) {
         SoloOk = false;
         continue;
       }
-      if (Rep.MainResult != Native.MainResult)
-        Diverge(OracleKind::ClientConsistency,
-                Tag + ": instrumentation changed main's result");
       const std::set<uint32_t> GuidedW =
           warnIds(Rep.PlanResults[0].ToolWarnings);
       const std::set<uint32_t> FullW = warnIds(Rep.PlanResults[1].ToolWarnings);
@@ -648,81 +635,43 @@ OracleOutcome fuzz::runOracles(const std::string &Source,
                       " has no check in the client's plan");
           break;
         }
-      SoloWarns[K] = GuidedW;
-      SoloChecks[K] = Rep.PlanResults[0].DynChecks;
-    }
-
-    // The UUV client's own individual run, via the legacy single-plan
-    // entry point — the third row of the comparison matrix.
-    std::set<uint32_t> UuvWarns;
-    uint64_t UuvChecks = 0;
-    {
-      auto M = parseFresh(Source);
-      core::UsherOptions UOpts;
-      UOpts.Variant = ToolVariant::UsherFull;
-      core::UsherResult R = core::runUsher(*M, UOpts);
-      ExecutionReport Rep =
-          Interpreter(*M, &R.Plan, runtime::CostModel(), ToolLimits).run();
-      if (Rep.Reason != ExitReason::Finished)
-        SoloOk = false;
-      else {
-        UuvWarns = warnIds(Rep.ToolWarnings);
-        UuvChecks = Rep.DynChecks;
-      }
+      Solo.push_back({GuidedW, Rep.PlanResults[0].DynChecks});
     }
 
     // Multi-client single pass: one pipeline, one interpreter, one plan
     // per client. Each client's plane must reproduce its individual run.
     if (SoloOk) {
-      auto M = parseFresh(Source);
       core::UsherOptions UOpts;
-      UOpts.Variant = ToolVariant::UsherFull;
-      UOpts.Clients = {core::ClientKind::UUV, core::ClientKind::AddrLeak,
-                       core::ClientKind::Bounds};
-      core::UsherResult R = core::runUsher(*M, UOpts);
+      UOpts.Clients.assign(std::begin(Kinds), std::end(Kinds));
+      const PipelineRun X = analyze(Source, UOpts);
+      const core::UsherResult &R = X.R;
       std::vector<runtime::PlanExec> Plans{{&R.Plan, core::ShadowSemantics()}};
       for (const core::ClientPlanInfo &CP : R.ClientPlans)
         Plans.push_back({&CP.Plan, core::clientShadowSemantics(CP.Kind)});
       ExecutionReport Rep =
-          Interpreter(*M, Plans, runtime::CostModel(), ToolLimits).run();
-      if (Rep.Reason != ExitReason::Finished) {
-        Diverge(OracleKind::ClientConsistency,
-                "multi-client: run did not finish (" + Rep.TrapMessage + ")");
-      } else if (R.ClientPlans.size() != 2) {
+          Interpreter(*X.M, Plans, runtime::CostModel(), ToolLimits).run();
+      if (R.ClientPlans.size() != 2)
         Diverge(OracleKind::ClientConsistency,
                 "multi-client: pipeline produced " +
                     std::to_string(R.ClientPlans.size()) +
                     " client plans, expected 2");
-      } else {
-        struct Row {
-          const char *Name;
-          const std::set<uint32_t> &Warns;
-          uint64_t Checks;
-        };
-        const Row Rows[] = {
-            {"uuv", UuvWarns, UuvChecks},
-            {"addrleak", SoloWarns[core::ClientKind::AddrLeak],
-             SoloChecks[core::ClientKind::AddrLeak]},
-            {"bounds", SoloWarns[core::ClientKind::Bounds],
-             SoloChecks[core::ClientKind::Bounds]},
-        };
+      else if (checkFinished(OracleKind::ClientConsistency, "multi-client",
+                             Rep, Native.MainResult, Out.Divergences))
         for (size_t P = 0; P != 3; ++P) {
-          const Row &Want = Rows[P];
-          const std::string Tag =
-              std::string("multi-client ") + Want.Name + ": ";
-          if (warnIds(Rep.PlanResults[P].ToolWarnings) != Want.Warns)
+          const auto &[Warns, Checks] = Solo[P];
+          const runtime::PlanReport &Got = Rep.PlanResults[P];
+          const std::string Tag = std::string("multi-client ") +
+                                  core::clientName(Kinds[P]) + ": ";
+          if (warnIds(Got.ToolWarnings) != Warns)
             Diverge(OracleKind::ClientConsistency,
                     Tag + "single-pass vs individual run: " +
-                        describeSetDiff(warnIds(Rep.PlanResults[P].ToolWarnings),
-                                        Want.Warns));
-          if (Rep.PlanResults[P].DynChecks != Want.Checks)
+                        describeSetDiff(warnIds(Got.ToolWarnings), Warns));
+          if (Got.DynChecks != Checks)
             Diverge(OracleKind::ClientConsistency,
                     Tag + "dynamic check count " +
-                        std::to_string(Rep.PlanResults[P].DynChecks) +
-                        " vs individual run's " +
-                        std::to_string(Want.Checks));
+                        std::to_string(Got.DynChecks) +
+                        " vs individual run's " + std::to_string(Checks));
         }
-      }
     }
   }
 

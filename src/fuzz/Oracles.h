@@ -17,15 +17,17 @@
 ///     subset for UsherFull (Opt II suppresses dominated duplicates only).
 ///  2. SolverEquivalence — the naive reference Andersen solver must
 ///     produce the optimized engine's points-to sets, and plans built on
-///     it must keep the per-rung warning guarantees at every rung of the
-///     ladder.
+///     it must keep main's result and the per-rung warning guarantees at
+///     every rung of the ladder.
 ///  3. DiagnosisSoundness — the static diagnosis engine, run in its
 ///     conservative posture, must classify no oracle warning CLEAN and
 ///     every DEFINITE finding must fire at runtime with a witness that
 ///     validateQueryWitness accepts.
 ///  4. DegradationSoundness — injected budget exhaustion in each pipeline
 ///     phase must land on the documented rung and keep the plan's
-///     warnings exact.
+///     warnings exact. Pointer analysis is faulted twice: on every arm
+///     (the MSan rung) and on its first two arms only, which spares the
+///     unification solver and lands on the unify-backed USHER-TL+AT rung.
 ///  5. ServeEquivalence — the analysis service must answer what the
 ///     in-process pipeline computes: each program is replayed through the
 ///     full wire protocol (encode, frame, reassemble, decode) into a
@@ -49,7 +51,12 @@
 /// Programs are interchanged as TinyC source text; each pipeline run
 /// parses its own fresh module because heap cloning mutates modules, and
 /// results are compared by instruction id (renumbering makes ids stable
-/// across parses of the same text).
+/// across parses of the same text). The default pipeline (USHER,
+/// Andersen, no clients) runs at most once per program and is shared by
+/// every oracle that inspects it. Oracles 1, 2 and 4 are rows of one
+/// table (options, expected rung, exact or subset warnings), and every
+/// row goes through the same check: the run lands on its rung, finishes,
+/// keeps main's result and reports the ground-truth warnings.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -50,18 +50,9 @@ const char *serve::callOutcomeName(CallOutcome O) {
 }
 
 ServeClient::ServeClient(ClientOptions O)
-    : Opts(std::move(O)), RngState(JitterSeed) {}
+    : Opts(std::move(O)), Jitter(JitterSeed) {}
 
 namespace {
-
-/// SplitMix64 step; deterministic jitter source.
-uint64_t nextRand(uint64_t &State) {
-  State += 0x9E3779B97F4A7C15ull;
-  uint64_t Z = State;
-  Z = (Z ^ (Z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  Z = (Z ^ (Z >> 27)) * 0x94D049BB133111EBull;
-  return Z ^ (Z >> 31);
-}
 
 struct FdCloser {
   int Fd;
@@ -194,7 +185,7 @@ CallResult ServeClient::call(const Request &Rq) {
     // shed clients desyncs.
     uint64_t Hint = O == CallOutcome::Ok ? Rp.RetryAfterMs : 0;
     uint64_t DelayMs = std::max<uint64_t>(BackoffMs, Hint);
-    DelayMs = DelayMs / 2 + nextRand(RngState) % (DelayMs / 2 + 1);
+    DelayMs = DelayMs / 2 + Jitter.below(DelayMs / 2 + 1);
     Res.BackoffWaitedMs += DelayMs;
     std::this_thread::sleep_for(std::chrono::milliseconds(DelayMs));
     BackoffMs = std::min<uint32_t>(MaxBackoffMs, BackoffMs * 2);

@@ -22,6 +22,7 @@
 #define USHER_SERVE_CLIENT_H
 
 #include "serve/Protocol.h"
+#include "support/RNG.h"
 
 #include <cstdint>
 #include <string>
@@ -70,7 +71,7 @@ private:
   CallOutcome attempt(const Request &Rq, Reply &Out, std::string &Err);
 
   ClientOptions Opts;
-  uint64_t RngState;
+  RNG Jitter;
 };
 
 } // namespace serve

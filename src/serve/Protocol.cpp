@@ -77,19 +77,33 @@ const char *serve::replyStatusName(ReplyStatus S) {
   return "UNKNOWN";
 }
 
-namespace {
-
-void putU8(std::string &Out, uint8_t V) { Out.push_back(static_cast<char>(V)); }
-
-void putU32(std::string &Out, uint32_t V) {
+void serve::putU32(std::string &Out, uint32_t V) {
   for (int I = 0; I != 4; ++I)
     Out.push_back(static_cast<char>((V >> (8 * I)) & 0xFF));
 }
 
-void putU64(std::string &Out, uint64_t V) {
+void serve::putU64(std::string &Out, uint64_t V) {
   for (int I = 0; I != 8; ++I)
     Out.push_back(static_cast<char>((V >> (8 * I)) & 0xFF));
 }
+
+uint32_t serve::u32At(std::string_view B, size_t Off) {
+  uint32_t V = 0;
+  for (int I = 0; I != 4; ++I)
+    V |= static_cast<uint32_t>(static_cast<uint8_t>(B[Off + I])) << (8 * I);
+  return V;
+}
+
+uint64_t serve::u64At(std::string_view B, size_t Off) {
+  uint64_t V = 0;
+  for (int I = 0; I != 8; ++I)
+    V |= static_cast<uint64_t>(static_cast<uint8_t>(B[Off + I])) << (8 * I);
+  return V;
+}
+
+namespace {
+
+void putU8(std::string &Out, uint8_t V) { Out.push_back(static_cast<char>(V)); }
 
 void putStr(std::string &Out, std::string_view S) {
   putU32(Out, static_cast<uint32_t>(S.size()));
@@ -110,17 +124,15 @@ struct Cursor {
   bool getU32(uint32_t &V) {
     if (Body.size() - Pos < 4)
       return false;
-    V = 0;
-    for (int I = 0; I != 4; ++I)
-      V |= static_cast<uint32_t>(static_cast<uint8_t>(Body[Pos++])) << (8 * I);
+    V = u32At(Body, Pos);
+    Pos += 4;
     return true;
   }
   bool getU64(uint64_t &V) {
     if (Body.size() - Pos < 8)
       return false;
-    V = 0;
-    for (int I = 0; I != 8; ++I)
-      V |= static_cast<uint64_t>(static_cast<uint8_t>(Body[Pos++])) << (8 * I);
+    V = u64At(Body, Pos);
+    Pos += 8;
     return true;
   }
   bool getStr(std::string &S) {
@@ -252,14 +264,7 @@ FrameReader::Result FrameReader::next(std::string &Body, std::string *Err) {
   const size_t Avail = Buf.size() - Pos;
   if (Avail < 8)
     return Result::NeedMore;
-  auto U32At = [&](size_t Off) {
-    uint32_t V = 0;
-    for (int I = 0; I != 4; ++I)
-      V |= static_cast<uint32_t>(static_cast<uint8_t>(Buf[Pos + Off + I]))
-           << (8 * I);
-    return V;
-  };
-  const uint32_t Len = U32At(0);
+  const uint32_t Len = u32At(Buf, Pos);
   if (Len > MaxFrameBytes) {
     if (Err)
       *Err = "frame length exceeds limit";
@@ -267,7 +272,7 @@ FrameReader::Result FrameReader::next(std::string &Body, std::string *Err) {
   }
   if (Avail < 8 + static_cast<size_t>(Len))
     return Result::NeedMore;
-  const uint32_t Crc = U32At(4);
+  const uint32_t Crc = u32At(Buf, Pos + 4);
   if (crc32(Buf.data() + Pos + 8, Len) != Crc) {
     if (Err)
       *Err = "frame CRC mismatch";

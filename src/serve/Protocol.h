@@ -49,6 +49,14 @@ constexpr uint32_t MaxFrameBytes = 16u << 20;
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320) of \p Size bytes at \p Data.
 uint32_t crc32(const void *Data, size_t Size);
 
+/// Little-endian integer encoding, shared by the wire format and the
+/// snapshot record format. The readers take the integer at byte \p Off
+/// of \p B; the caller checks the bounds.
+void putU32(std::string &Out, uint32_t V);
+void putU64(std::string &Out, uint64_t V);
+uint32_t u32At(std::string_view B, size_t Off);
+uint64_t u64At(std::string_view B, size_t Off);
+
 /// Request operations.
 enum class Op : uint8_t {
   Analyze = 0,  ///< Run the instrumentation pipeline on Source.

@@ -25,30 +25,6 @@ constexpr uint32_t RecordMagic = 0x504E5355u; // "USNP" little-endian.
 constexpr uint32_t RecordVersion = 1;
 constexpr size_t HeaderBytes = 4 + 4 + 8 + 4 + 4;
 
-void putU32(std::string &Out, uint32_t V) {
-  for (int I = 0; I != 4; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xFF));
-}
-
-void putU64(std::string &Out, uint64_t V) {
-  for (int I = 0; I != 8; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xFF));
-}
-
-uint32_t u32At(std::string_view B, size_t Off) {
-  uint32_t V = 0;
-  for (int I = 0; I != 4; ++I)
-    V |= static_cast<uint32_t>(static_cast<uint8_t>(B[Off + I])) << (8 * I);
-  return V;
-}
-
-uint64_t u64At(std::string_view B, size_t Off) {
-  uint64_t V = 0;
-  for (int I = 0; I != 8; ++I)
-    V |= static_cast<uint64_t>(static_cast<uint8_t>(B[Off + I])) << (8 * I);
-  return V;
-}
-
 /// Writes \p Size bytes of \p Data to \p Path and fsyncs. Returns false
 /// on any short write or I/O error.
 bool writeFileSynced(const std::string &Path, const char *Data, size_t Size) {

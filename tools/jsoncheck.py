@@ -55,9 +55,10 @@ class Checker:
 
     def number(self, obj, field, where, kind=(int, float), low=0,
                strict=False):
-        """obj[field]: a kind at least low, or above low when strict."""
+        """obj[field]: a kind, never a bool, at least low, or above low
+        when strict."""
         value = obj.get(field)
-        if not isinstance(value, kind) or (
+        if not isinstance(value, kind) or isinstance(value, bool) or (
             value <= low if strict else value < low
         ):
             self.fail(f"{where}: bad {field!r}: {value!r}")
