@@ -278,6 +278,11 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       return false;
     }
   }
+  if (Opts.Compare && Opts.Stats) {
+    errs() << "error: --stats reports one variant; it cannot be combined "
+              "with --compare\n";
+    return false;
+  }
   return Opts.ListFaultSites || !Opts.InputPath.empty();
 }
 
@@ -411,7 +416,7 @@ int main(int Argc, char **Argv) {
       errs() << "note: analysis degraded: " << R.Degradation.summary()
              << '\n';
 
-    if (Opts.Stats && !Opts.Compare) {
+    if (Opts.Stats) {
       const core::UsherStatistics &S = R.Stats;
       OS << "instructions:         " << S.NumInstructions << '\n'
          << "top-level variables:  " << S.NumTopLevelVars << '\n'
