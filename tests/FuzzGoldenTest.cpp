@@ -171,6 +171,7 @@ const OutcomeGolden OutcomeGoldens[] = {
     {"file:call_undef", 0x1e259bfe73ccbcc7ull},
     {"file:global_uninit", 0x5204c8e596ca7585ull},
     {"file:opt2_dup", 0x47d98d6e35e9aa9bull},
+    {"file:ptr_store_load", 0x73fb5a8b31b99833ull},
     {"file:semi_strong_heap", 0x0f31ae25d62a148dull},
     {"file:strong_update_clean", 0xc7b8341b76095807ull},
     {"file:walk_partial", 0xd70d09b37c2d9dfbull},

@@ -303,7 +303,8 @@ TEST_P(FuzzCorpus, AllOraclesAgree) {
 INSTANTIATE_TEST_SUITE_P(NearMisses, FuzzCorpus,
                          ::testing::Values("call_undef", "strong_update_clean",
                                            "semi_strong_heap", "opt2_dup",
-                                           "walk_partial", "global_uninit"),
+                                           "walk_partial", "global_uninit",
+                                           "ptr_store_load"),
                          [](const ::testing::TestParamInfo<const char *> &I) {
                            return std::string(I.param);
                          });
