@@ -208,7 +208,9 @@ std::set<std::string> ptsNames(const PointerAnalysis &PA,
 }
 
 /// Oracle 2's solver check: the naive run's points-to sets must be the
-/// optimized run's, variable by variable.
+/// optimized run's, variable by variable. Both modules are fresh parses of
+/// one text, so their functions and variables pair up by index; a pair
+/// whose names differ is a mismatch too.
 void comparePointsTo(const PipelineRun &Opt, const PipelineRun &Ref,
                      std::vector<Divergence> &Out) {
   auto Diverge = [&Out](std::string Detail) {
@@ -221,12 +223,25 @@ void comparePointsTo(const PipelineRun &Opt, const PipelineRun &Ref,
     return Diverge("location count mismatch: optimized " +
                    std::to_string(PAOpt->numLocations()) + " vs naive " +
                    std::to_string(PARef->numLocations()));
-  for (const auto &FOpt : Opt.M->functions()) {
-    const ir::Function *FRef = Ref.M->findFunction(FOpt->getName());
-    for (const auto &V : FOpt->variables()) {
-      const ir::Variable *VRef = FRef->findVariable(V->getName());
-      if (ptsNames(*PAOpt, V.get()) != ptsNames(*PARef, VRef)) {
-        Diverge("points-to mismatch for " + FOpt->getName() +
+  const auto &FsOpt = Opt.M->functions(), &FsRef = Ref.M->functions();
+  if (FsOpt.size() != FsRef.size())
+    return Diverge("function count mismatch: optimized " +
+                   std::to_string(FsOpt.size()) + " vs naive " +
+                   std::to_string(FsRef.size()));
+  for (size_t FI = 0; FI != FsOpt.size(); ++FI) {
+    const ir::Function &FOpt = *FsOpt[FI], &FRef = *FsRef[FI];
+    const auto &VsOpt = FOpt.variables(), &VsRef = FRef.variables();
+    if (FOpt.getName() != FRef.getName() || VsOpt.size() != VsRef.size()) {
+      Diverge("points-to mismatch for " + FOpt.getName() +
+              ": naive module has " + FRef.getName() + " with " +
+              std::to_string(VsRef.size()) + " variables");
+      continue;
+    }
+    for (size_t VI = 0; VI != VsOpt.size(); ++VI) {
+      const ir::Variable *V = VsOpt[VI].get(), *VRef = VsRef[VI].get();
+      if (V->getName() != VRef->getName() ||
+          ptsNames(*PAOpt, V) != ptsNames(*PARef, VRef)) {
+        Diverge("points-to mismatch for " + FOpt.getName() +
                 "::" + V->getName());
         break;
       }
