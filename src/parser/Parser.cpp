@@ -84,8 +84,10 @@ private:
     return "'" + T.Text + "'";
   }
 
-  void error(const std::string &Msg) {
-    const Token &T = peek();
+  void error(const std::string &Msg) { errorAt(peek(), Msg); }
+
+  /// Reports \p Msg at \p T, e.g. at a name already consumed.
+  void errorAt(const Token &T, const std::string &Msg) {
     Errors.push_back(std::to_string(T.Line) + ":" + std::to_string(T.Col) +
                      ": " + Msg);
   }
@@ -207,7 +209,8 @@ void ParserImpl::parseGlobalDecl(bool Declare) {
     recover();
     return;
   }
-  std::string Name = advance().Text;
+  const Token &NameTok = advance();
+  const std::string &Name = NameTok.Text;
   int64_t Size = 1;
   if (match(TokenKind::LBracket)) {
     if (!check(TokenKind::Int)) {
@@ -250,7 +253,7 @@ void ParserImpl::parseGlobalDecl(bool Declare) {
   }
   auto [Slot, New] = Globals.try_emplace(Name, nullptr);
   if (!New) {
-    error("redefinition of global '" + Name + "'");
+    errorAt(NameTok, "redefinition of global '" + Name + "'");
     return;
   }
   Slot->second = M->createObject(Name, Region::Global,
@@ -430,13 +433,14 @@ void ParserImpl::parseStatement() {
         error("expected variable name in declaration");
         return recover();
       }
-      std::string Name = advance().Text;
+      const Token &NameTok = advance();
+      const std::string &Name = NameTok.Text;
       if (isReservedWord(Name)) {
         error("'" + Name + "' is reserved and cannot be declared");
         return recover();
       }
       if (lookup(Locals, Name) || lookup(Globals, Name)) {
-        error("redeclaration of '" + Name + "'");
+        errorAt(NameTok, "redeclaration of '" + Name + "'");
         return recover();
       }
       createLocal(Name);

@@ -310,19 +310,19 @@ TEST(ParserDiagnostics, AssigningGlobalDirectly) {
 TEST(ParserDiagnostics, VarRedeclaringALocal) {
   ParseResult R = parseModule("func main() {\n  x = 1;\n  var x;\n  ret x;\n}");
   ASSERT_FALSE(R.succeeded());
-  EXPECT_EQ(R.Errors.front(), "3:8: redeclaration of 'x'");
+  EXPECT_EQ(R.Errors.front(), "3:7: redeclaration of 'x'");
 }
 
 TEST(ParserDiagnostics, VarRedeclaringAParameter) {
   ParseResult R = parseModule("func main() { ret 0; }\nfunc f(a) { var a; ret a; }");
   ASSERT_FALSE(R.succeeded());
-  EXPECT_EQ(R.Errors.front(), "2:18: redeclaration of 'a'");
+  EXPECT_EQ(R.Errors.front(), "2:17: redeclaration of 'a'");
 }
 
 TEST(ParserDiagnostics, VarRedeclaringAGlobal) {
   ParseResult R = parseModule("global g[1] init;\nfunc main() { var g; ret 0; }");
   ASSERT_FALSE(R.succeeded());
-  EXPECT_EQ(R.Errors.front(), "2:20: redeclaration of 'g'");
+  EXPECT_EQ(R.Errors.front(), "2:19: redeclaration of 'g'");
 }
 
 TEST(ParserDiagnostics, DuplicateGlobal) {
@@ -330,7 +330,7 @@ TEST(ParserDiagnostics, DuplicateGlobal) {
       "global g[1] init;\nglobal g[2] uninit;\nfunc main() { ret 0; }");
   ASSERT_FALSE(R.succeeded());
   ASSERT_EQ(R.Errors.size(), 1u);
-  EXPECT_EQ(R.Errors.front(), "3:1: redefinition of global 'g'");
+  EXPECT_EQ(R.Errors.front(), "2:8: redefinition of global 'g'");
 }
 
 TEST(ParserDiagnostics, DuplicateFunction) {
