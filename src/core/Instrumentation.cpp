@@ -539,11 +539,9 @@ void InstrumentationPlanner::Impl::processMemory(uint32_t Node,
   const Instruction *I = Desc.I;
   const InstSSA *Info = FS.instInfo(I);
   assert(Info && "chi in unreachable code was demanded");
-  const MemDef *Chi = nullptr;
-  for (const MemDef &C : Info->Chis)
-    if (C.Loc == N.Key.Id && C.NewVersion == N.Version)
-      Chi = &C;
-  assert(Chi && "memory def without a matching chi");
+  const MemDef *Chi = &Info->Chis[Desc.Idx];
+  assert(Chi->Loc == N.Key.Id && Chi->NewVersion == N.Version &&
+         "memory def without a matching chi");
 
   auto DemandMemoryDeps = [&] {
     for (const Edge &E : G.deps(Node))

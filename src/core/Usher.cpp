@@ -272,6 +272,8 @@ UsherResult core::runUsher(Module &M, const UsherOptions &Opts) {
   // Statistics over the built analyses.
   Stats.NumVFGNodes = G->numNodes();
   Stats.NumVFGEdges = G->numEdges();
+  Stats.NumMemSSAVersions = G->numMemSSAVersions();
+  Stats.NumPrunedMemVersions = G->numPrunedMemVersions();
   uint64_t StoreChis = G->numStrongStoreChis() + G->numSemiStrongStoreChis() +
                        G->numWeakStoreChis();
   if (StoreChis) {
@@ -289,8 +291,9 @@ UsherResult core::runUsher(Module &M, const UsherOptions &Opts) {
   Stats.SemiStrongCutsPerHeapSite =
       HeapSites ? static_cast<double>(Cuts) / HeapSites : 0.0;
   BitSet Reaching = computeCheckReaching(*G, *Gamma);
+  uint64_t UnprunedNodes = G->numNodes() + G->numPrunedMemVersions();
   Stats.PercentReachingCheck =
-      G->numNodes() ? 100.0 * Reaching.count() / G->numNodes() : 0.0;
+      UnprunedNodes ? 100.0 * Reaching.count() / UnprunedNodes : 0.0;
   Stats.StaticPropagations = Result.Plan.countPropagationReads();
   Stats.StaticChecks = Result.Plan.countChecks();
 

@@ -114,7 +114,13 @@ struct UsherStatistics {
   double PercentWeakStores = 0;
   uint64_t NumVFGNodes = 0;
   uint64_t NumVFGEdges = 0;
-  /// %B: VFG nodes reaching at least one needed runtime check.
+  /// Memory SSA versions an unpruned VFG would hold as nodes, and those of
+  /// them no load reads, which the VFG leaves out. NumVFGNodes +
+  /// NumPrunedMemVersions is the unpruned VFG's size.
+  uint64_t NumMemSSAVersions = 0;
+  uint64_t NumPrunedMemVersions = 0;
+  /// %B: VFG nodes reaching at least one needed runtime check, out of the
+  /// unpruned VFG's nodes (a pruned node reaches no check).
   double PercentReachingCheck = 0;
   /// Opt I: simplified must-flow-from closures.
   uint64_t NumSimplifiedMFCs = 0;

@@ -262,9 +262,9 @@ void FunctionSSA::Builder::rename() {
         for (const auto &[Loc, Kind] : ChiIt->second) {
           VarKey Key{Space::Memory, Loc};
           uint32_t Old = Top(Key);
-          uint32_t New =
-              freshVersion(Key, DefDesc{DefDesc::Kind::Inst, I.get(),
-                                        nullptr, 0});
+          uint32_t New = freshVersion(
+              Key, DefDesc{DefDesc::Kind::Inst, I.get(), nullptr,
+                           static_cast<uint32_t>(Info.Chis.size())});
           Info.Chis.push_back({Loc, New, Old, Kind});
           Stacks[Key].push_back(New);
           Trail.push_back(Key);

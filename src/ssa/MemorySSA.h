@@ -112,6 +112,7 @@ struct InstSSA {
   uint32_t TLDefVersion = 0;
   /// One entry per distinct top-level variable the instruction reads.
   std::vector<TLUse> TLUses;
+  /// Both lists are sorted by location.
   std::vector<MemUse> Mus;
   std::vector<MemDef> Chis;
 };
@@ -130,7 +131,9 @@ struct DefDesc {
   Kind K = Kind::Entry;
   const ir::Instruction *I = nullptr;      ///< For Kind::Inst.
   const ir::BasicBlock *PhiBlock = nullptr; ///< For Kind::Phi.
-  uint32_t PhiIdx = 0;                      ///< Index into phisIn(PhiBlock).
+  /// For Kind::Phi, the index into phisIn(PhiBlock); for a memory version
+  /// defined by an instruction, the index of its chi in instInfo(I)->Chis.
+  uint32_t Idx = 0;
 };
 
 /// SSA form of a single function.

@@ -12,6 +12,7 @@
 #include "ir/IR.h"
 #include "support/RawStream.h"
 
+#include <algorithm>
 #include <cassert>
 #include <unordered_set>
 
@@ -172,6 +173,22 @@ uint32_t VFGBuilder::getNode(const Function *Fn, VarKey Key,
   return Id;
 }
 
+uint32_t VFGBuilder::memNode(uint32_t Bit, const Function *Fn, uint32_t Loc,
+                             uint32_t Version) {
+  Seen.set(Bit);
+  return Live.test(Bit) ? getNode(Fn, {Space::Memory, Loc}, Version) : ~0u;
+}
+
+void VFGBuilder::memDep(uint32_t From, uint32_t Bit, const Function *Fn,
+                        uint32_t Loc, uint32_t Version, EdgeKind Kind,
+                        uint32_t CallSite) {
+  uint32_t To = memNode(Bit, Fn, Loc, Version);
+  if (From == ~0u)
+    return;
+  assert(To != ~0u && "a live version depends on a dead one");
+  addDep(From, To, Kind, CallSite);
+}
+
 void VFGBuilder::setOrigin(uint32_t Node, NodeOrigin O) {
   G.Origins[Node] = O;
 }
@@ -197,6 +214,27 @@ uint32_t VFGBuilder::operandNode(const Function *Fn, const InstSSA &Info,
                      Use.Version);
   assert(false && "operand variable has no recorded SSA use");
   return VFG::RootT;
+}
+
+/// The entry for \p Loc in a list of mus or chis sorted by location, or
+/// null.
+template <typename T>
+static const T *findLoc(const std::vector<T> &List, uint32_t Loc) {
+  auto It = std::lower_bound(
+      List.begin(), List.end(), Loc,
+      [](const T &Entry, uint32_t L) { return Entry.Loc < L; });
+  return It != List.end() && It->Loc == Loc ? &*It : nullptr;
+}
+
+/// The version of \p Loc visible just before the call \p Info annotates:
+/// the version its mu reads, else the one its chi overwrites; ~0u if the
+/// call neither reads nor writes \p Loc.
+static uint32_t versionAtCall(const InstSSA &Info, uint32_t Loc) {
+  if (const ssa::MemUse *Mu = findLoc(Info.Mus, Loc))
+    return Mu->Version;
+  if (const MemDef *Chi = findLoc(Info.Chis, Loc))
+    return Chi->OldVersion;
+  return ~0u;
 }
 
 /// Returns true when the stored-through pointer's value is a phi-free
@@ -251,7 +289,7 @@ bool VFGBuilder::safeBypass(const FunctionSSA &FS, uint32_t Loc,
       return false; // Escaped above the anchor: should not happen when the
                     // anchor dominates, but be conservative.
     case DefDesc::Kind::Phi: {
-      const ssa::PhiNode &Phi = FS.phisIn(Desc.PhiBlock)[Desc.PhiIdx];
+      const ssa::PhiNode &Phi = FS.phisIn(Desc.PhiBlock)[Desc.Idx];
       for (const auto &[Pred, InVersion] : Phi.Incoming)
         Work.push_back(InVersion);
       break;
@@ -286,18 +324,14 @@ bool VFGBuilder::safeBypass(const FunctionSSA &FS, uint32_t Loc,
   return true;
 }
 
-void VFGBuilder::buildStoreChis(const Function &F, const StoreInst &St,
-                                const InstSSA &Info) {
-  const FunctionSSA &FS = SSA.get(&F);
+void VFGBuilder::classifyStoreChis(const Function &F, const StoreInst &St,
+                                   const InstSSA &Info) {
+  const FunctionSSA &FS = *Fns[F.getId()].SSA;
   const std::vector<uint32_t> &Pts = PA.pointsTo(St.getPtr());
-  uint32_t ValueNode = operandNode(&F, Info, St.getValue());
+  StoreChiStart[St.getId()] = static_cast<uint32_t>(StoreChis.size());
 
   for (const MemDef &Chi : Info.Chis) {
     assert(Chi.Kind == ChiKind::Store && "non-store chi at a store");
-    uint32_t NewNode = getNode(&F, {Space::Memory, Chi.Loc}, Chi.NewVersion);
-    setOrigin(NewNode, NodeOrigin::StoreChiWeak);
-    addDep(NewNode, ValueNode, EdgeKind::Direct);
-
     const MemObject *Obj = PA.location(Chi.Loc).Obj;
     bool Singleton = Pts.size() == 1 && !PA.isCollapsedLoc(Chi.Loc);
     uint64_t StatKey = (static_cast<uint64_t>(St.getId()) << 32) | Chi.Loc;
@@ -315,9 +349,10 @@ void VFGBuilder::buildStoreChis(const Function &F, const StoreInst &St,
       }
       if (OneInstance) {
         G.StoreKinds[StatKey] = UpdateKind::Strong;
-        setOrigin(NewNode, NodeOrigin::StoreChiStrong);
         ++G.NumStrong;
-        continue; // Old version killed: no edge to Chi.OldVersion.
+        // Old version killed: no edge to Chi.OldVersion.
+        StoreChis.push_back({UpdateKind::Strong, ~0u});
+        continue;
       }
     }
 
@@ -346,30 +381,194 @@ void VFGBuilder::buildStoreChis(const Function &F, const StoreInst &St,
                        Anchor)) {
           // Redirect the old-version edge to the version *before* the
           // allocation, bypassing the allocation's undefinedness.
-          uint32_t BypassNode =
-              getNode(&F, {Space::Memory, Chi.Loc}, AnchorChi->OldVersion);
-          addDep(NewNode, BypassNode, EdgeKind::Direct);
           G.StoreKinds[StatKey] = UpdateKind::SemiStrong;
-          setOrigin(NewNode, NodeOrigin::StoreChiSemi);
           ++G.NumSemi;
           ++G.SemiStrongCuts[Obj->getId()];
+          StoreChis.push_back({UpdateKind::SemiStrong, AnchorChi->OldVersion});
           continue;
         }
       }
     }
 
     // Weak update: merge with the previous version.
-    uint32_t OldNode = getNode(&F, {Space::Memory, Chi.Loc}, Chi.OldVersion);
-    addDep(NewNode, OldNode, EdgeKind::Direct);
     G.StoreKinds[StatKey] = UpdateKind::Weak;
     ++G.NumWeak;
+    StoreChis.push_back({UpdateKind::Weak, Chi.OldVersion});
+  }
+}
+
+void VFGBuilder::enterFunction(const Function &F) {
+  const FnInfo &FI = Fns[F.getId()];
+  const std::vector<uint32_t> &Locs = FI.SSA->formalIns();
+  for (size_t P = 0; P != Locs.size(); ++P)
+    LocalBase[Locs[P]] = FI.Base[P] + 1;
+}
+
+void VFGBuilder::leaveFunction(const Function &F) {
+  for (uint32_t Loc : Fns[F.getId()].SSA->formalIns())
+    LocalBase[Loc] = 0;
+}
+
+uint32_t VFGBuilder::returnBit(const FnInfo &FI, const InstSSA &RInfo,
+                               size_t Idx, uint32_t Loc) {
+  // Every return reads the virtual output parameters, in formalOuts()
+  // order.
+  assert(RInfo.Mus.size() == FI.OutPos.size() && "return mus are not outs");
+  if (Idx == RInfo.Mus.size() || RInfo.Mus[Idx].Loc != Loc)
+    return ~0u;
+  return FI.Base[FI.OutPos[Idx]] + RInfo.Mus[Idx].Version;
+}
+
+void VFGBuilder::markLive(uint32_t Bit, const Function *Fn, uint32_t Loc,
+                          uint32_t Version) {
+  if (Live.set(Bit))
+    LiveWork.push_back({Fn, Loc, Version, Bit});
+}
+
+void VFGBuilder::computeLiveness() {
+  // Number every memory version densely, and gather each function's
+  // reachable returns and call sites.
+  size_t NumFns = 0;
+  for (const auto &F : M.functions())
+    NumFns = std::max<size_t>(NumFns, F->getId() + 1);
+  Fns.resize(NumFns);
+  uint32_t NumBits = 0;
+  for (const auto &F : M.functions()) {
+    FnInfo &FI = Fns[F->getId()];
+    FI.SSA = &SSA.get(F.get());
+    const std::vector<uint32_t> &Ins = FI.SSA->formalIns();
+    for (uint32_t Loc : Ins) {
+      FI.Base.push_back(NumBits);
+      NumBits += FI.SSA->numVersions({Space::Memory, Loc});
+    }
+    for (uint32_t Loc : FI.SSA->formalOuts())
+      FI.OutPos.push_back(static_cast<uint32_t>(
+          std::lower_bound(Ins.begin(), Ins.end(), Loc) - Ins.begin()));
+  }
+  Live.resize(NumBits);
+  Seen.resize(NumBits);
+  LocalBase.assign(PA.numLocations(), 0);
+  InstInfos.assign(M.instructionCount(), nullptr);
+  StoreChiStart.assign(M.instructionCount(), ~0u);
+
+  // Seeds: every load's mus. Store chis are classified here, once, in
+  // the order of the construction walk.
+  for (const auto &F : M.functions()) {
+    const FunctionSSA &FS = *Fns[F->getId()].SSA;
+    enterFunction(*F);
+    for (const auto &BB : F->blocks()) {
+      if (!FS.getCFG().isReachable(BB->getId()))
+        continue;
+      for (const auto &I : BB->instructions()) {
+        const InstSSA *Info = FS.instInfo(I.get());
+        assert(Info && "reachable instruction lacks SSA info");
+        assert(I->getId() < InstInfos.size() && "module not renumbered");
+        InstInfos[I->getId()] = Info;
+        if (isa<LoadInst>(I.get())) {
+          for (const ssa::MemUse &Mu : Info->Mus)
+            markLive(localBit(Mu.Loc, Mu.Version), F.get(), Mu.Loc,
+                     Mu.Version);
+        } else if (const auto *St = dyn_cast<StoreInst>(I.get())) {
+          classifyStoreChis(*F, *St, *Info);
+        } else if (const auto *Call = dyn_cast<CallInst>(I.get())) {
+          Fns[Call->getCallee()->getId()].Callers.push_back({F.get(), Info});
+        } else if (const auto *R = dyn_cast<RetInst>(I.get())) {
+          Fns[F->getId()].Rets.push_back({R, Info});
+        }
+      }
+    }
+    leaveFunction(*F);
+  }
+
+  // A live version makes live what its node's dependency edges reach.
+  // Versions of one location in one function have consecutive bits.
+  while (!LiveWork.empty()) {
+    LiveVersion V = LiveWork.back();
+    LiveWork.pop_back();
+    auto MarkSameLoc = [&](uint32_t Version) {
+      markLive(V.Bit - V.Version + Version, V.Fn, V.Loc, Version);
+    };
+    const FnInfo &FI = Fns[V.Fn->getId()];
+    const DefDesc &Desc = FI.SSA->defOf({Space::Memory, V.Loc}, V.Version);
+    switch (Desc.K) {
+    case DefDesc::Kind::Entry:
+      // A virtual input parameter: the caller's version at every call.
+      for (const auto &[Caller, CallInfo] : FI.Callers) {
+        uint32_t AtCall = versionAtCall(*CallInfo, V.Loc);
+        if (AtCall == ~0u)
+          continue;
+        const FnInfo &CI = Fns[Caller->getId()];
+        const std::vector<uint32_t> &Ins = CI.SSA->formalIns();
+        size_t P = std::lower_bound(Ins.begin(), Ins.end(), V.Loc) -
+                   Ins.begin();
+        markLive(CI.Base[P] + AtCall, Caller, V.Loc, AtCall);
+      }
+      break;
+    case DefDesc::Kind::Phi:
+      for (const auto &[Pred, In] :
+           FI.SSA->phisIn(Desc.PhiBlock)[Desc.Idx].Incoming)
+        MarkSameLoc(In);
+      break;
+    case DefDesc::Kind::Inst: {
+      const MemDef &Chi = InstInfos[Desc.I->getId()]->Chis[Desc.Idx];
+      switch (Chi.Kind) {
+      case ChiKind::Alloc:
+      case ChiKind::CloneAlloc:
+        MarkSameLoc(Chi.OldVersion);
+        break;
+      case ChiKind::Store: {
+        uint32_t Dep =
+            StoreChis[StoreChiStart[Desc.I->getId()] + Desc.Idx].Dep;
+        if (Dep != ~0u)
+          MarkSameLoc(Dep);
+        break;
+      }
+      case ChiKind::CallMod: {
+        const Function *Callee = cast<CallInst>(Desc.I)->getCallee();
+        const FnInfo &CI = Fns[Callee->getId()];
+        const std::vector<uint32_t> &Outs = CI.SSA->formalOuts();
+        size_t Idx = std::lower_bound(Outs.begin(), Outs.end(), V.Loc) -
+                     Outs.begin();
+        for (const auto &[R, RInfo] : CI.Rets) {
+          uint32_t Bit = returnBit(CI, *RInfo, Idx, V.Loc);
+          if (Bit != ~0u)
+            markLive(Bit, Callee, V.Loc, RInfo->Mus[Idx].Version);
+        }
+        break;
+      }
+      }
+      break;
+    }
+    }
+  }
+}
+
+void VFGBuilder::buildStoreChis(const Function &F, const StoreInst &St,
+                                const InstSSA &Info) {
+  uint32_t ValueNode = operandNode(&F, Info, St.getValue());
+  const StoreChiClass *Classes =
+      StoreChis.data() + StoreChiStart[St.getId()];
+  for (size_t Idx = 0; Idx != Info.Chis.size(); ++Idx) {
+    const MemDef &Chi = Info.Chis[Idx];
+    const StoreChiClass &C = Classes[Idx];
+    uint32_t NewNode = localNode(F, Chi.Loc, Chi.NewVersion);
+    if (NewNode != ~0u) {
+      setOrigin(NewNode, C.Kind == UpdateKind::Strong
+                             ? NodeOrigin::StoreChiStrong
+                         : C.Kind == UpdateKind::SemiStrong
+                             ? NodeOrigin::StoreChiSemi
+                             : NodeOrigin::StoreChiWeak);
+      addDep(NewNode, ValueNode, EdgeKind::Direct);
+    }
+    if (C.Dep != ~0u)
+      localDep(NewNode, F, Chi.Loc, C.Dep);
   }
 }
 
 void VFGBuilder::buildCall(const Function &F, const CallInst &Call,
                            const InstSSA &Info) {
   const Function *Callee = Call.getCallee();
-  const FunctionSSA &CalleeSSA = SSA.get(Callee);
+  const FnInfo &CalleeInfo = Fns[Callee->getId()];
   uint32_t CallSite = Call.getId();
 
   // Actual -> formal for top-level parameters.
@@ -382,20 +581,12 @@ void VFGBuilder::buildCall(const Function &F, const CallInst &Call,
     addDep(Formal, Actual, EdgeKind::Call, CallSite);
   }
 
-  // Collect the callee's reachable returns once.
-  std::vector<std::pair<const RetInst *, const InstSSA *>> Rets;
-  for (const auto &BB : Callee->blocks())
-    for (const auto &I : BB->instructions())
-      if (const auto *R = dyn_cast<RetInst>(I.get()))
-        if (const InstSSA *RInfo = CalleeSSA.instInfo(R))
-          Rets.push_back({R, RInfo});
-
   // Return value -> call result.
   if (Call.getDef()) {
     uint32_t Result = getNode(&F, {Space::TopLevel, Call.getDef()->getId()},
                               Info.TLDefVersion);
     setOrigin(Result, NodeOrigin::CallResult);
-    for (const auto &[R, RInfo] : Rets) {
+    for (const auto &[R, RInfo] : CalleeInfo.Rets) {
       if (R->getValue().isNone()) {
         // Capturing the result of a void return yields an undefined value.
         addDep(Result, VFG::RootF, EdgeKind::Ret, CallSite);
@@ -406,52 +597,58 @@ void VFGBuilder::buildCall(const Function &F, const CallInst &Call,
     }
   }
 
-  // Version of every location visible just before the call.
-  std::unordered_map<uint32_t, uint32_t> VersionAtCall;
-  for (const ssa::MemUse &Mu : Info.Mus)
-    VersionAtCall[Mu.Loc] = Mu.Version;
-  for (const MemDef &Chi : Info.Chis)
-    VersionAtCall.emplace(Chi.Loc, Chi.OldVersion);
-
-  // Caller state -> callee virtual input parameters. Wrapper origins have
-  // no caller-side version (they are cloned away) and take no input.
-  for (uint32_t Loc : CalleeSSA.formalIns()) {
-    auto It = VersionAtCall.find(Loc);
-    if (It == VersionAtCall.end())
+  // Caller state -> callee virtual input parameters: the version the
+  // call's mu reads, else the one its chi overwrites. Wrapper origins
+  // have no caller-side version (they are cloned away) and take no input.
+  // The formal-ins, mus and chis are all sorted by location.
+  const std::vector<uint32_t> &Ins = CalleeInfo.SSA->formalIns();
+  auto Mu = Info.Mus.begin();
+  auto Chi = Info.Chis.begin();
+  for (size_t P = 0; P != Ins.size(); ++P) {
+    uint32_t Loc = Ins[P];
+    while (Mu != Info.Mus.end() && Mu->Loc < Loc)
+      ++Mu;
+    while (Chi != Info.Chis.end() && Chi->Loc < Loc)
+      ++Chi;
+    uint32_t AtCall = Mu != Info.Mus.end() && Mu->Loc == Loc ? Mu->Version
+                      : Chi != Info.Chis.end() && Chi->Loc == Loc
+                          ? Chi->OldVersion
+                          : ~0u;
+    if (AtCall == ~0u)
       continue;
-    uint32_t FormalIn = getNode(Callee, {Space::Memory, Loc}, 0);
-    setOrigin(FormalIn, NodeOrigin::FormalIn);
-    addDep(FormalIn, getNode(&F, {Space::Memory, Loc}, It->second),
-           EdgeKind::Call, CallSite);
+    uint32_t FormalIn = memNode(CalleeInfo.Base[P], Callee, Loc, 0);
+    if (FormalIn != ~0u)
+      setOrigin(FormalIn, NodeOrigin::FormalIn);
+    memDep(FormalIn, localBit(Loc, AtCall), &F, Loc, AtCall, EdgeKind::Call,
+           CallSite);
   }
 
   // Chis at the call: clone allocations behave like allocation sites; mod
   // chis receive the callee's virtual output parameters.
-  const Function *OwnFn = &F;
+  const std::vector<uint32_t> &Outs = CalleeInfo.SSA->formalOuts();
+  size_t OutIdx = 0;
   for (const MemDef &Chi : Info.Chis) {
-    uint32_t NewNode =
-        getNode(OwnFn, {Space::Memory, Chi.Loc}, Chi.NewVersion);
+    uint32_t NewNode = localNode(F, Chi.Loc, Chi.NewVersion);
     if (Chi.Kind == ChiKind::CloneAlloc) {
-      const MemObject *Clone = PA.location(Chi.Loc).Obj;
-      setOrigin(NewNode, NodeOrigin::CloneAllocChi);
-      addDep(NewNode, Clone->isInitialized() ? VFG::RootT : VFG::RootF,
-             EdgeKind::Direct);
-      addDep(NewNode,
-             getNode(OwnFn, {Space::Memory, Chi.Loc}, Chi.OldVersion),
-             EdgeKind::Direct);
+      if (NewNode != ~0u) {
+        const MemObject *Clone = PA.location(Chi.Loc).Obj;
+        setOrigin(NewNode, NodeOrigin::CloneAllocChi);
+        addDep(NewNode, Clone->isInitialized() ? VFG::RootT : VFG::RootF,
+               EdgeKind::Direct);
+      }
+      localDep(NewNode, F, Chi.Loc, Chi.OldVersion);
       continue;
     }
     assert(Chi.Kind == ChiKind::CallMod && "unexpected chi kind at call");
-    setOrigin(NewNode, NodeOrigin::CallModChi);
-    for (const auto &[R, RInfo] : Rets) {
-      for (const ssa::MemUse &Mu : RInfo->Mus) {
-        if (Mu.Loc == Chi.Loc) {
-          addDep(NewNode, getNode(Callee, {Space::Memory, Chi.Loc},
-                                  Mu.Version),
-                 EdgeKind::Ret, CallSite);
-          break;
-        }
-      }
+    if (NewNode != ~0u)
+      setOrigin(NewNode, NodeOrigin::CallModChi);
+    while (OutIdx != Outs.size() && Outs[OutIdx] < Chi.Loc)
+      ++OutIdx;
+    for (const auto &[R, RInfo] : CalleeInfo.Rets) {
+      uint32_t Bit = returnBit(CalleeInfo, *RInfo, OutIdx, Chi.Loc);
+      if (Bit != ~0u)
+        memDep(NewNode, Bit, Callee, Chi.Loc, RInfo->Mus[OutIdx].Version,
+               EdgeKind::Ret, CallSite);
     }
   }
 }
@@ -497,12 +694,12 @@ void VFGBuilder::buildInstruction(const Function &F, const Instruction &I,
     uint32_t InitRoot =
         A->getObject()->isInitialized() ? VFG::RootT : VFG::RootF;
     for (const MemDef &Chi : Info.Chis) {
-      uint32_t NewNode =
-          getNode(&F, {Space::Memory, Chi.Loc}, Chi.NewVersion);
-      setOrigin(NewNode, NodeOrigin::AllocChi);
-      addDep(NewNode, InitRoot, EdgeKind::Direct);
-      addDep(NewNode, getNode(&F, {Space::Memory, Chi.Loc}, Chi.OldVersion),
-             EdgeKind::Direct);
+      uint32_t NewNode = localNode(F, Chi.Loc, Chi.NewVersion);
+      if (NewNode != ~0u) {
+        setOrigin(NewNode, NodeOrigin::AllocChi);
+        addDep(NewNode, InitRoot, EdgeKind::Direct);
+      }
+      localDep(NewNode, F, Chi.Loc, Chi.OldVersion);
     }
     break;
   }
@@ -512,8 +709,7 @@ void VFGBuilder::buildInstruction(const Function &F, const Instruction &I,
                            Info.TLDefVersion);
     setOrigin(Def, NodeOrigin::LoadDef);
     for (const ssa::MemUse &Mu : Info.Mus)
-      addDep(Def, getNode(&F, {Space::Memory, Mu.Loc}, Mu.Version),
-             EdgeKind::Direct);
+      localDep(Def, F, Mu.Loc, Mu.Version);
     if (L->getPtr().isVar())
       G.CriticalUses.push_back(
           {&I, L->getPtr().getVar(),
@@ -549,24 +745,30 @@ void VFGBuilder::buildInstruction(const Function &F, const Instruction &I,
 }
 
 void VFGBuilder::buildFunction(const Function &F) {
-  const FunctionSSA &FS = SSA.get(&F);
+  const FunctionSSA &FS = *Fns[F.getId()].SSA;
+  enterFunction(F);
 
   for (const auto &BB : F.blocks()) {
     if (!FS.getCFG().isReachable(BB->getId()))
       continue;
     // Phi nodes.
     for (const ssa::PhiNode &Phi : FS.phisIn(BB.get())) {
-      uint32_t Result = getNode(&F, Phi.Var, Phi.ResultVersion);
-      setOrigin(Result, NodeOrigin::Phi);
-      for (const auto &[Pred, Version] : Phi.Incoming)
-        addDep(Result, getNode(&F, Phi.Var, Version), EdgeKind::Direct);
+      bool Memory = Phi.Var.Sp == Space::Memory;
+      uint32_t Result = Memory ? localNode(F, Phi.Var.Id, Phi.ResultVersion)
+                               : getNode(&F, Phi.Var, Phi.ResultVersion);
+      if (Result != ~0u)
+        setOrigin(Result, NodeOrigin::Phi);
+      for (const auto &[Pred, Version] : Phi.Incoming) {
+        if (Memory)
+          localDep(Result, F, Phi.Var.Id, Version);
+        else
+          addDep(Result, getNode(&F, Phi.Var, Version), EdgeKind::Direct);
+      }
     }
-    for (const auto &I : BB->instructions()) {
-      const InstSSA *Info = FS.instInfo(I.get());
-      assert(Info && "reachable instruction lacks SSA info");
-      buildInstruction(F, *I, *Info);
-    }
+    for (const auto &I : BB->instructions())
+      buildInstruction(F, *I, *InstInfos[I->getId()]);
   }
+  leaveFunction(F);
 }
 
 VFG VFGBuilder::build() {
@@ -576,8 +778,11 @@ VFG VFGBuilder::build() {
   G.Deps.resize(2);
   G.Users.resize(2);
 
+  computeLiveness();
   for (const auto &F : M.functions())
     buildFunction(*F);
+  G.NumMemVersions = Seen.count();
+  G.NumPrunedMemVersions = G.NumMemVersions - Live.count();
 
   // Entry (version 0) nodes referenced anywhere now get their root edges.
   // Formal parameters and virtual input parameters already received call

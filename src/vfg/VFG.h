@@ -13,6 +13,9 @@
 /// direction. Interprocedural edges carry a call-site label so definedness
 /// resolution can match calls and returns (Section 3.3).
 ///
+/// Only the memory SSA versions that some load reads, directly or through
+/// other such versions, become nodes; the rest are pruned (VFGBuilder).
+///
 /// Stores are translated with three update flavors (the paper's key
 /// mechanism):
 ///  - strong:      the pointer uniquely targets one concrete cell; the old
@@ -29,7 +32,9 @@
 #define USHER_VFG_VFG_H
 
 #include "ssa/MemorySSA.h"
+#include "support/BitSet.h"
 
+#include <cassert>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -160,6 +165,12 @@ public:
   uint64_t numWeakStoreChis() const { return NumWeak; }
   uint64_t numEdges() const { return NumEdges; }
 
+  /// Memory SSA versions a graph without pruning would hold as nodes, and
+  /// how many of them no load reads and so got none. numNodes() plus
+  /// numPrunedMemVersions() is the size of that unpruned graph.
+  uint64_t numMemSSAVersions() const { return NumMemVersions; }
+  uint64_t numPrunedMemVersions() const { return NumPrunedMemVersions; }
+
   /// Coverage hook for the fuzzer's analysis-feature scheduler: a bitmask
   /// with bit static_cast<unsigned>(O) set for every NodeOrigin kind this
   /// graph contains. Which node kinds a program manufactures is a cheap,
@@ -206,6 +217,7 @@ private:
   std::unordered_map<uint64_t, UpdateKind> StoreKinds; // (instId<<32)|loc
   std::unordered_map<uint32_t, uint32_t> SemiStrongCuts;
   uint64_t NumStrong = 0, NumSemi = 0, NumWeak = 0, NumEdges = 0;
+  uint64_t NumMemVersions = 0, NumPrunedMemVersions = 0;
 };
 
 /// Options controlling VFG construction.
@@ -224,11 +236,74 @@ public:
              const analysis::CallGraph &CG, VFGOptions Opts = VFGOptions())
       : M(M), SSA(SSA), PA(PA), CG(&CG), Opts(Opts) {}
 
-  /// Constructs the whole-program VFG.
+  /// Constructs the whole-program VFG. It first classifies every store
+  /// chi and computes which memory versions are live: read by a load in
+  /// reachable code, or depended on by a live version. The construction
+  /// walk then visits every SSA def and use in a fixed order but builds
+  /// nodes and edges only for live memory versions, so node ids are those
+  /// of the unpruned graph, renumbered in order.
   VFG build();
 
 private:
+  /// One function's slice of the dense memory-version numbering: the
+  /// versions of formalIns()[P] are bits Base[P] + version.
+  struct FnInfo {
+    const ssa::FunctionSSA *SSA = nullptr;
+    std::vector<uint32_t> Base;
+    /// Position in formalIns() of each formalOuts() entry.
+    std::vector<uint32_t> OutPos;
+    /// Reachable returns, in block order.
+    std::vector<std::pair<const ir::RetInst *, const ssa::InstSSA *>> Rets;
+    /// Reachable call sites calling this function.
+    std::vector<std::pair<const ir::Function *, const ssa::InstSSA *>>
+        Callers;
+  };
+
+  /// A store chi's update flavor and the version its new version depends
+  /// on besides the stored value: the old version for a weak update, the
+  /// allocation anchor's old version for a semi-strong one, none (~0u) for
+  /// a strong one.
+  struct StoreChiClass {
+    UpdateKind Kind;
+    uint32_t Dep;
+  };
+
+  void classifyStoreChis(const ir::Function &F, const ir::StoreInst &St,
+                         const ssa::InstSSA &Info);
+  void computeLiveness();
+  /// Makes the versions of \p F's locations addressable by localBit().
+  void enterFunction(const ir::Function &F);
+  void leaveFunction(const ir::Function &F);
+  uint32_t localBit(uint32_t Loc, uint32_t Version) const {
+    assert(LocalBase[Loc] && "location has no memory SSA here");
+    return LocalBase[Loc] - 1 + Version;
+  }
+  /// Bit of the version of \p Loc that the \p Idx-th formalOuts() entry
+  /// of the callee \p FI reads at return \p RInfo; ~0u if \p Idx is past
+  /// the end or names another location.
+  static uint32_t returnBit(const FnInfo &FI, const ssa::InstSSA &RInfo,
+                            size_t Idx, uint32_t Loc);
+  void markLive(uint32_t Bit, const ir::Function *Fn, uint32_t Loc,
+                uint32_t Version);
+
   uint32_t getNode(const ir::Function *Fn, ssa::VarKey Key, uint32_t Version);
+  /// getNode for memory version \p Bit if it is live, else ~0u; either way
+  /// records that the walk referenced it.
+  uint32_t memNode(uint32_t Bit, const ir::Function *Fn, uint32_t Loc,
+                   uint32_t Version);
+  /// memNode and, unless \p From is ~0u (a dead version), the edge
+  /// From -> that node.
+  void memDep(uint32_t From, uint32_t Bit, const ir::Function *Fn,
+              uint32_t Loc, uint32_t Version, EdgeKind Kind,
+              uint32_t CallSite = ~0u);
+  /// memNode and memDep for a version of the function being walked.
+  uint32_t localNode(const ir::Function &F, uint32_t Loc, uint32_t Version) {
+    return memNode(localBit(Loc, Version), &F, Loc, Version);
+  }
+  void localDep(uint32_t From, const ir::Function &F, uint32_t Loc,
+                uint32_t Version) {
+    memDep(From, localBit(Loc, Version), &F, Loc, Version, EdgeKind::Direct);
+  }
   void addDep(uint32_t From, uint32_t To, EdgeKind Kind,
               uint32_t CallSite = ~0u);
   void setOrigin(uint32_t Node, NodeOrigin O);
@@ -256,6 +331,25 @@ private:
   const analysis::CallGraph *CG;
   VFGOptions Opts;
   VFG G;
+
+  std::vector<FnInfo> Fns; // Indexed by function id.
+  /// Indexed by instruction id, for reachable instructions: the SSA
+  /// annotations and, for a store, the index in StoreChis of its first
+  /// chi.
+  std::vector<const ssa::InstSSA *> InstInfos;
+  std::vector<uint32_t> StoreChiStart;
+  std::vector<StoreChiClass> StoreChis;
+  /// One bit per memory version: live ones, and ones the walk referenced
+  /// (the nodes an unpruned graph would have).
+  BitSet Live, Seen;
+  /// Indexed by location: 1 + the bit of its version 0 in the function
+  /// between enterFunction and leaveFunction, else 0.
+  std::vector<uint32_t> LocalBase;
+  struct LiveVersion {
+    const ir::Function *Fn;
+    uint32_t Loc, Version, Bit;
+  };
+  std::vector<LiveVersion> LiveWork;
 };
 
 } // namespace vfg

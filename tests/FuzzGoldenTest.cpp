@@ -103,7 +103,7 @@ TEST(FuzzCampaignGolden, SynthSeededReportDigestIsPinned) {
 TEST(FuzzCampaignGolden, UnreducedReportDigestIsPinned) {
   fuzz::FuzzOptions Opts = campaign(3);
   Opts.Reduce = false;
-  EXPECT_EQ(campaignDigest(Opts), hex(0x52379d049b0d7617ull));
+  EXPECT_EQ(campaignDigest(Opts), hex(0x446f80d0bf4c4b92ull));
 }
 
 namespace {
@@ -172,21 +172,21 @@ const OutcomeGolden OutcomeGoldens[] = {
     {"file:global_uninit", 0x5204c8e596ca7585ull},
     {"file:opt2_dup", 0x47d98d6e35e9aa9bull},
     {"file:ptr_store_load", 0x73fb5a8b31b99833ull},
-    {"file:semi_strong_heap", 0x0f31ae25d62a148dull},
-    {"file:strong_update_clean", 0xc7b8341b76095807ull},
+    {"file:semi_strong_heap", 0x3475f0c90f464f17ull},
+    {"file:strong_update_clean", 0xafc4090a2754b887ull},
     {"file:walk_partial", 0xd70d09b37c2d9dfbull},
-    {"gen:0", 0x702ea7349a5eb695ull},
+    {"gen:0", 0xc6ab82fe6c60f631ull},
     {"gen:1", 0xbedcb7f047d7ea97ull},
-    {"gen:2", 0xfa3a316a8fe4bc53ull},
+    {"gen:2", 0x640591dd967431ebull},
     {"gen:3", 0xfdf8c5dc17057813ull},
     {"gen:4", 0x5c89ecb98c7afe3bull},
     {"gen:5", 0xda6f583e2e52394full},
     {"gen:6", 0xa9bdc42c49b3bce7ull},
     {"gen:7", 0xd2720c716e3979cfull},
     {"gen:8", 0xf55bf9e73bd769a3ull},
-    {"gen:9", 0x5d62ba64b26c0865ull},
-    {"mutant", 0x52331a1b8b98c6d9ull},
-    {"splice", 0x8f0dabccc7d08687ull},
+    {"gen:9", 0x7e61a906465013b9ull},
+    {"mutant", 0x93d5dae3559a8f85ull},
+    {"splice", 0xd0fb314d6009b543ull},
 };
 
 void PrintTo(const OutcomeGolden &G, std::ostream *OS) { *OS << G.Program; }

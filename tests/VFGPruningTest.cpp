@@ -1,0 +1,165 @@
+//===- tests/VFGPruningTest.cpp - Invariants of the pruned VFG -------------===//
+//
+// Part of the Usher project, reproducing "Accelerating Dynamic Detection of
+// Uses of Undefined Values with Static Value-Flow Analysis" (CGO 2014).
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// The VFG builds nodes only for live memory SSA versions. On the suite
+/// programs, the fuzz corpus, generator seeds 0-9 and a 10k-node
+/// synthesized program, the full pipeline's graph must satisfy:
+///
+///  - no dead version survives: every memory node has a dependency path
+///    to a top-level node;
+///  - the counters add up: nodes + pruned versions = 2 roots + top-level
+///    nodes + memory SSA versions;
+///  - every store chi in reachable code has an update flavor, pruned or
+///    not, and the flavor counters count each exactly once.
+///
+//===----------------------------------------------------------------------===//
+
+#include "core/Usher.h"
+#include "ir/IR.h"
+#include "parser/Parser.h"
+#include "ssa/MemorySSA.h"
+#include "support/RawStream.h"
+#include "transforms/Transforms.h"
+#include "vfg/VFG.h"
+#include "workload/Generator.h"
+#include "workload/Spec2000.h"
+#include "workload/Synthesizer.h"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cctype>
+#include <filesystem>
+#include <string>
+#include <vector>
+
+using namespace usher;
+using ssa::Space;
+using vfg::UpdateKind;
+using vfg::VFG;
+
+namespace {
+
+/// Programs are named "suite:<index>", "fuzz:<stem>", "gen:<seed>" or
+/// "synth:<target nodes>".
+std::unique_ptr<ir::Module> loadProgram(const std::string &Name) {
+  std::string Kind = Name.substr(0, Name.find(':'));
+  std::string Arg = Name.substr(Kind.size() + 1);
+  if (Kind == "suite") {
+    auto M =
+        workload::loadBenchmark(workload::spec2000Suite()[std::stoul(Arg)]);
+    transforms::runPreset(*M, transforms::OptPreset::O0IM);
+    return M;
+  }
+  if (Kind == "gen")
+    return workload::generateProgram(std::stoull(Arg));
+  if (Kind == "synth") {
+    workload::ShapeSpec Spec;
+    Spec.TargetNodes = std::stoul(Arg);
+    return parser::parseModuleOrAbort(workload::synthesizeProgram(Spec));
+  }
+  std::string Source;
+  EXPECT_TRUE(readFile(std::string(USHER_TEST_INPUT_DIR) + "/fuzz/" + Arg +
+                           ".tc",
+                       Source))
+      << Name;
+  return parser::parseModuleOrAbort(Source);
+}
+
+std::vector<std::string> programNames() {
+  std::vector<std::string> Names;
+  for (size_t I = 0; I != workload::spec2000Suite().size(); ++I)
+    Names.push_back("suite:" + std::to_string(I));
+  std::vector<std::string> Stems;
+  for (const auto &Entry : std::filesystem::directory_iterator(
+           std::string(USHER_TEST_INPUT_DIR) + "/fuzz"))
+    if (Entry.path().extension() == ".tc")
+      Stems.push_back(Entry.path().stem().string());
+  std::sort(Stems.begin(), Stems.end());
+  for (const std::string &Stem : Stems)
+    Names.push_back("fuzz:" + Stem);
+  for (unsigned Seed = 0; Seed != 10; ++Seed)
+    Names.push_back("gen:" + std::to_string(Seed));
+  Names.push_back("synth:10000");
+  return Names;
+}
+
+class PrunedVFG : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(PrunedVFG, InvariantsHold) {
+  auto M = loadProgram(GetParam());
+  core::UsherOptions Opts;
+  core::UsherResult R = core::runUsher(*M, Opts);
+  ASSERT_TRUE(R.G && R.SSA);
+  const VFG &G = *R.G;
+  const uint32_t N = G.numNodes();
+
+  // Walk the dependency edges from every top-level node.
+  std::vector<char> Reached(N, 0);
+  std::vector<uint32_t> Work;
+  uint64_t TopLevel = 0;
+  for (uint32_t Id = 0; Id != N; ++Id) {
+    if (G.isRoot(Id) || G.node(Id).Key.Sp != Space::TopLevel)
+      continue;
+    ++TopLevel;
+    Reached[Id] = 1;
+    Work.push_back(Id);
+  }
+  while (!Work.empty()) {
+    uint32_t Id = Work.back();
+    Work.pop_back();
+    for (const vfg::Edge &E : G.deps(Id))
+      if (!Reached[E.Node]) {
+        Reached[E.Node] = 1;
+        Work.push_back(E.Node);
+      }
+  }
+  for (uint32_t Id = 2; Id != N; ++Id)
+    EXPECT_TRUE(Reached[Id]) << "memory node " << Id
+                             << " reaches no top-level node";
+
+  EXPECT_EQ(R.Stats.NumVFGNodes, N);
+  EXPECT_EQ(R.Stats.NumVFGNodes + R.Stats.NumPrunedMemVersions,
+            2 + TopLevel + R.Stats.NumMemSSAVersions);
+  EXPECT_LE(R.Stats.NumPrunedMemVersions, R.Stats.NumMemSSAVersions);
+
+  // Every reachable store chi has a flavor.
+  uint64_t Kinds[3] = {0, 0, 0};
+  for (const auto &F : M->functions()) {
+    const ssa::FunctionSSA &FS = R.SSA->get(F.get());
+    for (const auto &BB : F->blocks()) {
+      if (!FS.getCFG().isReachable(BB->getId()))
+        continue;
+      for (const auto &I : BB->instructions()) {
+        if (!isa<ir::StoreInst>(I.get()))
+          continue;
+        for (const ssa::MemDef &Chi : FS.instInfo(I.get())->Chis)
+          ++Kinds[static_cast<int>(G.storeUpdateKind(I.get(), Chi.Loc))];
+      }
+    }
+  }
+  EXPECT_EQ(Kinds[static_cast<int>(UpdateKind::Strong)],
+            G.numStrongStoreChis());
+  EXPECT_EQ(Kinds[static_cast<int>(UpdateKind::SemiStrong)],
+            G.numSemiStrongStoreChis());
+  EXPECT_EQ(Kinds[static_cast<int>(UpdateKind::Weak)], G.numWeakStoreChis());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Programs, PrunedVFG, ::testing::ValuesIn(programNames()),
+    [](const ::testing::TestParamInfo<std::string> &Info) {
+      std::string Name = Info.param;
+      if (Name.rfind("suite:", 0) == 0)
+        Name = workload::spec2000Suite()[std::stoul(Name.substr(6))].Name;
+      for (char &C : Name)
+        if (!std::isalnum(static_cast<unsigned char>(C)))
+          C = '_';
+      return Name;
+    });
+
+} // namespace

@@ -13,7 +13,8 @@ plan more checks than Andersen — never fewer, and never different
 warnings). With --min-vfg-nodes=N it additionally measures the program
 via `usher-cli --stats --no-run` and requires at least N VFG nodes, so
 the label-gated scale test proves the 100k+ acceptance size really went
-through the full pipeline.
+through the full pipeline. The count is the unpruned graph's: the nodes
+built plus the memory SSA versions pruned because no load reads them.
 
 Usage:
   check_scale_smoke.py USHER_GEN USHER_CLI --nodes=N [--min-vfg-nodes=M]
@@ -80,9 +81,11 @@ def main(argv):
         if min_nodes:
             stats = run([cli_bin, source, "--stats", "--no-run"])
             match = re.search(r"VFG nodes/edges:\s*(\d+)/(\d+)", stats)
-            if not match:
+            pruned = re.search(r"memory SSA versions:\s*\d+ \(pruned (\d+)\)",
+                               stats)
+            if not match or not pruned:
                 V.fail(f"no VFG node count in --stats output:\n{stats}")
-            nodes = int(match.group(1))
+            nodes = int(match.group(1)) + int(pruned.group(1))
             if nodes < min_nodes:
                 V.fail(f"program has {nodes} VFG nodes, needed {min_nodes}")
             print(f"measured VFG nodes: {nodes} (>= {min_nodes})")
