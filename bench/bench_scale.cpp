@@ -8,7 +8,8 @@
 /// \file
 /// Measures how every pipeline phase scales with program size, using the
 /// workload synthesizer (workload/Synthesizer.h) as the size dial: four
-/// shape specs spanning roughly 1k to well past 100k VFG nodes, each run
+/// shape specs spanning roughly 1k to well past 100k VFG nodes (counted
+/// unpruned: the nodes built plus the memory versions pruned), each run
 /// through two analysis configurations:
 ///
 ///   andersen-global     the reference pipeline,
@@ -109,6 +110,9 @@ struct Fingerprint {
   uint64_t ShadowOps = 0;
   uint64_t VFGNodes = 0;
   uint64_t VFGEdges = 0;
+  /// Memory SSA versions the VFG left out; plus VFGNodes, the size of
+  /// the unpruned graph, which is the ladder's size axis.
+  uint64_t VFGPruned = 0;
   uint64_t Redirected = 0;
   int64_t RunResult = 0;
   std::vector<std::string> RunWarnings; ///< Sorted warningSiteKey()s.
@@ -116,6 +120,7 @@ struct Fingerprint {
   bool sameRun(const Fingerprint &O) const {
     return RunResult == O.RunResult && RunWarnings == O.RunWarnings;
   }
+  uint64_t unprunedNodes() const { return VFGNodes + VFGPruned; }
 };
 
 struct ConfigRow {
@@ -202,6 +207,7 @@ ConfigRow runConfig(const std::string &Source, const Config &C,
     FP.ShadowOps = UR.Plan.countShadowOps();
     FP.VFGNodes = UR.Stats.NumVFGNodes;
     FP.VFGEdges = UR.Stats.NumVFGEdges;
+    FP.VFGPruned = UR.Stats.NumPrunedMemVersions;
     FP.Redirected = UR.Stats.NumRedirectedNodes;
     FP.RunResult = Rep.MainResult;
     for (const runtime::Warning &W : Rep.ToolWarnings)
@@ -240,7 +246,8 @@ void printConfigJson(JsonWriter &W, const ConfigRow &R) {
             "vfg_ms", R.VfgMs, "definedness_ms", R.DefinednessMs,
             "opt2_ms", R.Opt2Ms);
   W.end().members("vfg_nodes", R.FP.VFGNodes, "vfg_edges", R.FP.VFGEdges,
-                  "checks", R.FP.Checks, "shadow_ops", R.FP.ShadowOps,
+                  "vfg_pruned", R.FP.VFGPruned, "checks", R.FP.Checks,
+                  "shadow_ops", R.FP.ShadowOps,
                   "warning_sites", R.FP.RunWarnings.size());
   W.end();
 }
@@ -301,19 +308,22 @@ int main(int argc, char **argv) {
       std::abort();
     }
 
-    std::printf("%-8s %8llu instrs %9llu nodes", Row.Name.c_str(),
+    std::printf("%-8s %8llu instrs %9llu nodes (%llu unpruned)",
+                Row.Name.c_str(),
                 static_cast<unsigned long long>(Row.Instructions),
-                static_cast<unsigned long long>(Ref.VFGNodes));
+                static_cast<unsigned long long>(Ref.VFGNodes),
+                static_cast<unsigned long long>(Ref.unprunedNodes()));
     for (const ConfigRow &C : Row.Configs)
       std::printf("  %s=%.0fms", C.Name.c_str(), C.AnalyzeMs);
     std::printf("\n");
     Rows.push_back(std::move(Row));
   }
 
-  // The ladder must actually climb: strictly more VFG nodes per rung.
+  // The ladder must actually climb: strictly more unpruned VFG nodes per
+  // rung.
   for (size_t I = 1; I != Rows.size(); ++I) {
-    if (Rows[I].Configs[0].FP.VFGNodes <=
-        Rows[I - 1].Configs[0].FP.VFGNodes) {
+    if (Rows[I].Configs[0].FP.unprunedNodes() <=
+        Rows[I - 1].Configs[0].FP.unprunedNodes()) {
       std::fprintf(stderr, "FATAL: size ladder is not monotone\n");
       std::abort();
     }
@@ -342,8 +352,8 @@ int main(int argc, char **argv) {
     W.end().end();
   }
   W.end().key("summary").beginObject(JsonWriter::Layout::Inline);
-  W.members("min_vfg_nodes", Rows.front().Configs[0].FP.VFGNodes,
-            "max_vfg_nodes", Rows.back().Configs[0].FP.VFGNodes);
+  W.members("min_vfg_nodes", Rows.front().Configs[0].FP.unprunedNodes(),
+            "max_vfg_nodes", Rows.back().Configs[0].FP.unprunedNodes());
   W.end().end();
   OS.flush();
   std::fclose(F);

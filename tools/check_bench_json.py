@@ -155,6 +155,12 @@ SCALE_PHASES = [
 ]
 
 
+def unpruned(config):
+    """A configuration's program size: the VFG nodes built plus the memory
+    SSA versions pruned, i.e. the size of the unpruned graph."""
+    return config["vfg_nodes"] + config["vfg_pruned"]
+
+
 def check_scale_report(report, path):
     check_common_header(report)
     V.number(report, "hardware_concurrency", "report", kind=int, low=1)
@@ -201,8 +207,8 @@ def check_scale_report(report, path):
             # rounding and the driver's own bookkeeping between phases).
             if sum(phases.values()) > config["analyze_ms"] * 1.10 + 1.0:
                 V.fail(f"{cname}: phase times exceed analyze_ms")
-            for field in ("vfg_nodes", "vfg_edges", "checks", "shadow_ops",
-                          "warning_sites"):
+            for field in ("vfg_nodes", "vfg_edges", "vfg_pruned", "checks",
+                          "shadow_ops", "warning_sites"):
                 V.number(config, field, cname, kind=int)
 
         ref = by_name["andersen-global"]
@@ -219,16 +225,16 @@ def check_scale_report(report, path):
                 "constraint engine"
             )
 
-        if ref["vfg_nodes"] <= prev_nodes:
+        if unpruned(ref) <= prev_nodes:
             V.fail(f"{where}: VFG node count not strictly increasing")
         if size["instructions"] < prev_instrs:
             V.fail(f"{where}: instruction count decreased")
-        prev_nodes = ref["vfg_nodes"]
+        prev_nodes = unpruned(ref)
         prev_instrs = size["instructions"]
 
     summary = check_summary(report, ())
-    first = sizes[0]["configs"][0]["vfg_nodes"]
-    last = sizes[-1]["configs"][0]["vfg_nodes"]
+    first = unpruned(sizes[0]["configs"][0])
+    last = unpruned(sizes[-1]["configs"][0])
     if summary.get("min_vfg_nodes") != first:
         V.fail("summary: min_vfg_nodes disagrees with the first size")
     if summary.get("max_vfg_nodes") != last:
