@@ -9,7 +9,8 @@
 /// Reconstructs the paper's Figure 6 scenario — a heap object written in a
 /// loop, where a *semi-strong update* lets the analysis bypass the
 /// allocation's undefinedness — and prints:
-///  - the update flavor chosen for every store,
+///  - the update flavor chosen for every store, read from the origin of
+///    the store's chi nodes (a chi no load reads has no node: "pruned"),
 ///  - the definedness (Gamma) of each critical use,
 ///  - the whole VFG in Graphviz dot syntax (pipe into `dot -Tsvg`).
 ///
@@ -19,6 +20,9 @@
 #include "core/Usher.h"
 #include "parser/Parser.h"
 #include "support/RawStream.h"
+
+#include <map>
+#include <utility>
 
 using namespace usher;
 
@@ -54,6 +58,15 @@ int main(int argc, char **argv) {
 
   core::UsherResult R = core::runUsher(*M, core::UsherOptions());
 
+  // Each live store chi's node names its flavor.
+  std::map<std::pair<const ir::Instruction *, uint32_t>, vfg::NodeOrigin>
+      ChiFlavor;
+  for (uint32_t Id = 2; Id != R.G->numNodes(); ++Id) {
+    const vfg::VFG::NodeData &N = R.G->node(Id);
+    if (N.Def && isa<ir::StoreInst>(N.Def) && N.Key.Sp == ssa::Space::Memory)
+      ChiFlavor[{N.Def, N.Key.Id}] = R.G->origin(Id);
+  }
+
   OS << "--- store update flavors (Section 3.2) ---\n";
   for (const auto &F : M->functions()) {
     for (const auto &BB : F->blocks()) {
@@ -68,17 +81,15 @@ int main(int argc, char **argv) {
         for (uint32_t Loc : R.PA->pointsTo(St->getPtr())) {
           if (!First)
             OS << ", ";
-          switch (R.G->storeUpdateKind(St, Loc)) {
-          case vfg::UpdateKind::Strong:
+          auto It = ChiFlavor.find({St, Loc});
+          if (It == ChiFlavor.end())
+            OS << "pruned";
+          else if (It->second == vfg::NodeOrigin::StoreChiStrong)
             OS << "strong";
-            break;
-          case vfg::UpdateKind::SemiStrong:
+          else if (It->second == vfg::NodeOrigin::StoreChiSemi)
             OS << "semi-strong";
-            break;
-          case vfg::UpdateKind::Weak:
+          else
             OS << "weak";
-            break;
-          }
           OS << " update of " << R.PA->location(Loc).Obj->getName()
              << " field " << R.PA->location(Loc).Field;
           First = false;

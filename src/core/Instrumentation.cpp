@@ -8,7 +8,6 @@
 #include "core/Instrumentation.h"
 
 #include "ir/IR.h"
-#include "ssa/MemorySSA.h"
 #include "support/Budget.h"
 
 #include <cassert>
@@ -18,16 +17,10 @@
 using namespace usher;
 using namespace usher::core;
 using namespace usher::ir;
-using ssa::ChiKind;
-using ssa::DefDesc;
-using ssa::FunctionSSA;
-using ssa::InstSSA;
-using ssa::MemDef;
-using ssa::MemorySSA;
 using ssa::Space;
 using vfg::Edge;
 using vfg::EdgeKind;
-using vfg::UpdateKind;
+using vfg::NodeOrigin;
 using vfg::VFG;
 
 //===----------------------------------------------------------------------===//
@@ -187,9 +180,9 @@ InstrumentationPlan core::buildFullInstrumentation(const Module &M,
 
 class InstrumentationPlanner::Impl {
 public:
-  Impl(const Module &M, const MemorySSA &SSA, const VFG &G,
-       const Definedness &Gamma, PlannerOptions Opts)
-      : M(M), SSA(SSA), G(G), Gamma(Gamma), Opts(Opts), Plan(M) {
+  Impl(const Module &M, const VFG &G, const Definedness &Gamma,
+       PlannerOptions Opts)
+      : M(M), G(G), Gamma(Gamma), Opts(Opts), Plan(M) {
     for (const auto &F : M.functions()) {
       for (const auto &BB : F->blocks())
         for (const auto &I : BB->instructions()) {
@@ -218,23 +211,17 @@ private:
   }
 
   void process(uint32_t Node);
-  void processTopLevel(uint32_t Node, const VFG::NodeData &N,
-                       const FunctionSSA &FS, const DefDesc &Desc);
-  void processMemory(uint32_t Node, const VFG::NodeData &N,
-                     const FunctionSSA &FS, const DefDesc &Desc);
-  bool trySimplifyMFC(const VFG::NodeData &N, const FunctionSSA &FS,
-                      const Instruction *I0);
+  void processTopLevel(uint32_t Node, const VFG::NodeData &N);
+  void processMemory(uint32_t Node, const VFG::NodeData &N);
+  bool trySimplifyMFC(const Instruction *I0);
   void emitRetOutsOf(const Function *Callee);
   void prepassTopLevelOnly();
 
   /// Node of a variable operand as used by instruction \p I.
-  uint32_t useNode(const Function *Fn, const InstSSA &Info,
-                   const Variable *V) const {
-    for (const ssa::TLUse &Use : Info.TLUses)
-      if (Use.Var == V)
-        return G.nodeId(Fn, {Space::TopLevel, V->getId()}, Use.Version);
-    assert(false && "no recorded use for operand variable");
-    return VFG::RootT;
+  uint32_t useNode(const Instruction *I, const Variable *V) const {
+    uint32_t Node = G.useNode(I, V);
+    assert(Node != ~0u && "no node for a use of a reachable statement");
+    return Node;
   }
 
   static ShadowOp setVar(const Variable *Dst, ShadowVal Src) {
@@ -246,7 +233,6 @@ private:
   }
 
   const Module &M;
-  const MemorySSA &SSA;
   const VFG &G;
   const Definedness &Gamma;
   PlannerOptions Opts;
@@ -256,7 +242,6 @@ private:
   std::vector<uint32_t> Work;
   std::unordered_map<uint32_t, const CallInst *> CallById;
   std::unordered_map<const Variable *, unsigned> DefCounts;
-  std::unordered_set<const Instruction *> RetOutEmitted;
   std::unordered_set<const Function *> RetOutsEmittedFor;
   std::unordered_set<const Instruction *> MemWriteEmitted;
   uint64_t SimplifiedMFCs = 0;
@@ -266,11 +251,10 @@ void InstrumentationPlanner::Impl::prepassTopLevelOnly() {
   // The top-level-only variant cannot reason about which store feeds which
   // load, so every store and allocation shadows memory unconditionally.
   for (const auto &F : M.functions()) {
-    const FunctionSSA &FS = SSA.get(F.get());
     for (const auto &BB : F->blocks()) {
-      if (!FS.getCFG().isReachable(BB->getId()))
-        continue;
       for (const auto &I : BB->instructions()) {
+        if (!G.reachable(I.get()))
+          continue;
         if (const auto *St = dyn_cast<StoreInst>(I.get())) {
           ShadowOp Op;
           Op.K = ShadowOp::Kind::SetMemCell;
@@ -278,8 +262,7 @@ void InstrumentationPlanner::Impl::prepassTopLevelOnly() {
           Op.Srcs = {ShadowVal::operand(St->getValue())};
           Plan.addAfter(I.get(), std::move(Op));
           if (St->getValue().isVar())
-            demand(useNode(F.get(), *FS.instInfo(I.get()),
-                           St->getValue().getVar()));
+            demand(useNode(St, St->getValue().getVar()));
         } else if (const auto *A = dyn_cast<AllocInst>(I.get())) {
           ShadowOp Op;
           Op.K = ShadowOp::Kind::SetMemObject;
@@ -295,13 +278,10 @@ void InstrumentationPlanner::Impl::prepassTopLevelOnly() {
 void InstrumentationPlanner::Impl::emitRetOutsOf(const Function *Callee) {
   if (!RetOutsEmittedFor.insert(Callee).second)
     return;
-  const FunctionSSA &FS = SSA.get(Callee);
   for (const auto &BB : Callee->blocks()) {
-    if (!FS.getCFG().isReachable(BB->getId()))
-      continue;
     for (const auto &I : BB->instructions()) {
       const auto *R = dyn_cast<RetInst>(I.get());
-      if (!R || !RetOutEmitted.insert(R).second)
+      if (!R || !G.reachable(R))
         continue;
       ShadowOp Op;
       Op.K = ShadowOp::Kind::RetOut;
@@ -313,9 +293,7 @@ void InstrumentationPlanner::Impl::emitRetOutsOf(const Function *Callee) {
   }
 }
 
-bool InstrumentationPlanner::Impl::trySimplifyMFC(const VFG::NodeData &N,
-                                                  const FunctionSSA &FS,
-                                                  const Instruction *I0) {
+bool InstrumentationPlanner::Impl::trySimplifyMFC(const Instruction *I0) {
   // Each simplification attempt is one Opt I budget step. Declining to
   // simplify is always sound: the caller falls through to the normal
   // Figure 7 shadow-propagation rule for this closure.
@@ -337,8 +315,7 @@ bool InstrumentationPlanner::Impl::trySimplifyMFC(const VFG::NodeData &N,
       [&](const Instruction *I, unsigned Depth) -> bool {
     std::vector<Operand> Ops;
     I->collectOperands(Ops);
-    const InstSSA *Info = FS.instInfo(I);
-    if (!Info)
+    if (!G.reachable(I))
       return false;
     for (const Operand &Op : Ops) {
       if (Op.isConst() || Op.isGlobal())
@@ -346,16 +323,14 @@ bool InstrumentationPlanner::Impl::trySimplifyMFC(const VFG::NodeData &N,
       const Variable *V = Op.getVar();
       if (Depth > 0 && DefCounts[V] != 1)
         return false; // sigma(V) at I0 may hold a different version.
-      uint32_t UseN = useNode(N.Fn, *Info, V);
-      const VFG::NodeData &UseData = G.node(UseN);
-      const DefDesc &Desc = FS.defOf(UseData.Key, UseData.Version);
-      bool ChainStep = Desc.K == DefDesc::Kind::Inst &&
-                       (isa<CopyInst>(Desc.I) || isa<BinOpInst>(Desc.I)) &&
+      uint32_t UseN = useNode(I, V);
+      const Instruction *Def = G.node(UseN).Def;
+      bool ChainStep = Def && (isa<CopyInst>(Def) || isa<BinOpInst>(Def)) &&
                        Depth + 1 < MaxDepth &&
                        Sources.size() < MaxSources;
       if (ChainStep) {
         ++Interior;
-        if (!Expand(Desc.I, Depth + 1))
+        if (!Expand(Def, Depth + 1))
           return false;
       } else {
         if (Sources.size() >= MaxSources)
@@ -393,12 +368,10 @@ bool InstrumentationPlanner::Impl::trySimplifyMFC(const VFG::NodeData &N,
 }
 
 void InstrumentationPlanner::Impl::processTopLevel(uint32_t Node,
-                                                   const VFG::NodeData &N,
-                                                   const FunctionSSA &FS,
-                                                   const DefDesc &Desc) {
+                                                   const VFG::NodeData &N) {
   const bool Defined = Gamma.isDefined(Node);
 
-  if (Desc.K == DefDesc::Kind::Entry) {
+  if (N.Version == 0) {
     const Variable *V = N.Fn->variables()[N.Key.Id].get();
     if (!V->isParam())
       return; // Frame shadows start at F: undefined-on-entry needs no code.
@@ -431,15 +404,14 @@ void InstrumentationPlanner::Impl::processTopLevel(uint32_t Node,
     return;
   }
 
-  if (Desc.K == DefDesc::Kind::Phi) {
+  if (G.origin(Node) == NodeOrigin::Phi) {
     // [Phi]: shadows flow through the shared runtime slot; collect only.
     demandAllDeps(Node);
     return;
   }
 
-  const Instruction *I = Desc.I;
-  [[maybe_unused]] const InstSSA *CheckInfo = FS.instInfo(I);
-  assert(CheckInfo && "definition in unreachable code was demanded");
+  const Instruction *I = N.Def;
+  assert(I && "definition in unreachable code was demanded");
 
   if (Defined) {
     // [T-Assign]: one strong update covers every defining statement kind.
@@ -449,7 +421,7 @@ void InstrumentationPlanner::Impl::processTopLevel(uint32_t Node,
 
   switch (I->getKind()) {
   case Instruction::IKind::Copy: {
-    if (Opts.OptI && trySimplifyMFC(N, FS, I))
+    if (Opts.OptI && trySimplifyMFC(I))
       return;
     const auto *C = cast<CopyInst>(I);
     Plan.addAfter(I, setVar(I->getDef(), ShadowVal::operand(C->getSrc())));
@@ -457,7 +429,7 @@ void InstrumentationPlanner::Impl::processTopLevel(uint32_t Node,
     break;
   }
   case Instruction::IKind::BinOp: {
-    if (Opts.OptI && trySimplifyMFC(N, FS, I))
+    if (Opts.OptI && trySimplifyMFC(I))
       return;
     const auto *B = cast<BinOpInst>(I);
     ShadowOp Op;
@@ -516,32 +488,24 @@ void InstrumentationPlanner::Impl::processTopLevel(uint32_t Node,
 }
 
 void InstrumentationPlanner::Impl::processMemory(uint32_t Node,
-                                                 const VFG::NodeData &N,
-                                                 const FunctionSSA &FS,
-                                                 const DefDesc &Desc) {
+                                                 const VFG::NodeData &N) {
   if (!Gamma.addressTakenAware())
     return; // The prepass shadows memory unconditionally.
 
   const bool Defined = Gamma.isDefined(Node);
+  const NodeOrigin Origin = G.origin(Node);
 
-  if (Desc.K == DefDesc::Kind::Entry) {
+  if (N.Version == 0 || Origin == NodeOrigin::Phi) {
     // [VPara]: virtual input parameter. Cell shadows persist across the
     // call; demand the producers at every call site. For main, the
     // runtime pre-initializes global shadows, so there is nothing to do.
-    demandAllDeps(Node);
-    return;
-  }
-  if (Desc.K == DefDesc::Kind::Phi) {
+    // Phis only collect.
     demandAllDeps(Node);
     return;
   }
 
-  const Instruction *I = Desc.I;
-  const InstSSA *Info = FS.instInfo(I);
-  assert(Info && "chi in unreachable code was demanded");
-  const MemDef *Chi = &Info->Chis[Desc.Idx];
-  assert(Chi->Loc == N.Key.Id && Chi->NewVersion == N.Version &&
-         "memory def without a matching chi");
+  const Instruction *I = N.Def;
+  assert(I && "chi in unreachable code was demanded");
 
   auto DemandMemoryDeps = [&] {
     for (const Edge &E : G.deps(Node))
@@ -549,9 +513,9 @@ void InstrumentationPlanner::Impl::processMemory(uint32_t Node,
         demand(E.Node);
   };
 
-  switch (Chi->Kind) {
-  case ChiKind::Alloc:
-  case ChiKind::CloneAlloc: {
+  switch (Origin) {
+  case NodeOrigin::AllocChi:
+  case NodeOrigin::CloneAllocChi: {
     // [T-Alloc] / [B-Alloc]: initialize the fresh object's shadow to its
     // actual definedness (correct in both Gamma cases); possibly-
     // undefined older instances keep being tracked.
@@ -559,7 +523,7 @@ void InstrumentationPlanner::Impl::processMemory(uint32_t Node,
     if (!Ptr)
       return; // Discarded wrapper result: the clone is unreachable.
     if (MemWriteEmitted.insert(I).second) {
-      const MemObject *Obj = Chi->Kind == ChiKind::Alloc
+      const MemObject *Obj = Origin == NodeOrigin::AllocChi
                                  ? cast<AllocInst>(I)->getObject()
                                  : nullptr;
       bool Init;
@@ -586,11 +550,12 @@ void InstrumentationPlanner::Impl::processMemory(uint32_t Node,
       DemandMemoryDeps();
     break;
   }
-  case ChiKind::Store: {
+  case NodeOrigin::StoreChiStrong:
+  case NodeOrigin::StoreChiSemi:
+  case NodeOrigin::StoreChiWeak: {
     const auto *St = cast<StoreInst>(I);
-    UpdateKind Kind = G.storeUpdateKind(St, N.Key.Id);
     if (Defined) {
-      if (Kind == UpdateKind::Strong || Kind == UpdateKind::SemiStrong) {
+      if (Origin != NodeOrigin::StoreChiWeak) {
         // [T-Store SU]: strongly update the unique cell's shadow. We
         // deviate from the paper by also applying this to semi-strong
         // updates: our semi-strong condition proves the store writes the
@@ -607,7 +572,7 @@ void InstrumentationPlanner::Impl::processMemory(uint32_t Node,
           Plan.addAfter(I, std::move(Op));
         }
       }
-      if (Kind != UpdateKind::Strong) {
+      if (Origin != NodeOrigin::StoreChiStrong) {
         // [T-Store WU/SemiSU]: keep tracking the surviving older values.
         DemandMemoryDeps();
       }
@@ -623,15 +588,17 @@ void InstrumentationPlanner::Impl::processMemory(uint32_t Node,
       Plan.addAfter(I, std::move(Op));
     }
     if (St->getValue().isVar())
-      demand(useNode(N.Fn, *Info, St->getValue().getVar()));
+      demand(useNode(St, St->getValue().getVar()));
     DemandMemoryDeps();
     break;
   }
-  case ChiKind::CallMod:
+  case NodeOrigin::CallModChi:
     // [VRet]: the callee's virtual output parameter produces this value;
     // demand it at the callee's returns (both Gamma cases).
     demandAllDeps(Node);
     break;
+  default:
+    assert(false && "memory node without a chi origin");
   }
 }
 
@@ -639,12 +606,10 @@ void InstrumentationPlanner::Impl::process(uint32_t Node) {
   if (G.isRoot(Node))
     return;
   const VFG::NodeData &N = G.node(Node);
-  const FunctionSSA &FS = SSA.get(N.Fn);
-  const DefDesc &Desc = FS.defOf(N.Key, N.Version);
   if (N.Key.Sp == Space::TopLevel)
-    processTopLevel(Node, N, FS, Desc);
+    processTopLevel(Node, N);
   else
-    processMemory(Node, N, FS, Desc);
+    processMemory(Node, N);
 }
 
 InstrumentationPlan InstrumentationPlanner::Impl::run() {
@@ -680,12 +645,10 @@ InstrumentationPlan InstrumentationPlanner::Impl::run() {
 // InstrumentationPlanner facade
 //===----------------------------------------------------------------------===//
 
-InstrumentationPlanner::InstrumentationPlanner(const Module &M,
-                                               const MemorySSA &SSA,
-                                               const VFG &G,
+InstrumentationPlanner::InstrumentationPlanner(const Module &M, const VFG &G,
                                                const Definedness &Gamma,
                                                PlannerOptions Opts)
-    : PImpl(std::make_unique<Impl>(M, SSA, G, Gamma, Opts)) {}
+    : PImpl(std::make_unique<Impl>(M, G, Gamma, Opts)) {}
 
 InstrumentationPlanner::~InstrumentationPlanner() = default;
 

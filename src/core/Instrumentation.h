@@ -28,10 +28,6 @@
 namespace usher {
 class Budget;
 
-namespace ssa {
-class MemorySSA;
-}
-
 namespace core {
 
 /// Options for the guided planner.
@@ -66,15 +62,15 @@ struct PlannerOptions {
   bool VoidRetShadow = false;
 };
 
-/// Demand-driven planner implementing the deduction rules of Figure 7.
-/// A top-level-only Gamma (Definedness::addressTakenAware() false, the
-/// UsherTL variant) makes it shadow every store and allocation
+/// Demand-driven planner implementing the deduction rules of Figure 7,
+/// stated over VFG nodes: each node's origin and defining statement pick
+/// the rule. A top-level-only Gamma (Definedness::addressTakenAware()
+/// false, the UsherTL variant) makes it shadow every store and allocation
 /// unconditionally and treat loads as pessimistically undefined.
 class InstrumentationPlanner {
 public:
-  InstrumentationPlanner(const ir::Module &M, const ssa::MemorySSA &SSA,
-                         const vfg::VFG &G, const Definedness &Gamma,
-                         PlannerOptions Opts);
+  InstrumentationPlanner(const ir::Module &M, const vfg::VFG &G,
+                         const Definedness &Gamma, PlannerOptions Opts);
   ~InstrumentationPlanner();
 
   /// Computes the guided plan.

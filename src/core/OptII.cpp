@@ -18,8 +18,6 @@
 using namespace usher;
 using namespace usher::core;
 using namespace usher::ir;
-using ssa::DefDesc;
-using ssa::FunctionSSA;
 using ssa::Space;
 using vfg::Edge;
 using vfg::EdgeKind;
@@ -40,16 +38,6 @@ bool isConcreteLoc(const analysis::PointerAnalysis &PA,
     return false;
   const Instruction *Site = Obj->getAllocSite();
   return Site && !CG.isRecursive(Site->getParent()->getParent());
-}
-
-/// The statement that computes \p Node, or null for entries and phis.
-const Instruction *definingStatement(const VFG &G, const ssa::MemorySSA &SSA,
-                                     uint32_t Node) {
-  if (G.isRoot(Node))
-    return nullptr;
-  const VFG::NodeData &N = G.node(Node);
-  const DefDesc &Desc = SSA.get(N.Fn).defOf(N.Key, N.Version);
-  return Desc.K == DefDesc::Kind::Inst ? Desc.I : nullptr;
 }
 
 } // namespace
@@ -79,7 +67,7 @@ bool planUse(const VFG::CriticalUse &Use, const ssa::MemorySSA &SSA,
   if (BaseGamma.isDefined(Use.Node))
     return true;
   const Function *Fn = G.node(Use.Node).Fn;
-  const FunctionSSA &FS = SSA.get(Fn);
+  const analysis::DominatorTree &DT = SSA.get(Fn).getDomTree();
 
   // Compute the must-flow-from closure X of the checked variable
   // (Definition 2), plus concrete memory locations feeding loads in it
@@ -98,7 +86,7 @@ bool planUse(const VFG::CriticalUse &Use, const ssa::MemorySSA &SSA,
       TooBig = true;
       break;
     }
-    const Instruction *I = definingStatement(G, SSA, Node);
+    const Instruction *I = G.node(Node).Def;
     if (!I)
       continue;
     if (isa<CopyInst>(I) || isa<BinOpInst>(I)) {
@@ -129,10 +117,10 @@ bool planUse(const VFG::CriticalUse &Use, const ssa::MemorySSA &SSA,
   for (uint32_t R : Candidates) {
     if (B && !B->step())
       return false;
-    const Instruction *DefStmt = definingStatement(G, SSA, R);
+    const Instruction *DefStmt = G.node(R).Def;
     if (!DefStmt || DefStmt->getParent()->getParent() != Fn)
       continue;
-    if (!FS.getDomTree().dominates(Use.I, DefStmt))
+    if (!DT.dominates(Use.I, DefStmt))
       continue;
     Plan.Redirectees.push_back(R);
   }

@@ -62,7 +62,8 @@ struct OptIIResult {
 /// definedness computed on the unmodified graph (used to consider only
 /// checks that are actually emitted). When \p B is armed
 /// (BudgetPhase::OptII) the closure expansions check it per node and the
-/// function returns early with Exhausted set.
+/// function returns early with Exhausted set. The closures and redirects
+/// are computed on \p G alone; \p SSA supplies only the dominator trees.
 // The unused ThreadPool * keeps the mangled name perfbench link-wraps.
 OptIIResult runRedundantCheckElimination(
     const ir::Module &M, const ssa::MemorySSA &SSA,

@@ -13,7 +13,6 @@
 #include "core/Placement.h"
 #include "ir/IR.h"
 #include "runtime/CostModel.h"
-#include "ssa/MemorySSA.h"
 #include "support/SCC.h"
 #include "vfg/VFG.h"
 
@@ -25,10 +24,6 @@
 using namespace usher;
 using namespace usher::core;
 using namespace usher::ir;
-using ssa::FunctionSSA;
-using ssa::InstSSA;
-using ssa::MemorySSA;
-using ssa::Space;
 using vfg::NodeOrigin;
 using vfg::VFG;
 
@@ -90,16 +85,15 @@ ShadowSemantics core::clientShadowSemantics(ClientKind K) {
 /// Collects the AddrLeak sink set: stores whose pointer may target a
 /// global object (the value escapes the process's reachable state) and
 /// value-carrying returns of main (the value escapes to the exit status).
-/// With \p PA null every store is conservatively a sink. With \p SSA / \p G
-/// the VFG node of the used value is resolved (required by the planner);
-/// sinks in unreachable code are dropped — they cannot execute.
+/// With \p PA null every store is conservatively a sink. With \p G the VFG
+/// node of the used value is resolved (required by the planner); sinks in
+/// unreachable code are dropped — they cannot execute.
 static std::vector<VFG::CriticalUse>
 addrLeakSinks(const Module &M, const analysis::PointerAnalysis *PA,
-              const MemorySSA *SSA, const VFG *G) {
+              const VFG *G) {
   std::vector<VFG::CriticalUse> Sinks;
   const Function *Main = M.findFunction("main");
   for (const auto &F : M.functions()) {
-    const FunctionSSA *FS = SSA ? &SSA->get(F.get()) : nullptr;
     for (const auto &BB : F->blocks()) {
       for (const auto &I : BB->instructions()) {
         const Variable *V = nullptr;
@@ -124,22 +118,9 @@ addrLeakSinks(const Module &M, const analysis::PointerAnalysis *PA,
         } else {
           continue;
         }
-        uint32_t Node = VFG::RootT;
-        if (FS && G) {
-          const InstSSA *Info = FS->instInfo(I.get());
-          if (!Info)
-            continue;
-          uint32_t Version = ~0u;
-          for (const ssa::TLUse &Use : Info->TLUses)
-            if (Use.Var == V) {
-              Version = Use.Version;
-              break;
-            }
-          assert(Version != ~0u && "sink use without a recorded SSA use");
-          Node = G->findNode(F.get(), {Space::TopLevel, V->getId()}, Version);
-          if (Node == ~0u)
-            continue;
-        }
+        uint32_t Node = G ? G->useNode(I.get(), V) : VFG::RootT;
+        if (Node == ~0u)
+          continue;
         Sinks.push_back({I.get(), V, Node});
       }
     }
@@ -161,7 +142,7 @@ addrLeakHooks(const std::vector<VFG::CriticalUse> &Sinks) {
 }
 
 static ClientPlanInfo buildAddrLeakGuided(const ClientBuildInputs &In) {
-  assert(In.PA && In.SSA && In.G &&
+  assert(In.PA && In.G &&
          "guided addrleak plan needs the full analysis pipeline");
   const VFG &G = *In.G;
 
@@ -179,11 +160,9 @@ static ClientPlanInfo buildAddrLeakGuided(const ClientBuildInputs &In) {
   DefOpts.Seeds = &Seeds;
   Definedness Taint(G, DefOpts);
 
-  std::vector<VFG::CriticalUse> Sinks =
-      addrLeakSinks(In.M, In.PA, In.SSA, In.G);
+  std::vector<VFG::CriticalUse> Sinks = addrLeakSinks(In.M, In.PA, In.G);
 
-  InstrumentationPlanner Planner(In.M, *In.SSA, G, Taint,
-                                 addrLeakHooks(Sinks));
+  InstrumentationPlanner Planner(In.M, G, Taint, addrLeakHooks(Sinks));
 
   ClientPlanInfo Info(ClientKind::AddrLeak, Planner.run());
   Info.SinkCandidates = Sinks.size();
@@ -195,8 +174,7 @@ static ClientPlanInfo buildAddrLeakGuided(const ClientBuildInputs &In) {
 }
 
 static ClientPlanInfo buildAddrLeakFull(const ClientBuildInputs &In) {
-  std::vector<VFG::CriticalUse> Sinks =
-      addrLeakSinks(In.M, In.PA, nullptr, nullptr);
+  std::vector<VFG::CriticalUse> Sinks = addrLeakSinks(In.M, In.PA, nullptr);
   ClientPlanInfo Info(ClientKind::AddrLeak,
                       buildFullInstrumentation(In.M, addrLeakHooks(Sinks)));
   Info.SinkCandidates = Sinks.size();

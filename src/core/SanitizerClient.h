@@ -54,9 +54,6 @@ namespace usher {
 namespace analysis {
 class PointerAnalysis;
 }
-namespace ssa {
-class MemorySSA;
-}
 namespace vfg {
 class VFG;
 }
@@ -124,7 +121,6 @@ struct ClientPlanInfo {
 struct ClientBuildInputs {
   const ir::Module &M;
   const analysis::PointerAnalysis *PA = nullptr;
-  const ssa::MemorySSA *SSA = nullptr;
   const vfg::VFG *G = nullptr;
   /// Call-site sensitivity of the taint resolution (matches the UUV run).
   unsigned ContextK = 1;
@@ -139,7 +135,7 @@ struct ClientBuildInputs {
 /// Builds the *guided* plan for a non-UUV client: static analysis
 /// discharges provably-safe sites, the rest are instrumented (bounds:
 /// subject to the placement budget). AddrLeak requires the full analysis
-/// pipeline (In.PA / In.SSA / In.G); Bounds needs only the module. UUV is
+/// pipeline (In.PA / In.G); Bounds needs only the module. UUV is
 /// planned by runUsher itself.
 ClientPlanInfo buildClientPlan(ClientKind K, const ClientBuildInputs &In);
 

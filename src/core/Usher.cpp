@@ -244,8 +244,8 @@ UsherResult core::runUsher(Module &M, const UsherOptions &Opts) {
   POpts.B = &B;
   if (POpts.OptI)
     B.beginPhase(BudgetPhase::OptI);
-  InstrumentationPlanner Planner(M, *SSA, *G,
-                                 RedirGamma ? *RedirGamma : *Gamma, POpts);
+  InstrumentationPlanner Planner(M, *G, RedirGamma ? *RedirGamma : *Gamma,
+                                 POpts);
   UsherResult Result(Planner.run());
   Stats.NumSimplifiedMFCs = Planner.numSimplifiedMFCs();
   if (POpts.OptI && B.exhausted()) {
@@ -262,7 +262,7 @@ UsherResult core::runUsher(Module &M, const UsherOptions &Opts) {
     Stats.NumSimplifiedMFCs = 0;
     POpts.OptI = false;
     POpts.B = nullptr;
-    InstrumentationPlanner Replanner(M, *SSA, *G, *Gamma, POpts);
+    InstrumentationPlanner Replanner(M, *G, *Gamma, POpts);
     Result.Plan = Replanner.run();
   }
   if (RedirGamma)
@@ -305,7 +305,6 @@ UsherResult core::runUsher(Module &M, const UsherOptions &Opts) {
     Phase.reset();
     ClientBuildInputs In(M);
     In.PA = PA.get();
-    In.SSA = SSA.get();
     In.G = G.get();
     In.ContextK = Opts.ContextK;
     In.BoundsBudgetPercent = Opts.BoundsBudgetPercent;

@@ -151,6 +151,9 @@ struct UsherResult {
   std::unique_ptr<analysis::CallGraph> CG;
   std::unique_ptr<analysis::PointerAnalysis> PA;
   std::unique_ptr<analysis::ModRefAnalysis> MR;
+  /// Kept for inspection only: the planner, Opt II's closures and the
+  /// clients read the VFG. Freeing memory SSA here, inside runUsher, would
+  /// put its teardown in the analysis time.
   std::unique_ptr<ssa::MemorySSA> SSA;
   std::unique_ptr<vfg::VFG> G;
   std::unique_ptr<Definedness> Gamma;

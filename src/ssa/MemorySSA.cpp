@@ -36,14 +36,6 @@ const DefDesc &FunctionSSA::defOf(VarKey Key, uint32_t Version) const {
   return It->second[Version];
 }
 
-std::vector<VarKey> FunctionSSA::allKeys() const {
-  std::vector<VarKey> Keys;
-  Keys.reserve(Defs.size());
-  for (const auto &[Key, Descs] : Defs)
-    Keys.push_back(Key);
-  return Keys;
-}
-
 //===----------------------------------------------------------------------===//
 // Builder
 //===----------------------------------------------------------------------===//

@@ -142,7 +142,6 @@ public:
   FunctionSSA(const ir::Function &F, const analysis::PointerAnalysis &PA,
               const analysis::ModRefAnalysis &MR);
 
-  const ir::Function &getFunction() const { return F; }
   const analysis::CFGInfo &getCFG() const { return CFG; }
   const analysis::DominatorTree &getDomTree() const { return DT; }
 
@@ -172,9 +171,6 @@ public:
   /// parameters: everything the function may modify. Their versions at a
   /// particular return are the Mus of that RetInst.
   const std::vector<uint32_t> &formalOuts() const { return FormalOut; }
-
-  /// All variable keys that materialized in this function.
-  std::vector<VarKey> allKeys() const;
 
 private:
   class Builder;

@@ -31,16 +31,18 @@ using ssa::VarKey;
 // VFG queries
 //===----------------------------------------------------------------------===//
 
-uint32_t VFG::nodeId(const Function *Fn, VarKey Key, uint32_t Version) const {
-  uint32_t Id = findNode(Fn, Key, Version);
-  assert(Id != ~0u && "VFG node does not exist");
-  return Id;
+bool VFG::reachable(const Instruction *I) const {
+  return InstUses[I->getId()].Begin != ~0u;
 }
 
-uint32_t VFG::findNode(const Function *Fn, VarKey Key,
-                       uint32_t Version) const {
-  auto It = NodeIds.find(NodeRef{Fn, Key, Version});
-  return It == NodeIds.end() ? ~0u : It->second;
+uint32_t VFG::useNode(const Instruction *I, const Variable *V) const {
+  const UseRange &R = InstUses[I->getId()];
+  if (R.Begin == ~0u)
+    return ~0u;
+  for (uint32_t Idx = R.Begin; Idx != R.End; ++Idx)
+    if (Uses[Idx].Var == V->getId())
+      return Uses[Idx].Node;
+  return ~0u;
 }
 
 uint32_t VFG::originMask() const {
@@ -48,13 +50,6 @@ uint32_t VFG::originMask() const {
   for (NodeOrigin O : Origins)
     Mask |= 1u << static_cast<unsigned>(O);
   return Mask;
-}
-
-UpdateKind VFG::storeUpdateKind(const Instruction *I, uint32_t Loc) const {
-  uint64_t Key = (static_cast<uint64_t>(I->getId()) << 32) | Loc;
-  auto It = StoreKinds.find(Key);
-  assert(It != StoreKinds.end() && "no chi recorded for this store/loc");
-  return It->second;
 }
 
 const char *vfg::nodeOriginName(NodeOrigin O) {
@@ -158,25 +153,30 @@ void VFG::dumpDot(raw_ostream &OS,
 // VFGBuilder
 //===----------------------------------------------------------------------===//
 
-uint32_t VFGBuilder::getNode(const Function *Fn, VarKey Key,
+uint32_t VFGBuilder::getNode(uint32_t &Slot, const Function *Fn, VarKey Key,
                              uint32_t Version) {
-  VFG::NodeRef Ref{Fn, Key, Version};
-  auto It = G.NodeIds.find(Ref);
-  if (It != G.NodeIds.end())
-    return It->second;
-  uint32_t Id = static_cast<uint32_t>(G.Nodes.size());
+  if (Slot != ~0u)
+    return Slot;
+  Slot = G.numNodes();
   G.Nodes.push_back({Fn, Key, Version});
   G.Origins.push_back(NodeOrigin::Unknown);
   G.Deps.emplace_back();
   G.Users.emplace_back();
-  G.NodeIds.emplace(Ref, Id);
-  return Id;
+  return Slot;
+}
+
+uint32_t VFGBuilder::tlNode(const Function *Fn, uint32_t Var,
+                            uint32_t Version) {
+  return getNode(TLNodes[Fns[Fn->getId()].TLBase[Var] + Version], Fn,
+                 {Space::TopLevel, Var}, Version);
 }
 
 uint32_t VFGBuilder::memNode(uint32_t Bit, const Function *Fn, uint32_t Loc,
                              uint32_t Version) {
   Seen.set(Bit);
-  return Live.test(Bit) ? getNode(Fn, {Space::Memory, Loc}, Version) : ~0u;
+  return Live.test(Bit)
+             ? getNode(MemNodes[Bit], Fn, {Space::Memory, Loc}, Version)
+             : ~0u;
 }
 
 void VFGBuilder::memDep(uint32_t From, uint32_t Bit, const Function *Fn,
@@ -189,8 +189,10 @@ void VFGBuilder::memDep(uint32_t From, uint32_t Bit, const Function *Fn,
   addDep(From, To, Kind, CallSite);
 }
 
-void VFGBuilder::setOrigin(uint32_t Node, NodeOrigin O) {
+void VFGBuilder::setOrigin(uint32_t Node, NodeOrigin O,
+                           const Instruction *Def) {
   G.Origins[Node] = O;
+  G.Nodes[Node].Def = Def;
 }
 
 void VFGBuilder::addDep(uint32_t From, uint32_t To, EdgeKind Kind,
@@ -210,8 +212,7 @@ uint32_t VFGBuilder::operandNode(const Function *Fn, const InstSSA &Info,
   assert(Op.isVar() && "unexpected operand kind");
   for (const ssa::TLUse &Use : Info.TLUses)
     if (Use.Var == Op.getVar())
-      return getNode(Fn, {Space::TopLevel, Op.getVar()->getId()},
-                     Use.Version);
+      return tlNode(Fn, Op.getVar()->getId(), Use.Version);
   assert(false && "operand variable has no recorded SSA use");
   return VFG::RootT;
 }
@@ -334,7 +335,6 @@ void VFGBuilder::classifyStoreChis(const Function &F, const StoreInst &St,
     assert(Chi.Kind == ChiKind::Store && "non-store chi at a store");
     const MemObject *Obj = PA.location(Chi.Loc).Obj;
     bool Singleton = Pts.size() == 1 && !PA.isCollapsedLoc(Chi.Loc);
-    uint64_t StatKey = (static_cast<uint64_t>(St.getId()) << 32) | Chi.Loc;
 
     // Traditional strong update: one concrete cell.
     if (Opts.StrongUpdates && Singleton && !Obj->isHeap()) {
@@ -348,10 +348,9 @@ void VFGBuilder::classifyStoreChis(const Function &F, const StoreInst &St,
         OneInstance = AllocFn && !CG->isRecursive(AllocFn);
       }
       if (OneInstance) {
-        G.StoreKinds[StatKey] = UpdateKind::Strong;
         ++G.NumStrong;
         // Old version killed: no edge to Chi.OldVersion.
-        StoreChis.push_back({UpdateKind::Strong, ~0u});
+        StoreChis.push_back({NodeOrigin::StoreChiStrong, ~0u});
         continue;
       }
     }
@@ -381,19 +380,18 @@ void VFGBuilder::classifyStoreChis(const Function &F, const StoreInst &St,
                        Anchor)) {
           // Redirect the old-version edge to the version *before* the
           // allocation, bypassing the allocation's undefinedness.
-          G.StoreKinds[StatKey] = UpdateKind::SemiStrong;
           ++G.NumSemi;
           ++G.SemiStrongCuts[Obj->getId()];
-          StoreChis.push_back({UpdateKind::SemiStrong, AnchorChi->OldVersion});
+          StoreChis.push_back(
+              {NodeOrigin::StoreChiSemi, AnchorChi->OldVersion});
           continue;
         }
       }
     }
 
     // Weak update: merge with the previous version.
-    G.StoreKinds[StatKey] = UpdateKind::Weak;
     ++G.NumWeak;
-    StoreChis.push_back({UpdateKind::Weak, Chi.OldVersion});
+    StoreChis.push_back({NodeOrigin::StoreChiWeak, Chi.OldVersion});
   }
 }
 
@@ -426,16 +424,20 @@ void VFGBuilder::markLive(uint32_t Bit, const Function *Fn, uint32_t Loc,
 }
 
 void VFGBuilder::computeLiveness() {
-  // Number every memory version densely, and gather each function's
+  // Number every SSA version densely, and gather each function's
   // reachable returns and call sites.
   size_t NumFns = 0;
   for (const auto &F : M.functions())
     NumFns = std::max<size_t>(NumFns, F->getId() + 1);
   Fns.resize(NumFns);
-  uint32_t NumBits = 0;
+  uint32_t NumBits = 0, NumTL = 0;
   for (const auto &F : M.functions()) {
     FnInfo &FI = Fns[F->getId()];
     FI.SSA = &SSA.get(F.get());
+    for (const auto &V : F->variables()) {
+      FI.TLBase.push_back(NumTL);
+      NumTL += FI.SSA->numVersions({Space::TopLevel, V->getId()});
+    }
     const std::vector<uint32_t> &Ins = FI.SSA->formalIns();
     for (uint32_t Loc : Ins) {
       FI.Base.push_back(NumBits);
@@ -445,6 +447,8 @@ void VFGBuilder::computeLiveness() {
       FI.OutPos.push_back(static_cast<uint32_t>(
           std::lower_bound(Ins.begin(), Ins.end(), Loc) - Ins.begin()));
   }
+  TLNodes.assign(NumTL, ~0u);
+  MemNodes.assign(NumBits, ~0u);
   Live.resize(NumBits);
   Seen.resize(NumBits);
   LocalBase.assign(PA.numLocations(), 0);
@@ -553,11 +557,7 @@ void VFGBuilder::buildStoreChis(const Function &F, const StoreInst &St,
     const StoreChiClass &C = Classes[Idx];
     uint32_t NewNode = localNode(F, Chi.Loc, Chi.NewVersion);
     if (NewNode != ~0u) {
-      setOrigin(NewNode, C.Kind == UpdateKind::Strong
-                             ? NodeOrigin::StoreChiStrong
-                         : C.Kind == UpdateKind::SemiStrong
-                             ? NodeOrigin::StoreChiSemi
-                             : NodeOrigin::StoreChiWeak);
+      setOrigin(NewNode, C.Origin, &St);
       addDep(NewNode, ValueNode, EdgeKind::Direct);
     }
     if (C.Dep != ~0u)
@@ -574,8 +574,7 @@ void VFGBuilder::buildCall(const Function &F, const CallInst &Call,
   // Actual -> formal for top-level parameters.
   const auto &Params = Callee->params();
   for (size_t Idx = 0; Idx != Params.size(); ++Idx) {
-    uint32_t Formal =
-        getNode(Callee, {Space::TopLevel, Params[Idx]->getId()}, 0);
+    uint32_t Formal = tlNode(Callee, Params[Idx]->getId(), 0);
     setOrigin(Formal, NodeOrigin::FormalParam);
     uint32_t Actual = operandNode(&F, Info, Call.getArgs()[Idx]);
     addDep(Formal, Actual, EdgeKind::Call, CallSite);
@@ -583,9 +582,8 @@ void VFGBuilder::buildCall(const Function &F, const CallInst &Call,
 
   // Return value -> call result.
   if (Call.getDef()) {
-    uint32_t Result = getNode(&F, {Space::TopLevel, Call.getDef()->getId()},
-                              Info.TLDefVersion);
-    setOrigin(Result, NodeOrigin::CallResult);
+    uint32_t Result = tlNode(&F, Call.getDef()->getId(), Info.TLDefVersion);
+    setOrigin(Result, NodeOrigin::CallResult, &Call);
     for (const auto &[R, RInfo] : CalleeInfo.Rets) {
       if (R->getValue().isNone()) {
         // Capturing the result of a void return yields an undefined value.
@@ -632,7 +630,7 @@ void VFGBuilder::buildCall(const Function &F, const CallInst &Call,
     if (Chi.Kind == ChiKind::CloneAlloc) {
       if (NewNode != ~0u) {
         const MemObject *Clone = PA.location(Chi.Loc).Obj;
-        setOrigin(NewNode, NodeOrigin::CloneAllocChi);
+        setOrigin(NewNode, NodeOrigin::CloneAllocChi, &Call);
         addDep(NewNode, Clone->isInitialized() ? VFG::RootT : VFG::RootF,
                EdgeKind::Direct);
       }
@@ -641,7 +639,7 @@ void VFGBuilder::buildCall(const Function &F, const CallInst &Call,
     }
     assert(Chi.Kind == ChiKind::CallMod && "unexpected chi kind at call");
     if (NewNode != ~0u)
-      setOrigin(NewNode, NodeOrigin::CallModChi);
+      setOrigin(NewNode, NodeOrigin::CallModChi, &Call);
     while (OutIdx != Outs.size() && Outs[OutIdx] < Chi.Loc)
       ++OutIdx;
     for (const auto &[R, RInfo] : CalleeInfo.Rets) {
@@ -658,26 +656,23 @@ void VFGBuilder::buildInstruction(const Function &F, const Instruction &I,
   switch (I.getKind()) {
   case Instruction::IKind::Copy: {
     const auto *C = cast<CopyInst>(&I);
-    uint32_t Def = getNode(&F, {Space::TopLevel, C->getDef()->getId()},
-                           Info.TLDefVersion);
-    setOrigin(Def, NodeOrigin::CopyDef);
+    uint32_t Def = tlNode(&F, C->getDef()->getId(), Info.TLDefVersion);
+    setOrigin(Def, NodeOrigin::CopyDef, &I);
     addDep(Def, operandNode(&F, Info, C->getSrc()), EdgeKind::Direct);
     break;
   }
   case Instruction::IKind::BinOp: {
     const auto *B = cast<BinOpInst>(&I);
-    uint32_t Def = getNode(&F, {Space::TopLevel, B->getDef()->getId()},
-                           Info.TLDefVersion);
-    setOrigin(Def, NodeOrigin::BinOpDef);
+    uint32_t Def = tlNode(&F, B->getDef()->getId(), Info.TLDefVersion);
+    setOrigin(Def, NodeOrigin::BinOpDef, &I);
     addDep(Def, operandNode(&F, Info, B->getLHS()), EdgeKind::Direct);
     addDep(Def, operandNode(&F, Info, B->getRHS()), EdgeKind::Direct);
     break;
   }
   case Instruction::IKind::FieldAddr: {
     const auto *FA = cast<FieldAddrInst>(&I);
-    uint32_t Def = getNode(&F, {Space::TopLevel, FA->getDef()->getId()},
-                           Info.TLDefVersion);
-    setOrigin(Def, NodeOrigin::FieldAddrDef);
+    uint32_t Def = tlNode(&F, FA->getDef()->getId(), Info.TLDefVersion);
+    setOrigin(Def, NodeOrigin::FieldAddrDef, &I);
     addDep(Def, operandNode(&F, Info, FA->getBase()), EdgeKind::Direct);
     addDep(Def, operandNode(&F, Info, FA->getIndex()), EdgeKind::Direct);
     break;
@@ -687,16 +682,15 @@ void VFGBuilder::buildInstruction(const Function &F, const Instruction &I,
     // The pointer itself is defined; each field of the fresh object is
     // defined (alloc_T) or undefined (alloc_F), merged with the other
     // instances of the abstract object.
-    uint32_t Def = getNode(&F, {Space::TopLevel, A->getDef()->getId()},
-                           Info.TLDefVersion);
-    setOrigin(Def, NodeOrigin::AllocPtr);
+    uint32_t Def = tlNode(&F, A->getDef()->getId(), Info.TLDefVersion);
+    setOrigin(Def, NodeOrigin::AllocPtr, &I);
     addDep(Def, VFG::RootT, EdgeKind::Direct);
     uint32_t InitRoot =
         A->getObject()->isInitialized() ? VFG::RootT : VFG::RootF;
     for (const MemDef &Chi : Info.Chis) {
       uint32_t NewNode = localNode(F, Chi.Loc, Chi.NewVersion);
       if (NewNode != ~0u) {
-        setOrigin(NewNode, NodeOrigin::AllocChi);
+        setOrigin(NewNode, NodeOrigin::AllocChi, &I);
         addDep(NewNode, InitRoot, EdgeKind::Direct);
       }
       localDep(NewNode, F, Chi.Loc, Chi.OldVersion);
@@ -705,9 +699,8 @@ void VFGBuilder::buildInstruction(const Function &F, const Instruction &I,
   }
   case Instruction::IKind::Load: {
     const auto *L = cast<LoadInst>(&I);
-    uint32_t Def = getNode(&F, {Space::TopLevel, L->getDef()->getId()},
-                           Info.TLDefVersion);
-    setOrigin(Def, NodeOrigin::LoadDef);
+    uint32_t Def = tlNode(&F, L->getDef()->getId(), Info.TLDefVersion);
+    setOrigin(Def, NodeOrigin::LoadDef, &I);
     for (const ssa::MemUse &Mu : Info.Mus)
       localDep(Def, F, Mu.Loc, Mu.Version);
     if (L->getPtr().isVar())
@@ -755,14 +748,14 @@ void VFGBuilder::buildFunction(const Function &F) {
     for (const ssa::PhiNode &Phi : FS.phisIn(BB.get())) {
       bool Memory = Phi.Var.Sp == Space::Memory;
       uint32_t Result = Memory ? localNode(F, Phi.Var.Id, Phi.ResultVersion)
-                               : getNode(&F, Phi.Var, Phi.ResultVersion);
+                               : tlNode(&F, Phi.Var.Id, Phi.ResultVersion);
       if (Result != ~0u)
         setOrigin(Result, NodeOrigin::Phi);
       for (const auto &[Pred, Version] : Phi.Incoming) {
         if (Memory)
           localDep(Result, F, Phi.Var.Id, Version);
         else
-          addDep(Result, getNode(&F, Phi.Var, Version), EdgeKind::Direct);
+          addDep(Result, tlNode(&F, Phi.Var.Id, Version), EdgeKind::Direct);
       }
     }
     for (const auto &I : BB->instructions())
@@ -812,6 +805,23 @@ VFG VFGBuilder::build() {
       else
         addDep(Id, VFG::RootT, EdgeKind::Direct);
     }
+  }
+
+  // Per reachable instruction, the nodes of the top-level versions it
+  // reads (~0u for a version no node was built for, such as the value of
+  // a return whose result no call captures).
+  G.InstUses.assign(InstInfos.size(), {});
+  for (uint32_t Id = 0; Id != InstInfos.size(); ++Id) {
+    if (!InstInfos[Id])
+      continue;
+    VFG::UseRange &Range = G.InstUses[Id];
+    Range.Begin = static_cast<uint32_t>(G.Uses.size());
+    for (const ssa::TLUse &Use : InstInfos[Id]->TLUses) {
+      uint32_t Var = Use.Var->getId();
+      const FnInfo &FI = Fns[Use.Var->getParent()->getId()];
+      G.Uses.push_back({Var, TLNodes[FI.TLBase[Var] + Use.Version]});
+    }
+    Range.End = static_cast<uint32_t>(G.Uses.size());
   }
   return std::move(G);
 }

@@ -16,6 +16,11 @@
 /// Only the memory SSA versions that some load reads, directly or through
 /// other such versions, become nodes; the rest are pruned (VFGBuilder).
 ///
+/// The graph is the one analysis result that planning, Opt II and the
+/// sanitizer clients read: each node records the statement that defines
+/// it and each reachable statement the nodes of the top-level variables
+/// it reads, so none of them consults memory SSA.
+///
 /// Stores are translated with three update flavors (the paper's key
 /// mechanism):
 ///  - strong:      the pointer uniquely targets one concrete cell; the old
@@ -25,6 +30,8 @@
 ///                 edge to the old version is redirected to the version
 ///                 before the allocation, bypassing the allocation's F.
 ///  - weak:        everything else; old and new values merge.
+/// A live store chi's flavor is its node's origin (StoreChiStrong,
+/// StoreChiSemi, StoreChiWeak); dead chis are only counted.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,14 +78,12 @@ struct Edge {
   uint32_t CallSite = ~0u;   ///< Instruction id of the CallInst, if labeled.
 };
 
-/// How a particular store's chi was translated.
-enum class UpdateKind : uint8_t { Strong, SemiStrong, Weak };
-
 /// Why a node exists: which defining construct its dependency edges model.
 /// Recorded by VFGBuilder at the point the node's defining edges are added;
-/// the must-undef analysis keys its per-node transfer rules on this, and
-/// the annotated dot dump prints it. Unknown marks nodes only ever
-/// referenced as inputs (e.g. versions in unreachable code).
+/// the instrumentation planner and the must-undef analysis key their
+/// per-node rules on this, and the annotated dot dump prints it. Unknown
+/// marks version-0 nodes that nothing roots (e.g. the parameters of a
+/// function no reachable call reaches).
 enum class NodeOrigin : uint8_t {
   Unknown,
   Root,          ///< The T/F roots.
@@ -115,6 +120,11 @@ public:
     const ir::Function *Fn = nullptr;
     ssa::VarKey Key{ssa::Space::TopLevel, 0};
     uint32_t Version = 0;
+    /// The statement that defines this version: the instruction of a
+    /// top-level def, or the store, allocation or call of a chi. Null for
+    /// version 0 (live on entry) and for phis. The origin() names which
+    /// construct it is, and for a store chi its update flavor.
+    const ir::Instruction *Def = nullptr;
   };
 
   /// A use of a top-level variable at a critical operation.
@@ -137,21 +147,18 @@ public:
   /// Reverse edges of \p Id (who consumes its value).
   const std::vector<Edge> &users(uint32_t Id) const { return Users[Id]; }
 
-  /// Id of an existing node; asserts that it exists.
-  uint32_t nodeId(const ir::Function *Fn, ssa::VarKey Key,
-                  uint32_t Version) const;
+  /// True if \p I is in a block reachable from its function's entry.
+  bool reachable(const ir::Instruction *I) const;
 
-  /// Id of a node, or ~0u if it was never created.
-  uint32_t findNode(const ir::Function *Fn, ssa::VarKey Key,
-                    uint32_t Version) const;
+  /// Node of the version of top-level variable \p V that \p I reads, or
+  /// ~0u if \p I is unreachable, does not read \p V, or the version got
+  /// no node.
+  uint32_t useNode(const ir::Instruction *I, const ir::Variable *V) const;
 
   /// All uses of top-level variables at critical operations.
   const std::vector<CriticalUse> &criticalUses() const {
     return CriticalUses;
   }
-
-  /// Update flavor of the chi for \p Loc at store \p I.
-  UpdateKind storeUpdateKind(const ir::Instruction *I, uint32_t Loc) const;
 
   /// Number of semi-strong cuts performed, per allocation anchor object id
   /// (the S column of Table 1 aggregates this).
@@ -191,30 +198,24 @@ public:
 private:
   friend class VFGBuilder;
 
-  struct NodeRef {
-    const ir::Function *Fn;
-    ssa::VarKey Key;
-    uint32_t Version;
-    bool operator==(const NodeRef &O) const {
-      return Fn == O.Fn && Key == O.Key && Version == O.Version;
-    }
+  /// A top-level variable (by id) an instruction reads, and its node.
+  struct UseEntry {
+    uint32_t Var;
+    uint32_t Node;
   };
-  struct NodeRefHash {
-    size_t operator()(const NodeRef &R) const {
-      size_t H = std::hash<const void *>()(R.Fn);
-      H ^= ssa::VarKeyHash()(R.Key) + 0x9E3779B9 + (H << 6) + (H >> 2);
-      H ^= R.Version + 0x9E3779B9 + (H << 6) + (H >> 2);
-      return H;
-    }
+  /// The range of an instruction's entries in Uses; Begin is ~0u for an
+  /// unreachable instruction.
+  struct UseRange {
+    uint32_t Begin = ~0u, End = ~0u;
   };
 
   std::vector<NodeData> Nodes;
   std::vector<NodeOrigin> Origins;
   std::vector<std::vector<Edge>> Deps;
   std::vector<std::vector<Edge>> Users;
-  std::unordered_map<NodeRef, uint32_t, NodeRefHash> NodeIds;
   std::vector<CriticalUse> CriticalUses;
-  std::unordered_map<uint64_t, UpdateKind> StoreKinds; // (instId<<32)|loc
+  std::vector<UseRange> InstUses; // Indexed by instruction id.
+  std::vector<UseEntry> Uses;
   std::unordered_map<uint32_t, uint32_t> SemiStrongCuts;
   uint64_t NumStrong = 0, NumSemi = 0, NumWeak = 0, NumEdges = 0;
   uint64_t NumMemVersions = 0, NumPrunedMemVersions = 0;
@@ -241,15 +242,18 @@ public:
   /// reachable code, or depended on by a live version. The construction
   /// walk then visits every SSA def and use in a fixed order but builds
   /// nodes and edges only for live memory versions, so node ids are those
-  /// of the unpruned graph, renumbered in order.
+  /// of the unpruned graph, renumbered in order. The index from SSA
+  /// version to node is the builder's own; the graph does not keep it.
   VFG build();
 
 private:
-  /// One function's slice of the dense memory-version numbering: the
-  /// versions of formalIns()[P] are bits Base[P] + version.
+  /// One function's slice of the dense version numberings: the versions
+  /// of formalIns()[P] are bits Base[P] + version, those of top-level
+  /// variable V are TLNodes[TLBase[V] + version].
   struct FnInfo {
     const ssa::FunctionSSA *SSA = nullptr;
     std::vector<uint32_t> Base;
+    std::vector<uint32_t> TLBase;
     /// Position in formalIns() of each formalOuts() entry.
     std::vector<uint32_t> OutPos;
     /// Reachable returns, in block order.
@@ -259,12 +263,12 @@ private:
         Callers;
   };
 
-  /// A store chi's update flavor and the version its new version depends
-  /// on besides the stored value: the old version for a weak update, the
-  /// allocation anchor's old version for a semi-strong one, none (~0u) for
-  /// a strong one.
+  /// A store chi's update flavor (the origin of its node) and the version
+  /// its new version depends on besides the stored value: the old version
+  /// for a weak update, the allocation anchor's old version for a
+  /// semi-strong one, none (~0u) for a strong one.
   struct StoreChiClass {
-    UpdateKind Kind;
+    NodeOrigin Origin;
     uint32_t Dep;
   };
 
@@ -286,7 +290,11 @@ private:
   void markLive(uint32_t Bit, const ir::Function *Fn, uint32_t Loc,
                 uint32_t Version);
 
-  uint32_t getNode(const ir::Function *Fn, ssa::VarKey Key, uint32_t Version);
+  /// The node in \p Slot, made first if \p Slot is ~0u.
+  uint32_t getNode(uint32_t &Slot, const ir::Function *Fn, ssa::VarKey Key,
+                   uint32_t Version);
+  /// getNode for a top-level version.
+  uint32_t tlNode(const ir::Function *Fn, uint32_t Var, uint32_t Version);
   /// getNode for memory version \p Bit if it is live, else ~0u; either way
   /// records that the walk referenced it.
   uint32_t memNode(uint32_t Bit, const ir::Function *Fn, uint32_t Loc,
@@ -306,7 +314,9 @@ private:
   }
   void addDep(uint32_t From, uint32_t To, EdgeKind Kind,
               uint32_t CallSite = ~0u);
-  void setOrigin(uint32_t Node, NodeOrigin O);
+  /// Records that \p Node is built by \p O, at statement \p Def if any.
+  void setOrigin(uint32_t Node, NodeOrigin O,
+                 const ir::Instruction *Def = nullptr);
   uint32_t operandNode(const ir::Function *Fn, const ssa::InstSSA &Info,
                        const ir::Operand &Op);
 
@@ -333,6 +343,9 @@ private:
   VFG G;
 
   std::vector<FnInfo> Fns; // Indexed by function id.
+  /// Node of each top-level version and each memory version (by bit), or
+  /// ~0u while it has none.
+  std::vector<uint32_t> TLNodes, MemNodes;
   /// Indexed by instruction id, for reachable instructions: the SSA
   /// annotations and, for a store, the index in StoreChis of its first
   /// chi.

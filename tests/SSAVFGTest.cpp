@@ -16,7 +16,7 @@
 
 using namespace usher;
 using namespace usher::ssa;
-using vfg::UpdateKind;
+using vfg::NodeOrigin;
 using vfg::VFG;
 using vfg::VFGBuilder;
 
@@ -50,6 +50,17 @@ struct Pipeline {
         .get();
   }
 };
+
+/// Origin of the node of the chi for \p Loc at statement \p Def, or
+/// Unknown if that chi got no node.
+NodeOrigin chiOrigin(const VFG &G, const ir::Instruction *Def, uint32_t Loc) {
+  for (uint32_t Id = 2; Id != G.numNodes(); ++Id) {
+    const VFG::NodeData &N = G.node(Id);
+    if (N.Def == Def && N.Key.Sp == Space::Memory && N.Key.Id == Loc)
+      return G.origin(Id);
+  }
+  return NodeOrigin::Unknown;
+}
 
 //===----------------------------------------------------------------------===//
 // Memory SSA
@@ -194,7 +205,7 @@ TEST(VFGTest, StrongUpdateOnGlobalScalar) {
   VFG G = P.buildVFG();
   const ir::Instruction *Store = P.instAt("main", 0, 1);
   uint32_t GLoc = P.PA->locId(P.M->findGlobal("g"), 0);
-  EXPECT_EQ(G.storeUpdateKind(Store, GLoc), UpdateKind::Strong);
+  EXPECT_EQ(chiOrigin(G, Store, GLoc), NodeOrigin::StoreChiStrong);
   EXPECT_EQ(G.numStrongStoreChis(), 1u);
 }
 
@@ -213,7 +224,7 @@ TEST(VFGTest, WeakUpdateOnArray) {
   auto Pts = P.PA->pointsTo(
       P.M->findFunction("main")->findVariable("q"));
   ASSERT_EQ(Pts.size(), 1u);
-  EXPECT_EQ(G.storeUpdateKind(Store, Pts[0]), UpdateKind::Weak);
+  EXPECT_EQ(chiOrigin(G, Store, Pts[0]), NodeOrigin::StoreChiWeak);
 }
 
 TEST(VFGTest, WeakUpdateWhenPointerIsAmbiguous) {
@@ -345,10 +356,11 @@ TEST(VFGTest, RootsExistAndConstantsFlowFromT) {
   ASSERT_GE(G.numNodes(), 3u);
   EXPECT_TRUE(G.isRoot(VFG::RootT));
   EXPECT_TRUE(G.isRoot(VFG::RootF));
-  // x's def depends on T (constant copy).
+  // x's def, as `ret x` reads it, depends on T (constant copy).
   const ir::Function *Main = P.M->findFunction("main");
-  uint32_t XNode = G.nodeId(
-      Main, {Space::TopLevel, Main->findVariable("x")->getId()}, 1);
+  uint32_t XNode =
+      G.useNode(P.instAt("main", 0, 1), Main->findVariable("x"));
+  ASSERT_NE(XNode, ~0u);
   ASSERT_EQ(G.deps(XNode).size(), 1u);
   EXPECT_EQ(G.deps(XNode)[0].Node, VFG::RootT);
 }
@@ -364,8 +376,8 @@ TEST(VFGTest, InterproceduralEdgesAreLabeled) {
   )");
   VFG G = P.buildVFG();
   const ir::Function *Id = P.M->findFunction("id");
-  uint32_t Formal =
-      G.nodeId(Id, {Space::TopLevel, Id->findVariable("v")->getId()}, 0);
+  uint32_t Formal = G.useNode(P.instAt("id", 0, 0), Id->findVariable("v"));
+  ASSERT_NE(Formal, ~0u);
   ASSERT_EQ(G.deps(Formal).size(), 1u);
   EXPECT_EQ(G.deps(Formal)[0].Kind, vfg::EdgeKind::Call);
   EXPECT_NE(G.deps(Formal)[0].CallSite, ~0u);

@@ -14,8 +14,11 @@
 ///    to a top-level node;
 ///  - the counters add up: nodes + pruned versions = 2 roots + top-level
 ///    nodes + memory SSA versions;
-///  - every store chi in reachable code has an update flavor, pruned or
-///    not, and the flavor counters count each exactly once.
+///  - the flavor counters count every store chi in reachable code, pruned
+///    or not, exactly once, and a live chi's node names its flavor;
+///  - every node's defining statement and origin agree with memory SSA's
+///    defOf, and every reachable statement's useNode() names the node of
+///    the version memory SSA says it reads.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,12 +38,15 @@
 #include <algorithm>
 #include <cctype>
 #include <filesystem>
+#include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 using namespace usher;
+using ssa::DefDesc;
 using ssa::Space;
-using vfg::UpdateKind;
+using vfg::NodeOrigin;
 using vfg::VFG;
 
 namespace {
@@ -128,26 +134,83 @@ TEST_P(PrunedVFG, InvariantsHold) {
             2 + TopLevel + R.Stats.NumMemSSAVersions);
   EXPECT_LE(R.Stats.NumPrunedMemVersions, R.Stats.NumMemSSAVersions);
 
-  // Every reachable store chi has a flavor.
-  uint64_t Kinds[3] = {0, 0, 0};
+  // Each node's defining statement and origin agree with memory SSA.
+  // Live store chis are counted by the flavor their origin names.
+  uint64_t LiveStrong = 0, LiveSemi = 0, LiveWeak = 0;
+  std::map<std::tuple<const ir::Function *, uint32_t, uint32_t>, uint32_t>
+      TopLevelNodes;
+  for (uint32_t Id = 2; Id != N; ++Id) {
+    const VFG::NodeData &Node = G.node(Id);
+    const NodeOrigin O = G.origin(Id);
+    const DefDesc &Desc = R.SSA->get(Node.Fn).defOf(Node.Key, Node.Version);
+    if (Node.Key.Sp == Space::TopLevel)
+      TopLevelNodes[{Node.Fn, Node.Key.Id, Node.Version}] = Id;
+    switch (Desc.K) {
+    case DefDesc::Kind::Entry:
+      EXPECT_EQ(Node.Version, 0u) << "node " << Id;
+      EXPECT_EQ(Node.Def, nullptr) << "entry node " << Id;
+      EXPECT_TRUE(O == NodeOrigin::EntryDef || O == NodeOrigin::FormalParam ||
+                  O == NodeOrigin::FormalIn || O == NodeOrigin::Unknown)
+          << "entry node " << Id << " has origin " << vfg::nodeOriginName(O);
+      break;
+    case DefDesc::Kind::Phi:
+      EXPECT_NE(Node.Version, 0u) << "node " << Id;
+      EXPECT_EQ(O, NodeOrigin::Phi) << "node " << Id;
+      EXPECT_EQ(Node.Def, nullptr) << "phi node " << Id;
+      break;
+    case DefDesc::Kind::Inst:
+      EXPECT_NE(Node.Version, 0u) << "node " << Id;
+      EXPECT_EQ(Node.Def, Desc.I) << "node " << Id;
+      EXPECT_TRUE(O != NodeOrigin::Unknown && O != NodeOrigin::Phi &&
+                  O != NodeOrigin::EntryDef)
+          << "statement-defined node " << Id << " has origin "
+          << vfg::nodeOriginName(O);
+      LiveStrong += O == NodeOrigin::StoreChiStrong;
+      LiveSemi += O == NodeOrigin::StoreChiSemi;
+      LiveWeak += O == NodeOrigin::StoreChiWeak;
+      if (O == NodeOrigin::StoreChiStrong || O == NodeOrigin::StoreChiSemi ||
+          O == NodeOrigin::StoreChiWeak) {
+        EXPECT_TRUE(isa<ir::StoreInst>(Node.Def)) << "node " << Id;
+      }
+      break;
+    }
+  }
+
+  // The flavor counters count every reachable store chi once, pruned or
+  // not; the live ones are among them. Every reachable statement reads,
+  // per top-level variable, the node of the version memory SSA records.
+  uint64_t ReachableStoreChis = 0;
   for (const auto &F : M->functions()) {
     const ssa::FunctionSSA &FS = R.SSA->get(F.get());
     for (const auto &BB : F->blocks()) {
-      if (!FS.getCFG().isReachable(BB->getId()))
-        continue;
       for (const auto &I : BB->instructions()) {
-        if (!isa<ir::StoreInst>(I.get()))
+        const ssa::InstSSA *Info = FS.instInfo(I.get());
+        EXPECT_EQ(G.reachable(I.get()), Info != nullptr);
+        if (!Info) {
+          std::vector<ir::Variable *> Used;
+          I->collectUsedVars(Used);
+          for (const ir::Variable *V : Used)
+            EXPECT_EQ(G.useNode(I.get(), V), ~0u);
           continue;
-        for (const ssa::MemDef &Chi : FS.instInfo(I.get())->Chis)
-          ++Kinds[static_cast<int>(G.storeUpdateKind(I.get(), Chi.Loc))];
+        }
+        if (isa<ir::StoreInst>(I.get()))
+          ReachableStoreChis += Info->Chis.size();
+        for (const ssa::TLUse &Use : Info->TLUses) {
+          auto It =
+              TopLevelNodes.find({F.get(), Use.Var->getId(), Use.Version});
+          EXPECT_EQ(G.useNode(I.get(), Use.Var),
+                    It == TopLevelNodes.end() ? ~0u : It->second)
+              << Use.Var->getName() << " at instruction " << I->getId();
+        }
       }
     }
   }
-  EXPECT_EQ(Kinds[static_cast<int>(UpdateKind::Strong)],
-            G.numStrongStoreChis());
-  EXPECT_EQ(Kinds[static_cast<int>(UpdateKind::SemiStrong)],
-            G.numSemiStrongStoreChis());
-  EXPECT_EQ(Kinds[static_cast<int>(UpdateKind::Weak)], G.numWeakStoreChis());
+  EXPECT_EQ(G.numStrongStoreChis() + G.numSemiStrongStoreChis() +
+                G.numWeakStoreChis(),
+            ReachableStoreChis);
+  EXPECT_LE(LiveStrong, G.numStrongStoreChis());
+  EXPECT_LE(LiveSemi, G.numSemiStrongStoreChis());
+  EXPECT_LE(LiveWeak, G.numWeakStoreChis());
 }
 
 INSTANTIATE_TEST_SUITE_P(
