@@ -7,8 +7,8 @@
 ///
 /// \file
 /// Measures how every pipeline phase scales with program size, using the
-/// workload synthesizer (workload/Synthesizer.h) as the size dial: four
-/// shape specs spanning roughly 1k to well past 100k VFG nodes (counted
+/// workload synthesizer (workload/Synthesizer.h) as the size dial: five
+/// shape specs spanning roughly 1k to about 500k VFG nodes (counted
 /// unpruned: the nodes built plus the memory versions pruned), each run
 /// through two analysis configurations:
 ///
@@ -97,6 +97,12 @@ std::vector<SizeSpec> sizeLadder() {
     workload::ShapeSpec S;
     S.TargetNodes = 150'000;
     Sizes.push_back({"large", S});
+  }
+  {
+    // About half a million unpruned nodes, where superlinear phases show.
+    workload::ShapeSpec S;
+    S.TargetNodes = 600'000;
+    Sizes.push_back({"xlarge", S});
   }
   return Sizes;
 }

@@ -274,6 +274,7 @@ UsherResult core::runUsher(Module &M, const UsherOptions &Opts) {
   Stats.NumVFGEdges = G->numEdges();
   Stats.NumMemSSAVersions = G->numMemSSAVersions();
   Stats.NumPrunedMemVersions = G->numPrunedMemVersions();
+  Stats.NumPlacedMemVersions = SSA->numPlacedVersions();
   uint64_t StoreChis = G->numStrongStoreChis() + G->numSemiStrongStoreChis() +
                        G->numWeakStoreChis();
   if (StoreChis) {

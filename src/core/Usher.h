@@ -119,6 +119,9 @@ struct UsherStatistics {
   /// NumPrunedMemVersions is the unpruned VFG's size.
   uint64_t NumMemSSAVersions = 0;
   uint64_t NumPrunedMemVersions = 0;
+  /// Memory SSA versions actually placed: those of the locations each
+  /// function keeps (ssa::MemorySSA::numPlacedVersions).
+  uint64_t NumPlacedMemVersions = 0;
   /// %B: VFG nodes reaching at least one needed runtime check, out of the
   /// unpruned VFG's nodes (a pruned node reaches no check).
   double PercentReachingCheck = 0;

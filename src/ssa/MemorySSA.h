@@ -15,9 +15,9 @@
 ///  - stores carry rho_m := chi(rho_n) defs for every location the pointer
 ///    may write;
 ///  - allocation sites carry chi defs for the fields of the fresh object;
-///  - call sites carry mus for everything the callee may read or modify
-///    and chis for everything it may modify (with wrapper clones
-///    substituted, acting as callsite allocation chis);
+///  - call sites carry mus for everything the callee may read and chis
+///    for everything it may modify (with wrapper clones substituted,
+///    acting as callsite allocation chis);
 ///  - returns carry mus reading the virtual output parameters;
 ///  - phis merge versions of both spaces at join points.
 ///
@@ -26,6 +26,10 @@
 /// top-level variables, and the virtual input parameter (or the initial
 /// global/dead state in main) for memory locations.
 ///
+/// Each function carries all of this only for the memory locations in its
+/// kept set (see MemorySSA): a location no load can read through the
+/// function gets no mu, chi, phi or virtual parameter in it.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef USHER_SSA_MEMORYSSA_H
@@ -33,10 +37,10 @@
 
 #include "analysis/CFG.h"
 #include "analysis/Dominators.h"
+#include "ssa/VarKey.h"
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 namespace usher {
@@ -56,26 +60,6 @@ class PointerAnalysis;
 } // namespace analysis
 
 namespace ssa {
-
-/// Which SSA space a variable lives in.
-enum class Space : uint8_t {
-  TopLevel, ///< Var_TL: id is ir::Variable::getId() within its function.
-  Memory    ///< Var_AT: id is a module-wide PtLoc id.
-};
-
-/// A versioned variable reference local to one function.
-struct VarKey {
-  Space Sp;
-  uint32_t Id;
-
-  bool operator==(const VarKey &O) const { return Sp == O.Sp && Id == O.Id; }
-};
-
-struct VarKeyHash {
-  size_t operator()(const VarKey &K) const {
-    return (static_cast<size_t>(K.Sp) << 31) ^ K.Id;
-  }
-};
 
 /// A mu: a potential indirect use of a memory location.
 struct MemUse {
@@ -139,17 +123,12 @@ struct DefDesc {
 /// SSA form of a single function.
 class FunctionSSA {
 public:
-  FunctionSSA(const ir::Function &F, const analysis::PointerAnalysis &PA,
-              const analysis::ModRefAnalysis &MR);
-
   const analysis::CFGInfo &getCFG() const { return CFG; }
   const analysis::DominatorTree &getDomTree() const { return DT; }
 
-  /// SSA annotations of \p I; null for instructions in unreachable blocks.
-  const InstSSA *instInfo(const ir::Instruction *I) const {
-    auto It = Insts.find(I);
-    return It == Insts.end() ? nullptr : &It->second;
-  }
+  /// SSA annotations of \p I, an instruction of this function; null for
+  /// instructions in unreachable blocks.
+  const InstSSA *instInfo(const ir::Instruction *I) const;
 
   /// Phis at the start of \p BB (possibly empty).
   const std::vector<PhiNode> &phisIn(const ir::BasicBlock *BB) const;
@@ -157,38 +136,53 @@ public:
   /// Definition site of version \p Version of \p Key.
   const DefDesc &defOf(VarKey Key, uint32_t Version) const;
 
-  /// Number of versions of \p Key (0 if the variable never materialized).
-  uint32_t numVersions(VarKey Key) const {
-    auto It = Defs.find(Key);
-    return It == Defs.end() ? 0 : static_cast<uint32_t>(It->second.size());
-  }
+  /// Number of versions of \p Key (0 for a location this function does
+  /// not version).
+  uint32_t numVersions(VarKey Key) const;
 
-  /// Memory locations live on entry (virtual input parameters): every
-  /// location the function may read or modify.
+  /// Memory locations live on entry (virtual input parameters): the
+  /// locations this function versions, sorted.
   const std::vector<uint32_t> &formalIns() const { return FormalIn; }
 
   /// Memory locations whose final versions are the virtual output
-  /// parameters: everything the function may modify. Their versions at a
-  /// particular return are the Mus of that RetInst.
+  /// parameters: the versioned locations the function may modify. Their
+  /// versions at a particular return are the Mus of that RetInst.
   const std::vector<uint32_t> &formalOuts() const { return FormalOut; }
 
+  /// True if some reachable call site hands this function a version of
+  /// formalIns()[\p P], whether or not the caller versions it.
+  bool passedByCaller(size_t P) const { return PassedIn[P]; }
+
 private:
+  friend class MemorySSA;
   class Builder;
+
+  explicit FunctionSSA(const ir::Function &F);
+  uint32_t keyIndex(VarKey Key) const;
 
   const ir::Function &F;
   analysis::CFGInfo CFG;
   analysis::DominatorTree DT;
-  analysis::DominanceFrontier DF;
 
-  std::unordered_map<const ir::Instruction *, InstSSA> Insts;
-  std::unordered_map<const ir::BasicBlock *, std::vector<PhiNode>> Phis;
-  std::unordered_map<VarKey, std::vector<DefDesc>, VarKeyHash> Defs;
+  /// Insts is indexed by instruction id minus FirstInst, Phis by block
+  /// id, Defs by key index: top-level variables by id, then formalIns()
+  /// by position.
+  uint32_t FirstInst = 0;
+  std::vector<InstSSA> Insts;
+  std::vector<std::vector<PhiNode>> Phis;
+  std::vector<std::vector<DefDesc>> Defs;
   std::vector<uint32_t> FormalIn, FormalOut;
-
-  static const std::vector<PhiNode> EmptyPhis;
+  std::vector<bool> PassedIn;
 };
 
 /// Memory SSA for every function in a module.
+///
+/// A function versions a memory location only if it is in the function's
+/// kept set: the locations it may read, those a reachable store in it may
+/// write, and those a caller or callee needs to see through it (computed
+/// once per module over the reachable call sites). Versions of any other
+/// location are never read, directly or through other versions, so they
+/// are counted rather than placed.
 class MemorySSA {
 public:
   /// Builds per-function SSA overlays.
@@ -196,13 +190,21 @@ public:
   MemorySSA(const ir::Module &M, const analysis::PointerAnalysis &PA,
             const analysis::ModRefAnalysis &MR, ThreadPool * = nullptr);
 
-  const FunctionSSA &get(const ir::Function *F) const {
-    return *Funcs.at(F);
-  }
+  const FunctionSSA &get(const ir::Function *F) const;
+
+  /// Memory versions placed: the sum of numVersions() over every
+  /// function's formalIns().
+  uint64_t numPlacedVersions() const { return NumPlaced; }
+
+  /// Versions of the locations no function kept that memory SSA without
+  /// pruning would have placed and a VFG builder walking it would have
+  /// referenced: every chi and phi, and version 0 where something reads
+  /// it (a phi, a chi's old version, a call site, or a caller).
+  uint64_t numDroppedVersions() const { return NumDropped; }
 
 private:
-  std::unordered_map<const ir::Function *, std::unique_ptr<FunctionSSA>>
-      Funcs;
+  std::vector<std::unique_ptr<FunctionSSA>> Funcs; // By function id.
+  uint64_t NumPlaced = 0, NumDropped = 0;
 };
 
 } // namespace ssa

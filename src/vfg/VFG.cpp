@@ -10,6 +10,7 @@
 #include "analysis/CallGraph.h"
 #include "analysis/PointerAnalysis.h"
 #include "ir/IR.h"
+#include "ssa/MemorySSA.h"
 #include "support/RawStream.h"
 
 #include <algorithm>
@@ -451,6 +452,12 @@ void VFGBuilder::computeLiveness() {
   MemNodes.assign(NumBits, ~0u);
   Live.resize(NumBits);
   Seen.resize(NumBits);
+  // A version 0 that a reachable call site hands in counts as referenced
+  // even where the caller does not version the location.
+  for (const FnInfo &FI : Fns)
+    for (size_t P = 0; P != FI.Base.size(); ++P)
+      if (FI.SSA->passedByCaller(P))
+        Seen.set(FI.Base[P]);
   LocalBase.assign(PA.numLocations(), 0);
   InstInfos.assign(M.instructionCount(), nullptr);
   StoreChiStart.assign(M.instructionCount(), ~0u);
@@ -774,7 +781,7 @@ VFG VFGBuilder::build() {
   computeLiveness();
   for (const auto &F : M.functions())
     buildFunction(*F);
-  G.NumMemVersions = Seen.count();
+  G.NumMemVersions = Seen.count() + SSA.numDroppedVersions();
   G.NumPrunedMemVersions = G.NumMemVersions - Live.count();
 
   // Entry (version 0) nodes referenced anywhere now get their root edges.

@@ -38,7 +38,7 @@
 #ifndef USHER_VFG_VFG_H
 #define USHER_VFG_VFG_H
 
-#include "ssa/MemorySSA.h"
+#include "ssa/VarKey.h"
 #include "support/BitSet.h"
 
 #include <cassert>
@@ -51,9 +51,13 @@ namespace usher {
 class raw_ostream;
 
 namespace ir {
+class CallInst;
 class Function;
 class Instruction;
 class Module;
+class Operand;
+class RetInst;
+class StoreInst;
 class Variable;
 } // namespace ir
 
@@ -61,6 +65,12 @@ namespace analysis {
 class CallGraph;
 class PointerAnalysis;
 } // namespace analysis
+
+namespace ssa {
+class FunctionSSA;
+class MemorySSA;
+struct InstSSA;
+} // namespace ssa
 
 namespace vfg {
 

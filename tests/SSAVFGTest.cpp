@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace usher;
 using namespace usher::ssa;
 using vfg::NodeOrigin;
@@ -186,6 +188,159 @@ TEST(MemorySSATest, TopLevelVersionsCountDefs) {
   EXPECT_EQ(FS.numVersions({Space::TopLevel, XId}), 4u);
   const ir::Instruction *Ret = Main->getEntry()->instructions()[3].get();
   EXPECT_EQ(FS.instInfo(Ret)->TLUses[0].Version, 3u);
+}
+
+/// Node of version \p Version of \p Loc in \p Fn, or ~0u.
+uint32_t memNode(const VFG &G, const ir::Function *Fn, uint32_t Loc,
+                 uint32_t Version) {
+  for (uint32_t Id = 2; Id != G.numNodes(); ++Id) {
+    const VFG::NodeData &N = G.node(Id);
+    if (N.Fn == Fn && N.Key.Sp == Space::Memory && N.Key.Id == Loc &&
+        N.Version == Version)
+      return Id;
+  }
+  return ~0u;
+}
+
+TEST(MemorySSATest, UnreadLocationIsCountedNotPlaced) {
+  // main never reads g: its call gets no chi for set's store, its join no
+  // phi and main no virtual parameter for g. The unpruned count still
+  // holds main's three versions (entry, call chi, join phi) and set's two.
+  Pipeline P(R"(
+    global g[1] uninit;
+    func set() {
+      p = g;
+      *p = 1;
+      ret;
+    }
+    func main() {
+      c = 1;
+      if c goto doit;
+      goto join;
+    doit:
+      set();
+      goto join;
+    join:
+      ret 0;
+    }
+  )");
+  const ir::Function *Main = P.M->findFunction("main");
+  const FunctionSSA &FS = P.SSA->get(Main);
+  uint32_t GLoc = P.PA->locId(P.M->findGlobal("g"), 0);
+  EXPECT_TRUE(FS.formalIns().empty());
+  EXPECT_TRUE(FS.formalOuts().empty());
+  EXPECT_EQ(FS.numVersions({Space::Memory, GLoc}), 0u);
+  for (const auto &BB : Main->blocks()) {
+    EXPECT_TRUE(FS.phisIn(BB.get()).empty()) << BB->getName();
+    for (const auto &I : BB->instructions()) {
+      const InstSSA *Info = FS.instInfo(I.get());
+      ASSERT_NE(Info, nullptr);
+      EXPECT_TRUE(Info->Mus.empty() && Info->Chis.empty());
+    }
+  }
+  const FunctionSSA &SetSSA = P.SSA->get(P.M->findFunction("set"));
+  EXPECT_EQ(SetSSA.numVersions({Space::Memory, GLoc}), 2u);
+  EXPECT_TRUE(SetSSA.passedByCaller(0));
+
+  EXPECT_EQ(P.SSA->numPlacedVersions(), 2u);
+  EXPECT_EQ(P.SSA->numDroppedVersions(), 3u);
+  VFG G = P.buildVFG();
+  EXPECT_EQ(G.numMemSSAVersions(), 5u);
+  EXPECT_EQ(G.numPrunedMemVersions(), 5u);
+}
+
+TEST(MemorySSATest, CallerThatNeverReadsStillFeedsLiveFormalIn) {
+  // upd updates g weakly, so its entry version of g flows to its return,
+  // which a reads after its call. b never reads g, nor does main, its
+  // only caller (a is called from nowhere), yet b's version of g at its
+  // call feeds upd's formal-in and so must be placed.
+  Pipeline P(R"(
+    global g[1] uninit;
+    global h[1] uninit;
+    func upd(c) {
+      p = g;
+      if c goto other;
+      goto st;
+    other:
+      p = h;
+      goto st;
+    st:
+      *p = 1;
+      ret;
+    }
+    func a() {
+      upd(1);
+      p = g;
+      x = *p;
+      ret x;
+    }
+    func b() {
+      upd(0);
+      ret 0;
+    }
+    func main() {
+      b();
+      ret 0;
+    }
+  )");
+  const ir::Function *Upd = P.M->findFunction("upd");
+  const ir::Function *B = P.M->findFunction("b");
+  uint32_t GLoc = P.PA->locId(P.M->findGlobal("g"), 0);
+  const FunctionSSA &BSSA = P.SSA->get(B);
+  EXPECT_EQ(std::count(BSSA.formalIns().begin(), BSSA.formalIns().end(),
+                       GLoc),
+            1);
+
+  VFG G = P.buildVFG();
+  uint32_t FormalIn = memNode(G, Upd, GLoc, 0);
+  ASSERT_NE(FormalIn, ~0u);
+  EXPECT_EQ(G.origin(FormalIn), NodeOrigin::FormalIn);
+  const uint32_t BCall = P.instAt("b", 0, 0)->getId();
+  bool FromB = false;
+  for (const vfg::Edge &E : G.deps(FormalIn))
+    FromB |= E.Kind == vfg::EdgeKind::Call && E.CallSite == BCall &&
+             G.node(E.Node).Fn == B;
+  EXPECT_TRUE(FromB) << "b's version of g must feed upd's formal-in";
+}
+
+TEST(MemorySSATest, PassThroughCalleeVersionsWhatItsCallerReads) {
+  // leaf stores g strongly; mid only calls leaf; main reads g after
+  // calling mid. mid must version g so that main's mod chi gets its
+  // return edge, and mid's own mod chi the one from leaf's store.
+  Pipeline P(R"(
+    global g[1] uninit;
+    func leaf() {
+      p = g;
+      *p = 1;
+      ret;
+    }
+    func mid() {
+      leaf();
+      ret;
+    }
+    func main() {
+      mid();
+      p = g;
+      x = *p;
+      ret x;
+    }
+  )");
+  uint32_t GLoc = P.PA->locId(P.M->findGlobal("g"), 0);
+  VFG G = P.buildVFG();
+  auto RetDepOrigin = [&](const ir::Instruction *Call) {
+    for (uint32_t Id = 2; Id != G.numNodes(); ++Id) {
+      const VFG::NodeData &N = G.node(Id);
+      if (N.Def != Call || N.Key.Sp != Space::Memory || N.Key.Id != GLoc)
+        continue;
+      EXPECT_EQ(G.origin(Id), NodeOrigin::CallModChi);
+      for (const vfg::Edge &E : G.deps(Id))
+        if (E.Kind == vfg::EdgeKind::Ret && E.CallSite == Call->getId())
+          return G.origin(E.Node);
+    }
+    return NodeOrigin::Unknown;
+  };
+  EXPECT_EQ(RetDepOrigin(P.instAt("main", 0, 0)), NodeOrigin::CallModChi);
+  EXPECT_EQ(RetDepOrigin(P.instAt("mid", 0, 0)), NodeOrigin::StoreChiStrong);
 }
 
 //===----------------------------------------------------------------------===//

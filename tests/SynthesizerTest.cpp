@@ -204,9 +204,10 @@ TEST(Linker, PrefixMappingRoundTrips) {
   ASSERT_EQ(LP.Prefixes.size(), 13u);
   for (size_t I = 0; I != LP.Prefixes.size(); ++I)
     for (size_t J = 0; J != LP.Prefixes.size(); ++J)
-      if (I != J)
+      if (I != J) {
         EXPECT_NE(LP.Prefixes[J].rfind(LP.Prefixes[I], 0), 0u)
             << LP.Prefixes[I] << " prefixes " << LP.Prefixes[J];
+      }
   // Thirteen copies of the same program: thirteen times the result.
   ExecutionReport RA = runNative(A);
   ExecutionReport RL = runNative(LP.Source);

@@ -13,7 +13,9 @@
 ///  - no dead version survives: every memory node has a dependency path
 ///    to a top-level node;
 ///  - the counters add up: nodes + pruned versions = 2 roots + top-level
-///    nodes + memory SSA versions;
+///    nodes + memory SSA versions, and the versions memory SSA placed are
+///    the ones its functions report: those the builder referenced plus at
+///    most one unreferenced version 0 per kept location;
 ///  - the flavor counters count every store chi in reachable code, pruned
 ///    or not, exactly once, and a live chi's node names its flavor;
 ///  - every node's defining statement and origin agree with memory SSA's
@@ -133,6 +135,25 @@ TEST_P(PrunedVFG, InvariantsHold) {
   EXPECT_EQ(R.Stats.NumVFGNodes + R.Stats.NumPrunedMemVersions,
             2 + TopLevel + R.Stats.NumMemSSAVersions);
   EXPECT_LE(R.Stats.NumPrunedMemVersions, R.Stats.NumMemSSAVersions);
+
+  // What memory SSA places is exactly the versions its functions report.
+  // The counted versions are the placed ones the builder referenced plus
+  // the dropped ones, and a placed version nothing references is some
+  // kept location's version 0.
+  uint64_t PlacedInFunctions = 0, KeptLocations = 0;
+  for (const auto &F : M->functions()) {
+    const ssa::FunctionSSA &FS = R.SSA->get(F.get());
+    KeptLocations += FS.formalIns().size();
+    for (uint32_t Loc : FS.formalIns())
+      PlacedInFunctions += FS.numVersions({Space::Memory, Loc});
+  }
+  const uint64_t Placed = R.Stats.NumPlacedMemVersions;
+  EXPECT_EQ(Placed, PlacedInFunctions);
+  const uint64_t Referenced =
+      R.Stats.NumMemSSAVersions - R.SSA->numDroppedVersions();
+  EXPECT_LE(R.SSA->numDroppedVersions(), R.Stats.NumMemSSAVersions);
+  EXPECT_LE(Referenced, Placed);
+  EXPECT_LE(Placed, Referenced + KeptLocations);
 
   // Each node's defining statement and origin agree with memory SSA.
   // Live store chis are counted by the flavor their origin names.

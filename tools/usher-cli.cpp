@@ -439,6 +439,7 @@ int main(int Argc, char **Argv) {
          << S.NumVFGEdges << '\n'
          << "memory SSA versions:  " << S.NumMemSSAVersions << " (pruned "
          << S.NumPrunedMemVersions << ")\n"
+         << "memory SSA placed:    " << S.NumPlacedMemVersions << '\n'
          << "store updates strong/weak: "
          << static_cast<int>(S.PercentStrongStores) << "%/"
          << static_cast<int>(S.PercentWeakStores) << "%\n"
