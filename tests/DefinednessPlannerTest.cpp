@@ -147,6 +147,115 @@ TEST(Definedness, InitializedGlobalNeedsNothing) {
   EXPECT_EQ(R.Plan.countChecks(), 0u);
 }
 
+/// One callee called from \p UndefSites sites with a possibly-undefined
+/// argument, then from one site with a defined one whose result is
+/// branched on.
+std::string manyCallSitesSrc(unsigned UndefSites) {
+  std::string Src = R"(
+    func id(v) { ret v; }
+    func main() {
+      z = 0;
+      if z goto setit;
+      goto next;
+    setit:
+      u = 1;
+    next:
+      d = 5;
+  )";
+  for (unsigned I = 0; I != UndefSites; ++I)
+    Src += "  r" + std::to_string(I) + " = id(u);\n";
+  Src += R"(
+      rd = id(d);
+      if rd goto a;
+      ret 0;
+    a:
+      ret 1;
+    }
+  )";
+  return Src;
+}
+
+/// The node of the version of \p Var in main that some statement defines.
+uint32_t definedNode(const vfg::VFG &G, const std::string &Var) {
+  for (uint32_t Id = 2; Id != G.numNodes(); ++Id) {
+    const vfg::VFG::NodeData &N = G.node(Id);
+    if (N.Def && N.Key.Sp == ssa::Space::TopLevel &&
+        N.Fn->getName() == "main" &&
+        N.Fn->variables()[N.Key.Id]->getName() == Var)
+      return Id;
+  }
+  ADD_FAILURE() << "no defined node for " << Var;
+  return vfg::VFG::RootT;
+}
+
+TEST(Definedness, ContextsSaturatePastTheCap) {
+  // Below the cap of 64 contexts per representative, the callee's formal
+  // carries one context per undefined call site and returns only through
+  // those sites: rd stays defined.
+  auto Few = parser::parseModuleOrAbort(manyCallSitesSrc(10));
+  UsherResult RF = runOn(*Few, ToolVariant::UsherFull);
+  EXPECT_TRUE(RF.Gamma->isDefined(definedNode(*RF.G, "rd")));
+  EXPECT_EQ(RF.Plan.countChecks(), 0u);
+
+  // With 70 sites the 65th context saturates the formal to the universal
+  // context, which returns through every site: rd may be undefined. The
+  // cap over-approximates, so the answer stays sound.
+  auto Many = parser::parseModuleOrAbort(manyCallSitesSrc(70));
+  UsherResult R = runOn(*Many, ToolVariant::UsherFull);
+  const uint32_t Rd = definedNode(*R.G, "rd");
+  EXPECT_TRUE(R.Gamma->mayBeUndefined(Rd));
+  EXPECT_EQ(R.Plan.countChecks(), 1u);
+
+  // Gamma at ContextK 1, pinned: F, u's entry version and its phi at
+  // `next`, the formal, the 70 undefined results and rd.
+  core::Definedness Gamma(*R.G, core::DefinednessOptions());
+  EXPECT_EQ(Gamma.numUndefinedNodes(), 75u);
+  EXPECT_TRUE(Gamma.mayBeUndefined(Rd));
+  EXPECT_TRUE(Gamma.mayBeUndefined(definedNode(*R.G, "r69")));
+  EXPECT_TRUE(Gamma.isDefined(definedNode(*R.G, "d")));
+}
+
+TEST(Definedness, RedirectedUserStopsReceivingTheFlow) {
+  auto M = parser::parseModuleOrAbort(R"(
+    func main() {
+      z = 0;
+      if z goto setit;
+      goto use;
+    setit:
+      u = 1;
+    use:
+      x = u;
+      y = x;
+      y2 = y;
+      w = x;
+      if y2 goto a;
+      if w goto a;
+      ret 0;
+    a:
+      ret 1;
+    }
+  )");
+  UsherResult R = runOn(*M, ToolVariant::UsherFull);
+  const vfg::VFG &G = *R.G;
+  const uint32_t X = definedNode(G, "x"), Y = definedNode(G, "y"),
+                 Y2 = definedNode(G, "y2"), W = definedNode(G, "w");
+  core::Definedness Base(G, core::DefinednessOptions());
+  for (uint32_t Id : {X, Y, Y2, W})
+    EXPECT_TRUE(Base.mayBeUndefined(Id));
+
+  // y now depends on T only: it and its user y2 stop receiving the flow.
+  // w's override keeps its edge from x, so the flow still reaches it.
+  std::unordered_map<uint32_t, std::vector<vfg::Edge>> Redirects;
+  Redirects[Y] = {{vfg::VFG::RootT, vfg::EdgeKind::Direct, ~0u}};
+  Redirects[W] = std::vector<vfg::Edge>(G.deps(W).begin(), G.deps(W).end());
+  core::Definedness Redirected(G, core::DefinednessOptions(), &Redirects);
+  EXPECT_TRUE(Redirected.mayBeUndefined(X));
+  EXPECT_TRUE(Redirected.isDefined(Y));
+  EXPECT_TRUE(Redirected.isDefined(Y2));
+  EXPECT_TRUE(Redirected.mayBeUndefined(W));
+  EXPECT_EQ(Redirected.numUndefinedNodes(), Base.numUndefinedNodes() - 2);
+}
+
 //===----------------------------------------------------------------------===//
 // Planner: strong-update shortcuts and demand
 //===----------------------------------------------------------------------===//
