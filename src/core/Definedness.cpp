@@ -183,6 +183,7 @@ Definedness::Definedness(
       return;
     }
     Work.push_back({R, Ctx});
+    ++NumStates;
   };
 
   if (Opts.Seeds) {

@@ -75,6 +75,10 @@ public:
   /// Number of bottom nodes (statistics).
   size_t numUndefinedNodes() const { return Bottom.count(); }
 
+  /// Number of (representative, context) states the reachability explored,
+  /// a deterministic measure of its work.
+  uint64_t numStates() const { return NumStates; }
+
   /// True if the budget ran out and unresolved nodes were pessimistically
   /// marked undefined-capable.
   bool wasPessimized() const { return Pessimized; }
@@ -85,6 +89,7 @@ public:
 
 private:
   BitSet Bottom;
+  uint64_t NumStates = 0;
   bool Pessimized = false;
   bool AddressTakenAware = true;
 };

@@ -201,6 +201,7 @@ UsherResult core::runUsher(Module &M, const UsherOptions &Opts) {
                                    ? ToolVariant::UsherTLAT
                                    : ToolVariant::UsherTL);
   }
+  Stats.NumDefinednessStates = Gamma->numStates();
   Record("4.definedness");
 
   // Opt II recomputes definedness on a graph with redirected edges; the

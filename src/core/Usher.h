@@ -125,6 +125,9 @@ struct UsherStatistics {
   /// %B: VFG nodes reaching at least one needed runtime check, out of the
   /// unpruned VFG's nodes (a pruned node reaches no check).
   double PercentReachingCheck = 0;
+  /// (Representative, context) states the definedness phase explored
+  /// (Definedness::numStates of the base Gamma, before Opt II).
+  uint64_t NumDefinednessStates = 0;
   /// Opt I: simplified must-flow-from closures.
   uint64_t NumSimplifiedMFCs = 0;
   /// Opt II: nodes redirected to T.

@@ -334,4 +334,46 @@ INSTANTIATE_TEST_SUITE_P(
              presetTag(presetOf(Info.param, 3));
     });
 
+/// The (representative, context) states explored at ContextK 0/1/2, on a
+/// few programs at O1.
+TEST(DefinednessGolden, StateCountsArePinned) {
+  struct Row {
+    std::string What;
+    ModuleFactory Make;
+    const char *States;
+  };
+  const auto &Suite = workload::spec2000Suite();
+  const Row Rows[] = {
+      {Suite[0].Name, [&] { return workload::loadBenchmark(Suite[0]); },
+       "60/63/63"},
+      {Suite[11].Name, [&] { return workload::loadBenchmark(Suite[11]); },
+       "534/544/542"},
+      {"seed 7", [] { return workload::generateProgram(7); }, "18/18/18"},
+      {"synth 10000",
+       [] {
+         workload::ShapeSpec Spec;
+         Spec.TargetNodes = 10000;
+         return parser::parseModuleOrAbort(workload::synthesizeProgram(Spec));
+       },
+       "489/528/604"},
+  };
+  for (const Row &R : Rows) {
+    auto M = R.Make();
+    transforms::runPreset(*M, OptPreset::O1);
+    core::UsherResult UR = core::runUsher(*M, core::UsherOptions());
+    ASSERT_TRUE(UR.G) << R.What;
+    std::string States;
+    for (unsigned K = 0; K != 3; ++K) {
+      DefinednessOptions Opts;
+      Opts.ContextK = K;
+      States += (K ? "/" : "") +
+                std::to_string(Definedness(*UR.G, Opts).numStates());
+    }
+    EXPECT_EQ(UR.Stats.NumDefinednessStates,
+              Definedness(*UR.G, DefinednessOptions()).numStates())
+        << R.What;
+    EXPECT_EQ(States, R.States) << R.What;
+  }
+}
+
 } // namespace

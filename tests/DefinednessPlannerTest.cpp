@@ -210,6 +210,10 @@ TEST(Definedness, ContextsSaturatePastTheCap) {
   // `next`, the formal, the 70 undefined results and rd.
   core::Definedness Gamma(*R.G, core::DefinednessOptions());
   EXPECT_EQ(Gamma.numUndefinedNodes(), 75u);
+  // States: F, u's entry version and phi; the formal in 64 contexts plus
+  // the universal one it saturates to; the 71 results, each reached in
+  // the empty context.
+  EXPECT_EQ(Gamma.numStates(), 3u + 65u + 71u);
   EXPECT_TRUE(Gamma.mayBeUndefined(Rd));
   EXPECT_TRUE(Gamma.mayBeUndefined(definedNode(*R.G, "r69")));
   EXPECT_TRUE(Gamma.isDefined(definedNode(*R.G, "d")));

@@ -440,6 +440,7 @@ int main(int Argc, char **Argv) {
          << "memory SSA versions:  " << S.NumMemSSAVersions << " (pruned "
          << S.NumPrunedMemVersions << ")\n"
          << "memory SSA placed:    " << S.NumPlacedMemVersions << '\n'
+         << "definedness states:   " << S.NumDefinednessStates << '\n'
          << "store updates strong/weak: "
          << static_cast<int>(S.PercentStrongStores) << "%/"
          << static_cast<int>(S.PercentWeakStores) << "%\n"
