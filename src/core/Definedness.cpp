@@ -9,11 +9,12 @@
 
 #include "core/ContextStack.h"
 #include "support/Budget.h"
+#include "support/CSR.h"
 #include "support/SCC.h"
 
 #include <algorithm>
-#include <cassert>
-#include <unordered_set>
+#include <span>
+#include <tuple>
 
 using namespace usher;
 using namespace usher::core;
@@ -24,6 +25,66 @@ using vfg::VFG;
 /// The k-bounded unmatched-call-site stack lives in core/ContextStack.h so
 /// the static diagnosis witness search replays exactly these transitions.
 using Context = ContextStack;
+
+namespace {
+
+/// The (representative, context) states reached so far: one
+/// open-addressed hash set over all representatives.
+class StateSet {
+public:
+  explicit StateSet(uint32_t Nodes) {
+    size_t Cap = 64;
+    while (Cap < 2 * static_cast<size_t>(Nodes))
+      Cap *= 2;
+    Slots.resize(Cap);
+  }
+
+  /// Adds (\p Rep, \p Ctx); false if it was already present.
+  bool insert(uint32_t Rep, uint64_t Ctx) {
+    if (2 * (Size + 1) > Slots.size())
+      grow();
+    Slot &S = find(Rep, Ctx);
+    if (S.Rep != Empty)
+      return false;
+    S = {Ctx, Rep};
+    ++Size;
+    return true;
+  }
+
+private:
+  static constexpr uint32_t Empty = ~0u;
+  struct Slot {
+    uint64_t Ctx = 0;
+    uint32_t Rep = Empty;
+  };
+
+  /// The slot holding (\p Rep, \p Ctx), or the empty slot it would go in.
+  Slot &find(uint32_t Rep, uint64_t Ctx) {
+    uint64_t H = (Rep * 0x9E3779B97F4A7C15ull) ^ Ctx;
+    H ^= H >> 31;
+    H *= 0xBF58476D1CE4E5B9ull;
+    H ^= H >> 29;
+    const size_t Mask = Slots.size() - 1;
+    for (size_t I = H & Mask;; I = (I + 1) & Mask) {
+      Slot &S = Slots[I];
+      if (S.Rep == Empty || (S.Rep == Rep && S.Ctx == Ctx))
+        return S;
+    }
+  }
+
+  void grow() {
+    std::vector<Slot> Old(2 * Slots.size());
+    Old.swap(Slots);
+    for (const Slot &S : Old)
+      if (S.Rep != Empty)
+        find(S.Rep, S.Ctx) = S;
+  }
+
+  std::vector<Slot> Slots;
+  size_t Size = 0;
+};
+
+} // namespace
 
 Definedness::Definedness(
     const VFG &G, DefinednessOptions Opts,
@@ -45,14 +106,14 @@ Definedness::Definedness(
     for (uint32_t Id = 0; Id != N; ++Id) {
       if (G.isRoot(Id))
         continue;
-      const std::vector<Edge> *Deps = &G.deps(Id);
+      std::span<const Edge> Deps = G.deps(Id);
       if (Redirects) {
         auto It = Redirects->find(Id);
         if (It != Redirects->end())
-          Deps = &It->second;
+          Deps = It->second;
       }
-      bool AllTop = !Deps->empty();
-      for (const Edge &E : *Deps) {
+      bool AllTop = !Deps.empty();
+      for (const Edge &E : Deps) {
         if (E.Node != VFG::RootT) {
           AllTop = false;
           break;
@@ -74,31 +135,37 @@ Definedness::Definedness(
     return;
   }
 
-  // Effective forward-flow adjacency, hoisted out of the worklist loop: a
-  // flow runs from each definition to each of its users, and a redirected
-  // user's flow is suppressed when its overriding dependency list no
-  // longer names the definition. Filtering once here replaces a hash
-  // lookup per user at every pop.
-  std::vector<std::vector<Edge>> Flows(N);
-  for (uint32_t S = 0; S != N; ++S) {
-    for (const Edge &E : G.users(S)) {
-      if (Redirects) {
+  // Effective forward-flow adjacency: a flow runs from each definition to
+  // each of its users, so without redirects it is the graph's own user
+  // edges. A redirected user's flow is suppressed when its overriding
+  // dependency list no longer names the definition; filtering once into a
+  // copy replaces a hash lookup per user at every pop.
+  std::vector<uint32_t> FilteredBegin;
+  std::vector<Edge> Filtered;
+  if (Redirects) {
+    FilteredBegin.resize(N + 1);
+    for (uint32_t S = 0; S != N; ++S) {
+      FilteredBegin[S] = static_cast<uint32_t>(Filtered.size());
+      for (const Edge &E : G.users(S)) {
         auto It = Redirects->find(E.Node);
-        if (It != Redirects->end()) {
-          bool StillDepends = false;
-          for (const Edge &D : It->second) {
-            if (D.Node == S && D.Kind == E.Kind && D.CallSite == E.CallSite) {
-              StillDepends = true;
-              break;
-            }
-          }
-          if (!StillDepends)
-            continue;
-        }
+        if (It != Redirects->end() &&
+            std::none_of(It->second.begin(), It->second.end(),
+                         [&](const Edge &D) {
+                           return D.Node == S && D.Kind == E.Kind &&
+                                  D.CallSite == E.CallSite;
+                         }))
+          continue;
+        Filtered.push_back(E);
       }
-      Flows[S].push_back(E);
     }
+    FilteredBegin[N] = static_cast<uint32_t>(Filtered.size());
   }
+  auto Flows = [&](uint32_t U) -> std::span<const Edge> {
+    if (!Redirects)
+      return G.users(U);
+    return {Filtered.data() + FilteredBegin[U],
+            Filtered.data() + FilteredBegin[U + 1]};
+  };
 
   // Condense the Direct-flow SCCs. Direct edges never touch the context
   // stack, so every member of a Direct cycle is undefinedness-reachable
@@ -107,7 +174,7 @@ Definedness::Definedness(
   // context) memo is kept once per component instead of once per member.
   std::vector<uint32_t> Rep(N);
   forEachSCC(
-      N, [&](uint32_t U) -> const std::vector<Edge> & { return Flows[U]; },
+      N, Flows,
       [](const Edge &E) {
         return E.Kind == EdgeKind::Direct ? E.Node : SCCSkipEdge;
       },
@@ -117,49 +184,61 @@ Definedness::Definedness(
       });
 
   // Members per representative (a component reached in any context marks
-  // every member bottom), and the condensed labeled adjacency:
-  // intra-component Direct flows vanish, Call/Ret flows survive even as
-  // self-loops — they transform the context.
-  std::vector<std::vector<uint32_t>> Members(N);
-  for (uint32_t Id = 0; Id != N; ++Id)
-    Members[Rep[Id]].push_back(Id);
+  // every member bottom), as CSR rows in id order.
+  std::vector<uint32_t> MemberBegin, Members;
+  fillCSR(
+      N,
+      [&](auto &&Emit) {
+        for (uint32_t Id = 0; Id != N; ++Id)
+          Emit(Rep[Id], Id);
+      },
+      MemberBegin, Members);
 
-  struct CondensedEdge {
-    uint32_t Target;
-    EdgeKind Kind;
-    uint32_t CallSite;
-    bool operator<(const CondensedEdge &O) const {
-      if (Target != O.Target)
-        return Target < O.Target;
-      if (Kind != O.Kind)
-        return Kind < O.Kind;
-      return CallSite < O.CallSite;
-    }
-    bool operator==(const CondensedEdge &O) const {
-      return Target == O.Target && Kind == O.Kind && CallSite == O.CallSite;
-    }
+  // The condensed labeled adjacency, one sorted duplicate-free CSR row per
+  // representative: intra-component Direct flows vanish, Call/Ret flows
+  // survive even as self-loops — they transform the context.
+  std::vector<uint32_t> RepFlowBegin;
+  std::vector<Edge> RepFlows;
+  fillCSR(
+      N,
+      [&](auto &&Emit) {
+        for (uint32_t S = 0; S != N; ++S) {
+          for (const Edge &E : Flows(S)) {
+            uint32_t RS = Rep[S], RT = Rep[E.Node];
+            if (E.Kind != EdgeKind::Direct || RS != RT)
+              Emit(RS, Edge{RT, E.Kind, E.CallSite});
+          }
+        }
+      },
+      RepFlowBegin, RepFlows);
+  auto Key = [](const Edge &E) {
+    return std::tuple(E.Node, E.Kind, E.CallSite);
   };
-  std::vector<std::vector<CondensedEdge>> RepFlows(N);
-  for (uint32_t S = 0; S != N; ++S) {
-    for (const Edge &E : Flows[S]) {
-      uint32_t RS = Rep[S], RT = Rep[E.Node];
-      if (E.Kind == EdgeKind::Direct && RS == RT)
-        continue;
-      RepFlows[RS].push_back({RT, E.Kind, E.CallSite});
-    }
+  uint32_t Out = 0;
+  for (uint32_t R = 0; R != N; ++R) {
+    auto First = RepFlows.begin() + RepFlowBegin[R];
+    auto Last = RepFlows.begin() + RepFlowBegin[R + 1];
+    std::sort(First, Last, [&](const Edge &A, const Edge &B) {
+      return Key(A) < Key(B);
+    });
+    Last = std::unique(First, Last, [&](const Edge &A, const Edge &B) {
+      return Key(A) == Key(B);
+    });
+    RepFlowBegin[R] = Out;
+    Out = static_cast<uint32_t>(
+        std::copy(First, Last, RepFlows.begin() + Out) - RepFlows.begin());
   }
-  for (auto &Out : RepFlows) {
-    std::sort(Out.begin(), Out.end());
-    Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
-  }
+  RepFlowBegin[N] = Out;
+  RepFlows.resize(Out);
 
-  // Per-representative set of contexts already explored; capped to bound
-  // state explosion — on overflow the component saturates to the
-  // universal (empty) context, which over-approximates every other
-  // context.
-  constexpr size_t MaxContextsPerRep = 64;
-  std::vector<std::unordered_set<uint64_t>> Seen(N);
-  std::vector<uint8_t> Saturated(N, 0);
+  // The contexts explored per representative, counted per representative
+  // and capped to bound state explosion: on overflow the component
+  // saturates to the universal (empty) context, which over-approximates
+  // every other context.
+  constexpr uint8_t MaxContextsPerRep = 64;
+  constexpr uint8_t Saturated = 0xFF;
+  std::vector<uint8_t> NumContexts(N, 0);
+  StateSet Seen(N);
 
   struct State {
     uint32_t Rep;
@@ -169,17 +248,20 @@ Definedness::Definedness(
 
   auto Reach = [&](uint32_t Node, Context Ctx) {
     uint32_t R = Rep[Node];
-    if (Saturated[R])
+    uint8_t &Count = NumContexts[R];
+    if (Count == Saturated)
       return;
-    if (Seen[R].empty())
-      for (uint32_t M : Members[R])
-        Bottom.set(M);
-    if (Seen[R].size() >= MaxContextsPerRep) {
-      Saturated[R] = 1;
+    if (Count == 0)
+      for (uint32_t I = MemberBegin[R]; I != MemberBegin[R + 1]; ++I)
+        Bottom.set(Members[I]);
+    if (Count >= MaxContextsPerRep) {
+      Count = Saturated;
       Ctx = Context::empty();
-      if (!Seen[R].insert(Ctx.raw()).second)
+      if (!Seen.insert(R, Ctx.raw()))
         return;
-    } else if (!Seen[R].insert(Ctx.raw()).second) {
+    } else if (Seen.insert(R, Ctx.raw())) {
+      ++Count;
+    } else {
       return;
     }
     Work.push_back({R, Ctx});
@@ -208,10 +290,12 @@ Definedness::Definedness(
     }
     State S = Work.back();
     Work.pop_back();
-    for (const CondensedEdge &E : RepFlows[S.Rep]) {
+    for (uint32_t I = RepFlowBegin[S.Rep]; I != RepFlowBegin[S.Rep + 1];
+         ++I) {
+      const Edge &E = RepFlows[I];
       Context Out = Context::empty();
       if (S.Ctx.follow(E.Kind, E.CallSite, K, Out))
-        Reach(E.Target, Out);
+        Reach(E.Node, Out);
     }
   }
 }

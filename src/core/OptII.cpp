@@ -155,8 +155,11 @@ OptIIResult core::runRedundantCheckElimination(
     for (uint32_t R : Plan.Redirectees) {
       // Redirect every dependency of R that lands in the closure to T.
       auto It = Result.Redirects.find(R);
-      std::vector<Edge> NewDeps =
-          It != Result.Redirects.end() ? It->second : G.deps(R);
+      std::vector<Edge> NewDeps;
+      if (It != Result.Redirects.end())
+        NewDeps = It->second;
+      else
+        NewDeps.assign(G.deps(R).begin(), G.deps(R).end());
       bool Changed = false;
       for (Edge &E : NewDeps) {
         if (Plan.Closure.count(E.Node)) {

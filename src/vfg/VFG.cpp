@@ -11,6 +11,7 @@
 #include "analysis/PointerAnalysis.h"
 #include "ir/IR.h"
 #include "ssa/MemorySSA.h"
+#include "support/CSR.h"
 #include "support/RawStream.h"
 
 #include <algorithm>
@@ -138,7 +139,7 @@ void VFG::dumpDot(raw_ostream &OS,
     OS << "];\n";
   }
   for (uint32_t Id = 0; Id != numNodes(); ++Id) {
-    for (const Edge &E : Deps[Id]) {
+    for (const Edge &E : deps(Id)) {
       OS << "  n" << Id << " -> n" << E.Node;
       if (E.Kind == EdgeKind::Call)
         OS << " [color=blue, label=\"call@" << E.CallSite << "\"]";
@@ -161,8 +162,6 @@ uint32_t VFGBuilder::getNode(uint32_t &Slot, const Function *Fn, VarKey Key,
   Slot = G.numNodes();
   G.Nodes.push_back({Fn, Key, Version});
   G.Origins.push_back(NodeOrigin::Unknown);
-  G.Deps.emplace_back();
-  G.Users.emplace_back();
   return Slot;
 }
 
@@ -196,14 +195,52 @@ void VFGBuilder::setOrigin(uint32_t Node, NodeOrigin O,
   G.Nodes[Node].Def = Def;
 }
 
-void VFGBuilder::addDep(uint32_t From, uint32_t To, EdgeKind Kind,
-                        uint32_t CallSite) {
-  for (const Edge &E : G.Deps[From])
-    if (E.Node == To && E.Kind == Kind && E.CallSite == CallSite)
-      return;
-  G.Deps[From].push_back({To, Kind, CallSite});
-  G.Users[To].push_back({From, Kind, CallSite});
-  ++G.NumEdges;
+void VFGBuilder::buildEdges() {
+  const uint32_t N = G.numNodes();
+  const uint32_t NumPending = static_cast<uint32_t>(PendingEdges.size());
+  // Dependencies: each node's queued edges in call order, less any edge
+  // equal to one the node already holds.
+  std::vector<uint32_t> Begin, Queued;
+  fillCSR(
+      N,
+      [&](auto &&Emit) {
+        for (uint32_t P = 0; P != NumPending; ++P)
+          Emit(PendingEdges[P].first, P);
+      },
+      Begin, Queued);
+  std::vector<uint8_t> Kept(NumPending, 0);
+  G.DepBegin.resize(N + 1);
+  G.DepEdges.reserve(NumPending);
+  for (uint32_t Id = 0; Id != N; ++Id) {
+    G.DepBegin[Id] = static_cast<uint32_t>(G.DepEdges.size());
+    for (uint32_t I = Begin[Id]; I != Begin[Id + 1]; ++I) {
+      const Edge &E = PendingEdges[Queued[I]].second;
+      if (std::any_of(G.DepEdges.begin() + G.DepBegin[Id], G.DepEdges.end(),
+                      [&E](const Edge &D) {
+                        return D.Node == E.Node && D.Kind == E.Kind &&
+                               D.CallSite == E.CallSite;
+                      }))
+        continue;
+      G.DepEdges.push_back(E);
+      Kept[Queued[I]] = 1;
+    }
+  }
+  G.DepBegin[N] = static_cast<uint32_t>(G.DepEdges.size());
+  G.NumEdges = G.DepEdges.size();
+
+  // Users: the kept edges reversed, in call order across the graph.
+  fillCSR(
+      N,
+      [&](auto &&Emit) {
+        for (uint32_t P = 0; P != NumPending; ++P) {
+          if (!Kept[P])
+            continue;
+          const auto &[From, E] = PendingEdges[P];
+          Emit(E.Node, Edge{From, E.Kind, E.CallSite});
+        }
+      },
+      G.UserBegin, G.UserEdges);
+  PendingEdges = {};
 }
 
 uint32_t VFGBuilder::operandNode(const Function *Fn, const InstSSA &Info,
@@ -775,8 +812,6 @@ VFG VFGBuilder::build() {
   // Nodes 0 and 1 are the T and F roots.
   G.Nodes.resize(2);
   G.Origins.resize(2, NodeOrigin::Root);
-  G.Deps.resize(2);
-  G.Users.resize(2);
 
   computeLiveness();
   for (const auto &F : M.functions())
@@ -813,6 +848,7 @@ VFG VFGBuilder::build() {
         addDep(Id, VFG::RootT, EdgeKind::Direct);
     }
   }
+  buildEdges();
 
   // Per reachable instruction, the nodes of the top-level versions it
   // reads (~0u for a version no node was built for, such as the value of

@@ -43,6 +43,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -148,14 +149,21 @@ public:
   bool isRoot(uint32_t Id) const { return Id == RootT || Id == RootF; }
   const NodeData &node(uint32_t Id) const { return Nodes[Id]; }
 
-  /// Dependency edges of \p Id (what its value is computed from).
-  const std::vector<Edge> &deps(uint32_t Id) const { return Deps[Id]; }
+  /// Dependency edges of \p Id (what its value is computed from), in the
+  /// order the builder added them.
+  std::span<const Edge> deps(uint32_t Id) const {
+    return {DepEdges.data() + DepBegin[Id], DepEdges.data() + DepBegin[Id + 1]};
+  }
 
   /// Provenance of \p Id (see NodeOrigin).
   NodeOrigin origin(uint32_t Id) const { return Origins[Id]; }
 
-  /// Reverse edges of \p Id (who consumes its value).
-  const std::vector<Edge> &users(uint32_t Id) const { return Users[Id]; }
+  /// Reverse edges of \p Id (who consumes its value), in the order the
+  /// builder added the edges across the whole graph.
+  std::span<const Edge> users(uint32_t Id) const {
+    return {UserEdges.data() + UserBegin[Id],
+            UserEdges.data() + UserBegin[Id + 1]};
+  }
 
   /// True if \p I is in a block reachable from its function's entry.
   bool reachable(const ir::Instruction *I) const;
@@ -221,8 +229,11 @@ private:
 
   std::vector<NodeData> Nodes;
   std::vector<NodeOrigin> Origins;
-  std::vector<std::vector<Edge>> Deps;
-  std::vector<std::vector<Edge>> Users;
+  /// CSR adjacency: node Id's dependency edges are
+  /// DepEdges[DepBegin[Id] .. DepBegin[Id + 1]), its user edges likewise.
+  /// Both offset arrays hold numNodes() + 1 entries.
+  std::vector<uint32_t> DepBegin, UserBegin;
+  std::vector<Edge> DepEdges, UserEdges;
   std::vector<CriticalUse> CriticalUses;
   std::vector<UseRange> InstUses; // Indexed by instruction id.
   std::vector<UseEntry> Uses;
@@ -254,6 +265,8 @@ public:
   /// nodes and edges only for live memory versions, so node ids are those
   /// of the unpruned graph, renumbered in order. The index from SSA
   /// version to node is the builder's own; the graph does not keep it.
+  /// Edges are queued as the walk adds them and laid out as the graph's
+  /// CSR arrays once, at the end (buildEdges()).
   VFG build();
 
 private:
@@ -322,8 +335,13 @@ private:
                 uint32_t Version) {
     memDep(From, localBit(Loc, Version), &F, Loc, Version, EdgeKind::Direct);
   }
+  /// Queues the edge From -> To; buildEdges() drops repeats.
   void addDep(uint32_t From, uint32_t To, EdgeKind Kind,
-              uint32_t CallSite = ~0u);
+              uint32_t CallSite = ~0u) {
+    PendingEdges.push_back({From, {To, Kind, CallSite}});
+  }
+  /// Lays the queued edges out as the graph's CSR arrays.
+  void buildEdges();
   /// Records that \p Node is built by \p O, at statement \p Def if any.
   void setOrigin(uint32_t Node, NodeOrigin O,
                  const ir::Instruction *Def = nullptr);
@@ -373,6 +391,8 @@ private:
     uint32_t Loc, Version, Bit;
   };
   std::vector<LiveVersion> LiveWork;
+  /// Every addDep, in call order: the source node and the edge.
+  std::vector<std::pair<uint32_t, Edge>> PendingEdges;
 };
 
 } // namespace vfg

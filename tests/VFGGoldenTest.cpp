@@ -54,7 +54,7 @@ struct Digest {
       H *= 1099511628211ull;
     }
   }
-  void addEdges(const std::vector<vfg::Edge> &Edges) {
+  void addEdges(std::span<const vfg::Edge> Edges) {
     add(Edges.size());
     for (const vfg::Edge &E : Edges) {
       add(E.Node);

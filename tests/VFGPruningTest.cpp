@@ -12,6 +12,8 @@
 ///
 ///  - no dead version survives: every memory node has a dependency path
 ///    to a top-level node;
+///  - the adjacency is consistent: users is exactly deps reversed, no
+///    deps list holds an edge twice, and numEdges() counts either side;
 ///  - the counters add up: nodes + pruned versions = 2 roots + top-level
 ///    nodes + memory SSA versions, and the versions memory SSA placed are
 ///    the ones its functions report: those the builder referenced plus at
@@ -135,6 +137,30 @@ TEST_P(PrunedVFG, InvariantsHold) {
   EXPECT_EQ(R.Stats.NumVFGNodes + R.Stats.NumPrunedMemVersions,
             2 + TopLevel + R.Stats.NumMemSSAVersions);
   EXPECT_LE(R.Stats.NumPrunedMemVersions, R.Stats.NumMemSSAVersions);
+
+  // The adjacency: users is exactly deps reversed, as multisets of
+  // (from, to, kind, site); no deps list repeats an edge; numEdges()
+  // counts either side.
+  using EdgeKey = std::tuple<uint32_t, uint32_t, uint8_t, uint32_t>;
+  std::vector<EdgeKey> Forward, Backward;
+  for (uint32_t Id = 0; Id != N; ++Id) {
+    const size_t First = Forward.size();
+    for (const vfg::Edge &E : G.deps(Id))
+      Forward.emplace_back(Id, E.Node, static_cast<uint8_t>(E.Kind),
+                           E.CallSite);
+    std::vector<EdgeKey> Own(Forward.begin() + First, Forward.end());
+    std::sort(Own.begin(), Own.end());
+    EXPECT_EQ(std::adjacent_find(Own.begin(), Own.end()), Own.end())
+        << "node " << Id << " repeats a dependency edge";
+    for (const vfg::Edge &E : G.users(Id))
+      Backward.emplace_back(E.Node, Id, static_cast<uint8_t>(E.Kind),
+                            E.CallSite);
+  }
+  EXPECT_EQ(G.numEdges(), Forward.size());
+  EXPECT_EQ(G.numEdges(), Backward.size());
+  std::sort(Forward.begin(), Forward.end());
+  std::sort(Backward.begin(), Backward.end());
+  EXPECT_TRUE(Forward == Backward) << "users is not the inverse of deps";
 
   // What memory SSA places is exactly the versions its functions report.
   // The counted versions are the placed ones the builder referenced plus
