@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <span>
-#include <tuple>
 
 using namespace usher;
 using namespace usher::core;
@@ -149,11 +148,8 @@ Definedness::Definedness(
       for (const Edge &E : G.users(S)) {
         auto It = Redirects->find(E.Node);
         if (It != Redirects->end() &&
-            std::none_of(It->second.begin(), It->second.end(),
-                         [&](const Edge &D) {
-                           return D.Node == S && D.Kind == E.Kind &&
-                                  D.CallSite == E.CallSite;
-                         }))
+            std::find(It->second.begin(), It->second.end(),
+                      Edge{S, E.Kind, E.CallSite}) == It->second.end())
           continue;
         Filtered.push_back(E);
       }
@@ -211,19 +207,12 @@ Definedness::Definedness(
         }
       },
       RepFlowBegin, RepFlows);
-  auto Key = [](const Edge &E) {
-    return std::tuple(E.Node, E.Kind, E.CallSite);
-  };
   uint32_t Out = 0;
   for (uint32_t R = 0; R != N; ++R) {
     auto First = RepFlows.begin() + RepFlowBegin[R];
     auto Last = RepFlows.begin() + RepFlowBegin[R + 1];
-    std::sort(First, Last, [&](const Edge &A, const Edge &B) {
-      return Key(A) < Key(B);
-    });
-    Last = std::unique(First, Last, [&](const Edge &A, const Edge &B) {
-      return Key(A) == Key(B);
-    });
+    std::sort(First, Last);
+    Last = std::unique(First, Last);
     RepFlowBegin[R] = Out;
     Out = static_cast<uint32_t>(
         std::copy(First, Last, RepFlows.begin() + Out) - RepFlows.begin());
@@ -257,13 +246,11 @@ Definedness::Definedness(
     if (Count >= MaxContextsPerRep) {
       Count = Saturated;
       Ctx = Context::empty();
-      if (!Seen.insert(R, Ctx.raw()))
-        return;
-    } else if (Seen.insert(R, Ctx.raw())) {
-      ++Count;
-    } else {
-      return;
     }
+    if (!Seen.insert(R, Ctx.raw()))
+      return;
+    if (Count != Saturated)
+      ++Count;
     Work.push_back({R, Ctx});
     ++NumStates;
   };

@@ -215,11 +215,8 @@ void VFGBuilder::buildEdges() {
     G.DepBegin[Id] = static_cast<uint32_t>(G.DepEdges.size());
     for (uint32_t I = Begin[Id]; I != Begin[Id + 1]; ++I) {
       const Edge &E = PendingEdges[Queued[I]].second;
-      if (std::any_of(G.DepEdges.begin() + G.DepBegin[Id], G.DepEdges.end(),
-                      [&E](const Edge &D) {
-                        return D.Node == E.Node && D.Kind == E.Kind &&
-                               D.CallSite == E.CallSite;
-                      }))
+      if (std::find(G.DepEdges.begin() + G.DepBegin[Id], G.DepEdges.end(),
+                    E) != G.DepEdges.end())
         continue;
       G.DepEdges.push_back(E);
       Kept[Queued[I]] = 1;

@@ -82,11 +82,13 @@ enum class EdgeKind : uint8_t {
   Ret     ///< Out of a callee (return -> result); labeled with the call site.
 };
 
-/// One dependency edge.
+/// One dependency edge. Edges compare by node, then kind, then call site.
 struct Edge {
   uint32_t Node;             ///< The node depended on / the dependent user.
   EdgeKind Kind;
   uint32_t CallSite = ~0u;   ///< Instruction id of the CallInst, if labeled.
+
+  friend auto operator<=>(const Edge &, const Edge &) = default;
 };
 
 /// Why a node exists: which defining construct its dependency edges model.
@@ -152,7 +154,8 @@ public:
   /// Dependency edges of \p Id (what its value is computed from), in the
   /// order the builder added them.
   std::span<const Edge> deps(uint32_t Id) const {
-    return {DepEdges.data() + DepBegin[Id], DepEdges.data() + DepBegin[Id + 1]};
+    return {DepEdges.data() + DepBegin[Id],
+            DepEdges.data() + DepBegin[Id + 1]};
   }
 
   /// Provenance of \p Id (see NodeOrigin).
