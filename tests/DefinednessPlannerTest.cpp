@@ -219,6 +219,49 @@ TEST(Definedness, ContextsSaturatePastTheCap) {
   EXPECT_TRUE(Gamma.isDefined(definedNode(*R.G, "d")));
 }
 
+TEST(Definedness, SaturationFollowsTheWorklistOrder) {
+  // Under ContextK 2, id's formal receives 40 contexts through wa and 40
+  // through wb, one pop each, so which 64 get in before it saturates
+  // depends on which pop comes first. A context from wa reaches two
+  // states (r and t), one from wb one (s), so the state count pins the
+  // pop order. Gamma does not depend on it.
+  std::string Src = "func id(v) { ret v; }\nfunc wa(p) {\n";
+  for (unsigned I = 0; I != 40; ++I)
+    Src += "  r" + std::to_string(I) + " = id(p);\n  t" + std::to_string(I) +
+           " = r" + std::to_string(I) + ";\n";
+  Src += "  ret 0;\n}\nfunc wb(q) {\n";
+  for (unsigned I = 0; I != 40; ++I)
+    Src += "  s" + std::to_string(I) + " = id(q);\n";
+  Src += R"(  ret 0;
+}
+func main() {
+  z = 0;
+  if z goto setit;
+  goto next;
+setit:
+  u = 1;
+next:
+  x = wa(u);
+  y = wb(u);
+  ret 0;
+}
+)";
+  auto M = parser::parseModuleOrAbort(Src);
+  UsherResult R = runOn(*M, ToolVariant::UsherFull);
+  core::DefinednessOptions Opts;
+  Opts.ContextK = 2;
+  core::Definedness Gamma(*R.G, Opts);
+  // Bottom: F, u's entry version and phi, p, q, v and the 120 results
+  // and copies.
+  EXPECT_EQ(Gamma.numUndefinedNodes(), 126u);
+  // The stack pops wb's formal first: its 40 contexts get in, then 24 of
+  // wa's before v saturates. States: F, u, its phi, p, q; v in 64
+  // contexts plus the universal one; s in 40 contexts and r and t in 24
+  // each; the 120 results and copies in the universal context. Popping
+  // wa's formal first would give 3 + 2 + 65 + 24 + 80 + 120 = 294.
+  EXPECT_EQ(Gamma.numStates(), 3u + 2u + 65u + 40u + 48u + 120u);
+}
+
 TEST(Definedness, RedirectedUserStopsReceivingTheFlow) {
   auto M = parser::parseModuleOrAbort(R"(
     func main() {
