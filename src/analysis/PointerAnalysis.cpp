@@ -135,11 +135,9 @@ std::vector<MemObject *> WrapperChecker::run() {
   // only be copied, returned, or branched on.
   for (const auto &BB : F.blocks()) {
     for (const auto &I : BB->instructions()) {
-      std::vector<Variable *> Used;
-      I->collectUsedVars(Used);
       bool UsesAlloc = false;
-      for (const Variable *V : Used)
-        UsesAlloc |= MayHoldAlloc.count(V) != 0;
+      I->forEachUsedVar(
+          [&](const Variable *V) { UsesAlloc |= MayHoldAlloc.count(V) != 0; });
       if (!UsesAlloc)
         continue;
       switch (I->getKind()) {

@@ -314,7 +314,7 @@ bool InstrumentationPlanner::Impl::trySimplifyMFC(const Instruction *I0) {
   std::function<bool(const Instruction *, unsigned)> Expand =
       [&](const Instruction *I, unsigned Depth) -> bool {
     std::vector<Operand> Ops;
-    I->collectOperands(Ops);
+    I->forEachOperand([&](Operand Op) { Ops.push_back(Op); });
     if (!G.reachable(I))
       return false;
     for (const Operand &Op : Ops) {

@@ -54,119 +54,6 @@ const char *ir::binOpcodeSpelling(BinOpcode Op) {
 }
 
 //===----------------------------------------------------------------------===//
-// Instruction
-//===----------------------------------------------------------------------===//
-
-void Instruction::collectOperands(std::vector<Operand> &Ops) const {
-  switch (K) {
-  case IKind::Copy:
-    Ops.push_back(cast<CopyInst>(this)->getSrc());
-    break;
-  case IKind::BinOp: {
-    const auto *B = cast<BinOpInst>(this);
-    Ops.push_back(B->getLHS());
-    Ops.push_back(B->getRHS());
-    break;
-  }
-  case IKind::Alloc:
-    break;
-  case IKind::FieldAddr: {
-    const auto *FA = cast<FieldAddrInst>(this);
-    Ops.push_back(FA->getBase());
-    Ops.push_back(FA->getIndex());
-    break;
-  }
-  case IKind::Load:
-    Ops.push_back(cast<LoadInst>(this)->getPtr());
-    break;
-  case IKind::Store: {
-    const auto *S = cast<StoreInst>(this);
-    Ops.push_back(S->getPtr());
-    Ops.push_back(S->getValue());
-    break;
-  }
-  case IKind::Call:
-    for (const Operand &Arg : cast<CallInst>(this)->getArgs())
-      Ops.push_back(Arg);
-    break;
-  case IKind::CondBr:
-    Ops.push_back(cast<CondBrInst>(this)->getCond());
-    break;
-  case IKind::Goto:
-    break;
-  case IKind::Ret: {
-    Operand V = cast<RetInst>(this)->getValue();
-    if (!V.isNone())
-      Ops.push_back(V);
-    break;
-  }
-  }
-}
-
-void Instruction::collectUsedVars(std::vector<Variable *> &Uses) const {
-  std::vector<Operand> Ops;
-  collectOperands(Ops);
-  for (const Operand &Op : Ops)
-    if (Op.isVar())
-      Uses.push_back(Op.getVar());
-}
-
-void Instruction::rewriteOperands(
-    const std::function<Operand(Operand)> &Fn) {
-  switch (K) {
-  case IKind::Copy: {
-    auto *C = cast<CopyInst>(this);
-    C->setSrc(Fn(C->getSrc()));
-    break;
-  }
-  case IKind::BinOp: {
-    auto *B = cast<BinOpInst>(this);
-    B->setLHS(Fn(B->getLHS()));
-    B->setRHS(Fn(B->getRHS()));
-    break;
-  }
-  case IKind::Alloc:
-    break;
-  case IKind::FieldAddr: {
-    auto *F = cast<FieldAddrInst>(this);
-    F->setBase(Fn(F->getBase()));
-    F->setIndex(Fn(F->getIndex()));
-    break;
-  }
-  case IKind::Load: {
-    auto *L = cast<LoadInst>(this);
-    L->setPtr(Fn(L->getPtr()));
-    break;
-  }
-  case IKind::Store: {
-    auto *S = cast<StoreInst>(this);
-    S->setPtr(Fn(S->getPtr()));
-    S->setValue(Fn(S->getValue()));
-    break;
-  }
-  case IKind::Call: {
-    auto *C = cast<CallInst>(this);
-    for (unsigned I = 0, E = C->getArgs().size(); I != E; ++I)
-      C->setArg(I, Fn(C->getArgs()[I]));
-    break;
-  }
-  case IKind::CondBr: {
-    auto *B = cast<CondBrInst>(this);
-    B->setCond(Fn(B->getCond()));
-    break;
-  }
-  case IKind::Goto:
-    break;
-  case IKind::Ret: {
-    auto *R = cast<RetInst>(this);
-    if (!R->getValue().isNone())
-      R->setValue(Fn(R->getValue()));
-    break;
-  }
-  }
-}
-
-//===----------------------------------------------------------------------===//
 // BasicBlock
 //===----------------------------------------------------------------------===//
 
@@ -207,8 +94,8 @@ void BasicBlock::getSuccessors(std::vector<BasicBlock *> &Succs) const {
 // Function
 //===----------------------------------------------------------------------===//
 
-Variable *Function::createVariable(const std::string &VarName, bool IsParam) {
-  auto V = std::make_unique<Variable>(VarName,
+Variable *Function::createVariable(std::string VarName, bool IsParam) {
+  auto V = std::make_unique<Variable>(std::move(VarName),
                                       static_cast<unsigned>(Vars.size()), this,
                                       IsParam);
   Vars.push_back(std::move(V));
@@ -218,9 +105,9 @@ Variable *Function::createVariable(const std::string &VarName, bool IsParam) {
   return Result;
 }
 
-BasicBlock *Function::createBlock(const std::string &BlockName) {
+BasicBlock *Function::createBlock(std::string BlockName) {
   auto BB = std::make_unique<BasicBlock>(
-      BlockName, static_cast<unsigned>(Blocks.size()), this);
+      std::move(BlockName), static_cast<unsigned>(Blocks.size()), this);
   Blocks.push_back(std::move(BB));
   return Blocks.back().get();
 }
@@ -273,19 +160,19 @@ bool Function::removeUnreachableBlocks() {
 // Module
 //===----------------------------------------------------------------------===//
 
-Function *Module::createFunction(const std::string &FnName) {
-  auto F = std::make_unique<Function>(FnName,
+Function *Module::createFunction(std::string FnName) {
+  auto F = std::make_unique<Function>(std::move(FnName),
                                       static_cast<unsigned>(Funcs.size()),
                                       this);
   Funcs.push_back(std::move(F));
   return Funcs.back().get();
 }
 
-MemObject *Module::createObject(const std::string &ObjName, Region R,
+MemObject *Module::createObject(std::string ObjName, Region R,
                                 unsigned NumFields, bool Initialized,
                                 bool IsArray) {
   auto Obj = std::make_unique<MemObject>(
-      ObjName, static_cast<unsigned>(Objects.size()), R, NumFields,
+      std::move(ObjName), static_cast<unsigned>(Objects.size()), R, NumFields,
       Initialized, IsArray);
   Objects.push_back(std::move(Obj));
   return Objects.back().get();

@@ -253,16 +253,29 @@ public:
   SourceLoc getLoc() const { return Loc; }
   void setLoc(SourceLoc L) { Loc = L; }
 
-  /// Appends every variable operand this instruction reads to \p Uses.
-  /// Constants and global addresses are not included (they are always
-  /// defined values).
-  void collectUsedVars(std::vector<Variable *> &Uses) const;
+  /// Calls \p Visit(Operand) on every operand (of any kind) this
+  /// instruction reads, in operand order. A void return has none.
+  template <typename Fn> void forEachOperand(Fn &&Visit) const;
 
-  /// Appends every operand (of any kind) this instruction reads.
-  void collectOperands(std::vector<Operand> &Ops) const;
+  /// Calls \p Visit(Variable *) on every variable operand this
+  /// instruction reads, in operand order and once per occurrence.
+  /// Constants and global addresses are skipped (they are always defined
+  /// values).
+  template <typename Fn> void forEachUsedVar(Fn &&Visit) const {
+    forEachOperand([&](Operand Op) {
+      if (Op.isVar())
+        Visit(Op.getVar());
+    });
+  }
 
-  /// Rewrites every operand in place through \p Fn.
-  void rewriteOperands(const std::function<Operand(Operand)> &Fn);
+  /// Appends every variable operand this instruction reads to \p Uses,
+  /// as forEachUsedVar visits them.
+  void collectUsedVars(std::vector<Variable *> &Uses) const {
+    forEachUsedVar([&](Variable *V) { Uses.push_back(V); });
+  }
+
+  /// Replaces every operand forEachOperand visits with \p Rewrite(Operand).
+  template <typename Fn> void rewriteOperands(Fn &&Rewrite);
 
   /// True for block terminators (CondBr, Goto, Ret).
   bool isTerminator() const {
@@ -487,6 +500,102 @@ private:
   Operand Val;
 };
 
+template <typename Fn> void Instruction::forEachOperand(Fn &&Visit) const {
+  switch (K) {
+  case IKind::Copy:
+    Visit(cast<CopyInst>(this)->getSrc());
+    break;
+  case IKind::BinOp: {
+    const auto *B = cast<BinOpInst>(this);
+    Visit(B->getLHS());
+    Visit(B->getRHS());
+    break;
+  }
+  case IKind::Alloc:
+  case IKind::Goto:
+    break;
+  case IKind::FieldAddr: {
+    const auto *FA = cast<FieldAddrInst>(this);
+    Visit(FA->getBase());
+    Visit(FA->getIndex());
+    break;
+  }
+  case IKind::Load:
+    Visit(cast<LoadInst>(this)->getPtr());
+    break;
+  case IKind::Store: {
+    const auto *S = cast<StoreInst>(this);
+    Visit(S->getPtr());
+    Visit(S->getValue());
+    break;
+  }
+  case IKind::Call:
+    for (const Operand &Arg : cast<CallInst>(this)->getArgs())
+      Visit(Arg);
+    break;
+  case IKind::CondBr:
+    Visit(cast<CondBrInst>(this)->getCond());
+    break;
+  case IKind::Ret:
+    if (Operand V = cast<RetInst>(this)->getValue(); !V.isNone())
+      Visit(V);
+    break;
+  }
+}
+
+template <typename Fn> void Instruction::rewriteOperands(Fn &&Rewrite) {
+  switch (K) {
+  case IKind::Copy: {
+    auto *C = cast<CopyInst>(this);
+    C->setSrc(Rewrite(C->getSrc()));
+    break;
+  }
+  case IKind::BinOp: {
+    auto *B = cast<BinOpInst>(this);
+    B->setLHS(Rewrite(B->getLHS()));
+    B->setRHS(Rewrite(B->getRHS()));
+    break;
+  }
+  case IKind::Alloc:
+  case IKind::Goto:
+    break;
+  case IKind::FieldAddr: {
+    auto *FA = cast<FieldAddrInst>(this);
+    FA->setBase(Rewrite(FA->getBase()));
+    FA->setIndex(Rewrite(FA->getIndex()));
+    break;
+  }
+  case IKind::Load: {
+    auto *L = cast<LoadInst>(this);
+    L->setPtr(Rewrite(L->getPtr()));
+    break;
+  }
+  case IKind::Store: {
+    auto *S = cast<StoreInst>(this);
+    S->setPtr(Rewrite(S->getPtr()));
+    S->setValue(Rewrite(S->getValue()));
+    break;
+  }
+  case IKind::Call: {
+    auto *C = cast<CallInst>(this);
+    for (unsigned Idx = 0, E = C->getArgs().size(); Idx != E; ++Idx)
+      C->setArg(Idx, Rewrite(C->getArgs()[Idx]));
+    break;
+  }
+  case IKind::CondBr: {
+    auto *B = cast<CondBrInst>(this);
+    B->setCond(Rewrite(B->getCond()));
+    break;
+  }
+  case IKind::Ret: {
+    auto *R = cast<RetInst>(this);
+    if (!R->getValue().isNone())
+      R->setValue(Rewrite(R->getValue()));
+    break;
+  }
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Basic blocks, functions, module
 //===----------------------------------------------------------------------===//
@@ -542,10 +651,10 @@ public:
   Module *getParent() const { return Parent; }
 
   /// Creates a new top-level variable owned by this function.
-  Variable *createVariable(const std::string &Name, bool IsParam = false);
+  Variable *createVariable(std::string Name, bool IsParam = false);
 
   /// Creates a new basic block owned by this function.
-  BasicBlock *createBlock(const std::string &Name);
+  BasicBlock *createBlock(std::string Name);
 
   const std::vector<std::unique_ptr<Variable>> &variables() const {
     return Vars;
@@ -591,10 +700,10 @@ public:
   Module &operator=(const Module &) = delete;
 
   /// Creates a new function owned by this module.
-  Function *createFunction(const std::string &Name);
+  Function *createFunction(std::string Name);
 
   /// Creates a new abstract memory object owned by this module.
-  MemObject *createObject(const std::string &Name, Region R,
+  MemObject *createObject(std::string Name, Region R,
                           unsigned NumFields, bool Initialized, bool IsArray);
 
   const std::vector<std::unique_ptr<Function>> &functions() const {

@@ -55,9 +55,9 @@ public:
   /// object as a side effect.
   Instruction *createAlloc(Variable *Def, Region R, unsigned NumFields,
                            bool Initialized, bool IsArray,
-                           const std::string &ObjName) {
-    MemObject *Obj = M.createObject(ObjName, R, NumFields, Initialized,
-                                    IsArray);
+                           std::string ObjName) {
+    MemObject *Obj = M.createObject(std::move(ObjName), R, NumFields,
+                                    Initialized, IsArray);
     auto I = std::make_unique<AllocInst>(Obj);
     I->setDef(Def);
     Instruction *Result = append(std::move(I));

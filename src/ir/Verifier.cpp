@@ -11,17 +11,15 @@
 #include "support/RawStream.h"
 
 #include <cstdlib>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 using namespace usher;
 using namespace usher::ir;
 
 namespace {
 
-/// Checks one function. Self-contained — its sets and error list are
-/// local; the caller concatenates the error lists in module function
-/// order.
+/// Checks one function. Self-contained — its error list is local; the
+/// caller concatenates the error lists in module function order.
 class FunctionChecker {
 public:
   explicit FunctionChecker(const Function &F) : F(F) {}
@@ -35,10 +33,19 @@ private:
                         bool IsLast);
   void checkOperand(const Instruction &I, const Operand &Op);
 
+  /// True if \p BB is one of F's blocks (block ids are dense in F).
+  bool ownsBlock(const BasicBlock *BB) const {
+    return BB->getParent() == &F && BB->getId() < F.blocks().size() &&
+           F.blocks()[BB->getId()].get() == BB;
+  }
+  /// True if \p V is one of F's variables (variable ids are dense in F).
+  bool ownsVar(const Variable *V) const {
+    return V->getParent() == &F && V->getId() < F.variables().size() &&
+           F.variables()[V->getId()].get() == V;
+  }
+
   const Function &F;
   std::vector<std::string> Errors;
-  std::unordered_set<const BasicBlock *> FunctionBlocks;
-  std::unordered_set<const Variable *> FunctionVars;
 };
 
 } // namespace
@@ -48,11 +55,6 @@ std::vector<std::string> FunctionChecker::run() {
     error("function '" + F.getName() + "' has no blocks");
     return std::move(Errors);
   }
-
-  for (const auto &BB : F.blocks())
-    FunctionBlocks.insert(BB.get());
-  for (const auto &V : F.variables())
-    FunctionVars.insert(V.get());
 
   for (const auto &BB : F.blocks()) {
     if (BB->empty()) {
@@ -70,7 +72,7 @@ std::vector<std::string> FunctionChecker::run() {
 }
 
 void FunctionChecker::checkOperand(const Instruction &I, const Operand &Op) {
-  if (Op.isVar() && !FunctionVars.count(Op.getVar()))
+  if (Op.isVar() && !ownsVar(Op.getVar()))
     error("function '" + F.getName() + "': instruction #" +
           std::to_string(I.getId()) + " uses variable '" +
           Op.getVar()->getName() + "' from another function");
@@ -85,10 +87,7 @@ void FunctionChecker::checkInstruction(const BasicBlock &BB,
     error("function '" + F.getName() + "': block '" + BB.getName() +
           "' has a terminator in mid-block");
 
-  std::vector<Operand> Ops;
-  I.collectOperands(Ops);
-  for (const Operand &Op : Ops)
-    checkOperand(I, Op);
+  I.forEachOperand([&](const Operand &Op) { checkOperand(I, Op); });
 
   const bool NeedsDef = isa<CopyInst>(&I) || isa<BinOpInst>(&I) ||
                         isa<AllocInst>(&I) || isa<FieldAddrInst>(&I) ||
@@ -101,16 +100,15 @@ void FunctionChecker::checkInstruction(const BasicBlock &BB,
   if (ForbidsDef && I.getDef())
     error("function '" + F.getName() + "': instruction #" +
           std::to_string(I.getId()) + " must not have a def");
-  if (I.getDef() && !FunctionVars.count(I.getDef()))
+  if (I.getDef() && !ownsVar(I.getDef()))
     error("function '" + F.getName() + "': def variable '" +
           I.getDef()->getName() + "' belongs to another function");
 
   if (const auto *CB = dyn_cast<CondBrInst>(&I)) {
-    if (!FunctionBlocks.count(CB->getTrueBB()) ||
-        !FunctionBlocks.count(CB->getFalseBB()))
+    if (!ownsBlock(CB->getTrueBB()) || !ownsBlock(CB->getFalseBB()))
       error("function '" + F.getName() + "': branch target outside function");
   } else if (const auto *G = dyn_cast<GotoInst>(&I)) {
-    if (!FunctionBlocks.count(G->getTarget()))
+    if (!ownsBlock(G->getTarget()))
       error("function '" + F.getName() + "': goto target outside function");
   } else if (const auto *C = dyn_cast<CallInst>(&I)) {
     if (!C->getCallee()) {
@@ -134,15 +132,22 @@ bool ir::verifyModule(const Module &M, std::vector<std::string> &Errors) {
   else if (!Main->params().empty())
     Errors.push_back("'main' must take no parameters");
 
-  // Each non-global object must have exactly one allocation site.
-  std::unordered_map<const MemObject *, unsigned> AllocCounts;
+  // Each non-global object must have exactly one allocation site. Object
+  // ids are dense in the module; an alloc of an object the module does
+  // not hold counts for none.
+  std::vector<unsigned> AllocCounts(M.objects().size());
   for (const auto &F : M.functions())
     for (const auto &BB : F->blocks())
       for (const auto &I : BB->instructions())
-        if (const auto *A = dyn_cast<AllocInst>(I.get()))
-          ++AllocCounts[A->getObject()];
-  for (const auto &Obj : M.objects()) {
-    unsigned N = AllocCounts.count(Obj.get()) ? AllocCounts[Obj.get()] : 0;
+        if (const auto *A = dyn_cast<AllocInst>(I.get())) {
+          const MemObject *Obj = A->getObject();
+          if (Obj->getId() < AllocCounts.size() &&
+              M.objects()[Obj->getId()].get() == Obj)
+            ++AllocCounts[Obj->getId()];
+        }
+  for (size_t Idx = 0; Idx != M.objects().size(); ++Idx) {
+    const MemObject *Obj = M.objects()[Idx].get();
+    unsigned N = AllocCounts[Idx];
     if (Obj->isGlobal()) {
       if (N != 0)
         Errors.push_back("global object '" + Obj->getName() +

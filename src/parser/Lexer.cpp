@@ -9,219 +9,166 @@
 
 #include "support/Decimal.h"
 
-#include <cctype>
 #include <cstdint>
 
 using namespace usher;
 using namespace usher::parser;
 
-namespace {
+// ASCII classification, as <cctype> decides it in the "C" locale, without
+// a call into the C library per character.
+static bool isDigit(char C) { return C >= '0' && C <= '9'; }
+static bool isIdentStart(char C) {
+  return (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') || C == '_';
+}
+static bool isIdentChar(char C) {
+  return isIdentStart(C) || isDigit(C) || C == '.';
+}
 
-class LexerImpl {
-public:
-  explicit LexerImpl(std::string_view Source) : Src(Source) {}
-
-  std::vector<Token> run();
-
-private:
-  char peek(size_t Ahead = 0) const {
-    return Pos + Ahead < Src.size() ? Src[Pos + Ahead] : '\0';
-  }
-  char advance() {
-    char C = Src[Pos++];
+void Lexer::skipTrivia() {
+  while (Pos < Src.size()) {
+    char C = Src[Pos];
     if (C == '\n') {
+      LineStart = ++Pos;
       ++Line;
-      Col = 1;
-    } else {
-      ++Col;
+      continue;
     }
-    return C;
-  }
-  bool atEnd() const { return Pos >= Src.size(); }
-
-  void push(TokenKind K, std::string Text) {
-    Token T;
-    T.Kind = K;
-    T.Text = std::move(Text);
-    T.Line = TokLine;
-    T.Col = TokCol;
-    Tokens.push_back(std::move(T));
-  }
-
-  void pushInt(int64_t Value, std::string Text) {
-    push(TokenKind::Int, std::move(Text));
-    Tokens.back().IntValue = Value;
-  }
-
-  void skipTrivia();
-  bool lexOne();
-
-  std::string_view Src;
-  size_t Pos = 0;
-  unsigned Line = 1, Col = 1;
-  unsigned TokLine = 1, TokCol = 1;
-  std::vector<Token> Tokens;
-};
-
-} // namespace
-
-void LexerImpl::skipTrivia() {
-  while (!atEnd()) {
-    char C = peek();
-    if (C == ' ' || C == '\t' || C == '\r' || C == '\n') {
-      advance();
+    if (C == ' ' || C == '\t' || C == '\r') {
+      ++Pos;
       continue;
     }
     if (C == '/' && peek(1) == '/') {
-      while (!atEnd() && peek() != '\n')
-        advance();
+      size_t End = Src.find('\n', Pos);
+      Pos = End == std::string_view::npos ? Src.size() : End;
       continue;
     }
     break;
   }
 }
 
-bool LexerImpl::lexOne() {
-  skipTrivia();
-  TokLine = Line;
-  TokCol = Col;
-  if (atEnd()) {
-    push(TokenKind::Eof, "");
-    return false;
-  }
-
-  char C = advance();
-  if (std::isalpha(static_cast<unsigned char>(C)) || C == '_') {
-    std::string Text(1, C);
-    while (std::isalnum(static_cast<unsigned char>(peek())) || peek() == '_' ||
-           peek() == '.')
-      Text.push_back(advance());
-    push(TokenKind::Ident, std::move(Text));
-    return true;
-  }
-  if (std::isdigit(static_cast<unsigned char>(C))) {
-    std::string Text(1, C);
-    while (std::isdigit(static_cast<unsigned char>(peek())))
-      Text.push_back(advance());
-    uint64_t Value = 0;
-    if (!parseDecimal(Text, INT64_MAX, Value)) {
-      push(TokenKind::Error, "integer literal out of range");
-      return false;
+void Lexer::skipBlock() {
+  // No token but a brace contains a brace character, and TinyC has no
+  // string literals, so counting the characters outside comments matches
+  // the braces the tokens would.
+  unsigned Depth = 1;
+  while (Pos < Src.size()) {
+    switch (Src[Pos++]) {
+    case '\n':
+      LineStart = Pos;
+      ++Line;
+      break;
+    case '{':
+      ++Depth;
+      break;
+    case '}':
+      if (--Depth == 0)
+        return;
+      break;
+    case '/':
+      if (peek() == '/') {
+        size_t End = Src.find('\n', Pos);
+        Pos = End == std::string_view::npos ? Src.size() : End;
+      }
+      break;
     }
-    pushInt(static_cast<int64_t>(Value), std::move(Text));
-    return true;
+  }
+}
+
+Token Lexer::fail(Token T, std::string Message) {
+  Failed = true;
+  ErrorMessage = std::move(Message);
+  T.Kind = TokenKind::Error;
+  T.Text = ErrorMessage;
+  return T;
+}
+
+Token Lexer::next() {
+  if (!Failed)
+    skipTrivia();
+  Token T;
+  T.Line = Line;
+  T.Col = static_cast<unsigned>(Pos - LineStart + 1);
+  if (Failed || Pos >= Src.size())
+    return T; // Eof.
+
+  const size_t Start = Pos;
+  const char C = Src[Pos++];
+  auto Spelled = [&](TokenKind K) {
+    T.Kind = K;
+    T.Text = Src.substr(Start, Pos - Start);
+    return T;
+  };
+  // Consumes the second character of a two-character operator.
+  auto Pair = [&](TokenKind K) {
+    ++Pos;
+    return Spelled(K);
+  };
+
+  if (isIdentStart(C)) {
+    while (isIdentChar(peek()))
+      ++Pos;
+    return Spelled(TokenKind::Ident);
+  }
+  if (isDigit(C)) {
+    while (isDigit(peek()))
+      ++Pos;
+    uint64_t Value = 0;
+    if (!parseDecimal(Src.substr(Start, Pos - Start), INT64_MAX, Value))
+      return fail(T, "integer literal out of range");
+    T.IntValue = static_cast<int64_t>(Value);
+    return Spelled(TokenKind::Int);
   }
 
   switch (C) {
   case ';':
-    push(TokenKind::Semi, ";");
-    return true;
+    return Spelled(TokenKind::Semi);
   case ',':
-    push(TokenKind::Comma, ",");
-    return true;
+    return Spelled(TokenKind::Comma);
   case '(':
-    push(TokenKind::LParen, "(");
-    return true;
+    return Spelled(TokenKind::LParen);
   case ')':
-    push(TokenKind::RParen, ")");
-    return true;
+    return Spelled(TokenKind::RParen);
   case '{':
-    push(TokenKind::LBrace, "{");
-    return true;
+    return Spelled(TokenKind::LBrace);
   case '}':
-    push(TokenKind::RBrace, "}");
-    return true;
+    return Spelled(TokenKind::RBrace);
   case '[':
-    push(TokenKind::LBracket, "[");
-    return true;
+    return Spelled(TokenKind::LBracket);
   case ']':
-    push(TokenKind::RBracket, "]");
-    return true;
+    return Spelled(TokenKind::RBracket);
   case ':':
-    push(TokenKind::Colon, ":");
-    return true;
+    return Spelled(TokenKind::Colon);
   case '*':
-    push(TokenKind::Star, "*");
-    return true;
+    return Spelled(TokenKind::Star);
   case '+':
-    push(TokenKind::Plus, "+");
-    return true;
+    return Spelled(TokenKind::Plus);
   case '-':
-    push(TokenKind::Minus, "-");
-    return true;
+    return Spelled(TokenKind::Minus);
   case '/':
-    push(TokenKind::Slash, "/");
-    return true;
+    return Spelled(TokenKind::Slash);
   case '%':
-    push(TokenKind::Percent, "%");
-    return true;
+    return Spelled(TokenKind::Percent);
   case '&':
-    push(TokenKind::Amp, "&");
-    return true;
+    return Spelled(TokenKind::Amp);
   case '|':
-    push(TokenKind::Pipe, "|");
-    return true;
+    return Spelled(TokenKind::Pipe);
   case '^':
-    push(TokenKind::Caret, "^");
-    return true;
+    return Spelled(TokenKind::Caret);
   case '=':
-    if (peek() == '=') {
-      advance();
-      push(TokenKind::EqEq, "==");
-    } else {
-      push(TokenKind::Assign, "=");
-    }
-    return true;
+    return peek() == '=' ? Pair(TokenKind::EqEq) : Spelled(TokenKind::Assign);
   case '!':
-    if (peek() == '=') {
-      advance();
-      push(TokenKind::NotEq, "!=");
-      return true;
-    }
-    push(TokenKind::Error, "unexpected character '!'");
-    return false;
+    if (peek() == '=')
+      return Pair(TokenKind::NotEq);
+    return fail(T, "unexpected character '!'");
   case '<':
-    if (peek() == '<') {
-      advance();
-      push(TokenKind::Shl, "<<");
-    } else if (peek() == '=') {
-      advance();
-      push(TokenKind::LessEq, "<=");
-    } else {
-      push(TokenKind::Less, "<");
-    }
-    return true;
+    if (peek() == '<')
+      return Pair(TokenKind::Shl);
+    return peek() == '=' ? Pair(TokenKind::LessEq) : Spelled(TokenKind::Less);
   case '>':
-    if (peek() == '>') {
-      advance();
-      push(TokenKind::Shr, ">>");
-    } else if (peek() == '=') {
-      advance();
-      push(TokenKind::GreaterEq, ">=");
-    } else {
-      push(TokenKind::Greater, ">");
-    }
-    return true;
+    if (peek() == '>')
+      return Pair(TokenKind::Shr);
+    return peek() == '=' ? Pair(TokenKind::GreaterEq)
+                         : Spelled(TokenKind::Greater);
   default:
-    push(TokenKind::Error, std::string("unexpected character '") + C + "'");
-    return false;
+    return fail(T, std::string("unexpected character '") + C + "'");
   }
-}
-
-std::vector<Token> LexerImpl::run() {
-  while (lexOne()) {
-  }
-  if (Tokens.empty() || (!Tokens.back().is(TokenKind::Eof) &&
-                         !Tokens.back().is(TokenKind::Error))) {
-    Token T;
-    T.Kind = TokenKind::Eof;
-    T.Line = Line;
-    T.Col = Col;
-    Tokens.push_back(std::move(T));
-  }
-  return std::move(Tokens);
-}
-
-std::vector<Token> parser::tokenize(std::string_view Source) {
-  return LexerImpl(Source).run();
 }

@@ -13,10 +13,12 @@
 #include "parser/Lexer.h"
 #include "support/RawStream.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cstdlib>
-#include <map>
+#include <initializer_list>
 #include <memory_resource>
-#include <set>
+#include <optional>
 #include <unordered_map>
 
 using namespace usher;
@@ -32,35 +34,92 @@ using ir::Variable;
 namespace {
 
 /// Names with fixed meaning that may not be used as variables or labels.
-bool isReservedWord(const std::string &Name) {
-  static const std::set<std::string> Reserved = {
+bool isReservedWord(std::string_view Name) {
+  static constexpr std::string_view Reserved[] = {
       "global", "func", "alloc", "gep",    "if",     "goto",
       "ret",    "stack", "heap",  "init",  "uninit", "array",
       "var"};
-  return Reserved.count(Name) != 0;
+  return std::find(std::begin(Reserved), std::end(Reserved), Name) !=
+         std::end(Reserved);
 }
+
+/// The concatenation of \p Parts, for diagnostics.
+std::string cat(std::initializer_list<std::string_view> Parts) {
+  std::string Out;
+  for (std::string_view P : Parts)
+    Out += P;
+  return Out;
+}
+
+/// A name table keyed by views into the source (or into the names of the
+/// entities it holds), so a lookup hashes the token text in place.
+template <typename T>
+using NameTable = std::pmr::unordered_map<std::string_view, T>;
 
 /// The entity \p Table maps \p Name to, or null.
 template <typename T>
-T *lookup(const std::pmr::unordered_map<std::string, T *> &Table,
-          const std::string &Name) {
+T *lookup(const NameTable<T *> &Table, std::string_view Name) {
   auto It = Table.find(Name);
   return It == Table.end() ? nullptr : It->second;
 }
 
+/// A label of the current function: its block, the line of the first
+/// reference (cited if it stays undefined) and whether it was defined.
+struct LabelInfo {
+  BasicBlock *BB = nullptr;
+  unsigned RefLine = 0;
+  bool Defined = false;
+};
+
 class ParserImpl {
 public:
-  ParserImpl(std::string_view Source) : Tokens(tokenize(Source)) {}
+  ParserImpl(std::string_view Source) : L(Source) { Cur = lex(); }
 
   ParseResult run();
 
 private:
-  // Token cursor helpers.
-  const Token &peek(size_t Ahead = 0) const {
-    size_t Idx = Pos + Ahead;
-    return Idx < Tokens.size() ? Tokens[Idx] : Tokens.back();
+  // Token cursor helpers. The parser looks at most two tokens ahead, so
+  // it lexes on demand and keeps just those two; the second is lexed only
+  // when asked for.
+  /// The next token from the lexer. A lexical error is recorded and read
+  /// as the end of input: it is the only diagnostic run() reports.
+  Token lex() {
+    Token T = L.next();
+    if (T.is(TokenKind::Error)) {
+      LexError = T;
+      T = Token();
+      T.Line = LexError->Line;
+      T.Col = LexError->Col;
+    }
+    return T;
   }
-  const Token &advance() { return Tokens[Pos < Tokens.size() - 1 ? Pos++ : Pos]; }
+  const Token &peek() const { return Cur; }
+  const Token &peekNext() {
+    if (!HasNext) {
+      Next = lex();
+      HasNext = true;
+    }
+    return Next;
+  }
+  Token advance() {
+    Token T = Cur;
+    Cur = HasNext ? Next : lex();
+    HasNext = false;
+    return T;
+  }
+  /// With the cursor on a '{', moves it past the matching '}' without
+  /// tokenizing the block: pass 1 only needs to know where it ends.
+  void skipBlock() {
+    assert(check(TokenKind::LBrace) && !HasNext);
+    L.skipBlock();
+    Cur = lex();
+  }
+  /// Moves the cursor back to the first token of the source.
+  void restart() {
+    L.rewind();
+    Cur = lex();
+    HasNext = false;
+  }
   bool check(TokenKind K) const { return peek().is(K); }
   bool match(TokenKind K) {
     if (!check(K))
@@ -81,7 +140,7 @@ private:
     const Token &T = peek();
     if (T.is(TokenKind::Eof))
       return "end of input";
-    return "'" + T.Text + "'";
+    return cat({"'", T.Text, "'"});
   }
 
   void error(const std::string &Msg) { errorAt(peek(), Msg); }
@@ -110,13 +169,15 @@ private:
   bool parseOperand(Operand &Out);
   bool parseBinOpcode(BinOpcode &Out);
 
-  Variable *resolveOrCreateDef(const std::string &Name);
-  Variable *createLocal(const std::string &Name);
-  BasicBlock *lookupLabel(const std::string &Name);
+  Variable *resolveOrCreateDef(std::string_view Name);
+  Variable *createLocal(std::string_view Name);
+  LabelInfo &lookupLabel(std::string_view Name);
   void startBlock(BasicBlock *BB);
 
-  std::vector<Token> Tokens;
-  size_t Pos = 0;
+  Lexer L;
+  Token Cur, Next;
+  bool HasNext = false;
+  std::optional<Token> LexError;
   std::vector<std::string> Errors;
 
   std::unique_ptr<ir::Module> M;
@@ -129,27 +190,24 @@ private:
   // on the general heap spread the IR out, and the interpreter then ran
   // the deref_mesh program about 1.7x slower.
   std::pmr::monotonic_buffer_resource TableArena;
-  std::pmr::unordered_map<std::string, Function *> Functions{&TableArena};
-  std::pmr::unordered_map<std::string, MemObject *> Globals{&TableArena};
+  NameTable<Function *> Functions{&TableArena};
+  NameTable<MemObject *> Globals{&TableArena};
 
   // Per-function parsing state.
   Function *CurFn = nullptr;
   bool Terminated = false;
   unsigned ContCounter = 0;
   unsigned ObjCounter = 0;
-  std::map<std::string, BasicBlock *> Labels;
-  std::set<std::string> DefinedLabels;
-  std::map<std::string, unsigned> LabelRefLines;
+  NameTable<LabelInfo> Labels{&TableArena};
   /// The current function's variables. Of two same-named parameters the
   /// first wins, as Function::findVariable decides.
-  std::pmr::unordered_map<std::string, Variable *> Locals{&TableArena};
+  NameTable<Variable *> Locals{&TableArena};
 };
 
 } // namespace
 
 void ParserImpl::scanTopLevel() {
-  size_t Saved = Pos;
-  while (!check(TokenKind::Eof) && !check(TokenKind::Error)) {
+  while (!check(TokenKind::Eof)) {
     if (peek().isKeyword("global")) {
       parseGlobalDecl(/*Declare=*/true);
       continue;
@@ -160,13 +218,13 @@ void ParserImpl::scanTopLevel() {
         error("expected function name after 'func'");
         break;
       }
-      std::string Name = advance().Text;
+      std::string_view Name = advance().Text;
       auto [Slot, New] = Functions.try_emplace(Name, nullptr);
       if (!New) {
-        error("redefinition of function '" + Name + "'");
+        error(cat({"redefinition of function '", Name, "'"}));
         break;
       }
-      Function *F = Slot->second = M->createFunction(Name);
+      Function *F = Slot->second = M->createFunction(std::string(Name));
       if (!expect(TokenKind::LParen, "'('"))
         break;
       if (!check(TokenKind::RParen)) {
@@ -175,31 +233,24 @@ void ParserImpl::scanTopLevel() {
             error("expected parameter name");
             break;
           }
-          std::string PName = advance().Text;
+          std::string_view PName = advance().Text;
           if (isReservedWord(PName))
-            error("'" + PName + "' is reserved and cannot be a parameter");
-          F->createVariable(PName, /*IsParam=*/true);
+            error(cat({"'", PName, "' is reserved and cannot be a parameter"}));
+          F->createVariable(std::string(PName), /*IsParam=*/true);
         } while (match(TokenKind::Comma));
       }
       if (!expect(TokenKind::RParen, "')'"))
         break;
-      if (!expect(TokenKind::LBrace, "'{'"))
+      if (!check(TokenKind::LBrace)) {
+        error("expected '{', found " + foundDesc());
         break;
-      // Skip to the matching brace.
-      unsigned Depth = 1;
-      while (Depth > 0 && !check(TokenKind::Eof)) {
-        if (check(TokenKind::LBrace))
-          ++Depth;
-        else if (check(TokenKind::RBrace))
-          --Depth;
-        advance();
       }
+      skipBlock();
       continue;
     }
     error("expected 'global' or 'func' at top level");
     break;
   }
-  Pos = Saved;
 }
 
 void ParserImpl::parseGlobalDecl(bool Declare) {
@@ -209,8 +260,8 @@ void ParserImpl::parseGlobalDecl(bool Declare) {
     recover();
     return;
   }
-  const Token &NameTok = advance();
-  const std::string &Name = NameTok.Text;
+  const Token NameTok = advance();
+  const std::string_view Name = NameTok.Text;
   int64_t Size = 1;
   if (match(TokenKind::LBracket)) {
     if (!check(TokenKind::Int)) {
@@ -248,27 +299,26 @@ void ParserImpl::parseGlobalDecl(bool Declare) {
   if (!Declare)
     return;
   if (Size <= 0 || Size > (1 << 20)) {
-    error("global '" + Name + "' has invalid size");
+    error(cat({"global '", Name, "' has invalid size"}));
     return;
   }
   auto [Slot, New] = Globals.try_emplace(Name, nullptr);
   if (!New) {
-    errorAt(NameTok, "redefinition of global '" + Name + "'");
+    errorAt(NameTok, cat({"redefinition of global '", Name, "'"}));
     return;
   }
-  Slot->second = M->createObject(Name, Region::Global,
+  Slot->second = M->createObject(std::string(Name), Region::Global,
                                  static_cast<unsigned>(Size), Initialized,
                                  IsArray);
 }
 
-ir::BasicBlock *ParserImpl::lookupLabel(const std::string &Name) {
-  auto It = Labels.find(Name);
-  if (It != Labels.end())
-    return It->second;
-  BasicBlock *BB = CurFn->createBlock(Name);
-  Labels[Name] = BB;
-  LabelRefLines[Name] = peek().Line;
-  return BB;
+LabelInfo &ParserImpl::lookupLabel(std::string_view Name) {
+  auto [It, New] = Labels.try_emplace(Name);
+  if (New) {
+    It->second.BB = CurFn->createBlock(std::string(Name));
+    It->second.RefLine = peek().Line;
+  }
+  return It->second;
 }
 
 void ParserImpl::startBlock(BasicBlock *BB) {
@@ -278,23 +328,23 @@ void ParserImpl::startBlock(BasicBlock *BB) {
   Terminated = false;
 }
 
-ir::Variable *ParserImpl::resolveOrCreateDef(const std::string &Name) {
+ir::Variable *ParserImpl::resolveOrCreateDef(std::string_view Name) {
   if (isReservedWord(Name)) {
-    error("'" + Name + "' is reserved and cannot be assigned");
+    error(cat({"'", Name, "' is reserved and cannot be assigned"}));
     return nullptr;
   }
   if (Variable *V = lookup(Locals, Name))
     return V;
   if (lookup(Globals, Name)) {
-    error("cannot assign to global '" + Name +
-          "' directly; store through a pointer instead");
+    error(cat({"cannot assign to global '", Name,
+               "' directly; store through a pointer instead"}));
     return nullptr;
   }
   return createLocal(Name);
 }
 
-ir::Variable *ParserImpl::createLocal(const std::string &Name) {
-  Variable *V = CurFn->createVariable(Name);
+ir::Variable *ParserImpl::createLocal(std::string_view Name) {
+  Variable *V = CurFn->createVariable(std::string(Name));
   Locals.emplace(Name, V);
   return V;
 }
@@ -304,13 +354,13 @@ bool ParserImpl::parseOperand(Operand &Out) {
     Out = Operand::constant(advance().IntValue);
     return true;
   }
-  if (check(TokenKind::Minus) && peek(1).is(TokenKind::Int)) {
+  if (check(TokenKind::Minus) && peekNext().is(TokenKind::Int)) {
     advance();
     Out = Operand::constant(-advance().IntValue);
     return true;
   }
   if (check(TokenKind::Ident)) {
-    std::string Name = peek().Text;
+    std::string_view Name = peek().Text;
     if (Variable *V = lookup(Locals, Name)) {
       advance();
       Out = Operand::var(V);
@@ -321,7 +371,7 @@ bool ParserImpl::parseOperand(Operand &Out) {
       Out = Operand::global(G);
       return true;
     }
-    error("use of undefined name '" + Name + "'");
+    error(cat({"use of undefined name '", Name, "'"}));
     return false;
   }
   error("expected an operand, found " + foundDesc());
@@ -390,26 +440,27 @@ void ParserImpl::parseStatement() {
   Builder->setCurrentLoc({peek().Line, peek().Col});
 
   // Label: IDENT ':'.
-  if (check(TokenKind::Ident) && peek(1).is(TokenKind::Colon)) {
-    std::string Name = peek().Text;
+  if (check(TokenKind::Ident) && peekNext().is(TokenKind::Colon)) {
+    std::string_view Name = peek().Text;
     if (isReservedWord(Name)) {
-      error("'" + Name + "' is reserved and cannot be a label");
+      error(cat({"'", Name, "' is reserved and cannot be a label"}));
       advance();
       advance();
       return;
     }
     advance();
     advance();
-    BasicBlock *BB = lookupLabel(Name);
-    if (!DefinedLabels.insert(Name).second) {
-      error("redefinition of label '" + Name + "'");
+    LabelInfo &Label = lookupLabel(Name);
+    if (Label.Defined) {
+      error(cat({"redefinition of label '", Name, "'"}));
       return;
     }
-    if (!BB->empty()) {
-      error("label '" + Name + "' already has code");
+    Label.Defined = true;
+    if (!Label.BB->empty()) {
+      error(cat({"label '", Name, "' already has code"}));
       return;
     }
-    startBlock(BB);
+    startBlock(Label.BB);
     return;
   }
 
@@ -433,14 +484,14 @@ void ParserImpl::parseStatement() {
         error("expected variable name in declaration");
         return recover();
       }
-      const Token &NameTok = advance();
-      const std::string &Name = NameTok.Text;
+      const Token NameTok = advance();
+      const std::string_view Name = NameTok.Text;
       if (isReservedWord(Name)) {
-        error("'" + Name + "' is reserved and cannot be declared");
+        error(cat({"'", Name, "' is reserved and cannot be declared"}));
         return recover();
       }
       if (lookup(Locals, Name) || lookup(Globals, Name)) {
-        errorAt(NameTok, "redeclaration of '" + Name + "'");
+        errorAt(NameTok, cat({"redeclaration of '", Name, "'"}));
         return recover();
       }
       createLocal(Name);
@@ -480,10 +531,10 @@ void ParserImpl::parseStatement() {
       error("expected label after 'goto'");
       return recover();
     }
-    std::string Target = advance().Text;
+    std::string_view Target = advance().Text;
     if (!expect(TokenKind::Semi, "';'"))
       return recover();
-    BasicBlock *TrueBB = lookupLabel(Target);
+    BasicBlock *TrueBB = lookupLabel(Target).BB;
     BasicBlock *Cont =
         CurFn->createBlock("cont." + std::to_string(ContCounter++));
     Builder->createCondBr(Cond, TrueBB, Cont);
@@ -497,10 +548,10 @@ void ParserImpl::parseStatement() {
       error("expected label after 'goto'");
       return recover();
     }
-    std::string Target = advance().Text;
+    std::string_view Target = advance().Text;
     if (!expect(TokenKind::Semi, "';'"))
       return recover();
-    Builder->createGoto(lookupLabel(Target));
+    Builder->createGoto(lookupLabel(Target).BB);
     Terminated = true;
     return;
   }
@@ -519,11 +570,11 @@ void ParserImpl::parseStatement() {
   }
 
   // Bare call: IDENT '(' args ')' ';'.
-  if (check(TokenKind::Ident) && peek(1).is(TokenKind::LParen)) {
-    std::string Callee = advance().Text;
+  if (check(TokenKind::Ident) && peekNext().is(TokenKind::LParen)) {
+    std::string_view Callee = advance().Text;
     Function *F = lookup(Functions, Callee);
     if (!F) {
-      error("call to undefined function '" + Callee + "'");
+      error(cat({"call to undefined function '", Callee, "'"}));
       return recover();
     }
     advance(); // '('
@@ -541,16 +592,17 @@ void ParserImpl::parseStatement() {
     if (!expect(TokenKind::Semi, "';'"))
       return recover();
     if (Args.size() != F->params().size())
-      error("call to '" + Callee + "' passes " + std::to_string(Args.size()) +
-            " args, expected " + std::to_string(F->params().size()));
+      error(cat({"call to '", Callee, "' passes ",
+                 std::to_string(Args.size()), " args, expected ",
+                 std::to_string(F->params().size())}));
     else
       Builder->createCall(nullptr, F, std::move(Args));
     return;
   }
 
   // Assignment: IDENT '=' rhs ';'.
-  if (check(TokenKind::Ident) && peek(1).is(TokenKind::Assign)) {
-    std::string DefName = advance().Text;
+  if (check(TokenKind::Ident) && peekNext().is(TokenKind::Assign)) {
+    std::string_view DefName = advance().Text;
     advance(); // '='
 
     // RHS: alloc.
@@ -595,10 +647,10 @@ void ParserImpl::parseStatement() {
       Variable *Def = resolveOrCreateDef(DefName);
       if (!Def)
         return;
-      std::string ObjName =
-          CurFn->getName() + "." + DefName + "." + std::to_string(ObjCounter++);
       Builder->createAlloc(Def, R, static_cast<unsigned>(Fields), Initialized,
-                           IsArray, ObjName);
+                           IsArray,
+                           cat({CurFn->getName(), ".", DefName, ".",
+                                std::to_string(ObjCounter++)}));
       return;
     }
 
@@ -645,11 +697,11 @@ void ParserImpl::parseStatement() {
     }
 
     // RHS: call.
-    Function *F = check(TokenKind::Ident) && peek(1).is(TokenKind::LParen)
+    Function *F = check(TokenKind::Ident) && peekNext().is(TokenKind::LParen)
                       ? lookup(Functions, peek().Text)
                       : nullptr;
     if (F) {
-      std::string Callee = advance().Text;
+      std::string_view Callee = advance().Text;
       advance(); // '('
       std::vector<Operand> Args;
       if (!check(TokenKind::RParen)) {
@@ -665,9 +717,9 @@ void ParserImpl::parseStatement() {
       if (!expect(TokenKind::Semi, "';'"))
         return recover();
       if (Args.size() != F->params().size()) {
-        error("call to '" + Callee + "' passes " +
-              std::to_string(Args.size()) + " args, expected " +
-              std::to_string(F->params().size()));
+        error(cat({"call to '", Callee, "' passes ",
+                   std::to_string(Args.size()), " args, expected ",
+                   std::to_string(F->params().size())}));
         return;
       }
       Variable *Def = resolveOrCreateDef(DefName);
@@ -710,8 +762,6 @@ void ParserImpl::parseStatement() {
 void ParserImpl::parseFunctionBody(Function *F) {
   CurFn = F;
   Labels.clear();
-  DefinedLabels.clear();
-  LabelRefLines.clear();
   ContCounter = 0;
   Locals.clear();
   for (Variable *P : F->params())
@@ -731,30 +781,32 @@ void ParserImpl::parseFunctionBody(Function *F) {
   if (!Terminated)
     Builder->createRet(Operand());
 
-  // Give every block created for an undefined forward label a body so the
-  // verifier has a single failure mode: our diagnostic below.
-  for (const auto &[Name, BB] : Labels) {
-    if (DefinedLabels.count(Name))
-      continue;
-    Errors.push_back(std::to_string(LabelRefLines[Name]) +
-                     ":1: undefined label '" + Name + "' in function '" +
-                     F->getName() + "'");
-    Builder->setInsertPoint(BB);
+  // Report undefined labels in name order, and give each one's block a
+  // body so the verifier has a single failure mode: this diagnostic.
+  std::vector<std::pair<std::string_view, const LabelInfo *>> Undefined;
+  for (const auto &[Name, Label] : Labels)
+    if (!Label.Defined)
+      Undefined.emplace_back(Name, &Label);
+  std::sort(Undefined.begin(), Undefined.end());
+  for (const auto &[Name, Label] : Undefined) {
+    Errors.push_back(cat({std::to_string(Label->RefLine),
+                          ":1: undefined label '", Name, "' in function '",
+                          F->getName(), "'"}));
+    Builder->setInsertPoint(Label->BB);
     Builder->createRet(Operand());
   }
   CurFn = nullptr;
 }
 
 void ParserImpl::parseTopLevel() {
-  while (!check(TokenKind::Eof) && !check(TokenKind::Error) &&
-         Errors.size() < 20) {
+  while (!check(TokenKind::Eof) && Errors.size() < 20) {
     if (peek().isKeyword("global")) {
       parseGlobalDecl(/*Declare=*/false);
       continue;
     }
     if (peek().isKeyword("func")) {
       advance();
-      std::string Name = advance().Text; // validated in pass 1
+      std::string_view Name = advance().Text; // validated in pass 1
       Function *F = lookup(Functions, Name);
       // Skip the parameter list (created in pass 1).
       while (!check(TokenKind::LBrace) && !check(TokenKind::Eof))
@@ -772,19 +824,24 @@ void ParserImpl::parseTopLevel() {
 
 ParseResult ParserImpl::run() {
   ParseResult Result;
-  if (!Tokens.empty() && Tokens.back().is(TokenKind::Error)) {
-    const Token &T = Tokens.back();
-    Result.Errors.push_back(std::to_string(T.Line) + ":" +
-                            std::to_string(T.Col) + ": " + T.Text);
-    return Result;
-  }
-
   M = std::make_unique<ir::Module>();
   Builder = std::make_unique<ir::IRBuilder>(*M);
 
   scanTopLevel();
+  restart();
   if (Errors.empty())
     parseTopLevel();
+  // A lexical error anywhere in the file is the only diagnostic. Pass 1
+  // skipped the function bodies, so lex whatever pass 2 stopped short of:
+  // the whole file when pass 1 failed.
+  while (!check(TokenKind::Eof))
+    advance();
+  if (LexError) {
+    Result.Errors = {cat({std::to_string(LexError->Line), ":",
+                          std::to_string(LexError->Col), ": ",
+                          LexError->Text})};
+    return Result;
+  }
 
   Result.Errors = std::move(Errors);
   if (!Result.Errors.empty())

@@ -368,7 +368,7 @@ void FunctionSSA::Builder::rename() {
 
       // Uses (top-level, then mus) read the current versions.
       Used.clear();
-      I->collectUsedVars(Used);
+      I->forEachUsedVar([&](Variable *V) { Used.push_back(V); });
       std::sort(Used.begin(), Used.end(),
                 [](const Variable *A, const Variable *B) {
                   return A->getId() < B->getId();

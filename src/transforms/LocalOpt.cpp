@@ -9,7 +9,8 @@
 
 #include "ir/IR.h"
 
-#include <unordered_map>
+#include <cstdint>
+#include <vector>
 
 using namespace usher;
 using namespace usher::ir;
@@ -60,16 +61,36 @@ static int64_t foldBinOp(BinOpcode Op, int64_t X, int64_t Y) {
 bool transforms::propagateAndFold(Module &M) {
   bool Changed = false;
 
-  for (const auto &F : M.functions()) {
-    for (const auto &BB : F->blocks()) {
-      // Block-local lattice: what each variable is currently known to be.
-      std::unordered_map<const Variable *, Operand> Known;
+  // The block-local lattice, over dense variable ids: what each variable
+  // is currently known to be. An entry is live only in the block whose
+  // number it carries, so nothing is cleared between blocks. A def of D
+  // invalidates what is known about D and about every variable known to
+  // equal D: each def bumps Version[D], and an entry equal to a variable
+  // holds that variable's version from when it was made, so it dies with
+  // the next def instead of by a scan over the lattice.
+  struct Fact {
+    Operand Value;
+    uint32_t Block = 0;   ///< The block this fact holds in; 0 = none.
+    uint32_t Version = 0; ///< Version[Value's variable] when made.
+  };
+  std::vector<Fact> Known;
+  std::vector<uint32_t> Version;
+  uint32_t BlockNo = 0;
 
+  for (const auto &F : M.functions()) {
+    Known.assign(F->variables().size(), Fact());
+    Version.assign(F->variables().size(), 0);
+    for (const auto &BB : F->blocks()) {
+      ++BlockNo;
       auto Lookup = [&](Operand Op) -> Operand {
         if (!Op.isVar())
           return Op;
-        auto It = Known.find(Op.getVar());
-        return It == Known.end() ? Op : It->second;
+        const Fact &K = Known[Op.getVar()->getId()];
+        if (K.Block != BlockNo || (K.Value.isVar() &&
+                                   Version[K.Value.getVar()->getId()] !=
+                                       K.Version))
+          return Op;
+        return K.Value;
       };
 
       auto &Insts = BB->instructions();
@@ -122,20 +143,17 @@ bool transforms::propagateAndFold(Module &M) {
           }
         }
 
-        // Update the lattice. A def invalidates previous knowledge about
-        // the variable and anything known to equal it.
+        // Update the lattice.
         if (const Variable *Def = I->getDef()) {
-          for (auto It = Known.begin(); It != Known.end();) {
-            if (It->second.isVar() && It->second.getVar() == Def)
-              It = Known.erase(It);
-            else
-              ++It;
-          }
-          Known.erase(Def);
+          ++Version[Def->getId()];
+          Fact &K = Known[Def->getId()];
+          K.Block = 0;
           if (const auto *C = dyn_cast<CopyInst>(I)) {
             // x = self would create a cycle in the lattice; skip it.
-            if (!(C->getSrc().isVar() && C->getSrc().getVar() == Def))
-              Known[Def] = C->getSrc();
+            const Operand Src = C->getSrc();
+            if (!(Src.isVar() && Src.getVar() == Def))
+              K = {Src, BlockNo,
+                   Src.isVar() ? Version[Src.getVar()->getId()] : 0};
           }
         }
       }

@@ -10,8 +10,7 @@
 #include "ir/IR.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <string>
 #include <vector>
 
 using namespace usher;
@@ -22,10 +21,18 @@ namespace {
 /// All facts needed to promote one allocation.
 struct Candidate {
   AllocInst *Alloc = nullptr;
-  /// Field-address instructions deriving from the allocation pointer,
-  /// keyed by their def variable; value is the field index.
-  std::unordered_map<const Variable *, unsigned> GepFields;
+  /// The def variables of the field-address instructions deriving from
+  /// the allocation pointer, with their field indices.
+  std::vector<std::pair<const Variable *, unsigned>> GepFields;
+  /// The variables the fields are promoted to, once the candidate is.
+  std::vector<Variable *> FieldVars;
   bool Viable = true;
+};
+
+/// What a pointer variable addresses: a field of a promoted candidate.
+struct Cell {
+  Candidate *C = nullptr;
+  unsigned Field = 0;
 };
 
 } // namespace
@@ -33,36 +40,35 @@ struct Candidate {
 /// Collects promotion candidates in \p F: single-def pointers from
 /// non-array stack allocations whose only uses are direct loads, stores
 /// (as the pointer), and constant-field geps with the same property.
+/// Tables are indexed by the function's dense variable ids.
 static std::vector<Candidate> findCandidates(Function &F) {
-  std::unordered_map<const Variable *, unsigned> DefCounts;
+  std::vector<unsigned> DefCounts(F.variables().size());
   for (const auto &BB : F.blocks())
     for (const auto &I : BB->instructions())
       if (const Variable *Def = I->getDef())
-        ++DefCounts[Def];
+        ++DefCounts[Def->getId()];
 
-  std::unordered_map<const Variable *, Candidate *> PtrOwner;
   std::vector<Candidate> Candidates;
-  Candidates.reserve(16);
-
-  for (const auto &BB : F.blocks()) {
-    for (const auto &I : BB->instructions()) {
-      auto *A = dyn_cast<AllocInst>(I.get());
-      if (!A)
-        continue;
-      const MemObject *Obj = A->getObject();
-      if (!Obj->isStack() || Obj->isArray() || DefCounts[A->getDef()] != 1)
-        continue;
-      // Like LLVM's PromoteMemToReg, only promote entry-block allocations:
-      // an allocation inside a loop yields a *fresh* (undefined) instance
-      // per trip, which promoted variables would not model.
-      if (BB.get() != F.getEntry())
-        continue;
-      Candidates.push_back({});
-      Candidates.back().Alloc = A;
-    }
+  if (F.blocks().empty())
+    return Candidates;
+  for (const auto &I : F.getEntry()->instructions()) {
+    // Like LLVM's PromoteMemToReg, only promote entry-block allocations:
+    // an allocation inside a loop yields a *fresh* (undefined) instance
+    // per trip, which promoted variables would not model.
+    auto *A = dyn_cast<AllocInst>(I.get());
+    if (!A)
+      continue;
+    const MemObject *Obj = A->getObject();
+    if (!Obj->isStack() || Obj->isArray() ||
+        DefCounts[A->getDef()->getId()] != 1)
+      continue;
+    Candidates.push_back({});
+    Candidates.back().Alloc = A;
   }
+  // The candidate each pointer variable derives from, if any.
+  std::vector<Candidate *> PtrOwner(F.variables().size());
   for (Candidate &C : Candidates)
-    PtrOwner[C.Alloc->getDef()] = &C;
+    PtrOwner[C.Alloc->getDef()->getId()] = &C;
 
   // Geps deriving from a candidate pointer join the candidate; their
   // result variables become candidate pointers too (single level of gep
@@ -72,18 +78,17 @@ static std::vector<Candidate> findCandidates(Function &F) {
       auto *G = dyn_cast<FieldAddrInst>(I.get());
       if (!G || !G->getBase().isVar())
         continue;
-      auto It = PtrOwner.find(G->getBase().getVar());
-      if (It == PtrOwner.end())
+      Candidate *C = PtrOwner[G->getBase().getVar()->getId()];
+      if (!C)
         continue;
-      Candidate *C = It->second;
       if (G->getBase().getVar() != C->Alloc->getDef() ||
-          DefCounts[G->getDef()] != 1 || !G->hasConstIndex() ||
+          DefCounts[G->getDef()->getId()] != 1 || !G->hasConstIndex() ||
           G->getFieldIdx() >= C->Alloc->getObject()->getNumFields()) {
         C->Viable = false; // Nested, multi-def, dynamic or OOB gep.
         continue;
       }
-      C->GepFields[G->getDef()] = G->getFieldIdx();
-      PtrOwner[G->getDef()] = C;
+      C->GepFields.emplace_back(G->getDef(), G->getFieldIdx());
+      PtrOwner[G->getDef()->getId()] = C;
     }
   }
 
@@ -91,13 +96,10 @@ static std::vector<Candidate> findCandidates(Function &F) {
   // store *through* it (not of it).
   for (const auto &BB : F.blocks()) {
     for (const auto &I : BB->instructions()) {
-      std::vector<Variable *> Used;
-      I->collectUsedVars(Used);
-      for (const Variable *V : Used) {
-        auto It = PtrOwner.find(V);
-        if (It == PtrOwner.end())
-          continue;
-        Candidate *C = It->second;
+      I->forEachUsedVar([&](const Variable *V) {
+        Candidate *C = PtrOwner[V->getId()];
+        if (!C)
+          return;
         switch (I->getKind()) {
         case Instruction::IKind::Load:
           if (!cast<LoadInst>(I.get())->getPtr().isVar() ||
@@ -115,131 +117,119 @@ static std::vector<Candidate> findCandidates(Function &F) {
         case Instruction::IKind::FieldAddr:
           // Validated above; nested geps were already rejected there,
           // but a gep of a gep reaches here with the gep var as base.
-          if (C->GepFields.count(V))
+          if (V != C->Alloc->getDef())
             C->Viable = false;
           break;
         default:
           C->Viable = false; // Escapes via call/ret/copy/compare/...
         }
-      }
+      });
     }
   }
   return Candidates;
 }
 
 /// Promotes within one function; only this function's blocks, variables
-/// and instructions are touched. Returns the objects promoted here (the
-/// caller folds them into the module-level purge).
-static std::vector<const MemObject *> promoteInFunction(Function *F) {
-  std::vector<const MemObject *> PromotedHere;
-  {
-    std::vector<Candidate> Candidates = findCandidates(*F);
-    std::unordered_map<const Variable *, std::pair<Candidate *, unsigned>>
-        CellOf; // pointer var -> (candidate, field)
-    std::unordered_map<const MemObject *, std::vector<Variable *>> FieldVars;
-    std::unordered_set<const Instruction *> Dead;
+/// and instructions are touched. Marks the objects promoted here in
+/// \p Promoted, indexed by object id.
+static void promoteInFunction(Function *F, std::vector<bool> &Promoted) {
+  std::vector<Candidate> Candidates = findCandidates(*F);
+  bool Any = false;
+  for (Candidate &C : Candidates) {
+    if (!C.Viable)
+      continue;
+    const MemObject *Obj = C.Alloc->getObject();
+    for (unsigned Idx = 0; Idx != Obj->getNumFields(); ++Idx)
+      C.FieldVars.push_back(
+          F->createVariable(Obj->getName() + ".f" + std::to_string(Idx)));
+    Promoted[Obj->getId()] = Any = true;
+  }
+  if (!Any)
+    return;
 
-    for (Candidate &C : Candidates) {
-      if (!C.Viable)
-        continue;
-      const MemObject *Obj = C.Alloc->getObject();
-      auto &Vars = FieldVars[Obj];
-      for (unsigned Idx = 0; Idx != Obj->getNumFields(); ++Idx)
-        Vars.push_back(F->createVariable(Obj->getName() + ".f" +
-                                         std::to_string(Idx)));
-      CellOf[C.Alloc->getDef()] = {&C, 0};
-      for (const auto &[GepVar, Field] : C.GepFields)
-        CellOf[GepVar] = {&C, Field};
-      Dead.insert(C.Alloc);
-      PromotedHere.push_back(Obj);
+  std::vector<Cell> CellOf(F->variables().size());
+  for (Candidate &C : Candidates) {
+    if (!C.Viable)
+      continue;
+    CellOf[C.Alloc->getDef()->getId()] = {&C, 0};
+    for (const auto &[GepVar, Field] : C.GepFields)
+      CellOf[GepVar->getId()] = {&C, Field};
+  }
+  // The promoted variable \p Ptr addresses, or null.
+  auto CellVar = [&](Operand Ptr) -> Variable * {
+    if (!Ptr.isVar())
+      return nullptr;
+    const Cell &X = CellOf[Ptr.getVar()->getId()];
+    return X.C ? X.C->FieldVars[X.Field] : nullptr;
+  };
+  // Promoted allocations and their field-address computations go.
+  auto IsDead = [&](const Instruction *I) {
+    if (const auto *A = dyn_cast<AllocInst>(I)) {
+      const Cell &X = CellOf[A->getDef()->getId()];
+      return X.C && X.C->Alloc == A;
     }
-    if (CellOf.empty())
-      return PromotedHere;
+    return isa<FieldAddrInst>(I) && CellOf[I->getDef()->getId()].C;
+  };
 
-    // Phase 1: rewrite every promoted load/store in the whole function.
-    for (auto &BB : F->blocks()) {
-      auto &Insts = BB->instructions();
-      for (size_t Idx = 0; Idx != Insts.size(); ++Idx) {
-        Instruction *I = Insts[Idx].get();
-        if (auto *G = dyn_cast<FieldAddrInst>(I)) {
-          if (CellOf.count(G->getDef()))
-            Dead.insert(I);
-          continue;
-        }
-        if (auto *L = dyn_cast<LoadInst>(I)) {
-          if (!L->getPtr().isVar())
-            continue;
-          auto It = CellOf.find(L->getPtr().getVar());
-          if (It == CellOf.end())
-            continue;
-          auto [C, Field] = It->second;
-          Variable *Cell = FieldVars[C->Alloc->getObject()][Field];
-          auto Repl = std::make_unique<CopyInst>(Operand::var(Cell));
+  // Phase 1: rewrite every promoted load/store in the whole function.
+  for (auto &BB : F->blocks()) {
+    for (auto &Slot : BB->instructions()) {
+      Instruction *I = Slot.get();
+      std::unique_ptr<Instruction> Repl;
+      if (auto *L = dyn_cast<LoadInst>(I)) {
+        if (Variable *Cell = CellVar(L->getPtr())) {
+          Repl = std::make_unique<CopyInst>(Operand::var(Cell));
           Repl->setDef(L->getDef());
-          Repl->setLoc(L->getLoc());
-          Repl->setParent(BB.get());
-          Insts[Idx] = std::move(Repl);
-          continue;
         }
-        if (auto *St = dyn_cast<StoreInst>(I)) {
-          if (!St->getPtr().isVar())
-            continue;
-          auto It = CellOf.find(St->getPtr().getVar());
-          if (It == CellOf.end())
-            continue;
-          auto [C, Field] = It->second;
-          Variable *Cell = FieldVars[C->Alloc->getObject()][Field];
-          auto Repl = std::make_unique<CopyInst>(St->getValue());
+      } else if (auto *St = dyn_cast<StoreInst>(I)) {
+        if (Variable *Cell = CellVar(St->getPtr())) {
+          Repl = std::make_unique<CopyInst>(St->getValue());
           Repl->setDef(Cell);
-          Repl->setLoc(St->getLoc());
-          Repl->setParent(BB.get());
-          Insts[Idx] = std::move(Repl);
-          continue;
         }
       }
-    }
-
-    // Phase 2: an initialized allocation's cells start defined (zero).
-    for (auto &BB : F->blocks()) {
-      auto &Insts = BB->instructions();
-      for (size_t Idx = 0; Idx != Insts.size(); ++Idx) {
-        auto *A = dyn_cast<AllocInst>(Insts[Idx].get());
-        if (!A || !Dead.count(A))
-          continue;
-        if (A->getObject()->isInitialized()) {
-          const auto &Vars = FieldVars[A->getObject()];
-          for (size_t V = 0; V != Vars.size(); ++V) {
-            auto Init = std::make_unique<CopyInst>(Operand::constant(0));
-            Init->setDef(Vars[V]);
-            BB->insertAt(Idx + 1 + V, std::move(Init));
-          }
-          Idx += Vars.size();
-        }
-      }
-    }
-
-    // Phase 3: drop the allocations and field-address computations.
-    for (auto &BB : F->blocks()) {
-      auto &Insts = BB->instructions();
-      Insts.erase(std::remove_if(Insts.begin(), Insts.end(),
-                                 [&](const std::unique_ptr<Instruction> &I) {
-                                   return Dead.count(I.get()) != 0;
-                                 }),
-                  Insts.end());
+      if (!Repl)
+        continue;
+      Repl->setLoc(I->getLoc());
+      Repl->setParent(BB.get());
+      Slot = std::move(Repl);
     }
   }
-  return PromotedHere;
+
+  // Phase 2: an initialized allocation's cells start defined (zero).
+  for (auto &BB : F->blocks()) {
+    auto &Insts = BB->instructions();
+    for (size_t Idx = 0; Idx != Insts.size(); ++Idx) {
+      auto *A = dyn_cast<AllocInst>(Insts[Idx].get());
+      if (!A || !IsDead(A) || !A->getObject()->isInitialized())
+        continue;
+      const auto &Vars = CellOf[A->getDef()->getId()].C->FieldVars;
+      for (size_t V = 0; V != Vars.size(); ++V) {
+        auto Init = std::make_unique<CopyInst>(Operand::constant(0));
+        Init->setDef(Vars[V]);
+        BB->insertAt(Idx + 1 + V, std::move(Init));
+      }
+      Idx += Vars.size();
+    }
+  }
+
+  // Phase 3: drop the allocations and field-address computations.
+  for (auto &BB : F->blocks()) {
+    auto &Insts = BB->instructions();
+    Insts.erase(std::remove_if(Insts.begin(), Insts.end(),
+                               [&](const std::unique_ptr<Instruction> &I) {
+                                 return IsDead(I.get());
+                               }),
+                Insts.end());
+  }
 }
 
 bool transforms::promoteMemoryToRegisters(Module &M) {
-  std::unordered_set<const MemObject *> Promoted;
-  for (const auto &F : M.functions()) {
-    std::vector<const MemObject *> Objs = promoteInFunction(F.get());
-    Promoted.insert(Objs.begin(), Objs.end());
-  }
-  if (Promoted.empty())
+  std::vector<bool> Promoted(M.objects().size());
+  for (const auto &F : M.functions())
+    promoteInFunction(F.get(), Promoted);
+  if (std::find(Promoted.begin(), Promoted.end(), true) == Promoted.end())
     return false;
-  M.purgeObjects([&](const MemObject *Obj) { return Promoted.count(Obj); });
+  M.purgeObjects([&](const MemObject *Obj) { return Promoted[Obj->getId()]; });
   M.renumber();
   return true;
 }
