@@ -30,12 +30,10 @@ namespace {
 /// the client list (it changes the reply), so any textual change — or
 /// asking for diagnosis instead of analysis — lands on a disjoint record.
 uint64_t moduleKey(const ir::Module &M, Op Kind, const std::string &Clients) {
-  std::string Text;
-  raw_string_ostream OS(Text);
-  M.print(OS);
+  HashingStream Text;
+  M.print(Text);
   return SnapshotStore::mix(
-      SnapshotStore::mix(SnapshotStore::hashBytes(opName(Kind)),
-                         SnapshotStore::hashBytes(Text)),
+      SnapshotStore::mix(SnapshotStore::hashBytes(opName(Kind)), Text.hash()),
       SnapshotStore::hashBytes(Clients));
 }
 

@@ -37,6 +37,8 @@
 #ifndef USHER_SERVE_SNAPSHOTSTORE_H
 #define USHER_SERVE_SNAPSHOTSTORE_H
 
+#include "support/RawStream.h"
+
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -100,6 +102,20 @@ private:
   mutable std::mutex Mtx;
   std::unordered_map<uint64_t, std::string> Mem; ///< Raw records.
   Stats S;
+};
+
+/// A stream that hashes the bytes written to it as they arrive: hash()
+/// equals SnapshotStore::hashBytes of everything written, since FNV-1a is
+/// bytewise. Keys a module by printing it, without holding the text.
+class HashingStream : public raw_ostream {
+public:
+  void write(const char *Ptr, size_t Size) override {
+    H = SnapshotStore::hashBytes(std::string_view(Ptr, Size), H);
+  }
+  uint64_t hash() const { return H; }
+
+private:
+  uint64_t H = SnapshotStore::hashBytes("");
 };
 
 } // namespace serve

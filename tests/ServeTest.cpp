@@ -16,16 +16,21 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ir/IR.h"
+#include "parser/Parser.h"
 #include "serve/Protocol.h"
 #include "serve/Session.h"
 #include "serve/SnapshotStore.h"
 #include "support/FaultInjection.h"
+#include "support/RawStream.h"
+#include "workload/Synthesizer.h"
 
 #include "gtest/gtest.h"
 
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -332,6 +337,23 @@ TEST_F(ServeTest, StoreTornWriteFaultLeavesNoServableRecord) {
 //===----------------------------------------------------------------------===//
 // Session
 //===----------------------------------------------------------------------===//
+
+TEST_F(ServeTest, HashingStreamEqualsHashOfPrintedText) {
+  workload::ShapeSpec Spec;
+  Spec.TargetNodes = 10'000;
+  const std::string Synth = workload::synthesizeProgram(Spec);
+  for (const char *Source : {SmokeProgram, UndefProgram, EditBase,
+                             EditedProgram, Synth.c_str()}) {
+    std::unique_ptr<ir::Module> M = parser::parseModuleOrAbort(Source);
+    std::string Text;
+    raw_string_ostream OS(Text);
+    M->print(OS);
+    OS.flush();
+    HashingStream Streamed;
+    M->print(Streamed);
+    EXPECT_EQ(Streamed.hash(), SnapshotStore::hashBytes(Text)) << Source;
+  }
+}
 
 TEST_F(ServeTest, SessionWarmEqualsColdByteForByte) {
   SessionOptions SO;
