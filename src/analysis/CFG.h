@@ -8,12 +8,16 @@
 /// \file
 /// Predecessor/successor tables and reverse-post-order for one function.
 /// Analyses snapshot this; transforms that edit the CFG must rebuild it.
+/// Both tables are CSR arrays (support/CSR.h), so a snapshot costs a few
+/// allocations however many blocks the function has.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef USHER_ANALYSIS_CFG_H
 #define USHER_ANALYSIS_CFG_H
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 namespace usher {
@@ -31,11 +35,13 @@ public:
 
   const ir::Function &getFunction() const { return F; }
 
-  const std::vector<ir::BasicBlock *> &successors(unsigned BlockId) const {
-    return Succs[BlockId];
+  std::span<ir::BasicBlock *const> successors(unsigned BlockId) const {
+    return {Succs.data() + SuccBegin[BlockId],
+            Succs.data() + SuccBegin[BlockId + 1]};
   }
-  const std::vector<ir::BasicBlock *> &predecessors(unsigned BlockId) const {
-    return Preds[BlockId];
+  std::span<ir::BasicBlock *const> predecessors(unsigned BlockId) const {
+    return {Preds.data() + PredBegin[BlockId],
+            Preds.data() + PredBegin[BlockId + 1]};
   }
 
   /// Blocks reachable from entry, in reverse post order (entry first).
@@ -53,8 +59,10 @@ public:
 
 private:
   const ir::Function &F;
-  std::vector<std::vector<ir::BasicBlock *>> Succs;
-  std::vector<std::vector<ir::BasicBlock *>> Preds;
+  /// Block B's successors are Succs[SuccBegin[B] .. SuccBegin[B + 1]),
+  /// its predecessors likewise.
+  std::vector<uint32_t> SuccBegin, PredBegin;
+  std::vector<ir::BasicBlock *> Succs, Preds;
   std::vector<ir::BasicBlock *> RPO;
   std::vector<unsigned> RPOIndex;
 };

@@ -8,6 +8,7 @@
 #include "analysis/Dominators.h"
 
 #include "ir/IR.h"
+#include "support/CSR.h"
 
 #include <algorithm>
 #include <cassert>
@@ -21,11 +22,12 @@ DominatorTree::DominatorTree(const CFGInfo &CFG) : CFG(CFG) {
   const auto &RPO = CFG.reversePostOrder();
   const size_t N = CFG.getFunction().blocks().size();
   IDom.assign(N, nullptr);
-  Children.resize(N);
   DFSIn.assign(N, 0);
   DFSOut.assign(N, 0);
-  if (RPO.empty())
+  if (RPO.empty()) {
+    ChildBegin.assign(N + 1, 0);
     return;
+  }
 
   BasicBlock *Entry = RPO.front();
   IDom[Entry->getId()] = Entry;
@@ -64,17 +66,24 @@ DominatorTree::DominatorTree(const CFGInfo &CFG) : CFG(CFG) {
 
   // The entry's idom is conventionally null for clients.
   IDom[Entry->getId()] = nullptr;
-  for (BasicBlock *BB : RPO)
-    if (BasicBlock *D = IDom[BB->getId()])
-      Children[D->getId()].push_back(BB);
+  fillCSR(
+      static_cast<uint32_t>(N),
+      [&](auto &&Emit) {
+        for (BasicBlock *BB : RPO)
+          if (BasicBlock *D = IDom[BB->getId()])
+            Emit(D->getId(), BB);
+      },
+      ChildBegin, Children);
 
   // DFS numbering over the dominator tree for O(1) dominance queries.
   unsigned Clock = 0;
-  std::vector<std::pair<BasicBlock *, size_t>> Stack{{Entry, 0}};
+  std::vector<std::pair<BasicBlock *, size_t>> Stack;
+  Stack.reserve(RPO.size());
+  Stack.push_back({Entry, 0});
   DFSIn[Entry->getId()] = ++Clock;
   while (!Stack.empty()) {
     auto &[BB, NextChild] = Stack.back();
-    auto &Kids = Children[BB->getId()];
+    const auto Kids = children(BB);
     if (NextChild < Kids.size()) {
       BasicBlock *C = Kids[NextChild++];
       DFSIn[C->getId()] = ++Clock;
@@ -115,22 +124,32 @@ bool DominatorTree::dominates(const Instruction *A,
 DominanceFrontier::DominanceFrontier(const DominatorTree &DT) {
   const CFGInfo &CFG = DT.getCFG();
   const size_t N = CFG.getFunction().blocks().size();
-  Frontiers.resize(N);
-  for (BasicBlock *BB : CFG.reversePostOrder()) {
-    const auto &Preds = CFG.predecessors(BB->getId());
-    if (Preds.size() < 2)
-      continue;
-    for (BasicBlock *Pred : Preds) {
-      if (!CFG.isReachable(Pred->getId()))
-        continue;
-      BasicBlock *Runner = Pred;
-      while (Runner != DT.idom(BB)) {
-        auto &F = Frontiers[Runner->getId()];
-        if (std::find(F.begin(), F.end(), BB) == F.end())
-          F.push_back(BB);
-        Runner = DT.idom(Runner);
-        assert(Runner && "runner escaped above the entry block");
-      }
-    }
-  }
+  // Runs the Cooper-Harvey-Kennedy walk, emitting each (runner, join) pair
+  // once: all of a join's walks happen together, so a runner already
+  // stamped with the join has it in its frontier.
+  std::vector<const BasicBlock *> LastJoin;
+  fillCSR(
+      static_cast<uint32_t>(N),
+      [&](auto &&Emit) {
+        LastJoin.assign(N, nullptr);
+        for (BasicBlock *BB : CFG.reversePostOrder()) {
+          const auto Preds = CFG.predecessors(BB->getId());
+          if (Preds.size() < 2)
+            continue;
+          for (BasicBlock *Pred : Preds) {
+            if (!CFG.isReachable(Pred->getId()))
+              continue;
+            BasicBlock *Runner = Pred;
+            while (Runner != DT.idom(BB)) {
+              if (LastJoin[Runner->getId()] != BB) {
+                LastJoin[Runner->getId()] = BB;
+                Emit(Runner->getId(), BB);
+              }
+              Runner = DT.idom(Runner);
+              assert(Runner && "runner escaped above the entry block");
+            }
+          }
+        }
+      },
+      Begin, Frontiers);
 }

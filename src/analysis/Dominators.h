@@ -10,7 +10,8 @@
 /// Dominance Algorithm") and dominance frontiers from the same paper. Both
 /// are used by SSA construction; instruction-level dominance additionally
 /// drives semi-strong updates (Section 3.2) and the Opt II redundant check
-/// elimination (Algorithm 1, line 7).
+/// elimination (Algorithm 1, line 7). Per-block lists (tree children,
+/// frontiers) are CSR arrays (support/CSR.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +21,8 @@
 #include "analysis/CFG.h"
 #include "ir/IR.h"
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 namespace usher {
@@ -46,9 +49,9 @@ public:
   bool dominates(const ir::Instruction *A, const ir::Instruction *B) const;
 
   /// Children of \p BB in the dominator tree.
-  const std::vector<ir::BasicBlock *> &children(
-      const ir::BasicBlock *BB) const {
-    return Children[BB->getId()];
+  std::span<ir::BasicBlock *const> children(const ir::BasicBlock *BB) const {
+    return {Children.data() + ChildBegin[BB->getId()],
+            Children.data() + ChildBegin[BB->getId() + 1]};
   }
 
   const CFGInfo &getCFG() const { return CFG; }
@@ -56,7 +59,10 @@ public:
 private:
   const CFGInfo &CFG;
   std::vector<ir::BasicBlock *> IDom;
-  std::vector<std::vector<ir::BasicBlock *>> Children;
+  /// Block B's children are Children[ChildBegin[B] .. ChildBegin[B + 1]),
+  /// in reverse post order.
+  std::vector<uint32_t> ChildBegin;
+  std::vector<ir::BasicBlock *> Children;
   // Pre/post intervals of a dominator-tree DFS, for O(1) dominance tests.
   std::vector<unsigned> DFSIn, DFSOut;
 };
@@ -66,13 +72,15 @@ class DominanceFrontier {
 public:
   explicit DominanceFrontier(const DominatorTree &DT);
 
-  const std::vector<ir::BasicBlock *> &frontier(
-      const ir::BasicBlock *BB) const {
-    return Frontiers[BB->getId()];
+  std::span<ir::BasicBlock *const> frontier(const ir::BasicBlock *BB) const {
+    return {Frontiers.data() + Begin[BB->getId()],
+            Frontiers.data() + Begin[BB->getId() + 1]};
   }
 
 private:
-  std::vector<std::vector<ir::BasicBlock *>> Frontiers;
+  /// Block B's frontier is Frontiers[Begin[B] .. Begin[B + 1]).
+  std::vector<uint32_t> Begin;
+  std::vector<ir::BasicBlock *> Frontiers;
 };
 
 } // namespace analysis

@@ -74,12 +74,10 @@ unsigned PointerAnalysis::locId(const MemObject *Obj, unsigned Field) const {
   return Base + F;
 }
 
-std::vector<unsigned> PointerAnalysis::locsOfObject(const MemObject *Obj) const {
+std::ranges::iota_view<unsigned, unsigned>
+PointerAnalysis::locsOfObject(const MemObject *Obj) const {
   auto [Base, Tracked] = ObjLocBase[Obj->getId()];
-  std::vector<unsigned> Result(Tracked);
-  for (unsigned F = 0; F != Tracked; ++F)
-    Result[F] = Base + F;
-  return Result;
+  return std::views::iota(Base, Base + Tracked);
 }
 
 //===----------------------------------------------------------------------===//

@@ -25,6 +25,7 @@
 #include "support/BitSet.h"
 
 #include <memory>
+#include <ranges>
 #include <unordered_map>
 #include <vector>
 
@@ -147,8 +148,9 @@ public:
   /// Dense id of field \p Field of \p Obj (after collapsing).
   unsigned locId(const ir::MemObject *Obj, unsigned Field) const;
 
-  /// All loc ids belonging to \p Obj.
-  std::vector<unsigned> locsOfObject(const ir::MemObject *Obj) const;
+  /// All loc ids belonging to \p Obj (consecutive ids).
+  std::ranges::iota_view<unsigned, unsigned>
+  locsOfObject(const ir::MemObject *Obj) const;
 
   /// True if this loc stands for more than one concrete cell (array
   /// element or collapsed overflow field); such locs must never be
