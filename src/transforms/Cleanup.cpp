@@ -36,7 +36,7 @@ static bool isRemovableWhenUnused(const Instruction &I) {
   }
 }
 
-bool transforms::eliminateDeadCode(Module &M) {
+bool transforms::detail::eliminateDeadCode(Module &M) {
   bool Changed = false;
   std::vector<bool> DeadObjects(M.objects().size());
   bool AnyDeadObject = false;
@@ -120,16 +120,20 @@ bool transforms::eliminateDeadCode(Module &M) {
     }
   }
 
-  if (Changed) {
-    if (AnyDeadObject)
-      M.purgeObjects(
-          [&](const MemObject *Obj) { return DeadObjects[Obj->getId()]; });
-    M.renumber();
-  }
+  if (AnyDeadObject)
+    M.purgeObjects(
+        [&](const MemObject *Obj) { return DeadObjects[Obj->getId()]; });
   return Changed;
 }
 
-bool transforms::simplifyCFG(Module &M) {
+bool transforms::eliminateDeadCode(Module &M) {
+  if (!detail::eliminateDeadCode(M))
+    return false;
+  M.renumber();
+  return true;
+}
+
+bool transforms::detail::simplifyCFG(Module &M) {
   bool Changed = false;
 
   for (const auto &F : M.functions()) {
@@ -197,11 +201,16 @@ bool transforms::simplifyCFG(Module &M) {
     }
   }
 
-  if (Changed) {
+  if (Changed)
     purgeDanglingObjects(M);
-    M.renumber();
-  }
   return Changed;
+}
+
+bool transforms::simplifyCFG(Module &M) {
+  if (!detail::simplifyCFG(M))
+    return false;
+  M.renumber();
+  return true;
 }
 
 void transforms::purgeDanglingObjects(Module &M) {
@@ -229,22 +238,22 @@ const char *transforms::optPresetName(OptPreset P) {
 }
 
 void transforms::runPreset(Module &M, OptPreset P) {
-  promoteMemoryToRegisters(M);
+  detail::promoteMemoryToRegisters(M);
   if (P != OptPreset::O0IM) {
     bool Changed = true;
     unsigned Rounds = P == OptPreset::O2 ? 4 : 2;
     while (Changed && Rounds--) {
       Changed = false;
-      Changed |= propagateAndFold(M);
-      Changed |= eliminateDeadCode(M);
-      Changed |= simplifyCFG(M);
+      Changed |= detail::propagateAndFold(M);
+      Changed |= detail::eliminateDeadCode(M);
+      Changed |= detail::simplifyCFG(M);
     }
     if (P == OptPreset::O2) {
-      inlineSmallFunctions(M);
-      promoteMemoryToRegisters(M);
-      propagateAndFold(M);
-      eliminateDeadCode(M);
-      simplifyCFG(M);
+      detail::inlineSmallFunctions(M);
+      detail::promoteMemoryToRegisters(M);
+      detail::propagateAndFold(M);
+      detail::eliminateDeadCode(M);
+      detail::simplifyCFG(M);
     }
   }
   M.renumber();

@@ -195,7 +195,8 @@ void InlineSite::run() {
       std::make_unique<GotoInst>(BlockMap.at(Callee->getEntry())));
 }
 
-bool transforms::inlineSmallFunctions(Module &M, unsigned MaxCalleeInsts) {
+bool transforms::detail::inlineSmallFunctions(Module &M,
+                                               unsigned MaxCalleeInsts) {
   analysis::CallGraph CG(M);
   bool Changed = false;
 
@@ -227,9 +228,14 @@ bool transforms::inlineSmallFunctions(Module &M, unsigned MaxCalleeInsts) {
       F->removeUnreachableBlocks();
   }
 
-  if (Changed) {
+  if (Changed)
     purgeDanglingObjects(M);
-    M.renumber();
-  }
   return Changed;
+}
+
+bool transforms::inlineSmallFunctions(Module &M, unsigned MaxCalleeInsts) {
+  if (!detail::inlineSmallFunctions(M, MaxCalleeInsts))
+    return false;
+  M.renumber();
+  return true;
 }

@@ -58,7 +58,7 @@ static int64_t foldBinOp(BinOpcode Op, int64_t X, int64_t Y) {
   return 0;
 }
 
-bool transforms::propagateAndFold(Module &M) {
+bool transforms::detail::propagateAndFold(Module &M) {
   bool Changed = false;
 
   // The block-local lattice, over dense variable ids: what each variable
@@ -160,7 +160,12 @@ bool transforms::propagateAndFold(Module &M) {
     }
   }
 
-  if (Changed)
-    M.renumber();
   return Changed;
+}
+
+bool transforms::propagateAndFold(Module &M) {
+  if (!detail::propagateAndFold(M))
+    return false;
+  M.renumber();
+  return true;
 }

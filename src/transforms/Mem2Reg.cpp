@@ -223,13 +223,19 @@ static void promoteInFunction(Function *F, std::vector<bool> &Promoted) {
   }
 }
 
-bool transforms::promoteMemoryToRegisters(Module &M) {
+bool transforms::detail::promoteMemoryToRegisters(Module &M) {
   std::vector<bool> Promoted(M.objects().size());
   for (const auto &F : M.functions())
     promoteInFunction(F.get(), Promoted);
   if (std::find(Promoted.begin(), Promoted.end(), true) == Promoted.end())
     return false;
   M.purgeObjects([&](const MemObject *Obj) { return Promoted[Obj->getId()]; });
+  return true;
+}
+
+bool transforms::promoteMemoryToRegisters(Module &M) {
+  if (!detail::promoteMemoryToRegisters(M))
+    return false;
   M.renumber();
   return true;
 }

@@ -37,9 +37,13 @@ namespace transforms {
 /// (one per field). Returns true if anything was promoted.
 bool promoteMemoryToRegisters(ir::Module &M);
 
+/// The callee size up to which O2 inlines.
+constexpr unsigned DefaultInlineLimit = 40;
+
 /// Inlines direct calls to non-recursive callees with at most
 /// \p MaxCalleeInsts instructions. Returns true on change.
-bool inlineSmallFunctions(ir::Module &M, unsigned MaxCalleeInsts = 40);
+bool inlineSmallFunctions(ir::Module &M,
+                          unsigned MaxCalleeInsts = DefaultInlineLimit);
 
 /// Block-local constant/copy propagation and constant folding, including
 /// folding branches on constants. Returns true on change.
@@ -67,6 +71,19 @@ const char *optPresetName(OptPreset P);
 
 /// Applies \p P to \p M (verifies and renumbers afterwards).
 void runPreset(ir::Module &M, OptPreset P);
+
+namespace detail {
+/// The passes above without the Module::renumber() each runs when it
+/// changes the module. No pass reads instruction ids or the module's
+/// instruction count, and each keeps block ids dense itself, so runPreset
+/// runs these and renumbers once, at its end.
+bool promoteMemoryToRegisters(ir::Module &M);
+bool inlineSmallFunctions(ir::Module &M,
+                          unsigned MaxCalleeInsts = DefaultInlineLimit);
+bool propagateAndFold(ir::Module &M);
+bool eliminateDeadCode(ir::Module &M);
+bool simplifyCFG(ir::Module &M);
+} // namespace detail
 
 } // namespace transforms
 } // namespace usher
