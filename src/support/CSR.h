@@ -8,8 +8,9 @@
 /// \file
 /// Builds compressed sparse row (CSR) arrays: the items of rows 0..N-1
 /// stored back to back in one array, with one offset array of N + 1
-/// entries saying where each row starts. The VFG's adjacency and the
-/// definedness resolution's condensed graph are laid out this way.
+/// entries saying where each row starts. The VFG's adjacency, the
+/// definedness resolution's condensed graph, the CFG and dominator tables
+/// and memory SSA's phis are laid out this way.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -10,11 +10,15 @@
 #include "analysis/PointerAnalysis.h"
 #include "parser/Parser.h"
 #include "ssa/MemorySSA.h"
+#include "transforms/Transforms.h"
 #include "vfg/VFG.h"
+#include "workload/Generator.h"
+#include "workload/Synthesizer.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 using namespace usher;
 using namespace usher::ssa;
@@ -32,8 +36,10 @@ struct Pipeline {
   std::unique_ptr<analysis::ModRefAnalysis> MR;
   std::unique_ptr<MemorySSA> SSA;
 
-  explicit Pipeline(const char *Src) {
-    M = parser::parseModuleOrAbort(Src);
+  explicit Pipeline(const char *Src)
+      : Pipeline(parser::parseModuleOrAbort(Src)) {}
+
+  explicit Pipeline(std::unique_ptr<ir::Module> Mod) : M(std::move(Mod)) {
     CG = std::make_unique<analysis::CallGraph>(*M);
     PA = std::make_unique<analysis::PointerAnalysis>(*M, *CG);
     MR = std::make_unique<analysis::ModRefAnalysis>(*M, *CG, *PA);
@@ -341,6 +347,129 @@ TEST(MemorySSATest, PassThroughCalleeVersionsWhatItsCallerReads) {
   };
   EXPECT_EQ(RetDepOrigin(P.instAt("main", 0, 0)), NodeOrigin::CallModChi);
   EXPECT_EQ(RetDepOrigin(P.instAt("mid", 0, 0)), NodeOrigin::StoreChiStrong);
+}
+
+//===----------------------------------------------------------------------===//
+// Memory SSA layout contract
+//===----------------------------------------------------------------------===//
+
+/// Checks the layout memory SSA promises on every function of \p P:
+///  - every instruction's mus and chis are sorted by location, with no
+///    location twice (the VFG builder merges them with formalIns());
+///  - each phi has one operand per CFG edge from a reachable block;
+///  - each kept key has 1 + defs + phis versions;
+///  - every version defined by a phi or an instruction points back at the
+///    phi or def that defines exactly that version, and its dense number
+///    reads the same definition.
+void checkLayout(const Pipeline &P) {
+  for (const auto &F : P.M->functions()) {
+    const FunctionSSA &FS = P.SSA->get(F.get());
+    const analysis::CFGInfo &CFG = FS.getCFG();
+    auto KeyIndex = [&](VarKey Key) -> size_t {
+      if (Key.Sp == Space::TopLevel)
+        return Key.Id;
+      const auto &Ins = FS.formalIns();
+      return F->variables().size() +
+             (std::lower_bound(Ins.begin(), Ins.end(), Key.Id) - Ins.begin());
+    };
+    const size_t NumKeys = F->variables().size() + FS.formalIns().size();
+    std::vector<uint32_t> Defs(NumKeys, 0);
+    for (const auto &BB : F->blocks()) {
+      uint32_t ReachablePreds = 0;
+      for (const ir::BasicBlock *Pred : CFG.predecessors(BB->getId()))
+        ReachablePreds += CFG.isReachable(Pred->getId());
+      for (const PhiNode &Phi : FS.phisIn(BB.get())) {
+        EXPECT_EQ(Phi.Incoming.size(), ReachablePreds)
+            << F->getName() << ':' << BB->getName();
+        ++Defs[KeyIndex(Phi.Var)];
+      }
+      for (const auto &I : BB->instructions()) {
+        const InstSSA *Info = FS.instInfo(I.get());
+        if (!Info)
+          continue;
+        auto Sorted = [](auto List) {
+          for (size_t Idx = 1; Idx < List.size(); ++Idx)
+            if (List[Idx - 1].Loc >= List[Idx].Loc)
+              return false;
+          return true;
+        };
+        EXPECT_TRUE(Sorted(Info->Mus)) << "mus at instruction " << I->getId();
+        EXPECT_TRUE(Sorted(Info->Chis))
+            << "chis at instruction " << I->getId();
+        if (I->getDef())
+          ++Defs[I->getDef()->getId()];
+        for (const MemDef &Chi : Info->Chis)
+          ++Defs[KeyIndex({Space::Memory, Chi.Loc})];
+      }
+    }
+
+    auto CheckKey = [&](VarKey Key, size_t Idx) {
+      const uint32_t N = FS.numVersions(Key);
+      EXPECT_EQ(N, 1 + Defs[Idx]) << F->getName() << " key " << Idx;
+      for (uint32_t V = 0; V != N; ++V) {
+        const DefDesc &Desc = FS.defOf(Key, V);
+        if (Key.Sp == Space::Memory) {
+          const size_t Pos = Idx - F->variables().size();
+          EXPECT_EQ(&FS.memDefOf(FS.memNumber(Pos) + V), &Desc);
+        }
+        switch (Desc.K) {
+        case DefDesc::Kind::Entry:
+          EXPECT_EQ(V, 0u);
+          break;
+        case DefDesc::Kind::Phi: {
+          const PhiNode &Phi = FS.phisIn(Desc.PhiBlock)[Desc.Idx];
+          EXPECT_TRUE(Phi.Var == Key);
+          EXPECT_EQ(Phi.ResultVersion, V);
+          break;
+        }
+        case DefDesc::Kind::Inst: {
+          const InstSSA *Info = FS.instInfo(Desc.I);
+          ASSERT_NE(Info, nullptr);
+          if (Key.Sp == Space::TopLevel) {
+            ASSERT_NE(Desc.I->getDef(), nullptr);
+            EXPECT_EQ(Desc.I->getDef()->getId(), Key.Id);
+            EXPECT_EQ(Info->TLDefVersion, V);
+          } else {
+            ASSERT_LT(Desc.Idx, Info->Chis.size());
+            EXPECT_EQ(Info->Chis[Desc.Idx].Loc, Key.Id);
+            EXPECT_EQ(Info->Chis[Desc.Idx].NewVersion, V);
+          }
+          break;
+        }
+        }
+      }
+    };
+    for (const auto &V : F->variables())
+      CheckKey({Space::TopLevel, V->getId()}, V->getId());
+    for (size_t Pos = 0; Pos != FS.formalIns().size(); ++Pos)
+      CheckKey({Space::Memory, FS.formalIns()[Pos]},
+               F->variables().size() + Pos);
+  }
+}
+
+const transforms::OptPreset LayoutPresets[] = {transforms::OptPreset::O0IM,
+                                               transforms::OptPreset::O1};
+
+TEST(MemorySSALayout, GeneratorSeedsKeepTheContract) {
+  for (uint64_t Seed = 0; Seed != 50; ++Seed)
+    for (transforms::OptPreset Preset : LayoutPresets) {
+      SCOPED_TRACE("seed " + std::to_string(Seed) + " " +
+                   transforms::optPresetName(Preset));
+      auto M = workload::generateProgram(Seed);
+      transforms::runPreset(*M, Preset);
+      checkLayout(Pipeline(std::move(M)));
+    }
+}
+
+TEST(MemorySSALayout, SynthesizedProgramKeepsTheContract) {
+  workload::ShapeSpec Spec;
+  Spec.TargetNodes = 2000;
+  for (transforms::OptPreset Preset : LayoutPresets) {
+    SCOPED_TRACE(transforms::optPresetName(Preset));
+    auto M = parser::parseModuleOrAbort(workload::synthesizeProgram(Spec));
+    transforms::runPreset(*M, Preset);
+    checkLayout(Pipeline(std::move(M)));
+  }
 }
 
 //===----------------------------------------------------------------------===//
