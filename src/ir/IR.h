@@ -268,12 +268,6 @@ public:
     });
   }
 
-  /// Appends every variable operand this instruction reads to \p Uses,
-  /// as forEachUsedVar visits them.
-  void collectUsedVars(std::vector<Variable *> &Uses) const {
-    forEachUsedVar([&](Variable *V) { Uses.push_back(V); });
-  }
-
   /// Replaces every operand forEachOperand visits with \p Rewrite(Operand).
   template <typename Fn> void rewriteOperands(Fn &&Rewrite);
 

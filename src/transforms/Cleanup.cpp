@@ -126,13 +126,6 @@ bool transforms::detail::eliminateDeadCode(Module &M) {
   return Changed;
 }
 
-bool transforms::eliminateDeadCode(Module &M) {
-  if (!detail::eliminateDeadCode(M))
-    return false;
-  M.renumber();
-  return true;
-}
-
 bool transforms::detail::simplifyCFG(Module &M) {
   bool Changed = false;
 
@@ -204,13 +197,6 @@ bool transforms::detail::simplifyCFG(Module &M) {
   if (Changed)
     purgeDanglingObjects(M);
   return Changed;
-}
-
-bool transforms::simplifyCFG(Module &M) {
-  if (!detail::simplifyCFG(M))
-    return false;
-  M.renumber();
-  return true;
 }
 
 void transforms::purgeDanglingObjects(Module &M) {

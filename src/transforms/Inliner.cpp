@@ -233,9 +233,3 @@ bool transforms::detail::inlineSmallFunctions(Module &M,
   return Changed;
 }
 
-bool transforms::inlineSmallFunctions(Module &M, unsigned MaxCalleeInsts) {
-  if (!detail::inlineSmallFunctions(M, MaxCalleeInsts))
-    return false;
-  M.renumber();
-  return true;
-}

@@ -163,9 +163,3 @@ bool transforms::detail::propagateAndFold(Module &M) {
   return Changed;
 }
 
-bool transforms::propagateAndFold(Module &M) {
-  if (!detail::propagateAndFold(M))
-    return false;
-  M.renumber();
-  return true;
-}

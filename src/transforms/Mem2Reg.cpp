@@ -233,9 +233,3 @@ bool transforms::detail::promoteMemoryToRegisters(Module &M) {
   return true;
 }
 
-bool transforms::promoteMemoryToRegisters(Module &M) {
-  if (!detail::promoteMemoryToRegisters(M))
-    return false;
-  M.renumber();
-  return true;
-}

@@ -33,30 +33,8 @@ class Module;
 
 namespace transforms {
 
-/// Promotes non-escaping, non-array stack objects to top-level variables
-/// (one per field). Returns true if anything was promoted.
-bool promoteMemoryToRegisters(ir::Module &M);
-
 /// The callee size up to which O2 inlines.
 constexpr unsigned DefaultInlineLimit = 40;
-
-/// Inlines direct calls to non-recursive callees with at most
-/// \p MaxCalleeInsts instructions. Returns true on change.
-bool inlineSmallFunctions(ir::Module &M,
-                          unsigned MaxCalleeInsts = DefaultInlineLimit);
-
-/// Block-local constant/copy propagation and constant folding, including
-/// folding branches on constants. Returns true on change.
-bool propagateAndFold(ir::Module &M);
-
-/// Removes side-effect-free instructions whose results are unused (this
-/// includes dead loads, which is exactly how real -O1 pipelines hide
-/// uninitialized reads). Returns true on change.
-bool eliminateDeadCode(ir::Module &M);
-
-/// Merges trivial block chains and removes unreachable blocks. Returns
-/// true on change.
-bool simplifyCFG(ir::Module &M);
 
 /// Drops non-global objects whose allocation instruction no longer exists
 /// (after dead-code or unreachable-block removal). Transforms that delete
@@ -73,15 +51,30 @@ const char *optPresetName(OptPreset P);
 void runPreset(ir::Module &M, OptPreset P);
 
 namespace detail {
-/// The passes above without the Module::renumber() each runs when it
-/// changes the module. No pass reads instruction ids or the module's
+/// The passes runPreset runs. Each returns true if it changed the module,
+/// and none renumbers it: no pass reads instruction ids or the module's
 /// instruction count, and each keeps block ids dense itself, so runPreset
-/// runs these and renumbers once, at its end.
+/// renumbers once, at its end.
+
+/// Promotes non-escaping, non-array stack objects to top-level variables
+/// (one per field).
 bool promoteMemoryToRegisters(ir::Module &M);
+
+/// Inlines direct calls to non-recursive callees with at most
+/// \p MaxCalleeInsts instructions.
 bool inlineSmallFunctions(ir::Module &M,
                           unsigned MaxCalleeInsts = DefaultInlineLimit);
+
+/// Block-local constant/copy propagation and constant folding, including
+/// folding branches on constants.
 bool propagateAndFold(ir::Module &M);
+
+/// Removes side-effect-free instructions whose results are unused (this
+/// includes dead loads, which is exactly how real -O1 pipelines hide
+/// uninitialized reads).
 bool eliminateDeadCode(ir::Module &M);
+
+/// Merges trivial block chains and removes unreachable blocks.
 bool simplifyCFG(ir::Module &M);
 } // namespace detail
 

@@ -5,6 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestIR.h"
 #include "ir/IR.h"
 #include "ir/IRBuilder.h"
 #include "ir/Verifier.h"
@@ -81,8 +82,7 @@ TEST(Instruction, CollectAndRewriteOperands) {
   Instruction *Bin =
       B.createBinOp(X, BinOpcode::Add, Operand::var(A), Operand::var(B2));
 
-  std::vector<Variable *> Used;
-  Bin->collectUsedVars(Used);
+  std::vector<Variable *> Used = test::usedVars(*Bin);
   ASSERT_EQ(Used.size(), 2u);
 
   // Rewrite every use of `a` to the constant 9.

@@ -23,6 +23,17 @@ using transforms::OptPreset;
 
 namespace {
 
+/// Runs one of runPreset's passes on \p M and, if it changed the module,
+/// renumbers it as runPreset does at its end. Returns the pass's result.
+template <typename... ArgTs>
+bool runPass(bool (*Pass)(ir::Module &, ArgTs...), ir::Module &M,
+             ArgTs... Args) {
+  if (!Pass(M, Args...))
+    return false;
+  M.renumber();
+  return true;
+}
+
 TEST(Mem2Reg, PromotesSimpleEntryAlloc) {
   auto M = parser::parseModuleOrAbort(R"(
     func main() {
@@ -37,7 +48,7 @@ TEST(Mem2Reg, PromotesSimpleEntryAlloc) {
     }
   )");
   size_t ObjsBefore = M->objects().size();
-  EXPECT_TRUE(transforms::promoteMemoryToRegisters(*M));
+  EXPECT_TRUE(runPass(transforms::detail::promoteMemoryToRegisters, *M));
   EXPECT_LT(M->objects().size(), ObjsBefore);
   ir::verifyModuleOrAbort(*M);
   ExecutionReport Rep = Interpreter(*M, nullptr).run();
@@ -63,7 +74,7 @@ TEST(Mem2Reg, DoesNotPromoteEscapingAlloc) {
       ret x;
     }
   )");
-  transforms::promoteMemoryToRegisters(*M);
+  runPass(transforms::detail::promoteMemoryToRegisters, *M);
   ir::verifyModuleOrAbort(*M);
   ExecutionReport Rep = Interpreter(*M, nullptr).run();
   EXPECT_EQ(Rep.MainResult, 9);
@@ -82,7 +93,7 @@ TEST(Mem2Reg, PreservesUninitializedSemantics) {
   )");
   ExecutionReport Before = Interpreter(*M, nullptr).run();
   ASSERT_EQ(Before.OracleWarnings.size(), 1u);
-  EXPECT_TRUE(transforms::promoteMemoryToRegisters(*M));
+  EXPECT_TRUE(runPass(transforms::detail::promoteMemoryToRegisters, *M));
   ExecutionReport After = Interpreter(*M, nullptr).run();
   // The undefined use moved from the load to the branch but is still
   // there, and the result is unchanged.
@@ -102,7 +113,8 @@ TEST(Inliner, InlinesAndPreservesResult) {
       ret y;
     }
   )");
-  EXPECT_TRUE(transforms::inlineSmallFunctions(*M));
+  EXPECT_TRUE(runPass(transforms::detail::inlineSmallFunctions, *M,
+                      transforms::DefaultInlineLimit));
   ir::verifyModuleOrAbort(*M);
   // No calls remain in main.
   const ir::Function *Main = M->findFunction("main");
@@ -126,7 +138,7 @@ TEST(LocalOpt, FoldsConstantsAndBranches) {
       ret c;
     }
   )");
-  EXPECT_TRUE(transforms::propagateAndFold(*M));
+  EXPECT_TRUE(runPass(transforms::detail::propagateAndFold, *M));
   ir::verifyModuleOrAbort(*M);
   ExecutionReport Rep = Interpreter(*M, nullptr).run();
   EXPECT_EQ(Rep.MainResult, 42);
@@ -149,7 +161,7 @@ TEST(DCE, RemovesDeadLoadHidingTheBug) {
   )");
   ExecutionReport Before = Interpreter(*M, nullptr).run();
   EXPECT_EQ(Before.OracleWarnings.size(), 0u); // Load ptr is defined.
-  EXPECT_TRUE(transforms::eliminateDeadCode(*M));
+  EXPECT_TRUE(runPass(transforms::detail::eliminateDeadCode, *M));
   ir::verifyModuleOrAbort(*M);
   const ir::Function *Main = M->findFunction("main");
   size_t Loads = 0;
@@ -179,10 +191,10 @@ TEST(DCE, RemovesALongDeadChainInOneCall) {
               ";\n";
   Source += "  ret 0;\n}\n";
   auto M = parser::parseModuleOrAbort(Source);
-  EXPECT_TRUE(transforms::eliminateDeadCode(*M));
+  EXPECT_TRUE(runPass(transforms::detail::eliminateDeadCode, *M));
   EXPECT_EQ(bodyOf(*M->findFunction("main")), "ret 0;\n");
   EXPECT_EQ(M->instructionCount(), 1u);
-  EXPECT_FALSE(transforms::eliminateDeadCode(*M));
+  EXPECT_FALSE(runPass(transforms::detail::eliminateDeadCode, *M));
 }
 
 TEST(DCE, KeepsDeadCopyCyclesAndSelfUses) {
@@ -199,10 +211,10 @@ TEST(DCE, KeepsDeadCopyCyclesAndSelfUses) {
       ret 0;
     }
   )");
-  EXPECT_TRUE(transforms::eliminateDeadCode(*M));
+  EXPECT_TRUE(runPass(transforms::detail::eliminateDeadCode, *M));
   EXPECT_EQ(bodyOf(*M->findFunction("main")),
             "x = y;\ny = x;\nz = 0;\nz = z + 1;\nret 0;\n");
-  EXPECT_FALSE(transforms::eliminateDeadCode(*M));
+  EXPECT_FALSE(runPass(transforms::detail::eliminateDeadCode, *M));
 }
 
 TEST(DCE, KeepsACallWithAnUnusedResultAndClearsItsDef) {
@@ -214,10 +226,10 @@ TEST(DCE, KeepsACallWithAnUnusedResultAndClearsItsDef) {
       ret 0;
     }
   )");
-  EXPECT_TRUE(transforms::eliminateDeadCode(*M));
+  EXPECT_TRUE(runPass(transforms::detail::eliminateDeadCode, *M));
   EXPECT_EQ(bodyOf(*M->findFunction("main")), "f();\nret 0;\n");
   ir::verifyModuleOrAbort(*M);
-  EXPECT_FALSE(transforms::eliminateDeadCode(*M));
+  EXPECT_FALSE(runPass(transforms::detail::eliminateDeadCode, *M));
 }
 
 TEST(DCE, RemovesADeadAllocAndPurgesItsObject) {
@@ -233,14 +245,14 @@ TEST(DCE, RemovesADeadAllocAndPurgesItsObject) {
     }
   )");
   ASSERT_EQ(M->objects().size(), 4u);
-  EXPECT_TRUE(transforms::eliminateDeadCode(*M));
+  EXPECT_TRUE(runPass(transforms::detail::eliminateDeadCode, *M));
   ir::verifyModuleOrAbort(*M);
   ASSERT_EQ(M->objects().size(), 2u);
   EXPECT_EQ(M->objects()[0]->getName(), "g");
   EXPECT_EQ(M->objects()[1]->getName(), "main.c.2");
   for (size_t Idx = 0; Idx != M->objects().size(); ++Idx)
     EXPECT_EQ(M->objects()[Idx]->getId(), Idx);
-  EXPECT_FALSE(transforms::eliminateDeadCode(*M));
+  EXPECT_FALSE(runPass(transforms::detail::eliminateDeadCode, *M));
 }
 
 class PresetProperty : public ::testing::TestWithParam<uint64_t> {};

@@ -21,6 +21,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestIR.h"
 #include "core/Usher.h"
 #include "ir/IR.h"
 #include "parser/Parser.h"
@@ -101,9 +102,7 @@ struct GraphSummary {
         for (const auto &I : BB->instructions()) {
           D.add(I->getId());
           D.add(G.reachable(I.get()));
-          std::vector<ir::Variable *> Used;
-          I->collectUsedVars(Used);
-          for (const ir::Variable *V : Used)
+          for (const ir::Variable *V : test::usedVars(*I))
             D.add(G.useNode(I.get(), V));
         }
 

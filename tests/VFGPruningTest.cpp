@@ -26,6 +26,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestIR.h"
 #include "core/Usher.h"
 #include "ir/IR.h"
 #include "parser/Parser.h"
@@ -234,9 +235,7 @@ TEST_P(PrunedVFG, InvariantsHold) {
         const ssa::InstSSA *Info = FS.instInfo(I.get());
         EXPECT_EQ(G.reachable(I.get()), Info != nullptr);
         if (!Info) {
-          std::vector<ir::Variable *> Used;
-          I->collectUsedVars(Used);
-          for (const ir::Variable *V : Used)
+          for (const ir::Variable *V : test::usedVars(*I))
             EXPECT_EQ(G.useNode(I.get(), V), ~0u);
           continue;
         }
