@@ -73,7 +73,12 @@ public:
 private:
   // -- Variable pool helpers ----------------------------------------------
   Variable *freshVar(const std::string &Hint) {
-    return CurFn->F->createVariable(Hint + std::to_string(VarCounter++));
+    std::string Name = Hint + std::to_string(VarCounter++);
+    // A local named like a global (g<N>) would not parse back; no other
+    // hint starts with "l" followed by a letter.
+    if (M->findGlobal(Name))
+      Name.insert(0, "l");
+    return CurFn->F->createVariable(Name);
   }
   VarInfo &defineInt(Variable *V, bool MaybeUndef) {
     Pool.push_back({V, PtrKind::None, 0, false, MaybeUndef});
