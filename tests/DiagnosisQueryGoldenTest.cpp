@@ -225,7 +225,7 @@ const ProgramDigests SeedBucketGoldens[] = {
     {"0xb9c03405a94bd9da", "0x659069b5dd2c98ec"},
     {"0x36cad1b6bd0a32c3", "0x5860d796dae2d571"},
     {"0x5199de19f7ba873b", "0x1f88bdb2b496d3d3"},
-    {"0x4f947b313bfa5afa", "0xaaa8cf6a6b10cc1d"},
+    {"0xef683db14d419eaf", "0x6d9a9c767166b22f"},
 };
 
 void expectDigests(const ProgramDigests &Got, const ProgramDigests &Want,

@@ -217,7 +217,7 @@ const Golden Goldens[] = {
     {"gen:80-89",
      "O0+IM=0x689398b4aee1844f O1=0x907f2d08e1c1824a O2=0xb90a34538fdb2193"},
     {"gen:90-99",
-     "O0+IM=0x113e9c1c89f74e9b O1=0x0ae32876429a29fe O2=0xce99c77b962bf080"},
+     "O0+IM=0x5a46f293d54ed76d O1=0xdc6d92ba55e73a14 O2=0x31a3b467767617ce"},
     {"gen:100-109",
      "O0+IM=0x202fc3bafa1c5232 O1=0x2af934c3928fec12 O2=0xa7ec1dd5f8e17432"},
     {"gen:110-119",
