@@ -46,10 +46,14 @@ struct RunResult {
 /// prints DEGRADED(<rung>) on stderr instead of hanging the whole table.
 /// USHER_INJECT_FAULT (same grammar as usher-cli's --inject-fault=) is
 /// honored, so the degraded path can be exercised from the shell.
+///
+/// With \p Unpruned, the statistics also get Table 1's unpruned-graph
+/// fields (core::measureUnpruned), outside the analysis time.
 inline RunResult runBenchmark(const workload::BenchmarkProgram &B,
                               transforms::OptPreset Preset,
                               core::ToolVariant Variant,
-                              core::UsherOptions BaseOpts = {}) {
+                              core::UsherOptions BaseOpts = {},
+                              bool Unpruned = false) {
   auto M = workload::loadBenchmark(B);
   transforms::runPreset(*M, Preset);
 
@@ -62,6 +66,8 @@ inline RunResult runBenchmark(const workload::BenchmarkProgram &B,
     Opts.Limits.MaxStepsPerPhase = 1'000'000'000;
   }
   core::UsherResult R = core::runUsher(*M, Opts);
+  if (Unpruned)
+    core::measureUnpruned(*M, Opts, R);
   if (R.Degradation.Degraded)
     std::fprintf(stderr, "DEGRADED(%s): %s under %s/%s: %s\n",
                  core::toolVariantName(R.Degradation.Rung), B.Name.c_str(),

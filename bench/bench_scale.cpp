@@ -116,9 +116,6 @@ struct Fingerprint {
   uint64_t ShadowOps = 0;
   uint64_t VFGNodes = 0;
   uint64_t VFGEdges = 0;
-  /// Memory SSA versions the VFG left out; plus VFGNodes, the size of
-  /// the unpruned graph, which is the ladder's size axis.
-  uint64_t VFGPruned = 0;
   uint64_t Redirected = 0;
   int64_t RunResult = 0;
   std::vector<std::string> RunWarnings; ///< Sorted warningSiteKey()s.
@@ -126,7 +123,6 @@ struct Fingerprint {
   bool sameRun(const Fingerprint &O) const {
     return RunResult == O.RunResult && RunWarnings == O.RunWarnings;
   }
-  uint64_t unprunedNodes() const { return VFGNodes + VFGPruned; }
 };
 
 struct ConfigRow {
@@ -141,6 +137,10 @@ struct ConfigRow {
   double Opt2Ms = 0;
   uint64_t PeakRSSBytes = 0;
   Fingerprint FP;
+  /// Memory SSA versions the unpruned VFG leaves out; plus FP.VFGNodes,
+  /// the unpruned graph's size, which is the ladder's size axis.
+  uint64_t VFGPruned = 0;
+  uint64_t unprunedNodes() const { return FP.VFGNodes + VFGPruned; }
 };
 
 struct SizeRow {
@@ -161,6 +161,13 @@ constexpr Config Configs[] = {
     {"andersen-global", analysis::SolverKind::Optimized},
     {"unify-global", analysis::SolverKind::Unify},
 };
+
+core::UsherOptions optionsFor(const Config &C) {
+  core::UsherOptions Opts;
+  Opts.Variant = core::ToolVariant::UsherFull;
+  Opts.Pta.Solver = C.Solver;
+  return Opts;
+}
 
 double phaseMs(const core::UsherResult &UR, const char *Key) {
   auto It = UR.Stats.PhaseSeconds.find(Key);
@@ -188,9 +195,7 @@ ConfigRow runConfig(const std::string &Source, const Config &C,
     transforms::runPreset(*PR.M, transforms::OptPreset::O1);
     double Mem2RegMs = msSince(T0);
 
-    core::UsherOptions Opts;
-    Opts.Variant = core::ToolVariant::UsherFull;
-    Opts.Pta.Solver = C.Solver;
+    const core::UsherOptions Opts = optionsFor(C);
     T0 = Clock::now();
     core::UsherResult UR = core::runUsher(*PR.M, Opts);
     double AnalyzeMs = msSince(T0);
@@ -213,7 +218,6 @@ ConfigRow runConfig(const std::string &Source, const Config &C,
     FP.ShadowOps = UR.Plan.countShadowOps();
     FP.VFGNodes = UR.Stats.NumVFGNodes;
     FP.VFGEdges = UR.Stats.NumVFGEdges;
-    FP.VFGPruned = UR.Stats.NumPrunedMemVersions;
     FP.Redirected = UR.Stats.NumRedirectedNodes;
     FP.RunResult = Rep.MainResult;
     for (const runtime::Warning &W : Rep.ToolWarnings)
@@ -243,6 +247,19 @@ ConfigRow runConfig(const std::string &Source, const Config &C,
   return Row;
 }
 
+/// Fills \p Row's VFGPruned: one more run of \p Source under \p C, then
+/// the unpruned measurement. Its build would raise the process-wide peak
+/// RSS, so it runs only after every row's peak has been read.
+void measureVFGPruned(const std::string &Source, const Config &C,
+                      ConfigRow &Row) {
+  parser::ParseResult PR = parser::parseModule(Source);
+  transforms::runPreset(*PR.M, transforms::OptPreset::O1);
+  const core::UsherOptions Opts = optionsFor(C);
+  core::UsherResult UR = core::runUsher(*PR.M, Opts);
+  core::measureUnpruned(*PR.M, Opts, UR);
+  Row.VFGPruned = UR.Stats.NumPrunedMemVersions;
+}
+
 void printConfigJson(JsonWriter &W, const ConfigRow &R) {
   W.beginObject(JsonWriter::Layout::Inline);
   W.members("name", R.Name, "parse_ms", R.ParseMs, "mem2reg_ms", R.Mem2RegMs,
@@ -252,7 +269,7 @@ void printConfigJson(JsonWriter &W, const ConfigRow &R) {
             "vfg_ms", R.VfgMs, "definedness_ms", R.DefinednessMs,
             "opt2_ms", R.Opt2Ms);
   W.end().members("vfg_nodes", R.FP.VFGNodes, "vfg_edges", R.FP.VFGEdges,
-                  "vfg_pruned", R.FP.VFGPruned, "checks", R.FP.Checks,
+                  "vfg_pruned", R.VFGPruned, "checks", R.FP.Checks,
                   "shadow_ops", R.FP.ShadowOps,
                   "warning_sites", R.FP.RunWarnings.size());
   W.end();
@@ -313,23 +330,31 @@ int main(int argc, char **argv) {
                    S.Name);
       std::abort();
     }
+    Rows.push_back(std::move(Row));
+  }
 
+  // Last, once every timing and peak is read: the unpruned sizes.
+  for (size_t I = 0; I != Rows.size(); ++I) {
+    SizeRow &Row = Rows[I];
+    const std::string Source = workload::synthesizeProgram(Sizes[I].Shape);
+    for (size_t C = 0; C != Row.Configs.size(); ++C)
+      measureVFGPruned(Source, Configs[C], Row.Configs[C]);
     std::printf("%-8s %8llu instrs %9llu nodes (%llu unpruned)",
                 Row.Name.c_str(),
                 static_cast<unsigned long long>(Row.Instructions),
-                static_cast<unsigned long long>(Ref.VFGNodes),
-                static_cast<unsigned long long>(Ref.unprunedNodes()));
+                static_cast<unsigned long long>(Row.Configs[0].FP.VFGNodes),
+                static_cast<unsigned long long>(
+                    Row.Configs[0].unprunedNodes()));
     for (const ConfigRow &C : Row.Configs)
       std::printf("  %s=%.0fms", C.Name.c_str(), C.AnalyzeMs);
     std::printf("\n");
-    Rows.push_back(std::move(Row));
   }
 
   // The ladder must actually climb: strictly more unpruned VFG nodes per
   // rung.
   for (size_t I = 1; I != Rows.size(); ++I) {
-    if (Rows[I].Configs[0].FP.unprunedNodes() <=
-        Rows[I - 1].Configs[0].FP.unprunedNodes()) {
+    if (Rows[I].Configs[0].unprunedNodes() <=
+        Rows[I - 1].Configs[0].unprunedNodes()) {
       std::fprintf(stderr, "FATAL: size ladder is not monotone\n");
       std::abort();
     }
@@ -358,8 +383,8 @@ int main(int argc, char **argv) {
     W.end().end();
   }
   W.end().key("summary").beginObject(JsonWriter::Layout::Inline);
-  W.members("min_vfg_nodes", Rows.front().Configs[0].FP.unprunedNodes(),
-            "max_vfg_nodes", Rows.back().Configs[0].FP.unprunedNodes());
+  W.members("min_vfg_nodes", Rows.front().Configs[0].unprunedNodes(),
+            "max_vfg_nodes", Rows.back().Configs[0].unprunedNodes());
   W.end().end();
   OS.flush();
   std::fclose(F);

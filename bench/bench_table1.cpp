@@ -32,7 +32,8 @@ int main() {
   for (const auto &B : workload::spec2000Suite()) {
     // Full Usher so the Opt I / Opt II columns are populated.
     RunResult R = runBenchmark(B, transforms::OptPreset::O0IM,
-                               core::ToolVariant::UsherFull);
+                               core::ToolVariant::UsherFull, {},
+                               /*Unpruned=*/true);
     const core::UsherStatistics &S = R.Stats;
     std::printf("%-12s %6llu %7.2f %8llu %6llu %6llu %6llu %6llu %5.0f "
                 "%5.1f %5.0f %5.0f %7llu %5.0f %6llu %7llu\n",

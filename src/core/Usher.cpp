@@ -273,8 +273,6 @@ UsherResult core::runUsher(Module &M, const UsherOptions &Opts) {
   // Statistics over the built analyses.
   Stats.NumVFGNodes = G->numNodes();
   Stats.NumVFGEdges = G->numEdges();
-  Stats.NumMemSSAVersions = G->numMemSSAVersions();
-  Stats.NumPrunedMemVersions = G->numPrunedMemVersions();
   Stats.NumPlacedMemVersions = SSA->numPlacedVersions();
   uint64_t StoreChis = G->numStrongStoreChis() + G->numSemiStrongStoreChis() +
                        G->numWeakStoreChis();
@@ -292,10 +290,6 @@ UsherResult core::runUsher(Module &M, const UsherOptions &Opts) {
     Cuts += Count;
   Stats.SemiStrongCutsPerHeapSite =
       HeapSites ? static_cast<double>(Cuts) / HeapSites : 0.0;
-  BitSet Reaching = computeCheckReaching(*G, *Gamma);
-  uint64_t UnprunedNodes = G->numNodes() + G->numPrunedMemVersions();
-  Stats.PercentReachingCheck =
-      UnprunedNodes ? 100.0 * Reaching.count() / UnprunedNodes : 0.0;
   Stats.StaticPropagations = Result.Plan.countPropagationReads();
   Stats.StaticChecks = Result.Plan.countChecks();
 
@@ -328,6 +322,23 @@ UsherResult core::runUsher(Module &M, const UsherOptions &Opts) {
   Result.G = std::move(G);
   Result.Gamma = std::move(Gamma);
   return Result;
+}
+
+void core::measureUnpruned(const Module &M, const UsherOptions &Opts,
+                           UsherResult &Result) {
+  if (!Result.G)
+    return;
+  ssa::MemorySSA SSA = ssa::MemorySSA::unpruned(M, *Result.PA, *Result.MR);
+  vfg::VFG G =
+      vfg::VFGBuilder(M, SSA, *Result.PA, *Result.CG, Opts.Vfg).build();
+  UsherStatistics &Stats = Result.Stats;
+  Stats.NumMemSSAVersions = G.numMemSSAVersions();
+  Stats.NumPrunedMemVersions = G.numPrunedMemVersions();
+  // A node the run's graph left out reaches no check.
+  BitSet Reaching = computeCheckReaching(*Result.G, *Result.Gamma);
+  uint64_t UnprunedNodes = Result.G->numNodes() + Stats.NumPrunedMemVersions;
+  Stats.PercentReachingCheck =
+      UnprunedNodes ? 100.0 * Reaching.count() / UnprunedNodes : 0.0;
 }
 
 QueryOutcome core::runUsherQuery(Module &M, const UsherOptions &Opts,

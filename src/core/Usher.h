@@ -116,14 +116,16 @@ struct UsherStatistics {
   uint64_t NumVFGEdges = 0;
   /// Memory SSA versions an unpruned VFG would hold as nodes, and those of
   /// them no load reads, which the VFG leaves out. NumVFGNodes +
-  /// NumPrunedMemVersions is the unpruned VFG's size.
+  /// NumPrunedMemVersions is the unpruned VFG's size. runUsher leaves
+  /// both at 0; measureUnpruned fills them.
   uint64_t NumMemSSAVersions = 0;
   uint64_t NumPrunedMemVersions = 0;
   /// Memory SSA versions actually placed: those of the locations each
   /// function keeps (ssa::MemorySSA::numPlacedVersions).
   uint64_t NumPlacedMemVersions = 0;
   /// %B: VFG nodes reaching at least one needed runtime check, out of the
-  /// unpruned VFG's nodes (a pruned node reaches no check).
+  /// unpruned VFG's nodes (a pruned node reaches no check). runUsher
+  /// leaves it at 0; measureUnpruned fills it.
   double PercentReachingCheck = 0;
   /// (Representative, context) states the definedness phase explored
   /// (Definedness::numStates of the base Gamma, before Opt II).
@@ -181,6 +183,15 @@ struct UsherResult {
 /// sound but not worth optimizing over). The returned plan always detects
 /// at least the undefined-value uses full instrumentation would.
 UsherResult runUsher(ir::Module &M, const UsherOptions &Opts);
+
+/// Fills \p Result's Table 1 fields over the unpruned VFG:
+/// NumMemSSAVersions, NumPrunedMemVersions and PercentReachingCheck. It
+/// builds the unpruned memory SSA (ssa::MemorySSA::unpruned) on Result's
+/// PA and MR, and a VFG over it with \p Opts.Vfg, which runUsher must have
+/// been given with \p M. Only the reporters of Table 1 call it; runUsher
+/// pays for none of it. A run that kept no VFG is left as it is.
+void measureUnpruned(const ir::Module &M, const UsherOptions &Opts,
+                     UsherResult &Result);
 
 /// Outcome of one demand reachability query (runUsherQuery).
 struct QueryOutcome {

@@ -83,26 +83,25 @@ struct FunctionPlan {
 // Builder
 //===----------------------------------------------------------------------===//
 
-/// Builds each function's SSA form over its kept locations, and counts the
-/// versions its other locations would have had. One builder serves a whole
-/// module, so its scratch arrays are allocated once and reused.
+/// Builds each function's SSA form over its kept locations; a mu or chi of
+/// any other location is not placed. One builder serves a whole module, so
+/// its scratch arrays are allocated once and reused.
 ///
 /// Keys are numbered densely: top-level variables by id, then the kept
-/// locations by formalIns() position, then the dropped locations (those
-/// the function may read or modify but does not keep).
+/// locations by formalIns() position.
 ///
 /// Every array of the form is sized before it is filled: placeMuChi
 /// gathers the annotations in scratch and copies them out, placePhis
-/// counts each kept key's versions (1 + defs + phis) and each phi's
-/// operands (its block's edges from reachable blocks), and rename writes
-/// versions into those slots.
+/// counts each key's versions (1 + defs + phis) and each phi's operands
+/// (its block's edges from reachable blocks), and rename writes versions
+/// into those slots.
 class FunctionSSA::Builder {
 public:
   Builder(const PointerAnalysis &PA, const ModRefAnalysis &MR)
       : PA(PA), MR(MR), LocKey(PA.numLocations(), 0) {}
 
-  /// Builds \p Fn's form for \p P; returns the number of dropped versions.
-  uint64_t run(FunctionSSA &Fn, const FunctionPlan &P);
+  /// Builds \p Fn's form for \p P.
+  void run(FunctionSSA &Fn, const FunctionPlan &P);
 
 private:
   using KeyBlock = std::pair<uint32_t, const BasicBlock *>;
@@ -111,17 +110,16 @@ private:
   void placeMuChi();
   void placeCallMuChi(const CallEffects &Call, const BasicBlock *BB);
   void placePhis();
-  bool entryVersionRead(uint32_t Key);
   void rename();
 
+  bool isKept(uint32_t Loc) const { return LocKey[Loc] != 0; }
   uint32_t memKey(uint32_t Loc) const {
-    assert(LocKey[Loc] && "location is not a key of this function");
+    assert(isKept(Loc) && "location is not a key of this function");
     return LocKey[Loc] - 1;
   }
   uint32_t keyOf(VarKey Var) const {
     return Var.Sp == Space::TopLevel ? Var.Id : memKey(Var.Id);
   }
-  bool isKept(uint32_t Key) const { return Key < NumKept; }
   VarKey varKey(uint32_t Key) const {
     return Key < NumVars ? VarKey{Space::TopLevel, Key}
                          : VarKey{Space::Memory, S->FormalIn[Key - NumVars]};
@@ -129,31 +127,28 @@ private:
 
   const PointerAnalysis &PA;
   const ModRefAnalysis &MR;
-  /// Indexed by location: 1 + its key index while a function that has it
-  /// as a key is built, else 0.
+  /// Indexed by location: 1 + its key index while a function that keeps it
+  /// is built, else 0.
   std::vector<uint32_t> LocKey;
 
   // The function being built.
   FunctionSSA *S = nullptr;
   const Function *F = nullptr;
   const FunctionPlan *Plan = nullptr;
-  /// Keys below NumVars are top-level, below NumKept versioned.
-  uint32_t NumVars = 0, NumKept = 0, NumKeys = 0;
-  uint64_t NumDropped = 0;
+  /// Keys below NumVars are top-level, the rest kept locations.
+  uint32_t NumVars = 0, NumKeys = 0;
 
   // Scratch, reused from function to function.
-  std::vector<uint32_t> Dropped;
-  /// Every def of a key (top-level def or chi) with its block, and every
-  /// block in which a call or allocation reads a dropped key.
-  std::vector<KeyBlock> DefEvents, DroppedReads;
-  /// The same, bucketed by key: key K's entries are [Start[K], Start[K+1]).
-  std::vector<uint32_t> DefStart, ReadStart;
-  std::vector<const BasicBlock *> DefBlocks, ReadBlocks;
+  /// Every def of a key (top-level def or chi) with its block.
+  std::vector<KeyBlock> DefEvents;
+  /// The same, bucketed by key: key K's are [DefStart[K], DefStart[K+1]).
+  std::vector<uint32_t> DefStart;
+  std::vector<const BasicBlock *> DefBlocks;
   /// Per block, 1 + the key whose phi placement last marked it.
-  std::vector<uint32_t> HasPhi, InWork, IsDef;
-  std::vector<const BasicBlock *> PhiBlocks, Work;
-  /// Kept phis as (block id, key), in key order.
-  std::vector<std::pair<uint32_t, uint32_t>> KeptPhis;
+  std::vector<uint32_t> HasPhi, InWork;
+  std::vector<const BasicBlock *> Work;
+  /// Phis as (block id, key), in key order.
+  std::vector<std::pair<uint32_t, uint32_t>> PhiKeys;
   /// The annotations of the reachable instructions, back to back, and
   /// where each instruction's lists start in them.
   struct InstStart {
@@ -163,7 +158,7 @@ private:
   std::vector<TLUse> UseBuf;
   std::vector<MemUse> MuBuf;
   std::vector<MemDef> ChiBuf;
-  /// Renaming: the current and the last version of each kept key, the
+  /// Renaming: the current and the last version of each key, the
   /// versions defs replaced (undone as the walk leaves their block), the
   /// next operand slot of each block's phis, and the walk's stack.
   std::vector<uint32_t> Top, LastVersion, NextIn;
@@ -185,7 +180,7 @@ static std::span<T> writable(std::vector<T> &Pool, std::span<const T> View) {
 void FunctionSSA::Builder::assignKeys() {
   S->NumVars = NumVars = static_cast<uint32_t>(F->variables().size());
   const BitSet &Ref = MR.ref(F), &Mod = MR.mod(F), &Kept = Plan->Kept;
-  // Touched locations (read or modified), split into kept and dropped.
+  // The kept locations the function reads or modifies.
   size_t NumIn = 0, NumOut = 0;
   for (size_t W = 0, End = Ref.numWords(); W != End; ++W) {
     NumIn += std::popcount((Ref.word(W) | Mod.word(W)) & Kept.word(W));
@@ -194,28 +189,21 @@ void FunctionSSA::Builder::assignKeys() {
   S->FormalIn.reserve(NumIn);
   S->FormalOut.reserve(NumOut);
   S->PassedIn.reserve(NumIn);
-  Dropped.clear();
-  for (size_t W = 0, End = Ref.numWords(); W != End; ++W)
-    for (uint64_t Bits = Ref.word(W) | Mod.word(W); Bits; Bits &= Bits - 1) {
-      uint32_t Loc = static_cast<uint32_t>(W * 64 + std::countr_zero(Bits));
-      if (Kept.test(Loc))
-        S->FormalIn.push_back(Loc);
-      else
-        Dropped.push_back(Loc);
-    }
-  Mod.forEach([&](size_t Loc) {
-    if (Kept.test(Loc))
-      S->FormalOut.push_back(static_cast<uint32_t>(Loc));
-  });
-  NumKept = NumVars + static_cast<uint32_t>(S->FormalIn.size());
-  NumKeys = NumKept + static_cast<uint32_t>(Dropped.size());
+  for (size_t W = 0, End = Ref.numWords(); W != End; ++W) {
+    for (uint64_t Bits = (Ref.word(W) | Mod.word(W)) & Kept.word(W); Bits;
+         Bits &= Bits - 1)
+      S->FormalIn.push_back(
+          static_cast<uint32_t>(W * 64 + std::countr_zero(Bits)));
+    for (uint64_t Bits = Mod.word(W) & Kept.word(W); Bits; Bits &= Bits - 1)
+      S->FormalOut.push_back(
+          static_cast<uint32_t>(W * 64 + std::countr_zero(Bits)));
+  }
+  NumKeys = NumVars + static_cast<uint32_t>(S->FormalIn.size());
   uint32_t Key = NumVars;
   for (uint32_t Loc : S->FormalIn) {
     LocKey[Loc] = ++Key;
     S->PassedIn.push_back(Plan->Passed.test(Loc));
   }
-  for (uint32_t Loc : Dropped)
-    LocKey[Loc] = ++Key;
 }
 
 void FunctionSSA::Builder::placeCallMuChi(const CallEffects &Call,
@@ -224,25 +212,18 @@ void FunctionSSA::Builder::placeCallMuChi(const CallEffects &Call,
   // whose old version doubles as the input for mod-only locations. Clone
   // locations are "allocated" here and take no input at all. Every mu and
   // chi reads the version before the call: a chi's old version is either
-  // such an input or the merge operand of a clone allocation.
+  // such an input or the merge operand of a clone allocation. Locations
+  // the function does not keep get neither.
   Call.Mus->forEach([&](size_t L) {
     uint32_t Loc = static_cast<uint32_t>(L);
-    if (Call.Clones && Call.Clones->test(Loc))
-      return;
-    uint32_t Key = memKey(Loc);
-    if (isKept(Key))
+    if (isKept(Loc) && !(Call.Clones && Call.Clones->test(Loc)))
       MuBuf.push_back({Loc, 0});
-    else
-      DroppedReads.push_back({Key, BB});
   });
   Call.Chis->forEach([&](size_t L) {
     uint32_t Loc = static_cast<uint32_t>(L);
-    uint32_t Key = memKey(Loc);
-    DefEvents.push_back({Key, BB});
-    if (!isKept(Key)) {
-      DroppedReads.push_back({Key, BB});
+    if (!isKept(Loc))
       return;
-    }
+    DefEvents.push_back({memKey(Loc), BB});
     ChiKind Kind = Call.Clones && Call.Clones->test(Loc) ? ChiKind::CloneAlloc
                                                          : ChiKind::CallMod;
     ChiBuf.push_back({Loc, 0, 0, Kind});
@@ -281,23 +262,20 @@ void FunctionSSA::Builder::placeMuChi() {
         DefEvents.push_back({Def->getId(), BB.get()});
       if (const auto *Ld = dyn_cast<LoadInst>(I.get())) {
         for (uint32_t Loc : PA.pointsTo(Ld->getPtr())) {
-          assert(isKept(memKey(Loc)) && "a load reads a dropped location");
+          assert(isKept(Loc) && "a load reads a dropped location");
           MuBuf.push_back({Loc, 0});
         }
       } else if (const auto *St = dyn_cast<StoreInst>(I.get())) {
         for (uint32_t Loc : PA.pointsTo(St->getPtr())) {
-          assert(isKept(memKey(Loc)) && "a store writes a dropped location");
           DefEvents.push_back({memKey(Loc), BB.get()});
           ChiBuf.push_back({Loc, 0, 0, ChiKind::Store});
         }
       } else if (const auto *A = dyn_cast<AllocInst>(I.get())) {
         for (unsigned Loc : PA.locsOfObject(A->getObject())) {
-          uint32_t Key = memKey(Loc);
-          DefEvents.push_back({Key, BB.get()});
-          if (isKept(Key))
-            ChiBuf.push_back({Loc, 0, 0, ChiKind::Alloc});
-          else
-            DroppedReads.push_back({Key, BB.get()});
+          if (!isKept(Loc))
+            continue;
+          DefEvents.push_back({memKey(Loc), BB.get()});
+          ChiBuf.push_back({Loc, 0, 0, ChiKind::Alloc});
         }
       } else if (isa<CallInst>(I.get())) {
         assert(Call != Plan->Calls.end() && Call->Call == I.get() &&
@@ -326,54 +304,24 @@ void FunctionSSA::Builder::placeMuChi() {
   }
 }
 
-bool FunctionSSA::Builder::entryVersionRead(uint32_t Key) {
-  if (Plan->Passed.test(Dropped[Key - NumKept]))
-    return true; // A caller hands it in.
-  // Otherwise some block must read it: one where a call or allocation
-  // reads the location before any chi in the block, or a phi's
-  // predecessor, and version 0 must reach that point.
-  const uint32_t Stamp = Key + 1;
-  for (uint32_t Idx = DefStart[Key]; Idx != DefStart[Key + 1]; ++Idx)
-    IsDef[DefBlocks[Idx]->getId()] = Stamp;
-  auto EntryReaches = [&](const BasicBlock *BB) {
-    if (HasPhi[BB->getId()] == Stamp)
-      return false;
-    for (const BasicBlock *Dom = S->DT.idom(BB); Dom; Dom = S->DT.idom(Dom))
-      if (IsDef[Dom->getId()] == Stamp || HasPhi[Dom->getId()] == Stamp)
-        return false;
-    return true;
-  };
-  for (uint32_t Idx = ReadStart[Key]; Idx != ReadStart[Key + 1]; ++Idx)
-    if (EntryReaches(ReadBlocks[Idx]))
-      return true;
-  for (const BasicBlock *Join : PhiBlocks)
-    for (const BasicBlock *Pred : S->CFG.predecessors(Join->getId()))
-      if (S->CFG.isReachable(Pred->getId()) &&
-          IsDef[Pred->getId()] != Stamp && EntryReaches(Pred))
-        return true;
-  return false;
-}
-
 void FunctionSSA::Builder::placePhis() {
-  auto ByKey = [](const std::vector<KeyBlock> &Events) {
-    return [&Events](auto &&Emit) {
-      for (const auto &[Key, BB] : Events)
-        Emit(Key, BB);
-    };
-  };
-  fillCSR(NumKeys, ByKey(DefEvents), DefStart, DefBlocks);
-  fillCSR(NumKeys, ByKey(DroppedReads), ReadStart, ReadBlocks);
+  fillCSR(
+      NumKeys,
+      [&](auto &&Emit) {
+        for (const auto &[Key, BB] : DefEvents)
+          Emit(Key, BB);
+      },
+      DefStart, DefBlocks);
 
   // Iterated dominance frontier of each key's def blocks; the entry
-  // defines version 0 of every key. A dropped key's phis are only
-  // counted. Each kept key's version count is 1 + its defs + its phis.
+  // defines version 0 of every key. Each key's version count is 1 + its
+  // defs + its phis.
   analysis::DominanceFrontier DF(S->DT);
   const size_t NumBlocks = F->blocks().size();
   HasPhi.assign(NumBlocks, 0);
   InWork.assign(NumBlocks, 0);
-  IsDef.assign(NumBlocks, 0);
-  KeptPhis.clear();
-  S->DefBegin.assign(NumKept + 1, 0);
+  PhiKeys.clear();
+  S->DefBegin.assign(NumKeys + 1, 0);
   for (uint32_t Key = 0; Key != NumKeys; ++Key) {
     const uint32_t Stamp = Key + 1;
     auto Push = [&](const BasicBlock *BB) {
@@ -385,8 +333,7 @@ void FunctionSSA::Builder::placePhis() {
     Push(F->getEntry());
     for (uint32_t Idx = DefStart[Key]; Idx != DefStart[Key + 1]; ++Idx)
       Push(DefBlocks[Idx]);
-    PhiBlocks.clear();
-    const size_t FirstPhi = KeptPhis.size();
+    const size_t FirstPhi = PhiKeys.size();
     while (!Work.empty()) {
       const BasicBlock *BB = Work.back();
       Work.pop_back();
@@ -394,30 +341,23 @@ void FunctionSSA::Builder::placePhis() {
         if (HasPhi[Frontier->getId()] == Stamp)
           continue;
         HasPhi[Frontier->getId()] = Stamp;
-        if (isKept(Key))
-          KeptPhis.push_back({Frontier->getId(), Key});
-        else
-          PhiBlocks.push_back(Frontier);
+        PhiKeys.push_back({Frontier->getId(), Key});
         Push(Frontier);
       }
     }
-    const uint32_t NumDefs = DefStart[Key + 1] - DefStart[Key];
-    if (isKept(Key))
-      S->DefBegin[Key + 1] =
-          1 + NumDefs + static_cast<uint32_t>(KeptPhis.size() - FirstPhi);
-    else
-      NumDropped += NumDefs + PhiBlocks.size() + entryVersionRead(Key);
+    S->DefBegin[Key + 1] = 1 + (DefStart[Key + 1] - DefStart[Key]) +
+                           static_cast<uint32_t>(PhiKeys.size() - FirstPhi);
   }
-  for (uint32_t Key = 0; Key != NumKept; ++Key)
+  for (uint32_t Key = 0; Key != NumKeys; ++Key)
     S->DefBegin[Key + 1] += S->DefBegin[Key];
-  S->Defs.resize(S->DefBegin[NumKept]);
+  S->Defs.resize(S->DefBegin[NumKeys]);
 
   // Phis by block, keys in order within a block; then one operand slot per
   // edge from a reachable block.
   fillCSR(
       static_cast<uint32_t>(NumBlocks),
       [&](auto &&Emit) {
-        for (const auto &[Block, Key] : KeptPhis)
+        for (const auto &[Block, Key] : PhiKeys)
           Emit(Block, PhiNode{varKey(Key), 0, {}});
       },
       S->PhiBegin, S->Phis);
@@ -442,12 +382,12 @@ void FunctionSSA::Builder::placePhis() {
 }
 
 void FunctionSSA::Builder::rename() {
-  // Top is the current version of each kept key; Trail records the
+  // Top is the current version of each key; Trail records the
   // version each def replaced, undone when the dominator-tree walk leaves
   // its block. Version V of key K is defined at Defs[DefBegin[K] + V]
   // (version 0, Entry, is already there).
-  Top.assign(NumKept, 0);
-  LastVersion.assign(NumKept, 0);
+  Top.assign(NumKeys, 0);
+  LastVersion.assign(NumKeys, 0);
   NextIn.assign(F->blocks().size(), 0);
   Trail.clear();
   auto Define = [&](uint32_t Key, DefDesc Desc) {
@@ -519,13 +459,11 @@ void FunctionSSA::Builder::rename() {
   }
 }
 
-uint64_t FunctionSSA::Builder::run(FunctionSSA &Fn, const FunctionPlan &P) {
+void FunctionSSA::Builder::run(FunctionSSA &Fn, const FunctionPlan &P) {
   S = &Fn;
   F = &Fn.F;
   Plan = &P;
-  NumDropped = 0;
   DefEvents.clear();
-  DroppedReads.clear();
   size_t NumInsts = 0;
   for (const auto &BB : F->blocks()) {
     if (NumInsts == 0 && !BB->instructions().empty())
@@ -540,9 +478,6 @@ uint64_t FunctionSSA::Builder::run(FunctionSSA &Fn, const FunctionPlan &P) {
   rename();
   for (uint32_t Loc : S->FormalIn)
     LocKey[Loc] = 0;
-  for (uint32_t Loc : Dropped)
-    LocKey[Loc] = 0;
-  return NumDropped;
 }
 
 //===----------------------------------------------------------------------===//
@@ -550,7 +485,16 @@ uint64_t FunctionSSA::Builder::run(FunctionSSA &Fn, const FunctionPlan &P) {
 //===----------------------------------------------------------------------===//
 
 MemorySSA::MemorySSA(const Module &M, const PointerAnalysis &PA,
-                     const ModRefAnalysis &MR, ThreadPool *) {
+                     const ModRefAnalysis &MR, ThreadPool *)
+    : MemorySSA(M, PA, MR, /*Prune=*/true) {}
+
+MemorySSA MemorySSA::unpruned(const Module &M, const PointerAnalysis &PA,
+                              const ModRefAnalysis &MR) {
+  return MemorySSA(M, PA, MR, /*Prune=*/false);
+}
+
+MemorySSA::MemorySSA(const Module &M, const PointerAnalysis &PA,
+                     const ModRefAnalysis &MR, bool Prune) {
   size_t NumFns = 0;
   for (const auto &F : M.functions())
     NumFns = std::max<size_t>(NumFns, F->getId() + 1);
@@ -566,6 +510,8 @@ MemorySSA::MemorySSA(const Module &M, const PointerAnalysis &PA,
     const analysis::CFGInfo &CFG = Funcs[F->getId()]->CFG;
     FunctionPlan &Plan = Plans[F->getId()];
     Plan.Kept = MR.ref(F.get());
+    if (!Prune)
+      Plan.Kept.unionWith(MR.mod(F.get()));
     Plan.Passed.resize(NumLocs);
     for (const auto &BB : F->blocks()) {
       if (!CFG.isReachable(BB->getId()))
@@ -607,9 +553,9 @@ MemorySSA::MemorySSA(const Module &M, const PointerAnalysis &PA,
       }
     }
 
-  // The kept sets K, with E the kept locations whose version 0 some load
-  // may read. K starts as what the function reads or a reachable store in
-  // it writes, E as what it reads. At a call F -> G:
+  // Unless unpruned, grow the kept sets K, with E the kept locations whose
+  // version 0 some load may read. K starts as what the function reads or a
+  // reachable store in it writes, E as what it reads. At a call F -> G:
   //  - down: a location F keeps and the call defines is kept and read on
   //    entry in G, whose returns give the chi its value;
   //  - up: a location G reads on entry that the call reads or defines is
@@ -617,7 +563,7 @@ MemorySSA::MemorySSA(const Module &M, const PointerAnalysis &PA,
   std::vector<BitSet> Entry(NumFns);
   for (const auto &F : M.functions())
     Entry[F->getId()] = MR.ref(F.get());
-  for (bool Changed = true; Changed;) {
+  for (bool Changed = Prune; Changed;) {
     Changed = false;
     for (const auto &F : M.functions()) {
       FunctionPlan &Caller = Plans[F->getId()];
@@ -652,7 +598,7 @@ MemorySSA::MemorySSA(const Module &M, const PointerAnalysis &PA,
   FunctionSSA::Builder B(PA, MR);
   for (const auto &F : M.functions()) {
     FunctionSSA &S = *Funcs[F->getId()];
-    NumDropped += B.run(S, Plans[F->getId()]);
+    B.run(S, Plans[F->getId()]);
     const uint32_t FirstMem = S.DefBegin[S.NumVars];
     S.TLBase = NumTL;
     S.MemBase = static_cast<uint32_t>(NumPlaced) - FirstMem;

@@ -224,13 +224,20 @@ private:
 /// write, and those a caller or callee needs to see through it (computed
 /// once per module over the reachable call sites). Versions of any other
 /// location are never read, directly or through other versions, so they
-/// are counted rather than placed.
+/// are neither placed nor counted. The unpruned form, in which every
+/// function keeps every location it may read or modify, is built only
+/// where its size is reported (core::measureUnpruned).
 class MemorySSA {
 public:
-  /// Builds per-function SSA overlays.
+  /// Builds per-function SSA overlays over the kept sets.
   // The unused ThreadPool * keeps the mangled name perfbench link-wraps.
   MemorySSA(const ir::Module &M, const analysis::PointerAnalysis &PA,
             const analysis::ModRefAnalysis &MR, ThreadPool * = nullptr);
+
+  /// Builds the unpruned form: every function keeps what it reads or writes.
+  static MemorySSA unpruned(const ir::Module &M,
+                            const analysis::PointerAnalysis &PA,
+                            const analysis::ModRefAnalysis &MR);
 
   const FunctionSSA &get(const ir::Function *F) const;
 
@@ -241,15 +248,12 @@ public:
   /// Top-level versions: the size of the tlNumber() numbering.
   uint32_t numTLVersions() const { return NumTL; }
 
-  /// Versions of the locations no function kept that memory SSA without
-  /// pruning would have placed and a VFG builder walking it would have
-  /// referenced: every chi and phi, and version 0 where something reads
-  /// it (a phi, a chi's old version, a call site, or a caller).
-  uint64_t numDroppedVersions() const { return NumDropped; }
-
 private:
+  MemorySSA(const ir::Module &M, const analysis::PointerAnalysis &PA,
+            const analysis::ModRefAnalysis &MR, bool Prune);
+
   std::vector<std::unique_ptr<FunctionSSA>> Funcs; // By function id.
-  uint64_t NumPlaced = 0, NumDropped = 0;
+  uint64_t NumPlaced = 0;
   uint32_t NumTL = 0;
 };
 

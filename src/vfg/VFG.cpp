@@ -819,7 +819,7 @@ VFG VFGBuilder::build() {
   computeLiveness();
   for (const auto &F : M.functions())
     buildFunction(*F);
-  G.NumMemVersions = Seen.count() + SSA.numDroppedVersions();
+  G.NumMemVersions = Seen.count();
   G.NumPrunedMemVersions = G.NumMemVersions - Live.count();
 
   // Entry (version 0) nodes referenced anywhere now get their root edges.

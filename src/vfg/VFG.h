@@ -193,9 +193,12 @@ public:
   uint64_t numWeakStoreChis() const { return NumWeak; }
   uint64_t numEdges() const { return NumEdges; }
 
-  /// Memory SSA versions a graph without pruning would hold as nodes, and
-  /// how many of them no load reads and so got none. numNodes() plus
-  /// numPrunedMemVersions() is the size of that unpruned graph.
+  /// Memory SSA versions the build referenced, which a graph without
+  /// liveness pruning would hold as nodes, and how many of them no load
+  /// reads and so got none. numNodes() plus numPrunedMemVersions() is the
+  /// size of that graph. Both count the memory SSA the graph was built
+  /// from; over the unpruned form (ssa::MemorySSA::unpruned) they give
+  /// Table 1's unpruned size.
   uint64_t numMemSSAVersions() const { return NumMemVersions; }
   uint64_t numPrunedMemVersions() const { return NumPrunedMemVersions; }
 
@@ -414,7 +417,7 @@ private:
   std::vector<uint32_t> SiteStart;
   std::vector<StoreChiClass> StoreChis;
   /// One bit per memory version: live ones, and ones the walk referenced
-  /// (the nodes an unpruned graph would have).
+  /// (the nodes a graph without liveness pruning would have).
   BitSet Live, Seen;
   /// Indexed by location, in the function between enterFunction and
   /// leaveFunction: its position in formalIns() and 1 + the bit of its

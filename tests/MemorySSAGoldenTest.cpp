@@ -13,8 +13,10 @@
 /// per reachable instruction, its top-level def version, the top-level
 /// versions it reads, its mus and its chis (location, new and old version,
 /// kind); and the definition site of every version of every key. Per
-/// program it also pins the placed and dropped version counters. A change
-/// to how memory SSA is laid out must leave all of it unchanged.
+/// program it also pins the placed versions and the dropped ones: the
+/// versions the unpruned VFG references (core::measureUnpruned) less those
+/// the run's VFG references. A change to how memory SSA is laid out must
+/// leave all of it unchanged.
 ///
 /// Programs: the suite, generator seeds 0-199 (in buckets of ten), the fuzz
 /// and diagnosis corpora and synthesized programs of 2k, 10k and 40k
@@ -135,13 +137,16 @@ struct SSASummary {
       addDefs(FS, {Space::Memory, Loc});
   }
 
-  void add(const ir::Module &M, const ssa::MemorySSA &SSA) {
+  void add(const ir::Module &M, const core::UsherResult &R) {
+    const ssa::MemorySSA &SSA = *R.SSA;
     for (const auto &F : M.functions())
       addFunction(*F, SSA.get(F.get()));
+    const uint64_t NumDropped =
+        R.Stats.NumMemSSAVersions - R.G->numMemSSAVersions();
     D.add(SSA.numPlacedVersions());
-    D.add(SSA.numDroppedVersions());
+    D.add(NumDropped);
     Placed += SSA.numPlacedVersions();
-    Dropped += SSA.numDroppedVersions();
+    Dropped += NumDropped;
     D.add(~0ull);
   }
 
@@ -163,10 +168,12 @@ void addProgram(SSASummary &S, const ModuleFactory &Make, OptPreset Preset,
                 const std::string &What) {
   auto M = Make();
   transforms::runPreset(*M, Preset);
-  core::UsherResult R = core::runUsher(*M, core::UsherOptions());
+  const core::UsherOptions Opts;
+  core::UsherResult R = core::runUsher(*M, Opts);
   ASSERT_FALSE(R.Degradation.Degraded) << What;
   ASSERT_TRUE(R.SSA) << What;
-  S.add(*M, *R.SSA);
+  core::measureUnpruned(*M, Opts, R);
+  S.add(*M, R);
 }
 
 std::unique_ptr<ir::Module> parseInput(const std::string &Path) {

@@ -8,6 +8,7 @@
 #include "analysis/CallGraph.h"
 #include "analysis/ModRef.h"
 #include "analysis/PointerAnalysis.h"
+#include "core/Usher.h"
 #include "parser/Parser.h"
 #include "ssa/MemorySSA.h"
 #include "transforms/Transforms.h"
@@ -210,9 +211,10 @@ uint32_t memNode(const VFG &G, const ir::Function *Fn, uint32_t Loc,
 
 TEST(MemorySSATest, UnreadLocationIsCountedNotPlaced) {
   // main never reads g: its call gets no chi for set's store, its join no
-  // phi and main no virtual parameter for g. The unpruned count still
-  // holds main's three versions (entry, call chi, join phi) and set's two.
-  Pipeline P(R"(
+  // phi and main no virtual parameter for g. The unpruned count
+  // (core::measureUnpruned) still holds main's three versions (entry, call
+  // chi, join phi) and set's two.
+  const char *Src = R"(
     global g[1] uninit;
     func set() {
       p = g;
@@ -229,7 +231,8 @@ TEST(MemorySSATest, UnreadLocationIsCountedNotPlaced) {
     join:
       ret 0;
     }
-  )");
+  )";
+  Pipeline P(Src);
   const ir::Function *Main = P.M->findFunction("main");
   const FunctionSSA &FS = P.SSA->get(Main);
   uint32_t GLoc = P.PA->locId(P.M->findGlobal("g"), 0);
@@ -249,10 +252,17 @@ TEST(MemorySSATest, UnreadLocationIsCountedNotPlaced) {
   EXPECT_TRUE(SetSSA.passedByCaller(0));
 
   EXPECT_EQ(P.SSA->numPlacedVersions(), 2u);
-  EXPECT_EQ(P.SSA->numDroppedVersions(), 3u);
   VFG G = P.buildVFG();
-  EXPECT_EQ(G.numMemSSAVersions(), 5u);
-  EXPECT_EQ(G.numPrunedMemVersions(), 5u);
+  EXPECT_EQ(G.numMemSSAVersions(), 2u);
+  EXPECT_EQ(G.numPrunedMemVersions(), 2u);
+
+  auto M = parser::parseModuleOrAbort(Src);
+  const core::UsherOptions Opts;
+  core::UsherResult R = core::runUsher(*M, Opts);
+  EXPECT_EQ(R.Stats.NumMemSSAVersions, 0u);
+  core::measureUnpruned(*M, Opts, R);
+  EXPECT_EQ(R.Stats.NumMemSSAVersions, 5u);
+  EXPECT_EQ(R.Stats.NumPrunedMemVersions, 5u);
 }
 
 TEST(MemorySSATest, CallerThatNeverReadsStillFeedsLiveFormalIn) {

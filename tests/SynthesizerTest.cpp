@@ -125,6 +125,7 @@ TEST(Synthesizer, SizeDialHitsFactorTwoBand) {
     ASSERT_TRUE(PR.succeeded());
     core::UsherOptions Opts;
     core::UsherResult UR = core::runUsher(*PR.M, Opts);
+    core::measureUnpruned(*PR.M, Opts, UR);
     uint64_t Nodes = UR.Stats.NumVFGNodes + UR.Stats.NumPrunedMemVersions;
     EXPECT_GE(Nodes, Target / 2) << "target " << Target;
     EXPECT_LE(Nodes, Target * 2) << "target " << Target;

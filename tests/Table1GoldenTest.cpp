@@ -120,6 +120,7 @@ TEST_P(Table1Golden, RowIsPinned) {
   Opts.Variant = core::ToolVariant::UsherFull;
   core::UsherResult R = core::runUsher(*M, Opts);
   ASSERT_FALSE(R.Degradation.Degraded) << B.Name;
+  core::measureUnpruned(*M, Opts, R);
   EXPECT_EQ(table1Row(R.Stats), Table1Goldens[GetParam()]) << B.Name;
 }
 

@@ -10,10 +10,11 @@
 /// options). Per program, the digest covers every node (function, key,
 /// version, origin, defining statement, dependency and user edges), each
 /// statement's reachability and useNode() answers, the critical uses, and
-/// the counters that describe the graph: memory SSA versions, pruned
-/// versions, the strong / semi-strong / weak store chis and the semi-strong
-/// cuts per allocation anchor. A change to how much memory SSA is placed
-/// must leave all of it unchanged.
+/// the counters that describe the graph: the unpruned graph's memory SSA
+/// versions and pruned versions (core::measureUnpruned), the strong /
+/// semi-strong / weak store chis and the semi-strong cuts per allocation
+/// anchor. A change to how much memory SSA is placed must leave all of it
+/// unchanged.
 ///
 /// Programs: the suite, generator seeds 0-199 (in buckets of ten), the fuzz
 /// and diagnosis corpora and synthesized programs of 2k, 10k and 40k
@@ -71,13 +72,14 @@ struct GraphSummary {
   uint64_t Versions = 0, Pruned = 0, Strong = 0, Semi = 0, Weak = 0,
            Cuts = 0;
 
-  void add(const ir::Module &M, const VFG &G) {
-    for (uint64_t V : {G.numMemSSAVersions(), G.numPrunedMemVersions(),
+  void add(const ir::Module &M, const core::UsherResult &R) {
+    const VFG &G = *R.G;
+    for (uint64_t V : {R.Stats.NumMemSSAVersions, R.Stats.NumPrunedMemVersions,
                        G.numStrongStoreChis(), G.numSemiStrongStoreChis(),
                        G.numWeakStoreChis()})
       D.add(V);
-    Versions += G.numMemSSAVersions();
-    Pruned += G.numPrunedMemVersions();
+    Versions += R.Stats.NumMemSSAVersions;
+    Pruned += R.Stats.NumPrunedMemVersions;
     Strong += G.numStrongStoreChis();
     Semi += G.numSemiStrongStoreChis();
     Weak += G.numWeakStoreChis();
@@ -142,16 +144,18 @@ struct GraphSummary {
 
 using ModuleFactory = std::function<std::unique_ptr<ir::Module>()>;
 
-/// Runs \p Make's module through \p Preset and runUsher and adds its
-/// graph to \p S.
+/// Runs \p Make's module through \p Preset, runUsher and measureUnpruned
+/// and adds its graph to \p S.
 void addProgram(GraphSummary &S, const ModuleFactory &Make, OptPreset Preset,
                 const std::string &What) {
   auto M = Make();
   transforms::runPreset(*M, Preset);
-  core::UsherResult R = core::runUsher(*M, core::UsherOptions());
+  const core::UsherOptions Opts;
+  core::UsherResult R = core::runUsher(*M, Opts);
   ASSERT_FALSE(R.Degradation.Degraded) << What;
   ASSERT_TRUE(R.G) << What;
-  S.add(*M, *R.G);
+  core::measureUnpruned(*M, Opts, R);
+  S.add(*M, R);
 }
 
 std::unique_ptr<ir::Module> parseInput(const std::string &Path) {

@@ -107,6 +107,7 @@ TEST_P(PrunedVFG, InvariantsHold) {
   core::UsherOptions Opts;
   core::UsherResult R = core::runUsher(*M, Opts);
   ASSERT_TRUE(R.G && R.SSA);
+  core::measureUnpruned(*M, Opts, R);
   const VFG &G = *R.G;
   const uint32_t N = G.numNodes();
 
@@ -134,7 +135,11 @@ TEST_P(PrunedVFG, InvariantsHold) {
     EXPECT_TRUE(Reached[Id]) << "memory node " << Id
                              << " reaches no top-level node";
 
+  // Both the run's graph and the unpruned one measureUnpruned builds hold
+  // every referenced version that is live, and no other.
   EXPECT_EQ(R.Stats.NumVFGNodes, N);
+  EXPECT_EQ(N + G.numPrunedMemVersions(),
+            2 + TopLevel + G.numMemSSAVersions());
   EXPECT_EQ(R.Stats.NumVFGNodes + R.Stats.NumPrunedMemVersions,
             2 + TopLevel + R.Stats.NumMemSSAVersions);
   EXPECT_LE(R.Stats.NumPrunedMemVersions, R.Stats.NumMemSSAVersions);
@@ -164,9 +169,9 @@ TEST_P(PrunedVFG, InvariantsHold) {
   EXPECT_TRUE(Forward == Backward) << "users is not the inverse of deps";
 
   // What memory SSA places is exactly the versions its functions report.
-  // The counted versions are the placed ones the builder referenced plus
-  // the dropped ones, and a placed version nothing references is some
-  // kept location's version 0.
+  // The unpruned form's versions are the placed ones the builder
+  // referenced plus the dropped ones, and a placed version nothing
+  // references is some kept location's version 0.
   uint64_t PlacedInFunctions = 0, KeptLocations = 0;
   for (const auto &F : M->functions()) {
     const ssa::FunctionSSA &FS = R.SSA->get(F.get());
@@ -176,9 +181,8 @@ TEST_P(PrunedVFG, InvariantsHold) {
   }
   const uint64_t Placed = R.Stats.NumPlacedMemVersions;
   EXPECT_EQ(Placed, PlacedInFunctions);
-  const uint64_t Referenced =
-      R.Stats.NumMemSSAVersions - R.SSA->numDroppedVersions();
-  EXPECT_LE(R.SSA->numDroppedVersions(), R.Stats.NumMemSSAVersions);
+  const uint64_t Referenced = G.numMemSSAVersions();
+  EXPECT_LE(Referenced, R.Stats.NumMemSSAVersions);
   EXPECT_LE(Referenced, Placed);
   EXPECT_LE(Placed, Referenced + KeptLocations);
 

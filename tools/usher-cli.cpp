@@ -428,6 +428,7 @@ int main(int Argc, char **Argv) {
              << '\n';
 
     if (Opts.Stats) {
+      core::measureUnpruned(M, UO, R);
       const core::UsherStatistics &S = R.Stats;
       OS << "instructions:         " << S.NumInstructions << '\n'
          << "top-level variables:  " << S.NumTopLevelVars << '\n'
