@@ -258,6 +258,53 @@ PointerAnalysis::cloneOrigins(const Function *F) const {
 // Both consume the identical constraint system, so their final points-to
 // sets are bit-for-bit equal (tests/SolverEquivalenceTest.cpp).
 
+namespace {
+
+/// The optimized engine's points-to set (the naive engine keeps dense
+/// BitSets): words [Base, numWords()) of a bitset over loc ids, all others
+/// zero, the last held word nonzero. An empty set allocates nothing and a
+/// set costs the range it holds, not the location universe. A word below
+/// Base grows the front by at least the held length, so words arriving in
+/// descending order cost amortized O(1); the zero words this leaves at the
+/// front are skipped by the harvest's hash and equality.
+class RangeSet {
+public:
+  bool empty() const { return Words.empty(); }
+  uint32_t beginWord() const { return Base; }
+  /// One past the last held word, as BitSet::numWords() is for BitSets.
+  uint32_t numWords() const { return Base + uint32_t(Words.size()); }
+  /// Word \p W; zero outside the held range (W < Base wraps past it).
+  uint64_t word(uint32_t W) const {
+    return W - Base < Words.size() ? Words[W - Base] : 0;
+  }
+  /// Sets the bits of nonzero \p Mask in word \p W.
+  void orWord(uint32_t W, uint64_t Mask) {
+    if (Words.empty())
+      Base = W;
+    if (W < Base) {
+      uint32_t Grow =
+          std::max(Base - W, std::min(Base, uint32_t(Words.size())));
+      Words.insert(Words.begin(), Grow, 0);
+      Base -= Grow;
+    }
+    if (W - Base >= Words.size())
+      Words.resize(W - Base + 1);
+    Words[W - Base] |= Mask;
+  }
+  /// Calls \p Fn(word index, word) for every nonzero held word, ascending.
+  template <typename FnT> void forEachWord(FnT Fn) const {
+    for (uint32_t I = 0, E = static_cast<uint32_t>(Words.size()); I != E; ++I)
+      if (Words[I])
+        Fn(Base + I, Words[I]);
+  }
+
+private:
+  uint32_t Base = 0;
+  std::vector<uint64_t> Words;
+};
+
+} // namespace
+
 class PointerAnalysis::Solver {
 public:
   Solver(PointerAnalysis &PA, Budget *B) : PA(PA), M(PA.M), B(B) {}
@@ -277,9 +324,7 @@ private:
   using GepCst = ConstraintSystem::GepCst;
 
   uint32_t varNode(const Variable *V) const {
-    auto It = VarIds.find(V);
-    assert(It != VarIds.end() && "unnumbered variable");
-    return It->second;
+    return PA.FnBase[V->getParent()->getId()] + V->getId();
   }
   uint32_t locNode(uint32_t LocId) const { return NumVars + LocId; }
 
@@ -356,7 +401,6 @@ private:
   Module &M;
   Budget *B;
 
-  std::unordered_map<const Variable *, uint32_t> VarIds;
   ConstraintSystem C;
   uint32_t &NumVars = C.NumVars;
   uint32_t &NumNodes = C.NumNodes;
@@ -371,7 +415,8 @@ private:
   // Engine state. In the optimized engine all per-node tables are keyed by
   // the union-find representative; merged members' entries are drained
   // into their representative and freed.
-  std::vector<BitSet> Pts;
+  std::vector<BitSet> DensePts; // naive engine
+  std::vector<RangeSet> Pts;    // optimized engine
   // Difference-propagation state: per representative, the bits that
   // entered Pts but have not been pushed to successors yet, as {word
   // index, fresh mask} pairs. Exact and duplicate-free by construction —
@@ -419,9 +464,13 @@ private:
 };
 
 void PointerAnalysis::Solver::buildConstraints() {
-  for (const auto &F : M.functions())
-    for (const auto &V : F->variables())
-      VarIds[V.get()] = NumVars++;
+  for (const auto &F : M.functions()) {
+    assert(F->getId() == PA.FnBase.size() && "function ids not dense");
+    PA.FnBase.push_back(NumVars);
+    NumVars += static_cast<uint32_t>(F->variables().size());
+  }
+  PA.FnBase.push_back(NumVars);
+  PA.VarPts.assign(NumVars, &EmptyPts);
   NumNodes = NumVars + PA.numLocations();
 
   // Collect return values first (calls may precede callee bodies).
@@ -551,7 +600,7 @@ void PointerAnalysis::Solver::addCallConstraints(const CallInst *Call) {
 
 void PointerAnalysis::Solver::solveNaive() {
   const unsigned NumLocs = PA.numLocations();
-  Pts.assign(NumNodes, BitSet(NumLocs));
+  DensePts.assign(NumNodes, BitSet(NumLocs));
   CopyTargets.assign(NumNodes, {});
   LoadTargets.assign(NumNodes, {});
   StoreValues.assign(NumNodes, {});
@@ -559,7 +608,7 @@ void PointerAnalysis::Solver::solveNaive() {
   InWorklist.resize(NumNodes);
 
   auto Seed = [&](uint32_t Node, uint32_t Loc) {
-    if (Pts[Node].set(Loc))
+    if (DensePts[Node].set(Loc))
       push(Node);
   };
   // Per-node sorted-vector edge dedup: no packed-key hashing on the hot
@@ -572,7 +621,7 @@ void PointerAnalysis::Solver::solveNaive() {
     Targets.insert(It, Dst);
     ++PA.SStats.NumCopyEdges;
     ++PA.SStats.NumPropagations;
-    if (Pts[Dst].unionWith(Pts[Src]))
+    if (DensePts[Dst].unionWith(DensePts[Src]))
       push(Dst);
   };
   auto FlowInto = [&](const ValueRef &V, uint32_t Dst) {
@@ -613,7 +662,7 @@ void PointerAnalysis::Solver::solveNaive() {
 
     if (!LoadTargets[N].empty() || !StoreValues[N].empty() ||
         !GepTargets[N].empty()) {
-      Pts[N].forEach([&](size_t LocIdx) {
+      DensePts[N].forEach([&](size_t LocIdx) {
         uint32_t LocId = static_cast<uint32_t>(LocIdx);
         for (uint32_t Dst : LoadTargets[N])
           AddCopy(locNode(LocId), Dst);
@@ -635,7 +684,7 @@ void PointerAnalysis::Solver::solveNaive() {
 
     for (uint32_t Dst : CopyTargets[N]) {
       ++PA.SStats.NumPropagations;
-      if (Pts[Dst].unionWith(Pts[N]))
+      if (DensePts[Dst].unionWith(DensePts[N]))
         push(Dst);
     }
   }
@@ -690,11 +739,8 @@ void PointerAnalysis::Solver::addCopyEdge(uint32_t Src, uint32_t Dst) {
   ++PA.SStats.NumCopyEdges;
   ++PA.SStats.NumPropagations;
   bool Changed = false;
-  const BitSet &From = Pts[S];
-  for (uint32_t W = 0, E = static_cast<uint32_t>(From.numWords()); W != E;
-       ++W)
-    if (uint64_t Mask = From.word(W))
-      Changed |= orWordInto(T, W, Mask);
+  Pts[S].forEachWord(
+      [&](uint32_t W, uint64_t Mask) { Changed |= orWordInto(T, W, Mask); });
   if (Changed)
     push(T);
   else if (!Pts[S].empty() && !lcdAlreadyChecked(S, T))
@@ -730,7 +776,8 @@ void PointerAnalysis::Solver::collapseScc(
   for (size_t I = 1, E = Members.size(); I != E; ++I) {
     uint32_t M = Members[I];
     Parent[M] = R;
-    Pts[R].orWithReturningChanged(Pts[M]);
+    Pts[M].forEachWord(
+        [&](uint32_t W, uint64_t Mask) { Pts[R].orWord(W, Mask); });
     auto Drain = [](auto &From, auto &Into) {
       Into.insert(Into.end(), From.begin(), From.end());
       From.clear();
@@ -742,7 +789,7 @@ void PointerAnalysis::Solver::collapseScc(
     Drain(GepTargets[M], GepTargets[R]);
     LcdChecked[M].clear();
     LcdChecked[M].shrink_to_fit();
-    Pts[M] = BitSet();
+    Pts[M] = RangeSet();
     Delta[M].clear();
     Delta[M].shrink_to_fit();
   }
@@ -757,10 +804,8 @@ void PointerAnalysis::Solver::collapseScc(
                 Targets.end());
   LcdChecked[R].clear();
   Delta[R].clear();
-  for (uint32_t W = 0, E = static_cast<uint32_t>(Pts[R].numWords()); W != E;
-       ++W)
-    if (uint64_t Mask = Pts[R].word(W))
-      Delta[R].push_back({W, Mask});
+  Pts[R].forEachWord(
+      [&](uint32_t W, uint64_t Mask) { Delta[R].push_back({W, Mask}); });
   if (!Delta[R].empty() || !LoadTargets[R].empty() ||
       !StoreValues[R].empty() || !GepTargets[R].empty())
     push(R);
@@ -863,8 +908,7 @@ bool PointerAnalysis::Solver::drainPendingLcd() {
 }
 
 void PointerAnalysis::Solver::solveOptimized() {
-  const unsigned NumLocs = PA.numLocations();
-  Pts.assign(NumNodes, BitSet(NumLocs));
+  Pts.assign(NumNodes, RangeSet());
   Delta.assign(NumNodes, {});
   CopyTargets.assign(NumNodes, {});
   LoadTargets.assign(NumNodes, {});
@@ -1012,18 +1056,44 @@ size_t hashMix(size_t H, uint64_t V) {
   return H;
 }
 
-/// An Andersen representative's final bits, hashed over nonzero words.
-struct BitsKey {
-  const BitSet *Bits;
-  bool empty() const { return Bits->empty(); }
+/// An Andersen representative's final bits: the words [Lo, Hi) from its
+/// first nonzero word to the end of what it holds, which alone are hashed
+/// and compared (a RangeSet's last held word is nonzero, and one engine's
+/// BitSets share one universe).
+template <typename SetT> struct BitsKey {
+  const SetT *Bits;
+  uint32_t Lo = 0, Hi;
+  explicit BitsKey(const SetT &S) : Bits(&S), Hi(uint32_t(S.numWords())) {
+    if constexpr (std::is_same_v<SetT, RangeSet>)
+      Lo = S.beginWord();
+    while (Lo != Hi && !S.word(Lo))
+      ++Lo;
+  }
+  bool empty() const { return Lo == Hi; }
   size_t hash() const {
     size_t H = 0;
-    for (size_t W = 0, E = Bits->numWords(); W != E; ++W)
+    for (uint32_t W = Lo; W != Hi; ++W)
       if (uint64_t Word = Bits->word(W))
         H = hashMix(hashMix(H, W), Word);
     return H;
   }
-  bool operator==(const BitsKey &O) const { return *Bits == *O.Bits; }
+  bool operator==(const BitsKey &O) const {
+    return Lo == O.Lo && Hi == O.Hi &&
+           std::ranges::all_of(std::views::iota(Lo, Hi), [&](uint32_t W) {
+             return Bits->word(W) == O.Bits->word(W);
+           });
+  }
+  std::vector<uint32_t> toVector() const {
+    size_t N = 0;
+    for (uint32_t W = Lo; W != Hi; ++W)
+      N += static_cast<size_t>(__builtin_popcountll(Bits->word(W)));
+    std::vector<uint32_t> Locs;
+    Locs.reserve(N);
+    for (uint32_t W = Lo; W != Hi; ++W)
+      for (uint64_t Mask = Bits->word(W); Mask; Mask &= Mask - 1)
+        Locs.push_back(W * 64 + __builtin_ctzll(Mask));
+    return Locs;
+  }
 };
 
 /// A unification representative's sorted cell-class ids.
@@ -1056,7 +1126,7 @@ void PointerAnalysis::Solver::harvest(RepFn RepOf, KeyFn KeyOf,
   };
   std::unordered_map<KeyT, const std::vector<uint32_t> *, Hash> Interned;
   std::vector<const std::vector<uint32_t> *> ByRep(NumNodes, nullptr);
-  for (const auto &[V, Id] : VarIds) {
+  for (uint32_t Id = 0; Id != NumVars; ++Id) {
     uint32_t R = RepOf(Id);
     const std::vector<uint32_t> *&Shared = ByRep[R];
     if (!Shared) {
@@ -1073,8 +1143,7 @@ void PointerAnalysis::Solver::harvest(RepFn RepOf, KeyFn KeyOf,
         Shared = It->second;
       }
     }
-    if (Shared != &EmptyPts)
-      PA.VarPtsShared[V] = Shared;
+    PA.VarPts[Id] = Shared;
   }
 }
 
@@ -1137,10 +1206,15 @@ void PointerAnalysis::Solver::run() {
   if (PA.Exhausted)
     return;
   PA.NumNodes = NumNodes;
-  harvest<BitsKey>(
-      [&](uint32_t Id) { return Parent.empty() ? Id : findRep(Id); },
-      [&](uint32_t R) { return BitsKey{&Pts[R]}; },
-      [&](const BitsKey &K) { return K.Bits->toVector(); });
+  auto HarvestBits = [&](const auto &Sets, auto RepOf) {
+    using KeyT = BitsKey<typename std::decay_t<decltype(Sets)>::value_type>;
+    harvest<KeyT>(RepOf, [&](uint32_t R) { return KeyT(Sets[R]); },
+                  [](const KeyT &K) { return K.toVector(); });
+  };
+  if (PA.Opts.Solver == SolverKind::NaiveReference)
+    HarvestBits(DensePts, [](uint32_t Id) { return Id; });
+  else
+    HarvestBits(Pts, [&](uint32_t Id) { return findRep(Id); });
 }
 
 //===----------------------------------------------------------------------===//
@@ -1160,8 +1234,11 @@ PointerAnalysis::PointerAnalysis(Module &M, const CallGraph &CG,
 
 const std::vector<uint32_t> &
 PointerAnalysis::pointsTo(const Variable *V) const {
-  auto It = VarPtsShared.find(V);
-  return It == VarPtsShared.end() ? EmptyPts : *It->second;
+  // A function or variable created after the analysis has no node.
+  unsigned F = V->getParent()->getId();
+  if (F + 1 >= FnBase.size() || FnBase[F] + V->getId() >= FnBase[F + 1])
+    return EmptyPts;
+  return *VarPts[FnBase[F] + V->getId()];
 }
 
 const std::vector<uint32_t> &

@@ -220,13 +220,16 @@ private:
   std::unordered_map<const ir::CallInst *, std::vector<ir::MemObject *>>
       Clones;
 
+  // Function id -> solver node of its first variable, plus one entry past
+  // the last function: variable V of F is node FnBase[F] + V's id, as ids
+  // are dense and never reused.
+  std::vector<uint32_t> FnBase;
   // Every engine's harvest interns one vector per distinct points-to set
-  // and points each variable with that set at the shared copy (variables
-  // with empty sets are left out) — per-variable vectors would cost
-  // Θ(vars × pts-size) on the many readers of one hub.
+  // and points each variable node with that set at the shared copy (empty
+  // sets at EmptyPts) — per-variable vectors would cost Θ(vars × pts-size)
+  // on the many readers of one hub.
   std::vector<std::unique_ptr<std::vector<uint32_t>>> SharedPts;
-  std::unordered_map<const ir::Variable *, const std::vector<uint32_t> *>
-      VarPtsShared;
+  std::vector<const std::vector<uint32_t> *> VarPts;
   // Obj id -> {base loc} for globals (the set a global operand names),
   // empty for every other object.
   std::vector<std::vector<uint32_t>> GlobalPts;

@@ -6,8 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A dense dynamic bitset with the union/iteration operations the Andersen
-/// solver and mod/ref propagation need.
+/// A dense dynamic bitset over a fixed universe, for sets that are dense
+/// by design: the naive reference pointer solver, mod/ref propagation,
+/// memory SSA, definedness and check reachability.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,7 +60,7 @@ public:
   void clearAll() { Words.assign(Words.size(), 0); }
 
   /// Word-level access: bit I lives in word I / 64 at position I % 64.
-  /// The optimized pointer solver moves points-to deltas a word at a time.
+  /// Memory SSA combines mod/ref and kept-location sets a word at a time.
   size_t numWords() const { return Words.size(); }
   uint64_t word(size_t WordIdx) const { return Words[WordIdx]; }
   void orWord(size_t WordIdx, uint64_t Mask) { Words[WordIdx] |= Mask; }
@@ -77,27 +78,6 @@ public:
       uint64_t Old = Words[I];
       Words[I] |= Other.Words[I];
       Changed |= Words[I] != Old;
-    }
-    return Changed;
-  }
-
-  /// this |= Other, skipping zero source words; returns true if any bit
-  /// changed. The word-sparse union the optimized solver leans on: delta
-  /// sets are mostly zero words, so the common merge touches only the few
-  /// words that actually carry bits.
-  bool orWithReturningChanged(const BitSet &Other) {
-    assert(Bits == Other.Bits && "bitset size mismatch");
-    bool Changed = false;
-    for (size_t I = 0, E = Words.size(); I != E; ++I) {
-      uint64_t Src = Other.Words[I];
-      if (!Src)
-        continue;
-      uint64_t Old = Words[I];
-      uint64_t New = Old | Src;
-      if (New != Old) {
-        Words[I] = New;
-        Changed = true;
-      }
     }
     return Changed;
   }

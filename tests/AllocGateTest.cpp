@@ -6,16 +6,24 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A complexity gate from a deterministic counter: the heap allocations
-/// that memory SSA construction and VFGBuilder::build() make. Memory SSA
-/// lays each function out in a fixed number of exact-sized arrays and the
-/// VFG builder keeps flat tables, so both must allocate a bounded number
-/// of times per function, however large the functions grow.
+/// Complexity gates from deterministic counters: the heap allocations
+/// that memory SSA construction and VFGBuilder::build() make, and the bytes
+/// the pointer analysis allocates.
 ///
-/// Inputs: synthesized programs of 10k and 40k target nodes (seed 1) at
-/// O1. The gate asserts, per phase, that allocations per function stay at
-/// or below a constant, and that allocations grow from 10k to 40k by at
+/// Memory SSA lays each function out in a fixed number of exact-sized
+/// arrays and the VFG builder keeps flat tables, so both must allocate a
+/// bounded number of times per function, however large the functions
+/// grow. Inputs: synthesized programs of 10k and 40k target nodes (seed 1)
+/// at O1. The gate asserts, per phase, that allocations per function stay
+/// at or below a constant, and that allocations grow from 10k to 40k by at
 /// most 1.25 times the growth in function count.
+///
+/// The pointer analysis sizes each points-to set by the words it holds,
+/// so its bytes must follow its node count rather than nodes times
+/// locations. Inputs: synthesized programs of 40k and 150k target nodes
+/// (seed 1) at O1. The gate asserts that the bytes allocated while
+/// PointerAnalysis is built grow by at most 1.25 times the growth in
+/// numNodes().
 ///
 /// This file replaces the global operator new and delete, so it builds
 /// into its own test executable.
@@ -40,10 +48,16 @@
 
 namespace {
 std::atomic<uint64_t> NumAllocs{0};
+std::atomic<uint64_t> NumBytes{0};
+
+void *countedMalloc(std::size_t Size) noexcept {
+  NumAllocs.fetch_add(1, std::memory_order_relaxed);
+  NumBytes.fetch_add(Size, std::memory_order_relaxed);
+  return std::malloc(Size ? Size : 1);
+}
 
 void *countedAlloc(std::size_t Size) {
-  NumAllocs.fetch_add(1, std::memory_order_relaxed);
-  if (void *P = std::malloc(Size ? Size : 1))
+  if (void *P = countedMalloc(Size))
     return P;
   throw std::bad_alloc();
 }
@@ -52,12 +66,10 @@ void *countedAlloc(std::size_t Size) {
 void *operator new(std::size_t Size) { return countedAlloc(Size); }
 void *operator new[](std::size_t Size) { return countedAlloc(Size); }
 void *operator new(std::size_t Size, const std::nothrow_t &) noexcept {
-  NumAllocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(Size ? Size : 1);
+  return countedMalloc(Size);
 }
 void *operator new[](std::size_t Size, const std::nothrow_t &) noexcept {
-  NumAllocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(Size ? Size : 1);
+  return countedMalloc(Size);
 }
 void operator delete(void *P) noexcept { std::free(P); }
 void operator delete[](void *P) noexcept { std::free(P); }
@@ -120,6 +132,36 @@ TEST(AllocGate, MemorySSAAndVFGAllocatePerFunction) {
   EXPECT_LE(static_cast<double>(Large.VFG) / Small.VFG,
             MaxGrowthOverFunctions * FunctionGrowth)
       << "VFG builder: " << Small.VFG << " -> " << Large.VFG;
+}
+
+/// Byte growth of the pointer analysis from 40k to 150k, over the growth
+/// in its node count.
+constexpr double MaxPtaBytesGrowthOverNodes = 1.25;
+
+struct PtaBytes {
+  uint64_t Nodes = 0, Bytes = 0;
+};
+
+PtaBytes countPointerAnalysisBytes(unsigned TargetNodes) {
+  workload::ShapeSpec Spec;
+  Spec.Seed = 1;
+  Spec.TargetNodes = TargetNodes;
+  auto M = parser::parseModuleOrAbort(workload::synthesizeProgram(Spec));
+  transforms::runPreset(*M, transforms::OptPreset::O1);
+  analysis::CallGraph CG(*M);
+  const uint64_t Before = NumBytes.load();
+  analysis::PointerAnalysis PA(*M, CG);
+  return {PA.numNodes(), NumBytes.load() - Before};
+}
+
+TEST(AllocGate, PointerAnalysisBytesFollowNodes) {
+  const PtaBytes Small = countPointerAnalysisBytes(40'000);
+  const PtaBytes Large = countPointerAnalysisBytes(150'000);
+  const double NodeGrowth = static_cast<double>(Large.Nodes) / Small.Nodes;
+  EXPECT_LE(static_cast<double>(Large.Bytes) / Small.Bytes,
+            MaxPtaBytesGrowthOverNodes * NodeGrowth)
+      << "pointer analysis bytes: " << Small.Bytes << " -> " << Large.Bytes
+      << " for nodes " << Small.Nodes << " -> " << Large.Nodes;
 }
 
 } // namespace
