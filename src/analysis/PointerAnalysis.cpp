@@ -260,13 +260,11 @@ PointerAnalysis::cloneOrigins(const Function *F) const {
 
 namespace {
 
-/// The optimized engine's points-to set (the naive engine keeps dense
-/// BitSets): words [Base, numWords()) of a bitset over loc ids, all others
-/// zero, the last held word nonzero. An empty set allocates nothing and a
-/// set costs the range it holds, not the location universe. A word below
-/// Base grows the front by at least the held length, so words arriving in
-/// descending order cost amortized O(1); the zero words this leaves at the
-/// front are skipped by the harvest's hash and equality.
+/// The optimized engine's points-to set: words [Base, numWords()) of a
+/// bitset over loc ids, the last one nonzero, all others zero. An empty
+/// set allocates nothing. A word below Base grows the front by at least
+/// the held length, so descending arrivals cost amortized O(1); the zero
+/// words this leaves at the front are skipped by the harvest.
 class RangeSet {
 public:
   bool empty() const { return Words.empty(); }
@@ -1056,10 +1054,9 @@ size_t hashMix(size_t H, uint64_t V) {
   return H;
 }
 
-/// An Andersen representative's final bits: the words [Lo, Hi) from its
-/// first nonzero word to the end of what it holds, which alone are hashed
-/// and compared (a RangeSet's last held word is nonzero, and one engine's
-/// BitSets share one universe).
+/// An Andersen representative's final bits: words [Lo, Hi), from its first
+/// nonzero word to the end of what it holds (a RangeSet's last held word
+/// is nonzero; one engine's BitSets share one universe).
 template <typename SetT> struct BitsKey {
   const SetT *Bits;
   uint32_t Lo = 0, Hi;

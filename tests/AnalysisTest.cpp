@@ -220,6 +220,30 @@ TEST(PointerAnalysisTest, AllocAndCopyFlow) {
   ASSERT_EQ(PA.pointsTo(P).size(), 1u);
 }
 
+TEST(PointerAnalysisTest, VariablesCreatedAfterTheAnalysisPointNowhere) {
+  // f's new variable takes the id after f's last one, which main's p
+  // would follow in one flat numbering.
+  auto M = parse(R"(
+    func f() {
+      a = 0;
+      ret a;
+    }
+    func main() {
+      p = alloc heap 1 uninit;
+      x = f();
+      ret 0;
+    }
+  )");
+  CallGraph CG(*M);
+  PointerAnalysis PA(*M, CG);
+  ir::Function *F = M->findFunction("f");
+  const ir::Variable *P = M->findFunction("main")->findVariable("p");
+  ASSERT_EQ(PA.pointsTo(P).size(), 1u);
+  EXPECT_TRUE(PA.pointsTo(F->createVariable("late")).empty());
+  ir::Function *G = M->createFunction("g");
+  EXPECT_TRUE(PA.pointsTo(G->createVariable("late")).empty());
+}
+
 TEST(PointerAnalysisTest, FieldSensitivityDistinguishesFields) {
   auto M = parse(R"(
     func main() {
