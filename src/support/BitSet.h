@@ -7,8 +7,8 @@
 ///
 /// \file
 /// A dense dynamic bitset over a fixed universe, for sets that are dense
-/// by design: the naive reference pointer solver, mod/ref propagation,
-/// memory SSA, definedness and check reachability.
+/// by design: the naive reference solver's, the unification engine's,
+/// mod/ref's, memory SSA's, the VFG builder's and definedness's.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,10 +64,6 @@ public:
   size_t numWords() const { return Words.size(); }
   uint64_t word(size_t WordIdx) const { return Words[WordIdx]; }
   void orWord(size_t WordIdx, uint64_t Mask) { Words[WordIdx] |= Mask; }
-
-  bool operator==(const BitSet &O) const {
-    return Bits == O.Bits && Words == O.Words;
-  }
 
   /// this |= Other; returns true if any bit changed. Dense word loop: the
   /// naive reference solver keeps this so its cost model stays honest.
