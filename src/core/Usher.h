@@ -205,10 +205,7 @@ struct QueryOutcome {
   bool Exhausted = false;
   /// Shortest context-valid witness path; non-empty iff Reachable.
   std::vector<analysis::QueryStep> Witness;
-  /// Statistics of the constraint solver that backed the VFG. Tier-1
-  /// tests assert Solver.Engine == SolverKind::Unify for the default
-  /// query configuration — i.e. the answer never paid for a
-  /// whole-program Andersen resolution.
+  /// Statistics of the constraint solver that backed the VFG.
   analysis::SolverStatistics Solver;
   uint64_t StatesVisited = 0;
   /// VFG node count, so callers can report the valid id range.
@@ -216,10 +213,10 @@ struct QueryOutcome {
 };
 
 /// Answers a single demand query: is VFG node \p Sink context-validly
-/// reachable from \p Src? Builds the cheapest sound pipeline prefix
-/// (call graph, pointer analysis with Opts.Pta — callers wanting the
-/// speed ladder's fast lane pass SolverKind::Unify — memory SSA, VFG)
-/// and then runs the demand-driven engine from \p Src only, instead of a
+/// reachable from \p Src? Builds the pipeline prefix runUsher builds
+/// with the same options (call graph, pointer analysis with Opts.Pta,
+/// memory SSA, VFG), so node ids are those of runUsher's VFG, and then
+/// runs the demand-driven engine from \p Src only, instead of a
 /// whole-program definedness resolution. Budget phases: PointerAnalysis
 /// covers constraint solving, Definedness covers the query walk.
 QueryOutcome runUsherQuery(ir::Module &M, const UsherOptions &Opts,

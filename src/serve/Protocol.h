@@ -66,8 +66,7 @@ enum class Op : uint8_t {
   Shutdown = 4, ///< Clean daemon shutdown after the reply is delivered.
   Query = 5,    ///< Demand CFL-reachability query on Source's VFG
                 ///< (QuerySrc -> QuerySink), answered by the demand
-                ///< engine over unification-backed points-to — no
-                ///< whole-program analysis.
+                ///< engine instead of whole-program definedness.
 };
 constexpr unsigned NumOps = 6;
 

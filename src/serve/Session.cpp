@@ -239,9 +239,6 @@ Reply Session::handleQuery(const Request &Rq) {
   Reply Rp;
   Rp.Id = Rq.Id;
   core::UsherOptions UO;
-  // The demand fast lane: the unification solver backs the VFG so a
-  // single-pair question never pays for whole-program Andersen solving.
-  UO.Pta.Solver = analysis::SolverKind::Unify;
   if (!applyRequestLimits(Rq, UO, Rp))
     return Rp;
 

@@ -90,8 +90,8 @@ public:
 
 private:
   Reply handleAnalysis(const Request &Rq);
-  /// Op::Query: demand CFL-reachability over the request source's VFG,
-  /// backed by the unification solver (never whole-program Andersen).
+  /// Op::Query: demand CFL-reachability over the VFG an analysis of the
+  /// request source builds, so node ids match its other outputs.
   /// Query replies are cheap and never snapshotted; an exhausted budget
   /// comes back DEGRADED(INCONCLUSIVE) rather than a wrong verdict.
   Reply handleQuery(const Request &Rq);

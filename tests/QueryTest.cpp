@@ -7,16 +7,18 @@
 //
 // Unit tests for the demand CFL-reachability query (analysis/DemandVFA.h)
 // and the runUsherQuery pipeline entry: result semantics (witnesses,
-// out-of-range ids, exhaustion) and the "no whole-program Andersen"
-// statistic the speed ladder promises.
+// out-of-range ids, exhaustion), and that a query asks the same VFG that
+// runUsher, usher-cli and usher-serve build.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/DemandVFA.h"
 #include "core/Usher.h"
 #include "parser/Parser.h"
+#include "serve/Session.h"
 #include "support/Budget.h"
 #include "workload/Generator.h"
+#include "workload/Spec2000.h"
 
 #include <gtest/gtest.h>
 
@@ -133,31 +135,55 @@ TEST(Query, ExhaustedQueryIsInconclusive) {
 }
 
 //===----------------------------------------------------------------------===//
-// The pipeline entry: the speed-ladder contract
+// The pipeline entry: the graph runUsher builds
 //===----------------------------------------------------------------------===//
 
-TEST(Query, PipelineAnswersOnUnifyEngineWithoutAndersen) {
+TEST(Query, PipelineAnswersOnAndersen) {
   auto M = parser::parseModuleOrAbort(QueryProgram);
-  core::UsherOptions UO;
-  // The demand fast lane the CLI and the serve daemon configure.
-  UO.Pta.Solver = analysis::SolverKind::Unify;
-  core::QueryOutcome Q = core::runUsherQuery(*M, UO, vfg::VFG::RootF, 2);
+  core::QueryOutcome Q =
+      core::runUsherQuery(*M, core::UsherOptions(), vfg::VFG::RootF, 2);
   ASSERT_TRUE(Q.Valid) << Q.Error;
   EXPECT_FALSE(Q.Exhausted);
   EXPECT_GT(Q.NumNodes, 2u);
-  // The acceptance assertion: the answer was computed on the unification
-  // engine — the query never paid for a whole-program Andersen
-  // resolution, and the engine statistic proves which solver ran.
-  EXPECT_EQ(Q.Solver.Engine, analysis::SolverKind::Unify);
+  EXPECT_EQ(Q.Solver.Engine, analysis::SolverKind::Optimized);
 }
 
 TEST(Query, PipelineRejectsOutOfRangeIds) {
   auto M = parser::parseModuleOrAbort(QueryProgram);
-  core::UsherOptions UO;
-  UO.Pta.Solver = analysis::SolverKind::Unify;
-  core::QueryOutcome Q = core::runUsherQuery(*M, UO, 0, 0xfffffff0u);
+  core::QueryOutcome Q =
+      core::runUsherQuery(*M, core::UsherOptions(), 0, 0xfffffff0u);
   EXPECT_FALSE(Q.Valid);
   EXPECT_NE(Q.Error.find("out of range"), std::string::npos);
+}
+
+TEST(Query, QueryAndPipelineShareOneGraph) {
+  // 176.gcc's VFG has 183 nodes under runUsher, so a query and a serve
+  // query name the same ids and 183 is one past the last.
+  const char *Gcc = workload::spec2000Suite()[2].Source;
+  ASSERT_EQ(workload::spec2000Suite()[2].Name, std::string("176.gcc"));
+  auto M = parser::parseModuleOrAbort(Gcc);
+  core::UsherResult R = core::runUsher(*M, core::UsherOptions());
+  ASSERT_TRUE(R.G != nullptr);
+  EXPECT_EQ(R.G->numNodes(), 183u);
+
+  auto MQ = parser::parseModuleOrAbort(Gcc);
+  core::QueryOutcome Q =
+      core::runUsherQuery(*MQ, core::UsherOptions(), vfg::VFG::RootF, 183);
+  EXPECT_FALSE(Q.Valid);
+  EXPECT_EQ(Q.NumNodes, 183u);
+  EXPECT_EQ(Q.Error, "query node id out of range (VFG has 183 nodes)");
+
+  serve::Request Rq;
+  Rq.Kind = serve::Op::Query;
+  Rq.Source = Gcc;
+  Rq.QuerySrc = vfg::VFG::RootF;
+  Rq.QuerySink = 183;
+  serve::Reply Rp = serve::Session(serve::SessionOptions{}).handle(Rq);
+  EXPECT_EQ(Rp.Status, serve::ReplyStatus::Error);
+  EXPECT_EQ(Rp.Payload, Q.Error);
+  Rq.QuerySink = 182;
+  Rp = serve::Session(serve::SessionOptions{}).handle(Rq);
+  EXPECT_EQ(Rp.Status, serve::ReplyStatus::Ok) << Rp.Payload;
 }
 
 TEST(Query, PipelineAgreesWithWholeProgramOnGeneratedPrograms) {
@@ -175,10 +201,8 @@ TEST(Query, PipelineAgreesWithWholeProgramOnGeneratedPrograms) {
 
     for (const vfg::VFG::CriticalUse &U : R.G->criticalUses()) {
       auto M2 = workload::generateProgram(Seed);
-      core::UsherOptions UO;
-      UO.Pta.Solver = analysis::SolverKind::Unify;
-      core::QueryOutcome Q =
-          core::runUsherQuery(*M2, UO, vfg::VFG::RootF, U.Node);
+      core::QueryOutcome Q = core::runUsherQuery(*M2, core::UsherOptions(),
+                                                 vfg::VFG::RootF, U.Node);
       ASSERT_TRUE(Q.Valid) << Q.Error;
       QueryResult Want = cflReachable(*R.G, vfg::VFG::RootF, U.Node, 1);
       EXPECT_EQ(Q.Reachable, Want.Reachable)

@@ -230,15 +230,15 @@ def run_query(serve_bin, prog):
 
         # Reachable pair — the pinned ids are documented in the input's
         # header comment. The reply must carry the verdict, the engine
-        # the speed ladder promises, and a witness starting at the src.
+        # the analysis pipeline runs, and a witness starting at the src.
         head, body = d.expect("reachable query", "--op=query",
                               "--query=1,3", prog)
         if not head.startswith("OK "):
             V.fail(f"reachable query status line: {head!r}")
         if "query 1 -> 3: reachable" not in body:
             V.fail(f"reachable query verdict missing: {body!r}")
-        if "engine: unify" not in body:
-            V.fail(f"query did not answer on the unification engine: {body!r}")
+        if "engine: andersen" not in body:
+            V.fail(f"query did not answer on the Andersen engine: {body!r}")
         if "witness: 1 -> " not in body:
             V.fail(f"reachable query reply has no witness: {body!r}")
 

@@ -29,9 +29,9 @@
 ///                                     pick the constraint-solving engine
 ///   usher-cli prog.tc --naive-solver  alias for --solver=naive
 ///   usher-cli prog.tc --query 3 17    demand CFL-reachability query: can
-///                                     VFG node 3 flow to node 17? Runs the
-///                                     unification fast lane by default (no
-///                                     whole-program Andersen resolution)
+///                                     VFG node 3 flow to node 17? Asks the
+///                                     VFG the pipeline builds, so the ids
+///                                     are those of --dot and --stats
 ///   usher-cli prog.tc --client=uuv,addrleak,bounds
 ///                                     sanitizer clients to plan and run in
 ///                                     a single pass over one VFG (default:
@@ -101,9 +101,6 @@ struct CliOptions {
   uint64_t QuerySrc = 0;
   uint64_t QuerySink = 0;
   analysis::SolverKind Solver = analysis::SolverKind::Optimized;
-  /// --solver=/--naive-solver was given explicitly; --query defaults to
-  /// the unification engine otherwise.
-  bool SolverGiven = false;
   BudgetLimits Limits;
   std::optional<FaultPlan> Fault;
   /// --client= selections, in the order given; empty = UUV only (the
@@ -152,9 +149,9 @@ int usage(const char *Argv0) {
             "                      demand query: is VFG node <sinkId>\n"
             "                      context-validly reachable from <srcId>?\n"
             "                      Prints the verdict and a witness path.\n"
-            "                      Defaults to --solver=unify --no-run; exits\n"
-            "                      0 on a conclusive answer, 4 if a budget\n"
-            "                      ran out first\n"
+            "                      Node ids are those of --dot; implies\n"
+            "                      --no-run; exits 0 on a conclusive\n"
+            "                      answer, 4 if a budget ran out first\n"
             "\n"
             "budgets & degradation:\n"
             "  --budget-ms=<N>     wall-clock deadline per analysis phase\n"
@@ -206,7 +203,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       Opts.ListFaultSites = true;
     } else if (Arg == "--naive-solver") {
       Opts.Solver = analysis::SolverKind::NaiveReference;
-      Opts.SolverGiven = true;
     } else if (Arg.rfind("--solver=", 0) == 0) {
       std::string_view S = Arg.substr(9);
       if (S == "andersen")
@@ -217,7 +213,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
         Opts.Solver = analysis::SolverKind::Unify;
       else
         return false;
-      Opts.SolverGiven = true;
     } else if (Arg == "--query") {
       if (I + 2 >= Argc ||
           !parseDecimal(Argv[I + 1], UINT32_MAX, Opts.QuerySrc) ||
@@ -378,10 +373,7 @@ int main(int Argc, char **Argv) {
 
   if (Opts.Query) {
     core::UsherOptions UO;
-    // The demand fast lane: unification-backed points-to unless the user
-    // explicitly asked for an Andersen engine.
-    UO.Pta.Solver =
-        Opts.SolverGiven ? Opts.Solver : analysis::SolverKind::Unify;
+    UO.Pta.Solver = Opts.Solver;
     UO.Limits = Opts.Limits;
     UO.Fault = Opts.Fault;
     core::QueryOutcome Q =
