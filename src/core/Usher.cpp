@@ -153,21 +153,6 @@ UsherResult core::runUsher(Module &M, const UsherOptions &Opts) {
     B.beginPhase(BudgetPhase::PointerAnalysis);
     PA = std::make_unique<analysis::PointerAnalysis>(M, *CG, Cheap, &B);
   }
-  if (PA->exhausted() && Opts.Pta.Solver != analysis::SolverKind::Unify) {
-    // Second fallback: the near-linear unification solver over the
-    // field-insensitive constraints. Its coarser (but still sound)
-    // points-to sets are not worth running Opt I/II over, so a run
-    // salvaged here caps at the TL+AT rung below.
-    Fail(BudgetPhase::PointerAnalysis, "retrying with unification solver");
-    PurgeClones();
-    analysis::PtaOptions Cheap = Opts.Pta;
-    Cheap.FieldSensitive = false;
-    Cheap.Solver = analysis::SolverKind::Unify;
-    B.beginPhase(BudgetPhase::PointerAnalysis);
-    PA = std::make_unique<analysis::PointerAnalysis>(M, *CG, Cheap, &B);
-    if (!PA->exhausted())
-      DR.Rung = minRung(DR.Rung, ToolVariant::UsherTLAT);
-  }
   Stats.Solver = PA->solverStats();
   if (PA->exhausted()) {
     // No usable points-to information: everything downstream depends on

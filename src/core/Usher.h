@@ -177,11 +177,9 @@ struct UsherResult {
 /// UsherFull -> UsherOptI -> UsherTL+AT -> UsherTL -> MSanFull, reusing
 /// partial results where sound, and records what happened in
 /// UsherResult::Degradation. Within the pointer-analysis phase the ladder
-/// has its own rungs: field-sensitive Andersen, field-insensitive
-/// Andersen, then the near-linear unification solver — a run salvaged by
-/// the unification rung caps at UsherTLAT (its coarser points-to sets are
-/// sound but not worth optimizing over). The returned plan always detects
-/// at least the undefined-value uses full instrumentation would.
+/// has its own rungs: field-sensitive Andersen, then field-insensitive
+/// Andersen, then MSanFull. The returned plan always detects at least the
+/// undefined-value uses full instrumentation would.
 UsherResult runUsher(ir::Module &M, const UsherOptions &Opts);
 
 /// Fills \p Result's Table 1 fields over the unpruned VFG:

@@ -25,9 +25,10 @@
 ///     validateQueryWitness accepts.
 ///  4. DegradationSoundness — injected budget exhaustion in each pipeline
 ///     phase must land on the documented rung and keep the plan's
-///     warnings exact. Pointer analysis is faulted twice: on every arm
-///     (the MSan rung) and on its first two arms only, which spares the
-///     unification solver and lands on the unify-backed USHER-TL+AT rung.
+///     warnings exact (Opt II's subset where the run stays on USHER).
+///     Pointer analysis is faulted twice: on every arm (the MSan rung)
+///     and on its first arm only, which spares the field-insensitive
+///     Andersen retry and keeps the USHER rung.
 ///  5. ServeEquivalence — the analysis service must answer what the
 ///     in-process pipeline computes: each program is replayed through the
 ///     full wire protocol (encode, frame, reassemble, decode) into a

@@ -77,7 +77,7 @@ struct BudgetLimits {
 /// bounds the fault to the first N matching arms (spec suffix ":once" is
 /// 1, ":2" is 2), which exercises the retry rungs of the ladder: "pta@0:1"
 /// fails the field-sensitive Andersen run only, "pta@0:2" also fails the
-/// field-insensitive rerun and lands on the unification retry.
+/// field-insensitive rerun and lands on the MSan rung.
 struct FaultPlan {
   BudgetPhase Phase = BudgetPhase::PointerAnalysis;
   uint64_t AtStep = 0;

@@ -61,8 +61,8 @@ std::optional<FaultPlan> usher::parseFaultSpec(std::string_view Spec,
       Plan.MaxFires = 1;
     } else {
       // A numeric suffix bounds the fault to the first N matching arms,
-      // e.g. "pta@0:2" exhausts the first two pointer-analysis attempts
-      // and lets the third (the unification retry) run to completion.
+      // e.g. "pta@0:1" exhausts the field-sensitive pointer-analysis
+      // attempt and lets the field-insensitive retry run to completion.
       if (Suffix.empty())
         return Fail("empty fire-count suffix");
       uint64_t Fires = 0;

@@ -21,8 +21,7 @@
 /// retry rungs (e.g. fail the field-sensitive Andersen run but let the
 /// field-insensitive rerun finish). A numeric :<fires> suffix generalizes
 /// this to the first N matching arms, so deeper rungs are reachable:
-/// "pta@0:2" fails both Andersen attempts and lands on the unification
-/// retry.
+/// "pta@0:2" fails both Andersen attempts and lands on the MSan rung.
 ///
 /// *I/O sites* cover the analysis service's system-call boundaries
 /// (serve/): snapshot-store reads and writes, a torn snapshot write, a

@@ -252,14 +252,14 @@ TEST(DegradationLadder, PtaInjectionFallsToMSan) {
       runWithFault(*M, ToolVariant::UsherFull, BudgetPhase::PointerAnalysis);
   EXPECT_TRUE(R.Degradation.Degraded);
   EXPECT_EQ(R.Degradation.Rung, ToolVariant::MSanFull);
-  // Three rungs were tried and failed, in ladder order: the
-  // field-insensitive Andersen retry, the unification-solver retry, and
-  // only then the MSan landing.
-  ASSERT_EQ(R.Degradation.Steps.size(), 3u);
+  // Two rungs were tried and failed, in ladder order: field-sensitive
+  // Andersen, then the field-insensitive retry; only then the MSan
+  // landing.
+  ASSERT_EQ(R.Degradation.Steps.size(), 2u);
   EXPECT_EQ(R.Degradation.Steps[0].Kind, ExhaustKind::Injected);
   EXPECT_NE(R.Degradation.Steps[0].Action.find("field-insensitive"),
             std::string::npos);
-  EXPECT_NE(R.Degradation.Steps[1].Action.find("unification"),
+  EXPECT_NE(R.Degradation.Steps[1].Action.find("full instrumentation"),
             std::string::npos);
   EXPECT_NE(R.Degradation.summary().find("MSAN"), std::string::npos);
   // The full plan still runs the program to completion.
@@ -465,13 +465,13 @@ TEST(DegradationLadder, ExhaustionMidCollapseFallsToMSan) {
 }
 
 //===----------------------------------------------------------------------===//
-// Bounded fire counts and the UNIFY rung
+// Bounded fire counts
 //===----------------------------------------------------------------------===//
 //
 // A "<phase>@<step>:<fires>" fault exhausts only the first N matching
-// arms, which is how the tests aim a run at a *specific* rung: "pta@0:2"
-// kills the field-sensitive Andersen attempt and the field-insensitive
-// retry, leaving the third arm — the unification solver — to succeed.
+// arms, which is how the tests aim a run at a *specific* rung: "pta@0:1"
+// kills the field-sensitive Andersen attempt and lets the
+// field-insensitive retry succeed; "pta@0:2" kills both.
 
 TEST(Budget, MaxFiresBoundsInjectedArms) {
   FaultPlan F;
@@ -509,7 +509,7 @@ TEST(FaultSpec, ParsesFireCountSuffix) {
   EXPECT_NE(Err.find("non-numeric"), std::string::npos);
 }
 
-TEST(DegradationLadder, PtaTwoFireInjectionLandsOnUnify) {
+TEST(DegradationLadder, PtaTwoFireInjectionLandsOnMSan) {
   auto M = workload::generateProgram(10);
   core::UsherOptions Opts;
   Opts.Variant = ToolVariant::UsherFull;
@@ -520,32 +520,26 @@ TEST(DegradationLadder, PtaTwoFireInjectionLandsOnUnify) {
   Opts.Fault = F;
   core::UsherResult R = core::runUsher(*M, Opts);
   EXPECT_TRUE(R.Degradation.Degraded);
-  EXPECT_EQ(R.Degradation.Rung, ToolVariant::UsherTLAT);
+  EXPECT_EQ(R.Degradation.Rung, ToolVariant::MSanFull);
   ASSERT_EQ(R.Degradation.Steps.size(), 2u);
   EXPECT_NE(R.Degradation.Steps[0].Action.find("field-insensitive"),
             std::string::npos);
-  EXPECT_NE(R.Degradation.Steps[1].Action.find("unification"),
+  EXPECT_NE(R.Degradation.Steps[1].Action.find("full instrumentation"),
             std::string::npos);
-  // The salvaged run really is backed by the unification engine over the
-  // field-insensitive constraints — not by a lucky Andersen rerun.
-  EXPECT_EQ(R.Stats.Solver.Engine, analysis::SolverKind::Unify);
-  ASSERT_TRUE(R.PA != nullptr);
-  EXPECT_EQ(R.PA->options().Solver, analysis::SolverKind::Unify);
-  EXPECT_FALSE(R.PA->options().FieldSensitive);
-  // And the plan is usable.
+  EXPECT_EQ(R.PA, nullptr);
   runtime::ExecutionReport Rep = runtime::Interpreter(*M, &R.Plan).run();
   EXPECT_EQ(Rep.Reason, runtime::ExitReason::Finished);
 }
 
-TEST(DegradationLadder, EnvFaultSpecDrivesUnifyRung) {
+TEST(DegradationLadder, EnvFaultSpecDrivesFieldInsensitiveRung) {
   // Interpreter-under-test path: tools that cannot take flags read the
   // spec from USHER_INJECT_FAULT; the parsed plan must drive the ladder
   // exactly like a programmatic one.
-  ASSERT_EQ(setenv(FaultInjectionEnvVar, "pta@0:2", 1), 0);
+  ASSERT_EQ(setenv(FaultInjectionEnvVar, "pta@0:1", 1), 0);
   std::optional<FaultPlan> F = faultPlanFromEnv();
   unsetenv(FaultInjectionEnvVar);
   ASSERT_TRUE(F.has_value());
-  EXPECT_EQ(F->MaxFires, 2u);
+  EXPECT_EQ(F->MaxFires, 1u);
 
   auto M = workload::generateProgram(11);
   core::UsherOptions Opts;
@@ -553,8 +547,10 @@ TEST(DegradationLadder, EnvFaultSpecDrivesUnifyRung) {
   Opts.Fault = *F;
   core::UsherResult R = core::runUsher(*M, Opts);
   EXPECT_TRUE(R.Degradation.Degraded);
-  EXPECT_EQ(R.Degradation.Rung, ToolVariant::UsherTLAT);
-  EXPECT_EQ(R.Stats.Solver.Engine, analysis::SolverKind::Unify);
+  EXPECT_EQ(R.Degradation.Rung, ToolVariant::UsherFull);
+  ASSERT_TRUE(R.PA != nullptr);
+  EXPECT_FALSE(R.PA->options().FieldSensitive);
+  EXPECT_EQ(R.Stats.Solver.Engine, analysis::SolverKind::Optimized);
 }
 
 TEST(DegradationLadder, GenerousBudgetStaysOnRequestedRung) {

@@ -547,30 +547,29 @@ TEST(UnifySoundness, AdversarialWorkloads) {
 }
 
 //===----------------------------------------------------------------------===//
-// Unify-rung warning over-approximation
+// Field-insensitive rung warning over-approximation
 //===----------------------------------------------------------------------===//
 //
 // Dynamic guarantee: every warning an Andersen-backed run reports must
-// also be reported when the unification solver backs the plan — both when
-// selected directly (--solver=unify) and when the degradation ladder
-// lands on the unify-backed TL+AT rung (pta@0:2 exhausts both Andersen
-// arms).
+// also be reported when the degradation ladder lands on the
+// field-insensitive Andersen retry (pta@0:1 exhausts the field-sensitive
+// arm only). USHER-OPTI is requested because its warnings are exact.
 
-class UnifyRungSoundness : public ::testing::TestWithParam<uint64_t> {};
+class FieldInsensitiveRungSoundness
+    : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(UnifyRungSoundness, WarningsIncludeAndersens) {
+TEST_P(FieldInsensitiveRungSoundness, WarningsIncludeAndersens) {
   const uint64_t Seed = GetParam();
 
-  auto runWith = [&](SolverKind Kind, std::optional<FaultPlan> Fault,
-                     ToolVariant *RungOut) {
+  auto runWith = [&](std::optional<FaultPlan> Fault, ToolVariant *RungOut,
+                     bool *FieldSensitiveOut) {
     auto M = workload::generateProgram(Seed);
     core::UsherOptions Opts;
-    Opts.Variant = ToolVariant::UsherFull;
-    Opts.Pta.Solver = Kind;
+    Opts.Variant = ToolVariant::UsherOptI;
     Opts.Fault = Fault;
     core::UsherResult R = core::runUsher(*M, Opts);
-    if (RungOut)
-      *RungOut = R.Degradation.Rung;
+    *RungOut = R.Degradation.Rung;
+    *FieldSensitiveOut = R.PA && R.PA->options().FieldSensitive;
     runtime::ExecutionReport Rep = runtime::Interpreter(*M, &R.Plan).run();
     EXPECT_EQ(Rep.Reason, runtime::ExitReason::Finished);
     std::set<std::string> Warnings;
@@ -580,29 +579,25 @@ TEST_P(UnifyRungSoundness, WarningsIncludeAndersens) {
   };
 
   const std::string Tag = "seed " + std::to_string(Seed);
-  std::set<std::string> Ref =
-      runWith(SolverKind::Optimized, std::nullopt, nullptr);
+  ToolVariant Rung = ToolVariant::MSanFull;
+  bool FieldSensitive = false;
+  std::set<std::string> Ref = runWith(std::nullopt, &Rung, &FieldSensitive);
+  EXPECT_EQ(Rung, ToolVariant::UsherOptI) << Tag;
+  EXPECT_TRUE(FieldSensitive) << Tag;
 
-  std::set<std::string> Direct =
-      runWith(SolverKind::Unify, std::nullopt, nullptr);
-  EXPECT_TRUE(std::includes(Direct.begin(), Direct.end(), Ref.begin(),
-                            Ref.end()))
-      << Tag << ": --solver=unify lost an Andersen warning";
-
-  FaultPlan TwoArms;
-  TwoArms.Phase = BudgetPhase::PointerAnalysis;
-  TwoArms.AtStep = 0;
-  TwoArms.MaxFires = 2;
-  ToolVariant Rung = ToolVariant::UsherFull;
-  std::set<std::string> Ladder =
-      runWith(SolverKind::Optimized, TwoArms, &Rung);
-  EXPECT_EQ(Rung, ToolVariant::UsherTLAT) << Tag;
+  FaultPlan OneArm;
+  OneArm.Phase = BudgetPhase::PointerAnalysis;
+  OneArm.AtStep = 0;
+  OneArm.MaxFires = 1;
+  std::set<std::string> Ladder = runWith(OneArm, &Rung, &FieldSensitive);
+  EXPECT_EQ(Rung, ToolVariant::UsherOptI) << Tag;
+  EXPECT_FALSE(FieldSensitive) << Tag;
   EXPECT_TRUE(std::includes(Ladder.begin(), Ladder.end(), Ref.begin(),
                             Ref.end()))
-      << Tag << ": the unify-backed TL+AT rung lost an Andersen warning";
+      << Tag << ": the field-insensitive rung lost an Andersen warning";
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, UnifyRungSoundness,
+INSTANTIATE_TEST_SUITE_P(Seeds, FieldInsensitiveRungSoundness,
                          ::testing::Range<uint64_t>(0, 20));
 
 } // namespace

@@ -123,11 +123,11 @@ TEST_P(DegradedSoundness, InjectedExhaustionKeepsWarnings) {
   const FaultCase Cases[] = {
       {BudgetPhase::PointerAnalysis, ToolVariant::UsherFull,
        ToolVariant::MSanFull},
-      // Two fires exhaust field-sensitive and field-insensitive Andersen
-      // but spare the third arm: the run lands on the UNIFY-backed
-      // TL+AT rung, which must still report the oracle's warnings.
-      {BudgetPhase::PointerAnalysis, ToolVariant::UsherFull,
-       ToolVariant::UsherTLAT, /*Fires=*/2},
+      // One fire exhausts field-sensitive Andersen only: the run keeps
+      // the requested rung on field-insensitive points-to sets, which
+      // must still report the oracle's warnings.
+      {BudgetPhase::PointerAnalysis, ToolVariant::UsherOptI,
+       ToolVariant::UsherOptI, /*Fires=*/1},
       {BudgetPhase::Definedness, ToolVariant::UsherFull,
        ToolVariant::UsherTLAT},
       {BudgetPhase::OptII, ToolVariant::UsherFull, ToolVariant::UsherOptI},

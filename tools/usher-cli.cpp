@@ -162,10 +162,10 @@ int usage(const char *Argv0) {
             "                      :<n> = first n arms only;\n"
             "                      also via $" << FaultInjectionEnvVar << ")\n"
             "  A phase that runs out of budget never fails the run: the\n"
-            "  driver degrades along USHER -> USHER-OPTI -> unify-backed\n"
-            "  USHER-TL+AT -> USHER-TL -> MSAN and notes the degradation on\n"
-            "  stderr (Andersen exhaustion retries field-insensitive, then\n"
-            "  the unification solver, before giving up points-to info).\n"
+            "  driver degrades along USHER -> USHER-OPTI -> USHER-TL+AT ->\n"
+            "  USHER-TL -> MSAN and notes the degradation on stderr\n"
+            "  (Andersen exhaustion retries field-insensitive before giving\n"
+            "  up points-to info).\n"
             "\n"
             "exit codes:\n"
             "  0  success (including degraded analysis)\n"
