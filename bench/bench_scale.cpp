@@ -10,24 +10,18 @@
 /// workload synthesizer (workload/Synthesizer.h) as the size dial: five
 /// shape specs spanning roughly 1k to about 500k VFG nodes (counted
 /// unpruned: the nodes built plus the memory versions pruned), each run
-/// through two analysis configurations:
+/// through the reference pipeline (configuration andersen-global).
 ///
-///   andersen-global     the reference pipeline,
-///   unify-global        the near-linear unification solver rung.
-///
-/// Per size and configuration the JSON (schema usher-bench-scale-v1,
+/// Per size the JSON (schema usher-bench-scale-v1,
 /// validated by tools/check_bench_json.py) records wall time for parse,
 /// mem2reg (the O1 preset), and each runUsher phase (pointer analysis,
 /// memory SSA, VFG, definedness, Opt II), plus peak RSS — the raw data
 /// behind the scaling-curve analysis in EXPERIMENTS.md.
 ///
-/// Because both configurations analyze the *same* program, the harness
-/// cross-checks answers, not just times: each configuration must
-/// reproduce its fingerprint (plan counts + VFG shape) on every
-/// iteration, and the unify rung — a sound over-approximation — must
-/// report the same runtime warnings with at least as many planned checks.
-/// Any mismatch aborts: a curve bought with a different answer is a bug,
-/// not a result.
+/// The harness checks answers, not just times: the pipeline must
+/// reproduce its fingerprint (plan counts, VFG shape and runtime
+/// warnings) on every iteration. Any mismatch aborts: a curve bought with
+/// a different answer is a bug, not a result.
 ///
 /// Usage: bench_scale [--smoke] [--out=FILE]
 ///   --smoke     two smallest sizes, single iteration; used by the
@@ -108,9 +102,7 @@ std::vector<SizeSpec> sizeLadder() {
 }
 
 /// Everything the analysis decided plus everything the instrumented run
-/// observed. Repeated iterations of one configuration compare the whole
-/// struct; the unify rung compares only the Run* members against the
-/// reference (its plan is allowed to be coarser, its answers are not).
+/// observed; repeated iterations compare the whole struct.
 struct Fingerprint {
   uint64_t Checks = 0;
   uint64_t ShadowOps = 0;
@@ -120,9 +112,6 @@ struct Fingerprint {
   int64_t RunResult = 0;
   std::vector<std::string> RunWarnings; ///< Sorted warningSiteKey()s.
   bool operator==(const Fingerprint &O) const = default;
-  bool sameRun(const Fingerprint &O) const {
-    return RunResult == O.RunResult && RunWarnings == O.RunWarnings;
-  }
 };
 
 struct ConfigRow {
@@ -149,38 +138,23 @@ struct SizeRow {
   double SynthesizeMs = 0;
   uint64_t Functions = 0;
   uint64_t Instructions = 0;
-  std::vector<ConfigRow> Configs;
+  ConfigRow Config;
 };
 
-struct Config {
-  const char *Name;
-  analysis::SolverKind Solver;
-};
-
-constexpr Config Configs[] = {
-    {"andersen-global", analysis::SolverKind::Optimized},
-    {"unify-global", analysis::SolverKind::Unify},
-};
-
-core::UsherOptions optionsFor(const Config &C) {
-  core::UsherOptions Opts;
-  Opts.Variant = core::ToolVariant::UsherFull;
-  Opts.Pta.Solver = C.Solver;
-  return Opts;
-}
+/// The one configuration's name in the report.
+constexpr const char *ConfigName = "andersen-global";
 
 double phaseMs(const core::UsherResult &UR, const char *Key) {
   auto It = UR.Stats.PhaseSeconds.find(Key);
   return It == UR.Stats.PhaseSeconds.end() ? 0.0 : It->second * 1000.0;
 }
 
-/// One full pipeline + instrumented execution of \p Source under \p C.
-/// Parses fresh per iteration (the preset and heap cloning mutate the
-/// module); times are best-of-\p Iters, the fingerprint must reproduce.
-ConfigRow runConfig(const std::string &Source, const Config &C,
-                    unsigned Iters) {
+/// One full pipeline + instrumented execution of \p Source. Parses fresh
+/// per iteration (the preset and heap cloning mutate the module); times
+/// are best-of-\p Iters, the fingerprint must reproduce.
+ConfigRow runConfig(const std::string &Source, unsigned Iters) {
   ConfigRow Row;
-  Row.Name = C.Name;
+  Row.Name = ConfigName;
   double BestTotal = 1e100;
   for (unsigned It = 0; It != Iters; ++It) {
     auto T0 = Clock::now();
@@ -195,20 +169,18 @@ ConfigRow runConfig(const std::string &Source, const Config &C,
     transforms::runPreset(*PR.M, transforms::OptPreset::O1);
     double Mem2RegMs = msSince(T0);
 
-    const core::UsherOptions Opts = optionsFor(C);
     T0 = Clock::now();
-    core::UsherResult UR = core::runUsher(*PR.M, Opts);
+    core::UsherResult UR = core::runUsher(*PR.M, core::UsherOptions());
     double AnalyzeMs = msSince(T0);
     if (UR.Degradation.Degraded) {
-      std::fprintf(stderr, "FATAL: %s degraded with no budget armed\n",
-                   C.Name);
+      std::fprintf(stderr, "FATAL: degraded with no budget armed\n");
       std::abort();
     }
 
     runtime::ExecutionReport Rep =
         runtime::Interpreter(*PR.M, &UR.Plan).run();
     if (Rep.Reason != runtime::ExitReason::Finished) {
-      std::fprintf(stderr, "FATAL: %s: run did not finish: %s\n", C.Name,
+      std::fprintf(stderr, "FATAL: run did not finish: %s\n",
                    Rep.TrapMessage.c_str());
       std::abort();
     }
@@ -225,8 +197,7 @@ ConfigRow runConfig(const std::string &Source, const Config &C,
     std::sort(FP.RunWarnings.begin(), FP.RunWarnings.end());
     if (It > 0 && !(FP == Row.FP)) {
       std::fprintf(stderr,
-                   "FATAL: %s: analysis not reproducible across iterations\n",
-                   C.Name);
+                   "FATAL: analysis not reproducible across iterations\n");
       std::abort();
     }
     Row.FP = std::move(FP);
@@ -247,14 +218,13 @@ ConfigRow runConfig(const std::string &Source, const Config &C,
   return Row;
 }
 
-/// Fills \p Row's VFGPruned: one more run of \p Source under \p C, then
-/// the unpruned measurement. Its build would raise the process-wide peak
-/// RSS, so it runs only after every row's peak has been read.
-void measureVFGPruned(const std::string &Source, const Config &C,
-                      ConfigRow &Row) {
+/// Fills \p Row's VFGPruned: one more run of \p Source, then the
+/// unpruned measurement. Its build would raise the process-wide peak RSS,
+/// so it runs only after every row's peak has been read.
+void measureVFGPruned(const std::string &Source, ConfigRow &Row) {
   parser::ParseResult PR = parser::parseModule(Source);
   transforms::runPreset(*PR.M, transforms::OptPreset::O1);
-  const core::UsherOptions Opts = optionsFor(C);
+  const core::UsherOptions Opts;
   core::UsherResult UR = core::runUsher(*PR.M, Opts);
   core::measureUnpruned(*PR.M, Opts, UR);
   Row.VFGPruned = UR.Stats.NumPrunedMemVersions;
@@ -317,19 +287,7 @@ int main(int argc, char **argv) {
       Row.Instructions = Met.NumInstructions;
     }
 
-    for (const Config &C : Configs)
-      Row.Configs.push_back(runConfig(Source, C, Iters));
-
-    // Answer cross-check. Index 0 is the reference configuration.
-    const Fingerprint &Ref = Row.Configs[0].FP;
-    const Fingerprint &Unify = Row.Configs[1].FP;
-    if (!Unify.sameRun(Ref) || Unify.Checks < Ref.Checks) {
-      std::fprintf(stderr,
-                   "FATAL: %s: unify rung changed the answer "
-                   "(or elided checks unsoundly)\n",
-                   S.Name);
-      std::abort();
-    }
+    Row.Config = runConfig(Source, Iters);
     Rows.push_back(std::move(Row));
   }
 
@@ -337,24 +295,20 @@ int main(int argc, char **argv) {
   for (size_t I = 0; I != Rows.size(); ++I) {
     SizeRow &Row = Rows[I];
     const std::string Source = workload::synthesizeProgram(Sizes[I].Shape);
-    for (size_t C = 0; C != Row.Configs.size(); ++C)
-      measureVFGPruned(Source, Configs[C], Row.Configs[C]);
-    std::printf("%-8s %8llu instrs %9llu nodes (%llu unpruned)",
+    measureVFGPruned(Source, Row.Config);
+    std::printf("%-8s %8llu instrs %9llu nodes (%llu unpruned)  %s=%.0fms\n",
                 Row.Name.c_str(),
                 static_cast<unsigned long long>(Row.Instructions),
-                static_cast<unsigned long long>(Row.Configs[0].FP.VFGNodes),
-                static_cast<unsigned long long>(
-                    Row.Configs[0].unprunedNodes()));
-    for (const ConfigRow &C : Row.Configs)
-      std::printf("  %s=%.0fms", C.Name.c_str(), C.AnalyzeMs);
-    std::printf("\n");
+                static_cast<unsigned long long>(Row.Config.FP.VFGNodes),
+                static_cast<unsigned long long>(Row.Config.unprunedNodes()),
+                Row.Config.Name.c_str(), Row.Config.AnalyzeMs);
   }
 
   // The ladder must actually climb: strictly more unpruned VFG nodes per
   // rung.
   for (size_t I = 1; I != Rows.size(); ++I) {
-    if (Rows[I].Configs[0].unprunedNodes() <=
-        Rows[I - 1].Configs[0].unprunedNodes()) {
+    if (Rows[I].Config.unprunedNodes() <=
+        Rows[I - 1].Config.unprunedNodes()) {
       std::fprintf(stderr, "FATAL: size ladder is not monotone\n");
       std::abort();
     }
@@ -375,16 +329,14 @@ int main(int argc, char **argv) {
     W.beginObject().members(
         "name", Row.Name, "target_nodes", Row.TargetNodes,
         "synthesize_ms", Row.SynthesizeMs, "functions", Row.Functions,
-        "instructions", Row.Instructions, "fingerprints_equal", true,
-        "warnings_equal_all_configs", true);
+        "instructions", Row.Instructions, "fingerprints_equal", true);
     W.key("configs").beginArray();
-    for (const ConfigRow &C : Row.Configs)
-      printConfigJson(W, C);
+    printConfigJson(W, Row.Config);
     W.end().end();
   }
   W.end().key("summary").beginObject(JsonWriter::Layout::Inline);
-  W.members("min_vfg_nodes", Rows.front().Configs[0].unprunedNodes(),
-            "max_vfg_nodes", Rows.back().Configs[0].unprunedNodes());
+  W.members("min_vfg_nodes", Rows.front().Config.unprunedNodes(),
+            "max_vfg_nodes", Rows.back().Config.unprunedNodes());
   W.end().end();
   OS.flush();
   std::fclose(F);

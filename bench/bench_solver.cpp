@@ -6,15 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Times the three constraint engines — the naive Andersen reference, the
-/// optimized Andersen solver (SCC collapsing + difference propagation),
-/// and the near-linear unification solver — on copy-chain, copy-cycle,
-/// fan-out and deref-storm/mesh stress workloads, and emits
-/// machine-readable BENCH_solver.json. The timed quantity (solve_ms) is
-/// the engine's own solve-phase clock from SolverStatistics: location
-/// numbering and constraint building are engine-independent, and folding
-/// them in would dilute exactly the difference the degradation ladder's
-/// engine choice makes. Whole-construction wall time is recorded
+/// Times the two constraint engines — the naive Andersen reference and
+/// the optimized Andersen solver (SCC collapsing + difference
+/// propagation) — on copy-chain, copy-cycle, fan-out and deref-storm/mesh
+/// stress workloads, and emits machine-readable BENCH_solver.json. The
+/// timed quantity (solve_ms) is the engine's own solve-phase clock from
+/// SolverStatistics: location numbering and constraint building are
+/// engine-independent, and folding them in would dilute exactly the
+/// difference between the engines. Whole-construction wall time is recorded
 /// alongside as total_ms. Each engine row also records its precision side
 /// of the trade: average points-to set size, residual plan checks, and
 /// the runtime warning count of a full pipeline built on that engine. See
@@ -133,11 +132,7 @@ std::string makeCycleStress(unsigned K, unsigned RingSize, unsigned Tail,
 
 /// Deref storm: M pointees stored through one hub cell, N readers each
 /// loading it back out. Every Andersen engine must materialize the full
-/// M-bit set at each of the N readers — Θ(N·M) propagation work — while
-/// the unification solver merges all M pointees into the hub's single
-/// pointee cell and wires each reader to the class representative with
-/// one copy edge, Θ(N+M). This is the workload class the unify rung's
-/// >=3x speedup target is measured on.
+/// M-bit set at each of the N readers — Θ(N·M) propagation work.
 std::string makeDerefStorm(unsigned Readers, unsigned Pointees,
                            unsigned Pad) {
   std::string Src = "func main() {\n  s = 0;\n";
@@ -156,8 +151,7 @@ std::string makeDerefStorm(unsigned Readers, unsigned Pointees,
 /// Deref mesh: \p Hubs independent deref storms (each with its own cell,
 /// \p Pointees stores and \p Readers loads) whose readers all drain into
 /// one shared sink. The Andersen engines move Θ(Hubs·Readers·Pointees)
-/// bits, 64 per word operation; the unification solver pays
-/// Θ(Hubs·(Readers+Pointees)). Every engine's interned harvest shares one
+/// bits, 64 per word operation. Every engine's interned harvest shares one
 /// materialized vector per hub's readers.
 std::string makeDerefMesh(unsigned Hubs, unsigned Readers, unsigned Pointees,
                           unsigned Pad) {
@@ -184,9 +178,7 @@ std::string makeDerefMesh(unsigned Hubs, unsigned Readers, unsigned Pointees,
 /// contents and stores them into its own hub, and \p Readers load each
 /// level back out. Models nested indirection (linked structures, handle
 /// tables): the Andersen engines re-materialize the full \p Pointees-bit
-/// set at every level and reader — Θ(Levels·Readers·Pointees) — while the
-/// unification solver moves one class id per level and reader,
-/// Θ(Levels·Readers + Pointees).
+/// set at every level and reader — Θ(Levels·Readers·Pointees).
 std::string makeDerefChain(unsigned Levels, unsigned Readers,
                            unsigned Pointees, unsigned Pad) {
   std::string Src = "func main() {\n  s = 0;\n";
@@ -305,13 +297,8 @@ struct BenchRow {
   uint64_t Constraints = 0;
   EngineResult Naive;
   EngineResult Optimized;
-  EngineResult Unify;
   double speedup() const {
     return Optimized.SolveMs > 0 ? Naive.SolveMs / Optimized.SolveMs : 0;
-  }
-  /// The ladder step the unify rung buys: optimized Andersen vs unify.
-  double unifySpeedup() const {
-    return Unify.SolveMs > 0 ? Optimized.SolveMs / Unify.SolveMs : 0;
   }
 };
 
@@ -328,7 +315,6 @@ BenchRow runWorkload(const std::string &Name, const std::string &Src,
   }
   Row.Naive = runEngine(Src, SolverKind::NaiveReference, Iters);
   Row.Optimized = runEngine(Src, SolverKind::Optimized, Iters);
-  Row.Unify = runEngine(Src, SolverKind::Unify, Iters);
   return Row;
 }
 
@@ -339,7 +325,6 @@ void emitEngine(JsonWriter &W, const char *Key, const EngineResult &E) {
             "skipped_merged_pops", E.Stats.NumSkippedMergedPops,
             "collapses", E.Stats.NumCollapses,
             "collapsed_nodes", E.Stats.NumCollapsedNodes,
-            "unified_cells", E.Stats.NumUnifiedCells,
             "budget_steps", E.Stats.NumBudgetSteps,
             "avg_pts_size", E.AvgPtsSize,
             "plan_checks", E.PlanChecks, "warnings", E.Warnings);
@@ -384,35 +369,24 @@ int main(int argc, char **argv) {
     Specs.push_back({"deref_chain", makeDerefChain(48, 32, 1200, 2000)});
   }
 
-  std::printf("%-14s %8s %10s %11s %11s %11s %8s %8s %9s %9s\n", "workload",
-              "nodes", "constrs", "naive_ms", "opt_ms", "unify_ms", "speedup",
-              "uspeedup", "opt_pts", "unify_pts");
+  std::printf("%-14s %8s %10s %11s %11s %8s %9s\n", "workload", "nodes",
+              "constrs", "naive_ms", "opt_ms", "speedup", "opt_pts");
   std::vector<BenchRow> Rows;
   double MinSpeedup = 1e100, GeoAcc = 1.0;
-  double MinUnify = 1e100, UnifyGeoAcc = 1.0;
   for (const Spec &S : Specs) {
     BenchRow Row = runWorkload(S.Name, S.Src, Iters);
-    std::printf("%-14s %8u %10llu %11.3f %11.3f %11.3f %7.2fx %7.2fx "
-                "%9.2f %9.2f\n",
+    std::printf("%-14s %8u %10llu %11.3f %11.3f %7.2fx %9.2f\n",
                 Row.Name.c_str(), Row.Nodes,
                 static_cast<unsigned long long>(Row.Constraints),
-                Row.Naive.SolveMs, Row.Optimized.SolveMs, Row.Unify.SolveMs,
-                Row.speedup(), Row.unifySpeedup(), Row.Optimized.AvgPtsSize,
-                Row.Unify.AvgPtsSize);
+                Row.Naive.SolveMs, Row.Optimized.SolveMs, Row.speedup(),
+                Row.Optimized.AvgPtsSize);
     if (Row.speedup() < MinSpeedup)
       MinSpeedup = Row.speedup();
     GeoAcc *= Row.speedup();
-    if (Row.unifySpeedup() < MinUnify)
-      MinUnify = Row.unifySpeedup();
-    UnifyGeoAcc *= Row.unifySpeedup();
     Rows.push_back(std::move(Row));
   }
   double Geomean = Rows.empty() ? 0 : std::pow(GeoAcc, 1.0 / Rows.size());
-  double UnifyGeomean =
-      Rows.empty() ? 0 : std::pow(UnifyGeoAcc, 1.0 / Rows.size());
-  std::printf("min speedup %.2fx, geomean %.2fx; unify-vs-andersen min "
-              "%.2fx, geomean %.2fx%s\n",
-              MinSpeedup, Geomean, MinUnify, UnifyGeomean,
+  std::printf("min speedup %.2fx, geomean %.2fx%s\n", MinSpeedup, Geomean,
               Smoke ? " (smoke sizes; not meaningful)" : "");
 
   std::FILE *F = std::fopen(OutPath.c_str(), "w");
@@ -430,14 +404,11 @@ int main(int argc, char **argv) {
                             "constraints", Row.Constraints);
     emitEngine(W, "naive", Row.Naive);
     emitEngine(W, "optimized", Row.Optimized);
-    emitEngine(W, "unify", Row.Unify);
-    W.members("speedup", Row.speedup(), "unify_speedup", Row.unifySpeedup());
+    W.members("speedup", Row.speedup());
     W.end();
   }
   W.end().key("summary").beginObject(JsonWriter::Layout::Inline);
-  W.members("min_speedup", MinSpeedup, "geomean_speedup", Geomean,
-            "min_unify_speedup", MinUnify,
-            "geomean_unify_speedup", UnifyGeomean);
+  W.members("min_speedup", MinSpeedup, "geomean_speedup", Geomean);
   W.end().end();
   OS.flush();
   std::fclose(F);

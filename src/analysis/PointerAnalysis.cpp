@@ -8,7 +8,6 @@
 #include "analysis/PointerAnalysis.h"
 
 #include "analysis/CallGraph.h"
-#include "analysis/UnificationAnalysis.h"
 #include "ir/IR.h"
 #include "support/Budget.h"
 
@@ -33,8 +32,6 @@ const char *usher::analysis::solverKindName(SolverKind K) {
     return "andersen";
   case SolverKind::NaiveReference:
     return "naive";
-  case SolverKind::Unify:
-    return "unify";
   }
   return "?";
 }
@@ -310,16 +307,35 @@ public:
   void run();
 
 private:
-  // The flow-insensitive constraint system is recorded during the module
-  // walk into the shared ConstraintSystem (UnificationAnalysis.h) so the
-  // unification engine consumes bit-identical constraints; the aliases
-  // keep the builder and the two Andersen engines reading naturally.
-  using ValueRef = ConstraintSystem::ValueRef;
-  using SeedCst = ConstraintSystem::SeedCst;
-  using CopyCst = ConstraintSystem::CopyCst;
-  using LoadCst = ConstraintSystem::LoadCst;
-  using StoreCst = ConstraintSystem::StoreCst;
-  using GepCst = ConstraintSystem::GepCst;
+  // The flow-insensitive constraint system, recorded during the module
+  // walk: solver nodes are variables (ids [0, NumVars)) followed by
+  // locations (ids [NumVars, NumNodes)).
+
+  /// Either a solver node or a literal location (a global's address or a
+  /// wrapper clone).
+  struct ValueRef {
+    bool IsLoc;
+    uint32_t Id;
+  };
+  struct SeedCst {
+    uint32_t Node;
+    uint32_t Loc;
+  }; // Loc ∈ pts(Node)
+  struct CopyCst {
+    uint32_t Src, Dst;
+  }; // pts(Src) ⊆ pts(Dst)
+  struct LoadCst {
+    uint32_t Ptr, Dst;
+  }; // x := *p
+  struct StoreCst {
+    uint32_t Ptr;
+    ValueRef Val;
+  }; // *p := v
+  struct GepCst {
+    uint32_t Ptr, Dst;
+    unsigned Offset;
+    bool Dynamic;
+  }; // x := gep p, off
 
   uint32_t varNode(const Variable *V) const {
     return PA.FnBase[V->getParent()->getId()] + V->getId();
@@ -392,21 +408,20 @@ private:
   bool drainPendingLcd();
   void solveOptimized();
 
-  template <typename KeyT, typename RepFn, typename KeyFn, typename MatFn>
-  void harvest(RepFn RepOf, KeyFn KeyOf, MatFn Materialize);
+  template <typename SetT, typename RepFn>
+  void harvest(const std::vector<SetT> &Sets, RepFn RepOf);
 
   PointerAnalysis &PA;
   Module &M;
   Budget *B;
 
-  ConstraintSystem C;
-  uint32_t &NumVars = C.NumVars;
-  uint32_t &NumNodes = C.NumNodes;
-  std::vector<SeedCst> &Seeds = C.Seeds;
-  std::vector<CopyCst> &Copies = C.Copies;
-  std::vector<LoadCst> &Loads = C.Loads;
-  std::vector<StoreCst> &Stores = C.Stores;
-  std::vector<GepCst> &Geps = C.Geps;
+  uint32_t NumVars = 0;
+  uint32_t NumNodes = 0;
+  std::vector<SeedCst> Seeds;
+  std::vector<CopyCst> Copies;
+  std::vector<LoadCst> Loads;
+  std::vector<StoreCst> Stores;
+  std::vector<GepCst> Geps;
   // Return values per function (for non-wrapper calls).
   std::unordered_map<const Function *, std::vector<ValueRef>> RetValues;
 
@@ -1093,31 +1108,19 @@ template <typename SetT> struct BitsKey {
   }
 };
 
-/// A unification representative's sorted cell-class ids.
-struct ClassesKey {
-  std::vector<uint32_t> Classes;
-  bool empty() const { return Classes.empty(); }
-  size_t hash() const {
-    size_t H = 0;
-    for (uint32_t K : Classes)
-      H = hashMix(H, K);
-    return H;
-  }
-  bool operator==(const ClassesKey &O) const { return Classes == O.Classes; }
-};
-
 } // namespace
 
-/// The one harvest all three engines share: every variable points at an
+/// The one harvest both engines share: every variable points at an
 /// interned vector, materialized once per distinct points-to set, so the
 /// many readers of one hub cost one vector rather than a copy each.
 /// Variables with the same representative (\p RepOf) reuse its entry
 /// without rehashing; an empty set maps to EmptyPts without hashing; any
-/// other set is looked up by its key (\p KeyOf of the representative) and
-/// built by \p Materialize on first sight.
-template <typename KeyT, typename RepFn, typename KeyFn, typename MatFn>
-void PointerAnalysis::Solver::harvest(RepFn RepOf, KeyFn KeyOf,
-                                      MatFn Materialize) {
+/// other set is looked up by its representative's bits in \p Sets and
+/// materialized on first sight.
+template <typename SetT, typename RepFn>
+void PointerAnalysis::Solver::harvest(const std::vector<SetT> &Sets,
+                                      RepFn RepOf) {
+  using KeyT = BitsKey<SetT>;
   struct Hash {
     size_t operator()(const KeyT &K) const { return K.hash(); }
   };
@@ -1127,14 +1130,14 @@ void PointerAnalysis::Solver::harvest(RepFn RepOf, KeyFn KeyOf,
     uint32_t R = RepOf(Id);
     const std::vector<uint32_t> *&Shared = ByRep[R];
     if (!Shared) {
-      KeyT K = KeyOf(R);
+      KeyT K(Sets[R]);
       if (K.empty()) {
         Shared = &EmptyPts;
       } else {
-        auto [It, New] = Interned.try_emplace(std::move(K), nullptr);
+        auto [It, New] = Interned.try_emplace(K, nullptr);
         if (New) {
-          PA.SharedPts.push_back(std::make_unique<std::vector<uint32_t>>(
-              Materialize(It->first)));
+          PA.SharedPts.push_back(
+              std::make_unique<std::vector<uint32_t>>(K.toVector()));
           It->second = PA.SharedPts.back().get();
         }
         Shared = It->second;
@@ -1151,7 +1154,8 @@ void PointerAnalysis::Solver::run() {
   if (!charge())
     return;
   buildConstraints();
-  PA.SStats.NumConstraints = C.size();
+  PA.SStats.NumConstraints = Seeds.size() + Copies.size() + Loads.size() +
+                             Stores.size() + Geps.size();
   // Times every return path below (exhaustion included) via the guard's
   // destructor; starts after constraint building so the measurement is
   // the engine-dependent work only.
@@ -1166,36 +1170,6 @@ void PointerAnalysis::Solver::run() {
     }
   } Timer{PA.SStats};
 
-  if (PA.Opts.Solver == SolverKind::Unify) {
-    // The unification engine runs over the identical constraint system;
-    // its counters fold into this analysis' statistics so downstream
-    // consumers (--stats, bench_solver, the Budget regression tests) see
-    // one coherent account regardless of engine.
-    UnificationSolver U(PA, C, B);
-    U.run();
-    const SolverStatistics &US = U.stats();
-    PA.SStats.NumCopyEdges += US.NumCopyEdges;
-    PA.SStats.NumPropagations += US.NumPropagations;
-    PA.SStats.NumPops += US.NumPops;
-    PA.SStats.NumSkippedMergedPops += US.NumSkippedMergedPops;
-    PA.SStats.NumCollapses += US.NumCollapses;
-    PA.SStats.NumCollapsedNodes += US.NumCollapsedNodes;
-    PA.SStats.NumUnifiedCells += US.NumUnifiedCells;
-    PA.SStats.NumBudgetSteps += US.NumBudgetSteps;
-    if (U.exhausted()) {
-      PA.Exhausted = true;
-      return;
-    }
-    PA.NumNodes = NumNodes;
-    // A class set names its locations exactly (classes partition them),
-    // so it keys the interning without materializing per variable.
-    harvest<ClassesKey>(
-        [&](uint32_t Id) { return U.repOf(Id); },
-        [&](uint32_t R) { return ClassesKey{U.classesOf(R)}; },
-        [&](const ClassesKey &K) { return U.locsOfClasses(K.Classes); });
-    return;
-  }
-
   if (PA.Opts.Solver == SolverKind::NaiveReference)
     solveNaive();
   else
@@ -1203,15 +1177,10 @@ void PointerAnalysis::Solver::run() {
   if (PA.Exhausted)
     return;
   PA.NumNodes = NumNodes;
-  auto HarvestBits = [&](const auto &Sets, auto RepOf) {
-    using KeyT = BitsKey<typename std::decay_t<decltype(Sets)>::value_type>;
-    harvest<KeyT>(RepOf, [&](uint32_t R) { return KeyT(Sets[R]); },
-                  [](const KeyT &K) { return K.toVector(); });
-  };
   if (PA.Opts.Solver == SolverKind::NaiveReference)
-    HarvestBits(DensePts, [](uint32_t Id) { return Id; });
+    harvest(DensePts, [](uint32_t Id) { return Id; });
   else
-    HarvestBits(Pts, [&](uint32_t Id) { return findRep(Id); });
+    harvest(Pts, [&](uint32_t Id) { return findRep(Id); });
 }
 
 //===----------------------------------------------------------------------===//

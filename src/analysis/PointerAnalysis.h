@@ -62,15 +62,9 @@ enum class SolverKind : uint8_t {
   /// collapses and always re-propagates whole points-to sets. Used by the
   /// equivalence property tests and as the bench_solver baseline.
   NaiveReference,
-  /// The Steensgaard-family unification engine (near-linear): directional
-  /// copies between top-level pointers, unification only under
-  /// dereferenced address-taken cells (Kuderski-style oversharing
-  /// mitigation). Over-approximates the Andersen solution — the
-  /// degradation rung below it. See analysis/UnificationAnalysis.h.
-  Unify,
 };
 
-/// Stable lower-case engine name ("andersen", "naive", "unify") used by
+/// Stable lower-case engine name ("andersen", "naive") used by
 /// --stats, bench_solver rows, and the --solver= flag spelling.
 const char *solverKindName(SolverKind K);
 
@@ -88,9 +82,7 @@ struct PtaOptions {
 /// into BENCH_solver.json and the Budget accounting regression tests pin
 /// the relation between pops, merged-pop skips, and charged steps.
 struct SolverStatistics {
-  /// Which engine produced this run's numbers. Tier-1 tests assert the
-  /// demand-query pipeline lands on Unify — i.e. never paid for a
-  /// whole-program Andersen resolution.
+  /// Which engine produced this run's numbers.
   SolverKind Engine = SolverKind::Optimized;
   uint64_t NumConstraints = 0;  ///< Seed/copy/load/store/gep constraints built.
   uint64_t NumCopyEdges = 0;    ///< Distinct copy edges materialized.
@@ -102,15 +94,11 @@ struct SolverStatistics {
   uint64_t NumSkippedMergedPops = 0;
   uint64_t NumCollapses = 0;      ///< Cycle-collapse events.
   uint64_t NumCollapsedNodes = 0; ///< Nodes merged into representatives.
-  /// Address-taken cells merged by the unification engine's dereference
-  /// rule (always 0 for the Andersen engines).
-  uint64_t NumUnifiedCells = 0;
   uint64_t NumBudgetSteps = 0;    ///< Budget steps the solver charged.
   /// Wall time of the constraint *solve* (fixpoint plus harvest), in
   /// milliseconds. Excludes location numbering and constraint building,
-  /// which are engine-independent — this is the quantity the degradation
-  /// ladder's engine choice actually changes, and what bench_solver's
-  /// speedup columns compare.
+  /// which are engine-independent — this is what bench_solver's speedup
+  /// column compares.
   double SolveMs = 0;
 };
 

@@ -7,8 +7,8 @@
 ///
 /// \file
 /// A dense dynamic bitset over a fixed universe, for sets that are dense
-/// by design: the naive reference solver's, the unification engine's,
-/// mod/ref's, memory SSA's, the VFG builder's and definedness's.
+/// by design: the naive reference solver's, mod/ref's, memory SSA's, the
+/// VFG builder's and definedness's.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -8,8 +8,8 @@
 /// \file
 /// Tarjan's strongly connected components over dense node ids 0..N-1,
 /// iterative so that deep graphs cannot overflow the native stack. The one
-/// SCC routine behind the call graph, the definedness condensation, CFG
-/// loop membership and the unification pre-pass's copy-cycle collapse.
+/// SCC routine behind the call graph, the definedness condensation and
+/// CFG loop membership.
 ///
 //===----------------------------------------------------------------------===//
 

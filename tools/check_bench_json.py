@@ -34,7 +34,6 @@ ENGINE_SHAPE = {
         "skipped_merged_pops",
         "collapses",
         "collapsed_nodes",
-        "unified_cells",
         "budget_steps",
         "avg_pts_size",
         "plan_checks",
@@ -50,16 +49,10 @@ def check_engine(workload, key):
     # The solve phase is a sub-interval of the whole construction.
     if engine["solve_ms"] > engine["total_ms"] + 1e-6:
         V.fail(f"{where}: solve_ms exceeds total_ms")
-    # The worklist accounting invariant only constrains the Andersen
-    # engines; the unification solver's pops are class-representative
-    # merges with their own charging discipline.
-    if key != "unify" and engine["pops"] > (
-        engine["budget_steps"] + engine["skipped_merged_pops"]
-    ):
+    # Every pop is charged, or skipped as a merged node.
+    if engine["pops"] > engine["budget_steps"] + engine["skipped_merged_pops"]:
         V.fail(f"{where}: pops exceed charged steps plus uncharged "
                "merged-pop skips")
-    if key != "unify" and engine["unified_cells"] != 0:
-        V.fail(f"{where}: Andersen engine reports unified cells")
     return engine
 
 
@@ -93,9 +86,7 @@ def check_solver_report(report, path):
             V.number(workload, field, where, kind=int, strict=True)
         naive = check_engine(workload, "naive")
         optimized = check_engine(workload, "optimized")
-        unify = check_engine(workload, "unify")
-        for field in ("speedup", "unify_speedup"):
-            V.number(workload, field, where, strict=True)
+        V.number(workload, "speedup", where, strict=True)
         # Both Andersen engines solve the identical constraint system;
         # collapsing only ever reduces worklist traffic.
         if optimized["pops"] > 4 * naive["pops"] + 16:
@@ -112,38 +103,15 @@ def check_solver_report(report, path):
                     f"{optimized[field]!r} differs from naive "
                     f"{naive[field]!r} — the Andersen engines disagree"
                 )
-        # Unification may only lose precision, never gain it, and the
-        # warnings the pipeline reports at runtime are ground truth — the
-        # engine must not change them.
-        if unify["avg_pts_size"] + 1e-9 < optimized["avg_pts_size"]:
-            V.fail(
-                f"{where}: unify points-to sets are smaller than "
-                "Andersen's — the over-approximation is broken"
-            )
-        if unify["plan_checks"] < optimized["plan_checks"]:
-            V.fail(
-                f"{where}: unify plan has fewer checks than "
-                "Andersen's — unsound check elision"
-            )
-        if unify["warnings"] != optimized["warnings"]:
-            V.fail(
-                f"{where}: runtime warning count depends on the "
-                "constraint engine"
-            )
 
-    summary = check_summary(report, ("min_speedup", "geomean_speedup",
-                                     "min_unify_speedup",
-                                     "geomean_unify_speedup"))
+    summary = check_summary(report, ("min_speedup", "geomean_speedup"))
     if summary["min_speedup"] > summary["geomean_speedup"] + 1e-9:
         V.fail("summary: min_speedup exceeds geomean_speedup")
-    if summary["min_unify_speedup"] > summary["geomean_unify_speedup"] + 1e-9:
-        V.fail("summary: min_unify_speedup exceeds geomean_unify_speedup")
     V.ok(f": {path} ({len(workloads)} workloads)")
 
 
 SCALE_CONFIGS = [
     "andersen-global",
-    "unify-global",
 ]
 
 SCALE_PHASES = [
@@ -178,11 +146,10 @@ def check_scale_report(report, path):
         where = f"size {name!r}"
         for field in ("target_nodes", "functions", "instructions"):
             V.number(size, field, where, kind=int, strict=True)
-        # The answer cross-checks are enforced by the harness (it aborts
-        # on any mismatch); the report must still attest that they ran.
-        for field in ("fingerprints_equal", "warnings_equal_all_configs"):
-            if size.get(field) is not True:
-                V.fail(f"{where}: {field!r} is not true")
+        # The reproducibility check is enforced by the harness (it aborts
+        # on any mismatch); the report must still attest that it ran.
+        if size.get("fingerprints_equal") is not True:
+            V.fail(f"{where}: 'fingerprints_equal' is not true")
 
         configs = size.get("configs")
         if not isinstance(configs, list):
@@ -212,19 +179,6 @@ def check_scale_report(report, path):
                 V.number(config, field, cname, kind=int)
 
         ref = by_name["andersen-global"]
-        # The unify rung may only over-approximate.
-        unify = by_name["unify-global"]
-        if unify["checks"] < ref["checks"]:
-            V.fail(
-                f"{where}: unify plan has fewer checks than "
-                "Andersen's — unsound check elision"
-            )
-        if unify["warning_sites"] != ref["warning_sites"]:
-            V.fail(
-                f"{where}: runtime warning count depends on the "
-                "constraint engine"
-            )
-
         if unpruned(ref) <= prev_nodes:
             V.fail(f"{where}: VFG node count not strictly increasing")
         if size["instructions"] < prev_instrs:

@@ -25,7 +25,7 @@
 ///   usher-cli prog.tc --budget-ms=N   per-phase analysis deadline
 ///   usher-cli prog.tc --budget-steps=N  per-phase step budget
 ///   usher-cli prog.tc --inject-fault=pta@0  force budget exhaustion
-///   usher-cli prog.tc --solver=andersen|naive|unify
+///   usher-cli prog.tc --solver=andersen|naive
 ///                                     pick the constraint-solving engine
 ///   usher-cli prog.tc --naive-solver  alias for --solver=naive
 ///   usher-cli prog.tc --query 3 17    demand CFL-reachability query: can
@@ -113,7 +113,7 @@ int usage(const char *Argv0) {
   errs() << "usage: " << Argv0
          << " <program.tc> [--variant=msan|tl|tlat|opti|usher] "
             "[--opt=O0|O1|O2] [--compare] [--stats] [--print-ir] [--dot] "
-            "[--no-run] [--solver=andersen|naive|unify] [--budget-ms=<N>] "
+            "[--no-run] [--solver=andersen|naive] [--budget-ms=<N>] "
             "[--budget-steps=<N>] [--inject-fault=<phase>@<step>[:once|:<n>]] "
             "[--diagnose] [--diag-json=<file>] "
             "[--query <srcId> <sinkId>] "
@@ -137,12 +137,10 @@ int usage(const char *Argv0) {
             "                      (schema usher-diagnosis-v1); implies\n"
             "                      --diagnose\n"
             "\n"
-            "  --solver=andersen|naive|unify\n"
+            "  --solver=andersen|naive\n"
             "                      constraint-solving engine: the optimized\n"
-            "                      Andersen solver (default), the reference\n"
-            "                      full-set Andersen engine, or the\n"
-            "                      near-linear unification solver (sound\n"
-            "                      over-approximation of Andersen)\n"
+            "                      Andersen solver (default) or the reference\n"
+            "                      full-set Andersen engine\n"
             "  --naive-solver      alias for --solver=naive\n"
             "\n"
             "  --query <srcId> <sinkId>\n"
@@ -209,8 +207,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
         Opts.Solver = analysis::SolverKind::Optimized;
       else if (S == "naive")
         Opts.Solver = analysis::SolverKind::NaiveReference;
-      else if (S == "unify")
-        Opts.Solver = analysis::SolverKind::Unify;
       else
         return false;
     } else if (Arg == "--query") {
@@ -444,8 +440,7 @@ int main(int Argc, char **Argv) {
          << "solver constraints:   " << S.Solver.NumConstraints << '\n'
          << "solver propagations:  " << S.Solver.NumPropagations << '\n'
          << "solver collapses:     " << S.Solver.NumCollapses << " ("
-         << S.Solver.NumCollapsedNodes << " nodes)\n"
-         << "unified cells:        " << S.Solver.NumUnifiedCells << '\n';
+         << S.Solver.NumCollapsedNodes << " nodes)\n";
       OS << "analysis time:        " << S.AnalysisSeconds * 1000 << " ms\n";
       for (const core::ClientPlanInfo &CP : R.ClientPlans) {
         OS << "client " << core::clientName(CP.Kind) << ":       sinks "
