@@ -27,7 +27,6 @@
 ///   usher-cli prog.tc --inject-fault=pta@0  force budget exhaustion
 ///   usher-cli prog.tc --solver=andersen|naive
 ///                                     pick the constraint-solving engine
-///   usher-cli prog.tc --naive-solver  alias for --solver=naive
 ///   usher-cli prog.tc --query 3 17    demand CFL-reachability query: can
 ///                                     VFG node 3 flow to node 17? Asks the
 ///                                     VFG the pipeline builds, so the ids
@@ -141,7 +140,6 @@ int usage(const char *Argv0) {
             "                      constraint-solving engine: the optimized\n"
             "                      Andersen solver (default) or the reference\n"
             "                      full-set Andersen engine\n"
-            "  --naive-solver      alias for --solver=naive\n"
             "\n"
             "  --query <srcId> <sinkId>\n"
             "                      demand query: is VFG node <sinkId>\n"
@@ -199,8 +197,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       Opts.Run = false;
     } else if (Arg == "--list-fault-sites") {
       Opts.ListFaultSites = true;
-    } else if (Arg == "--naive-solver") {
-      Opts.Solver = analysis::SolverKind::NaiveReference;
     } else if (Arg.rfind("--solver=", 0) == 0) {
       std::string_view S = Arg.substr(9);
       if (S == "andersen")
