@@ -965,7 +965,6 @@ void PointerAnalysis::Solver::solveOptimized() {
   // which amortizes each sweep's O(graph) cost over O(graph) pops.
   const size_t LcdDrainThreshold = std::max<size_t>(16, NumNodes / 256);
   uint64_t PopsSinceDrain = 0;
-  std::vector<DeltaWord> D; // reused pop-delta buffer (see swap below)
   while (true) {
     if (Worklist.empty()) {
       if (PendingLcd.empty())
@@ -997,11 +996,10 @@ void PointerAnalysis::Solver::solveOptimized() {
       return;
 
     // Take the delta: only bits the successors have not seen yet travel.
-    // Swapping with a reused buffer recycles capacity between pops: the
-    // node's next delta inherits an already-sized allocation instead of
-    // malloc'ing one per pop.
-    D.clear();
-    std::swap(D, Delta[N]);
+    // Moving it out leaves the node no capacity to hold until the solve
+    // ends; its buffer is freed after this pop.
+    std::vector<DeltaWord> D = std::move(Delta[N]);
+    Delta[N].clear();
 
     if (!D.empty() && (!LoadTargets[N].empty() || !StoreValues[N].empty() ||
                        !GepTargets[N].empty())) {
