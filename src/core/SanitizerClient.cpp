@@ -7,6 +7,7 @@
 
 #include "core/SanitizerClient.h"
 
+#include "analysis/CFG.h"
 #include "analysis/PointerAnalysis.h"
 #include "core/Definedness.h"
 #include "core/Instrumentation.h"
@@ -251,52 +252,23 @@ static ShadowOp checkBoundsOp(const Instruction *FA) {
 /// Marks, per block id, whether the block sits on a CFG cycle (member of a
 /// successor-graph SCC of size > 1, or self-looping). Loop membership is
 /// the coverage/cost weight of the budgeted placement.
-static std::vector<uint8_t> blocksInCycle(const Function &F) {
-  const size_t N = F.blocks().size();
-  std::vector<std::vector<uint32_t>> Succs(N);
-  std::vector<BasicBlock *> Tmp;
-  for (const auto &BB : F.blocks()) {
-    Tmp.clear();
-    BB->getSuccessors(Tmp);
-    for (BasicBlock *S : Tmp)
-      Succs[BB->getId()].push_back(S->getId());
-  }
-
+static std::vector<uint8_t> blocksInCycle(const analysis::CFGInfo &CFG) {
+  const auto N = static_cast<uint32_t>(CFG.getFunction().blocks().size());
   std::vector<uint8_t> InCycle(N, 0);
   forEachSCC(
-      static_cast<uint32_t>(N),
-      [&](uint32_t U) -> const std::vector<uint32_t> & { return Succs[U]; },
-      [](uint32_t V) { return V; },
+      N, [&](uint32_t U) { return CFG.successors(U); },
+      [](const BasicBlock *S) { return S->getId(); },
       [&](uint32_t Root, const std::vector<uint32_t> &Comp) {
-        bool Cyclic = Comp.size() > 1 ||
-                      std::find(Succs[Root].begin(), Succs[Root].end(),
-                                Root) != Succs[Root].end();
+        bool Cyclic =
+            Comp.size() > 1 ||
+            std::ranges::any_of(CFG.successors(Root), [&](const BasicBlock *S) {
+              return S->getId() == Root;
+            });
         if (Cyclic)
           for (uint32_t M : Comp)
             InCycle[M] = 1;
       });
   return InCycle;
-}
-
-/// Blocks reachable from the entry (unreachable sites cannot execute, so
-/// the guided plan does not spend budget on them).
-static std::vector<uint8_t> reachableBlocks(const Function &F) {
-  std::vector<uint8_t> Seen(F.blocks().size(), 0);
-  std::vector<BasicBlock *> Tmp;
-  std::vector<uint32_t> Work{F.getEntry()->getId()};
-  Seen[F.getEntry()->getId()] = 1;
-  while (!Work.empty()) {
-    uint32_t B = Work.back();
-    Work.pop_back();
-    Tmp.clear();
-    F.blocks()[B]->getSuccessors(Tmp);
-    for (BasicBlock *S : Tmp)
-      if (!Seen[S->getId()]) {
-        Seen[S->getId()] = 1;
-        Work.push_back(S->getId());
-      }
-  }
-  return Seen;
 }
 
 static ClientPlanInfo buildBoundsGuided(const ClientBuildInputs &In) {
@@ -310,10 +282,12 @@ static ClientPlanInfo buildBoundsGuided(const ClientBuildInputs &In) {
       static_cast<uint64_t>(std::llround(Model.CheckBounds * CostScale));
   uint64_t ScaledBase = 0;
   for (const auto &F : M.functions()) {
-    std::vector<uint8_t> Reach = reachableBlocks(*F);
-    std::vector<uint8_t> InCycle = blocksInCycle(*F);
+    // Unreachable sites cannot execute, so the plan spends no budget on
+    // them.
+    const analysis::CFGInfo CFG(*F);
+    std::vector<uint8_t> InCycle = blocksInCycle(CFG);
     for (const auto &BB : F->blocks()) {
-      if (!Reach[BB->getId()])
+      if (!CFG.isReachable(BB->getId()))
         continue;
       uint64_t W = InCycle[BB->getId()] ? LoopWeight : 1;
       for (const auto &I : BB->instructions()) {

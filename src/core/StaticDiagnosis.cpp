@@ -7,8 +7,10 @@
 
 #include "core/StaticDiagnosis.h"
 
+#include "analysis/CFG.h"
 #include "analysis/CallGraph.h"
 #include "analysis/DemandVFA.h"
+#include "analysis/Dominators.h"
 #include "analysis/PointerAnalysis.h"
 #include "ir/IR.h"
 #include "support/JsonWriter.h"
@@ -183,47 +185,22 @@ void StaticDiagnosis::computeMustUndef(const analysis::CallGraph &CG) {
 //===----------------------------------------------------------------------===//
 
 /// The blocks of \p F that lie on every entry-to-return path: once F is
-/// entered and runs to completion, each of them executes. Computed by
-/// deletion — B qualifies iff it is reachable from entry and removing it
-/// disconnects the entry from every return.
+/// entered and runs to completion, each of them executes. These are the
+/// reachable blocks that dominate every reachable return block (all
+/// reachable blocks when no return is reachable).
 static std::unordered_set<const BasicBlock *>
 mustExecBlocks(const ir::Function &F) {
-  // One BFS from entry, optionally avoiding a block; reports whether a
-  // return was reached and which blocks were visited.
-  auto Search = [&](const BasicBlock *Avoid,
-                    std::unordered_set<const BasicBlock *> *Visited) {
-    std::vector<const BasicBlock *> Work;
-    std::unordered_set<const BasicBlock *> Seen;
-    const BasicBlock *Entry = F.getEntry();
-    bool SawRet = false;
-    std::vector<BasicBlock *> Succs;
-    if (Entry != Avoid) {
-      Work.push_back(Entry);
-      Seen.insert(Entry);
-    }
-    while (!Work.empty()) {
-      const BasicBlock *BB = Work.back();
-      Work.pop_back();
-      if (isa<RetInst>(BB->getTerminator()))
-        SawRet = true;
-      Succs.clear();
-      BB->getSuccessors(Succs);
-      for (const BasicBlock *S : Succs)
-        if (S != Avoid && Seen.insert(S).second)
-          Work.push_back(S);
-    }
-    if (Visited)
-      *Visited = std::move(Seen);
-    return SawRet;
-  };
-
-  std::unordered_set<const BasicBlock *> Reachable;
-  Search(nullptr, &Reachable);
-
+  const analysis::CFGInfo CFG(F);
+  const analysis::DominatorTree DT(CFG);
+  std::vector<const BasicBlock *> Rets;
+  for (const BasicBlock *BB : CFG.reversePostOrder())
+    if (isa<RetInst>(BB->getTerminator()))
+      Rets.push_back(BB);
   std::unordered_set<const BasicBlock *> Out;
-  for (const auto &BB : F.blocks())
-    if (Reachable.count(BB.get()) && !Search(BB.get(), nullptr))
-      Out.insert(BB.get());
+  for (const BasicBlock *BB : CFG.reversePostOrder())
+    if (std::ranges::all_of(
+            Rets, [&](const BasicBlock *R) { return DT.dominates(BB, R); }))
+      Out.insert(BB);
   return Out;
 }
 
