@@ -601,6 +601,7 @@ public:
       : Name(std::move(Name)), Id(Id), Parent(Parent) {}
 
   const std::string &getName() const { return Name; }
+  void setName(std::string NewName) { Name = std::move(NewName); }
   /// Dense id, unique within the owning function (renumbered on demand).
   unsigned getId() const { return Id; }
   void setId(unsigned NewId) { Id = NewId; }

@@ -199,6 +199,9 @@ private:
   unsigned ContCounter = 0;
   unsigned ObjCounter = 0;
   NameTable<LabelInfo> Labels{&TableArena};
+  /// The blocks the parser made for itself (entry, cont.N, dead.N). Their
+  /// names yield to labels at the end of the body.
+  std::vector<BasicBlock *> OwnBlocks;
   /// The current function's variables. Of two same-named parameters the
   /// first wins, as Function::findVariable decides.
   NameTable<Variable *> Locals{&TableArena};
@@ -470,6 +473,7 @@ void ParserImpl::parseStatement() {
   if (Terminated) {
     BasicBlock *Dead =
         CurFn->createBlock("dead." + std::to_string(ContCounter++));
+    OwnBlocks.push_back(Dead);
     Builder->setInsertPoint(Dead);
     Terminated = false;
   }
@@ -537,6 +541,7 @@ void ParserImpl::parseStatement() {
     BasicBlock *TrueBB = lookupLabel(Target).BB;
     BasicBlock *Cont =
         CurFn->createBlock("cont." + std::to_string(ContCounter++));
+    OwnBlocks.push_back(Cont);
     Builder->createCondBr(Cond, TrueBB, Cont);
     Builder->setInsertPoint(Cont);
     Terminated = false;
@@ -768,6 +773,7 @@ void ParserImpl::parseFunctionBody(Function *F) {
     Locals.emplace(P->getName(), P);
 
   BasicBlock *Entry = F->createBlock("entry");
+  OwnBlocks.assign(1, Entry);
   Builder->setInsertPoint(Entry);
   Terminated = false;
 
@@ -780,6 +786,25 @@ void ParserImpl::parseFunctionBody(Function *F) {
 
   if (!Terminated)
     Builder->createRet(Operand());
+
+  // A block the parser made for itself must not share a name with a
+  // label, or the printed function would define that label twice (a
+  // printed "entry:" label meets the implicit entry block). Such a block
+  // takes the first free name "<name>.<k>".
+  for (BasicBlock *BB : OwnBlocks) {
+    if (!Labels.contains(BB->getName()))
+      continue;
+    std::string Name;
+    for (unsigned K = 0;; ++K) {
+      Name = BB->getName() + "." + std::to_string(K);
+      if (!Labels.contains(Name) &&
+          std::ranges::none_of(F->blocks(), [&](const auto &Other) {
+            return Other->getName() == Name;
+          }))
+        break;
+    }
+    BB->setName(std::move(Name));
+  }
 
   // Report undefined labels in name order, and give each one's block a
   // body so the verifier has a single failure mode: this diagnostic.

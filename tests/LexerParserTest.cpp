@@ -5,12 +5,19 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/Usher.h"
 #include "ir/IR.h"
+#include "ir/Verifier.h"
 #include "parser/Lexer.h"
 #include "parser/Parser.h"
+#include "runtime/Interpreter.h"
 #include "support/RawStream.h"
+#include "workload/Generator.h"
+#include "workload/Synthesizer.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace usher;
 using namespace usher::parser;
@@ -450,5 +457,74 @@ TEST(Printer, RoundTripsThroughTheParser) {
   EXPECT_EQ(First.M->functions().size(), Second.M->functions().size());
   EXPECT_EQ(First.M->objects().size(), Second.M->objects().size());
 }
+
+std::string printModule(const ir::Module &M) {
+  std::string Text;
+  raw_string_ostream OS(Text);
+  M.print(OS);
+  OS.flush();
+  return Text;
+}
+
+TEST(Printer, ParserBlocksYieldTheirNamesToLabels) {
+  // A printed module names its entry block "entry" and the fall-through
+  // blocks "cont.N"; parsing it back must not define those labels twice.
+  ParseResult First = parseModule(
+      "func main() {\n  c = 1;\n  if c goto a;\n  goto b;\na:\n"
+      "  ret 1;\nb:\n  ret 2;\n}\n");
+  ASSERT_TRUE(First.succeeded());
+  std::string Text = printModule(*First.M);
+  for (int Round = 0; Round != 2; ++Round) {
+    ParseResult Next = parseModule(Text);
+    ASSERT_TRUE(Next.succeeded()) << Next.Errors.front() << "\n" << Text;
+    const ir::Function *Main = Next.M->findFunction("main");
+    std::vector<std::string> Names;
+    for (const auto &BB : Main->blocks())
+      Names.push_back(BB->getName());
+    std::sort(Names.begin(), Names.end());
+    EXPECT_EQ(std::adjacent_find(Names.begin(), Names.end()), Names.end())
+        << Text;
+    Text = printModule(*Next.M);
+  }
+}
+
+/// Three print -> parse rounds of generator seeds [20 * P, 20 * P + 20):
+/// every round parses and verifies, and the default pipeline's
+/// instrumented run of each round gives the generated module's result and
+/// warnings (keyed by function, block name and index, which the rounds
+/// keep).
+class PrintParseRounds : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PrintParseRounds, KeepResultAndWarnings) {
+  auto Run = [](ir::Module &M) {
+    core::UsherResult R = core::runUsher(M, core::UsherOptions());
+    runtime::ExecutionReport Rep = runtime::Interpreter(M, &R.Plan).run();
+    std::vector<std::string> Warnings;
+    for (const runtime::Warning &W : Rep.ToolWarnings)
+      Warnings.push_back(workload::warningSiteKey(W.At) + " x" +
+                         std::to_string(W.Occurrences));
+    std::sort(Warnings.begin(), Warnings.end());
+    return std::make_pair(Rep.MainResult, Warnings);
+  };
+  for (uint64_t Seed = GetParam() * 20; Seed != GetParam() * 20 + 20;
+       ++Seed) {
+    auto M = workload::generateProgram(Seed);
+    std::string Text = printModule(*M);
+    const auto Want = Run(*M);
+    for (int Round = 1; Round <= 3; ++Round) {
+      const std::string Tag =
+          "seed " + std::to_string(Seed) + " round " + std::to_string(Round);
+      ParseResult R = parseModule(Text);
+      ASSERT_TRUE(R.succeeded()) << Tag << ": " << R.Errors.front();
+      std::vector<std::string> VerifyErrors;
+      ASSERT_TRUE(ir::verifyModule(*R.M, VerifyErrors)) << Tag;
+      Text = printModule(*R.M);
+      EXPECT_EQ(Run(*R.M), Want) << Tag;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PrintParseRounds,
+                         ::testing::Range<uint64_t>(0, 10));
 
 } // namespace
