@@ -221,16 +221,16 @@ const Golden IRGoldens[] = {
      0xce3f93a6e8773b4bull,
      0xd149bd0b039f0cbfull},
     {"file:smoke.tc", 0xe06172ac73f9dedaull, 0x01203586f956b742ull},
-    {"gen:0", 0x0ebb00706ceb4861ull, 0x1f530ec6656ff108ull},
-    {"gen:1", 0x0c27a7dcef7911e9ull, 0xea096bd4938a1272ull},
-    {"gen:2", 0x35bd5bedec8cc764ull, 0x6c7986599f84ad31ull},
-    {"gen:3", 0xb545edef20a35f12ull, 0xf8e018086e139a87ull},
-    {"gen:4", 0xe077d9cc7edac20bull, 0x8b3fb5b8ef014b80ull},
-    {"gen:5", 0x6f965b6db5400767ull, 0xa7a0d0b82c84128aull},
-    {"gen:6", 0x6ea245bd0a051768ull, 0x5bcaeb39eedc8d9eull},
-    {"gen:7", 0x9e03fff8b4ea9806ull, 0xfff1563ab70988caull},
-    {"gen:8", 0xb5b6ced474fe052dull, 0xcf0c23ce5bfe4291ull},
-    {"gen:9", 0x83d06b8658dda684ull, 0x5a1211b80a4456e3ull},
+    {"gen:0", 0x64f437013bfab7afull, 0x1f530ec6656ff108ull},
+    {"gen:1", 0xef70b041d3d56097ull, 0xea096bd4938a1272ull},
+    {"gen:2", 0x89ba4fafbace2b62ull, 0x6c7986599f84ad31ull},
+    {"gen:3", 0xd5b4b06303a43d50ull, 0xf8e018086e139a87ull},
+    {"gen:4", 0x787434634be6d8a5ull, 0x8b3fb5b8ef014b80ull},
+    {"gen:5", 0x6e0ffaaed07fcb85ull, 0xa7a0d0b82c84128aull},
+    {"gen:6", 0x24cf29603dbc0b32ull, 0x5bcaeb39eedc8d9eull},
+    {"gen:7", 0xbed98b8f3d28db18ull, 0xfff1563ab70988caull},
+    {"gen:8", 0xcb972df35a17dcbbull, 0xcf0c23ce5bfe4291ull},
+    {"gen:9", 0x99a1a8901c470ceaull, 0x5a1211b80a4456e3ull},
     {"synth:10000:1", 0xae0af005e9669aacull, 0x5a5091023a9847a0ull},
     {"synth:10000:2", 0x05ec6d8d34e0e530ull, 0xa706b5f752f0bb05ull},
     {"synth:10000:3", 0xbe89a3d8264e9598ull, 0x2f33b6d8c8dbe36cull},
